@@ -9,7 +9,7 @@ from .errors import (
     NearSingularCocycle,
     NegativeRealDeterminant,
     NonPositiveDeterminant,
-    OracleVarianceTooHigh,
+    OracleNotConverged,
     PoleOnContour,
     QuadratureFailure,
     SingularCayley,
@@ -25,7 +25,7 @@ __all__ = [
     "NearSingularCocycle",
     "NegativeRealDeterminant",
     "NonPositiveDeterminant",
-    "OracleVarianceTooHigh",
+    "OracleNotConverged",
     "PoleOnContour",
     "QuadratureFailure",
     "SingularCayley",

@@ -168,6 +168,19 @@ def _report(cfg: RunConfig, command: str, inputs: dict, expected, observed,
     )
 
 
+def _mc_agreement(cfg: RunConfig, mc, expected: float) -> tuple[float | None, bool]:
+    """(z-score, agrees) of a Monte Carlo mean against its closed form.
+
+    A zero standard error (every draw equal) carries no scale for a
+    z-score, so the mean must then match to the relative tolerance
+    ``rel`` and the z-score is reported as None.
+    """
+    if mc.stderr > 0:
+        z = (mc.mean - expected) / mc.stderr
+        return z, abs(z) <= cfg.tol("z", 3.0)
+    return None, abs(mc.mean - expected) <= cfg.tol("rel", 1e-8) * abs(expected)
+
+
 def _finish(report: VerificationReport, cfg: RunConfig) -> int:
     _emit(render_report(report, cfg.format), cfg)
     return EXIT_FAIL if report.verdict == FAIL else EXIT_PASS
@@ -262,8 +275,8 @@ def cmd_verify_integral(cfg: RunConfig, group: str, n: int, lam, mu=None) -> int
         mc = integrals.sp_integral_mc(n, lam, cfg.n_samples, cfg.seed)
         deterministic_ok = True
     inputs["evaluations"] = evaluations
-    z = (mc.mean - expected) / mc.stderr if mc.stderr > 0 else 0.0
-    verdict = PASS if abs(z) <= cfg.tol("z", 3.0) and deterministic_ok else FAIL
+    z, mc_ok = _mc_agreement(cfg, mc, expected)
+    verdict = PASS if mc_ok and deterministic_ok else FAIL
     report = _report(cfg, f"integral {group}", inputs, expected, mc.mean, mc.stderr, z, verdict, t0)
     return _finish(report, cfg)
 
@@ -333,8 +346,8 @@ def cmd_boundary_probe(cfg: RunConfig, p: int, q: int, r: int, alpha: float) -> 
     }
     if alpha < threshold:
         expected = berezin.restriction_closed_form(p, q, r, alpha)
-        z = (mc.mean - expected) / mc.stderr if mc.stderr > 0 else 0.0
-        verdict = PASS if abs(z) <= cfg.tol("z", 3.0) else FAIL
+        z, mc_ok = _mc_agreement(cfg, mc, expected)
+        verdict = PASS if mc_ok else FAIL
         report = _report(cfg, "boundary probe", inputs, expected, mc.mean, mc.stderr, z, verdict, t0)
     else:
         # above the integrability threshold there is nothing to converge to
@@ -347,7 +360,8 @@ def cmd_boundary_probe(cfg: RunConfig, p: int, q: int, r: int, alpha: float) -> 
 def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float) -> int:
     t0 = time.perf_counter()
     if sub == "rank1":
-        rep = plancherel.rank1_plancherel_probe(q, alpha, rng=cfg.seed, n_mc=cfg.n_samples)
+        # deterministic quadrature: --samples and --seed do not enter
+        rep = plancherel.rank1_plancherel_probe(q, alpha)
         tol = cfg.tol("res", 5e-2)
         expected = [0.0, tol]
         verdict = PASS if in_interval(rep.max_residual, expected) else FAIL
@@ -355,8 +369,9 @@ def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float
             "q": q,
             "alpha": alpha,
             "t_grid": rep.t_grid,
-            "samples": cfg.n_samples,
-            "oracle_stderr": rep.oracle_stderr,
+            "nodes": rep.nodes,
+            "oracle_error": rep.oracle_error,
+            "s_step_error": rep.s_step_error,
         }
         report = _report(
             cfg, "plancherel rank1", inputs, expected, rep.max_residual, None, None, verdict, t0
@@ -481,7 +496,7 @@ def ledger_rows() -> list[dict]:
             "identity": "so_integral_closed_form",
             "status": "two-power-corrected",
             "evidence": "n=2, lambda=(1,0): exact value 1; as-printed gives 1/2; "
-            "tests/test_integrals.py::test_so_two_power_discriminator",
+            "tests/test_integrals.py::test_so_variant_discriminator",
         },
         {
             "identity": "so exponent convention",
@@ -505,7 +520,8 @@ def ledger_rows() -> list[dict]:
             "identity": "kernel covariance multiplier",
             "status": "u-cocycle-corrected",
             "evidence": "scalar enumeration leaves (u-cocycle, +, +) as the only "
-            "machine-zero convention; tests/test_berezin.py::test_covariance_convention_unique",
+            "machine-zero convention; "
+            "tests/test_berezin.py::test_covariance_convention_enumeration_has_unique_winner",
         },
         {
             "identity": "restriction exponent vector",
@@ -523,7 +539,8 @@ def ledger_rows() -> list[dict]:
             "identity": "coefficient Q corner shift and ratio factor",
             "status": "corrected",
             "evidence": "shift uses w_r and the Gamma-ratio factor is included, so Q at "
-            "r=0 equals the continuous weight; tests/test_plancherel.py::test_r0_consistency",
+            "r=0 equals the continuous weight; "
+            "tests/test_plancherel.py::test_r0_product_reproduces_continuous_weight",
         },
         {
             "identity": "unitary-case degeneration",

@@ -45,5 +45,5 @@ class PoleOnContour(BerezinLabError):
     """A density evaluation hit a net pole at a real spectral parameter."""
 
 
-class OracleVarianceTooHigh(BerezinLabError):
-    """A Monte Carlo oracle's standard error exceeds its budget."""
+class OracleNotConverged(BerezinLabError):
+    """A deterministic oracle did not converge within its refinement cap."""

@@ -170,7 +170,8 @@ def _mc_reduce(
         raise InvalidParams("blocks_per_batch must be >= 1")
     root = derive_root_seed(rng)
     n_blocks = ceil(n_samples / BLOCK)
-    s1 = s2 = si = 0.0
+    n = 0
+    mean = m2 = si = 0.0
     n_res = 0
     max_abs = 0.0
     for start in range(0, n_blocks, blocks_per_batch):
@@ -179,23 +180,29 @@ def _mc_reduce(
             count = BLOCK if b < n_blocks - 1 else n_samples - BLOCK * (n_blocks - 1)
             vals, res = block_values(block_rng(root, b), count)
             re = np.real(vals)
+            block_mean = float(re.mean())
             partials.append(
                 (
-                    float(re.sum()),
-                    float((re * re).sum()),
+                    count,
+                    block_mean,
+                    float(np.square(re - block_mean).sum()),
                     float(np.imag(vals).sum()),
                     res,
                     float(np.max(np.abs(vals))),
                 )
             )
-        for pr in partials:
-            s1 += pr[0]
-            s2 += pr[1]
-            si += pr[2]
-            n_res += pr[3]
-            max_abs = max(max_abs, pr[4])
-    mean = s1 / n_samples
-    var = max(s2 - n_samples * mean * mean, 0.0) / (n_samples - 1)
+        # Chan-Golub-LeVeque merge of (count, mean, M2): the variance never
+        # comes from cancelling sum(x^2) against n mean^2
+        for count, block_mean, block_m2, block_si, res, block_max in partials:
+            total = n + count
+            delta = block_mean - mean
+            mean += delta * count / total
+            m2 += block_m2 + delta * delta * n * count / total
+            n = total
+            si += block_si
+            n_res += res
+            max_abs = max(max_abs, block_max)
+    var = m2 / (n_samples - 1)
     return MCEstimate(
         mean=mean,
         stderr=sqrt(var / n_samples),

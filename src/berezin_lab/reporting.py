@@ -44,6 +44,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.format not in FORMATS:
             raise InvalidParams(f"format must be one of {FORMATS}")
+        if self.n_samples < 1:
+            raise InvalidParams(f"need at least 1 sample, got {self.n_samples}")
         for name, value in self.tolerances.items():
             if not value > 0:
                 raise InvalidParams(f"tolerance {name!r} must be positive, got {value}")

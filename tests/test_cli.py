@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -120,6 +122,37 @@ def test_integral_report_is_deterministic_excluding_duration(capsys):
     assert da == db
 
 
+def test_collapsed_stderr_is_not_a_free_pass(capsys):
+    # draws differ only at 1e-9: a sum-of-squares variance cancels to 0
+    code, out = run_cli(capsys, "integral", "so", "--n", "3", "--lambda", "1e-9,0,0",
+                        "--samples", "200000", "--seed", "1")
+    doc = json.loads(out)
+    assert doc["stderr"] > 0
+    assert doc["z_score"] != 0.0
+    assert abs(doc["observed"] - doc["expected"]) <= 3 * doc["stderr"]
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+
+
+def test_zero_stderr_falls_back_to_relative_tolerance(capsys):
+    # every draw equals 1: no z-score, the mean must match to --tol rel
+    code, out = run_cli(capsys, "integral", "u", "--n", "2", "--lambda", "0,0",
+                        "--samples", "2000", "--seed", "1")
+    doc = json.loads(out)
+    assert doc["stderr"] == 0.0
+    assert doc["z_score"] is None
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "0"),
+    ("kernel", "domination", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "-3"),
+])
+def test_nonpositive_sample_count_is_a_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def test_forced_failure_exit_code(capsys):
     code, out = run_cli(capsys, "integral", "so", "--n", "2", "--lambda", "1,0",
                         "--samples", "20000", "--seed", "2", "--tol", "z=1e-6")
@@ -225,7 +258,19 @@ def test_plancherel_rank1(capsys):
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["verdict"] == "pass"
-    assert doc["observed"] < 5e-2
+    assert doc["observed"] < 1e-8
+    assert set(doc["inputs"]) == {"q", "alpha", "t_grid", "nodes", "oracle_error",
+                                  "s_step_error"}
+
+
+def test_plancherel_rank1_ignores_samples_and_seed(capsys):
+    _, a = run_cli(capsys, "plancherel", "rank1", "--q", "3", "--alpha", "2",
+                   "--samples", "40000", "--seed", "1")
+    _, b = run_cli(capsys, "plancherel", "rank1", "--q", "3", "--alpha", "2", "--seed", "2")
+    da, db = json.loads(a), json.loads(b)
+    assert da["verdict"] == "pass"
+    for key in ("inputs", "expected", "observed"):
+        assert da[key] == db[key]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +313,19 @@ def test_ledger_lists_adjudications(capsys):
 def test_ledger_rows_callable():
     rows = ledger_rows()
     assert all(isinstance(r, dict) for r in rows)
+
+
+def test_ledger_cited_tests_exist():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    cited = [
+        m.groups()
+        for row in ledger_rows()
+        for m in re.finditer(r"(tests/\w+\.py)::(\w+)", row["evidence"])
+    ]
+    assert cited
+    for path, name in cited:
+        source = (root / path).read_text(encoding="utf-8")
+        assert re.search(rf"^def {name}\(", source, re.M), f"{path}::{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from berezin_lab.integrals import (
     VARIANT_AS_PRINTED,
     VARIANT_CORRECTED,
     WINNING_SO_VARIANT,
+    _mc_reduce,
     so_integral_closed_form,
     so_integral_mc,
     so_integral_quadrature,
@@ -163,6 +164,21 @@ def test_mc_seed_reproducibility_and_chunking_independence():
     again = so_integral_mc(3, lam, 30_000, rng=9)
     assert again.mean == runs[0].mean
     assert runs[0].seed == 9
+
+
+def test_mc_stderr_survives_a_large_mean():
+    # spread 1e-9 around 1: sum(x^2) - n mean^2 cancels to rounding noise,
+    # the per-block (count, mean, M2) merge keeps the spread
+    def block(gen, count):
+        return 1.0 + 1e-9 * gen.standard_normal(count), 0
+
+    n = 50_000
+    est = _mc_reduce(block, n, rng=3)
+    assert est.stderr == pytest.approx(1e-9 / np.sqrt(n), rel=0.05)
+    assert abs(est.mean - 1.0) <= 5 * est.stderr
+    for bpb in (1, 3):
+        again = _mc_reduce(block, n, rng=3, blocks_per_batch=bpb)
+        assert (again.mean, again.stderr) == (est.mean, est.stderr)
 
 
 def test_mc_estimate_carries_seed_and_resample_count():

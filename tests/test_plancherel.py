@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from berezin_lab.errors import InvalidParams, OracleVarianceTooHigh
+from berezin_lab.errors import InvalidParams, OracleNotConverged
 from berezin_lab.gammaval import gamma_value
 from berezin_lab.plancherel import (
     PlancherelParams,
@@ -227,13 +227,33 @@ def test_rank1_probe_parameter_validation():
 
 
 def test_rank1_probe_flags_starved_oracle():
-    with pytest.raises(OracleVarianceTooHigh):
-        rank1_plancherel_probe(3, 4.0, n_mc=50, rng=0, stderr_budget=1e-4)
+    # at t = 10 the target is ~1e-17 of the t = 0 integral: no rule up to
+    # 1024 nodes resolves it, and the probe says so instead of guessing
+    with pytest.raises(OracleNotConverged):
+        rank1_plancherel_probe(3, 4.0, t_grid=[10.0])
 
 
 def test_rank1_probe_resynthesizes_the_kernel():
-    rep = rank1_plancherel_probe(3, 4.0, rng=20240817)
-    assert rep.max_residual < 5e-2
+    rep = rank1_plancherel_probe(3, 4.0)
+    assert rep.max_residual < 1e-8
     assert rep.normalization > 0
-    assert rep.seed == 20240817
+    assert rep.oracle_error <= 1e-10
+    assert 64 <= rep.nodes <= 1024
     assert rep.residuals.shape == rep.t_grid.shape
+
+
+def test_rank1_probe_is_deterministic():
+    a = rank1_plancherel_probe(4, 2.5)
+    b = rank1_plancherel_probe(4, 2.5)
+    assert np.array_equal(a.residuals, b.residuals)
+    assert (a.nodes, a.oracle_error, a.s_step_error) == (b.nodes, b.oracle_error, b.s_step_error)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.01])
+def test_rank1_s_step_error_covers_residual_near_threshold(alpha):
+    # near alpha = (q-1)/2 the weight peaks too narrowly for the s-step;
+    # more nodes cannot help, the half-grid estimate must flag it
+    rep = rank1_plancherel_probe(3, alpha)
+    assert rep.oracle_error <= 1e-10
+    assert rep.max_residual > 1e-4
+    assert rep.s_step_error >= rep.max_residual
