@@ -17,21 +17,16 @@ import numpy as np
 from .ball import BallPoint, PseudoOrthogonalElement, cocycle, moebius_act, random_ball_point
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
-from .integrals import _mc_reduce, so_integral_closed_form, MCEstimate
+from .integrals import (
+    MCEstimate,
+    _corner_logdets,
+    _mc_reduce,
+    _resample_until_valid,
+    so_integral_closed_form,
+)
 from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
-
-
-@dataclass
-class KernelParams:
-    p: int
-    q: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.p <= self.q:
-            raise InvalidParams(f"need 1 <= p <= q, got ({self.p}, {self.q})")
 
 
 def berezin_kernel(z: BallPoint, u: BallPoint, alpha: float) -> float:
@@ -140,7 +135,8 @@ def pd_witness_search(
     rotation-reflection shells; on the admissible set both families must
     come up empty.
     """
-    KernelParams(p, q, alpha)
+    if not 1 <= p <= q:
+        raise InvalidParams(f"need 1 <= p <= q, got ({p}, {q})")
     if budget < 1:
         raise InvalidParams("budget must be positive")
     seed = derive_root_seed(rng)
@@ -311,12 +307,10 @@ def boundary_sample_batch(p: int, q: int, r: int, size: int, rng=None) -> np.nda
     return g[:, :p, :q]
 
 
-def restriction_threshold(p: int, q: int, r: int, k: int = 0, lambda_max_gap: float = 0.0) -> float:
-    """Largest alpha with finite restricted integral: (q - p + 2r)/2 - 2k - gap."""
+def restriction_threshold(p: int, q: int, r: int) -> float:
+    """Largest alpha with finite restricted integral: (q - p + 2r)/2."""
     _check_boundary_params(p, q, r)
-    if k < 0:
-        raise InvalidParams("the shift k must be nonnegative")
-    return (q - p + 2 * r) / 2.0 - 2 * k - lambda_max_gap
+    return (q - p + 2 * r) / 2.0
 
 
 def restriction_closed_form(p: int, q: int, r: int, alpha: float) -> float:
@@ -332,15 +326,7 @@ def restriction_closed_form(p: int, q: int, r: int, alpha: float) -> float:
     return so_integral_closed_form(n, lam)
 
 
-def restriction_probe(
-    p: int,
-    q: int,
-    r: int,
-    alpha: float,
-    n_samples: int,
-    rng=None,
-    blocks_per_batch: int = 8,
-) -> MCEstimate:
+def restriction_probe(p: int, q: int, r: int, alpha: float, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo mean of det(1 + [z]_{p-r})^(-alpha) over the rank-r orbit.
 
     Below the integrability threshold this converges to the closed form;
@@ -352,14 +338,10 @@ def restriction_probe(
     m = p - r
 
     def evaluate(mats):
-        d = np.linalg.det(np.eye(m) + mats[:, :m, :m])
-        ok = d > _TINY
-        vals = np.where(ok, d, 1.0) ** (-alpha)
-        return vals, ok
+        _, logdets, ok = _corner_logdets(mats, m, real=True)
+        return np.exp(-alpha * logdets[:, -1]), ok
 
     def block(gen, count):
-        from .integrals import _resample_until_valid
-
         return _resample_until_valid(lambda c, g: _haar_so_batch(n, c, g), evaluate, gen, count)
 
-    return _mc_reduce(block, n_samples, rng, blocks_per_batch)
+    return _mc_reduce(block, n_samples, rng)

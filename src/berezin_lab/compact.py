@@ -14,7 +14,6 @@ odd-indexed ones through the antilinear map S(u) = Jhat conj(u).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
@@ -73,36 +72,53 @@ def matrix_dim(field: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _qr_positive_diag(gauss: np.ndarray) -> np.ndarray:
-    """Batched QR with the R diagonal rotated positive.
+def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
+    """Batched Gram-Schmidt with positive norms: the Q of gauss = Q R, R_jj > 0.
 
-    Raw LAPACK Q is not Haar distributed; multiplying each column by the
-    phase of the matching R diagonal entry makes the factorization unique
-    (R_jj > 0) and the resulting Q exactly Haar.
+    Positive norms make the factorization unique, so Q is exactly Haar on
+    the unitary group of a Gaussian's field (Mezzadri, math-ph/0609050).
+    With ``step`` 2 the m drawn columns of ``gauss`` (size, 2m, m) fill the
+    even slots and each is followed by its S-partner: S(u) is orthogonal
+    to u and the span of finished pairs is S-invariant, so the result is
+    the QR factor of the S-paired Gaussian and lies in Sp(m).
     """
-    q, r = np.linalg.qr(gauss)
-    diag = np.einsum("...ii->...i", r)
-    scale = np.abs(diag)
-    phase = np.where(scale > 0, diag / np.where(scale > 0, scale, 1.0), 1.0)
-    return q * phase[..., None, :]
+    size, d, m = gauss.shape
+    qt = np.zeros((size, d, d), dtype=gauss.dtype)  # row j holds column j
+    for i in range(m):
+        j = step * i
+        col = gauss[:, :, i]
+        done = qt[:, :j]
+        for _ in range(2 if j else 0):  # the second pass removes cancellation error
+            coef = np.einsum("bkd,bd->bk", done.conj(), col)
+            col = col - np.einsum("bk,bkd->bd", coef, done)
+        col = col / np.linalg.norm(col, axis=1, keepdims=True)
+        qt[:, j] = col
+        if step == 2:
+            qt[:, j + 1] = _structure_map(col)
+    return np.ascontiguousarray(qt.transpose(0, 2, 1))
 
 
 def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Haar O(n), both determinant components."""
-    return _qr_positive_diag(gen.standard_normal((size, n, n)))
+    return _gram_schmidt(gen.standard_normal((size, n, n)))
 
 
 def _haar_so_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Haar SO(n): Haar O(n) with the last column flipped on det = -1."""
     q = _haar_orthogonal_batch(n, size, gen)
-    dets = np.linalg.det(q)
-    q[dets < 0, :, -1] *= -1.0
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
 def _haar_u_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    gauss = gen.standard_normal((size, n, n)) + 1j * gen.standard_normal((size, n, n))
-    return _qr_positive_diag(gauss / sqrt(2.0))
+    shape = (size, n, n)
+    return _gram_schmidt(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+
+def _haar_sp_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
+    """Haar Sp(n) in the complex realization: n drawn columns, each with its S-partner."""
+    shape = (size, 2 * n, n)
+    return _gram_schmidt(gen.standard_normal(shape) + 1j * gen.standard_normal(shape), step=2)
 
 
 def _structure_map(u: np.ndarray) -> np.ndarray:
@@ -127,41 +143,6 @@ def quaternionic_structure_residual(mat: np.ndarray) -> float:
     n2 = mat.shape[0]
     jh = block_j(n2 // 2)
     return float(np.max(np.abs(mat @ jh - jh @ np.conj(mat))))
-
-
-def _haar_sp_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar Sp(n) via structured Gram-Schmidt in the complex realization.
-
-    Column pairs are built one quaternionic column at a time: draw a complex
-    Gaussian vector, project out the span of the finished columns (which is
-    S-invariant), normalize by the real norm, and append the S-partner.
-    This is QR with quaternionic R_jj real positive, hence Haar.
-    """
-    d = 2 * n
-    q = np.zeros((size, d, d), dtype=complex)
-    for j in range(n):
-        col = gen.standard_normal((size, d)) + 1j * gen.standard_normal((size, d))
-        while True:
-            col = _project_out(q[:, :, : 2 * j], col)
-            norm = np.linalg.norm(col, axis=1)
-            bad = norm < 1e-8
-            if not bad.any():
-                break
-            nbad = int(bad.sum())
-            col[bad] = gen.standard_normal((nbad, d)) + 1j * gen.standard_normal((nbad, d))
-        col = col / norm[:, None]
-        q[:, :, 2 * j] = col
-        q[:, :, 2 * j + 1] = _structure_map(col)
-    return q
-
-
-def _project_out(basis: np.ndarray, col: np.ndarray) -> np.ndarray:
-    if basis.shape[2] == 0:
-        return col
-    for _ in range(2):  # second pass controls cancellation error
-        coef = np.einsum("bdk,bd->bk", basis.conj(), col)
-        col = col - np.einsum("bdk,bk->bd", basis, coef)
-    return col
 
 
 _BATCH_SAMPLERS = {REAL: _haar_so_batch, COMPLEX: _haar_u_batch, QUATERNION: _haar_sp_batch}
@@ -270,31 +251,23 @@ def cayley(g: CompactGroupElement | np.ndarray) -> np.ndarray:
     return np.linalg.solve(lhs.T, rhs.T).T
 
 
-@dataclass
-class CubeCoordinates:
-    """Coordinates (x_1, ..., x_{n-1}) of an SO(n) element.
+def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
+    """Pivots of unpivoted elimination on 1 + [g]_k for a stack g, shape (size, k).
 
-    x_j is the (1, 1) entry after n - 1 - j corner reduction steps; under
-    Haar measure the x_j are independent with density c (1 - x^2)^((j-2)/2).
+    ``k`` counts stored rows (two per quaternionic unit).  The j-th pivot
+    is det(1+[g]_j) / det(1+[g]_{j-1}), which is 1 plus the (1, 1) entry of
+    g reduced j - 1 times by one row; that entry is a unitary matrix entry,
+    so every pivot lies in the disc |p - 1| <= 1 and elimination cannot
+    grow.  A zero pivot leaves the later pivots of its sample meaningless.
     """
-
-    n: int
-    x: np.ndarray
-
-
-def cube_coords(g: CompactGroupElement) -> CubeCoordinates:
-    """Cube coordinates of one SO(n) element (n >= 2)."""
-    if g.field != REAL:
-        raise InvalidParams("cube coordinates are defined for the real field")
-    if g.n < 2:
-        raise InvalidParams("cube coordinates need n >= 2")
-    ys = []
-    mat = g.entries
-    for step in range(g.n - 1):
-        ys.append(float(mat[0, 0]))
-        if step < g.n - 2:
-            mat = _upsilon_matrix(mat, 1)
-    return CubeCoordinates(g.n, np.array(ys[::-1]))
+    work = mats[:, :k, :k] + np.eye(k)
+    piv = np.empty(work.shape[:2], dtype=work.dtype)
+    for j in range(k):
+        p = work[:, j, j]
+        piv[:, j] = p
+        safe = np.where(p != 0, p, 1.0)[:, None, None]
+        work[:, j + 1 :, j + 1 :] -= work[:, j + 1 :, j : j + 1] * (work[:, j : j + 1, j + 1 :] / safe)
+    return piv
 
 
 def cube_coords_batch(
@@ -302,6 +275,9 @@ def cube_coords_batch(
 ) -> np.ndarray:
     """Cube coordinates of ``size`` fresh Haar SO(n) samples, shape (size, n-1).
 
+    x_j is the (1, 1) entry after n - 1 - j corner reduction steps, so the
+    coordinates are the corner pivots minus 1 in reverse order; under Haar
+    measure they are independent with density c (1 - x^2)^((j-2)/2).
     Samples whose reduction chain comes within 1e-12 of the singular set
     are redrawn; the event has probability zero and only guards roundoff.
     """
@@ -311,27 +287,11 @@ def cube_coords_batch(
     out = np.empty((size, n - 1))
     todo = np.arange(size)
     while todo.size:
-        mats = _haar_so_batch(n, todo.size, gen)
-        coords, ok = _cube_coords_of_batch(mats)
-        out[todo[ok]] = coords[ok]
+        piv = corner_pivots(_haar_so_batch(n, todo.size, gen), n - 1)
+        ok = np.all(np.abs(piv[:, :-1]) > _SINGULAR_TOL, axis=1)
+        out[todo[ok]] = piv[ok, ::-1] - 1.0
         todo = todo[~ok]
     return out
-
-
-def _cube_coords_of_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    size, n = mats.shape[0], mats.shape[1]
-    ys = np.empty((size, n - 1))
-    ok = np.ones(size, dtype=bool)
-    cur = mats
-    for step in range(n - 1):
-        ys[:, step] = cur[:, 0, 0]
-        if step == n - 2:
-            break
-        lhs = cur[:, :1, :1] + 1.0
-        ok &= np.abs(lhs[:, 0, 0]) > _SINGULAR_TOL
-        safe = np.where(ok, lhs[:, 0, 0], 1.0)[:, None, None]
-        cur = cur[:, 1:, 1:] - cur[:, 1:, :1] @ cur[:, :1, 1:] / safe
-    return ys[:, ::-1], ok
 
 
 def equivariance_residual(

@@ -8,8 +8,9 @@ Three independent evaluation routes are kept deliberately separate:
 * for the real case, adaptive quadrature on the factorized density.
 
 The Monte Carlo engine draws each logical block of 4096 samples from its
-own seeded substream and merges block partials in block order, so the
-result is bit-identical no matter how blocks are batched together.
+own seeded substream and merges block partials in block order, so a fixed
+seed gives a bit-identical result.  Every evaluator reads its corner
+determinants off one batched elimination, ``compact.corner_pivots``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch
+from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch, corner_pivots
 from .errors import DomainError, InvalidParams, QuadratureFailure
 from .rngs import block_rng, derive_root_seed
 
@@ -150,58 +151,37 @@ def sp_integral_closed_form(n: int, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mc_reduce(
-    block_values,
-    n_samples: int,
-    rng,
-    blocks_per_batch: int = 8,
-    track_imag: bool = False,
-) -> MCEstimate:
-    """Reduce per-block values into a chunking-independent estimate.
+def _mc_reduce(block_values, n_samples: int, rng, track_imag: bool = False) -> MCEstimate:
+    """Reduce per-block values into one estimate.
 
     ``block_values(gen, count)`` returns (values, n_resampled) for one
-    logical block.  Partials are always merged in block order, so
-    ``blocks_per_batch`` only controls how much work is materialized at
-    once and never changes the result.
+    logical block of ``BLOCK`` samples (the last one short), drawn from
+    its own stream ``block_rng(root, b)``.  Block partials are merged in
+    block order, so a fixed seed gives a fixed result.
     """
     if n_samples < 2:
         raise InvalidParams("need at least 2 samples")
-    if blocks_per_batch < 1:
-        raise InvalidParams("blocks_per_batch must be >= 1")
     root = derive_root_seed(rng)
     n_blocks = ceil(n_samples / BLOCK)
     n = 0
     mean = m2 = si = 0.0
     n_res = 0
     max_abs = 0.0
-    for start in range(0, n_blocks, blocks_per_batch):
-        partials = []
-        for b in range(start, min(start + blocks_per_batch, n_blocks)):
-            count = BLOCK if b < n_blocks - 1 else n_samples - BLOCK * (n_blocks - 1)
-            vals, res = block_values(block_rng(root, b), count)
-            re = np.real(vals)
-            block_mean = float(re.mean())
-            partials.append(
-                (
-                    count,
-                    block_mean,
-                    float(np.square(re - block_mean).sum()),
-                    float(np.imag(vals).sum()),
-                    res,
-                    float(np.max(np.abs(vals))),
-                )
-            )
+    for b in range(n_blocks):
+        count = BLOCK if b < n_blocks - 1 else n_samples - BLOCK * (n_blocks - 1)
+        vals, res = block_values(block_rng(root, b), count)
+        re = np.real(vals)
+        block_mean = float(re.mean())
         # Chan-Golub-LeVeque merge of (count, mean, M2): the variance never
         # comes from cancelling sum(x^2) against n mean^2
-        for count, block_mean, block_m2, block_si, res, block_max in partials:
-            total = n + count
-            delta = block_mean - mean
-            mean += delta * count / total
-            m2 += block_m2 + delta * delta * n * count / total
-            n = total
-            si += block_si
-            n_res += res
-            max_abs = max(max_abs, block_max)
+        total = n + count
+        delta = block_mean - mean
+        mean += delta * count / total
+        m2 += float(np.square(re - block_mean).sum()) + delta * delta * n * count / total
+        n = total
+        si += float(np.imag(vals).sum())
+        n_res += res
+        max_abs = max(max_abs, float(np.max(np.abs(vals))))
     var = m2 / (n_samples - 1)
     return MCEstimate(
         mean=mean,
@@ -229,16 +209,25 @@ def _resample_until_valid(sampler, evaluate, gen, count: int):
     return vals, n_res
 
 
-_TINY = 1e-300
+_LOG_TINY = log(1e-300)
 
 
-def so_integral_mc(
-    n: int,
-    lam,
-    n_samples: int,
-    rng=None,
-    blocks_per_batch: int = 8,
-) -> MCEstimate:
+def _corner_logdets(mats: np.ndarray, k: int, real: bool = False):
+    """Pivots and log|det(1+[g]_j)| for j = 1..k stored rows, plus the usable samples.
+
+    A sample must be redrawn when a real pivot is <= 0 or a log corner
+    determinant falls below log 1e-300; its pivots and logs read 1 and 0.
+    """
+    piv = corner_pivots(mats, k)
+    with np.errstate(divide="ignore"):
+        logdets = np.cumsum(np.log(np.abs(piv)), axis=1)
+    ok = np.all(logdets > _LOG_TINY, axis=1)
+    if real:
+        ok &= np.all(piv > 0, axis=1)
+    return np.where(ok[:, None], piv, 1.0), np.where(ok[:, None], logdets, 0.0), ok
+
+
+def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the SO(n) corner-determinant integral.
 
     Accepts any exponent vector; the integrand is invariant under adding a
@@ -251,35 +240,21 @@ def so_integral_mc(
     diffs = lam[:-1] - lam[1:]
 
     def evaluate(mats):
-        count = mats.shape[0]
-        logs = np.zeros(count)
-        ok = np.ones(count, dtype=bool)
-        for k in range(1, n):
-            d = np.linalg.det(np.eye(k) + mats[:, :k, :k])
-            good = d > _TINY
-            ok &= good
-            logs += diffs[k - 1] * np.log(np.where(good, d, 1.0))
-        return np.exp(logs), ok
+        _, logdets, ok = _corner_logdets(mats, n - 1, real=True)
+        return np.exp(logdets @ diffs), ok
 
     def block(gen, count):
         return _resample_until_valid(lambda c, g: _haar_so_batch(n, c, g), evaluate, gen, count)
 
-    return _mc_reduce(block, n_samples, rng, blocks_per_batch)
+    return _mc_reduce(block, n_samples, rng)
 
 
-def u_integral_mc(
-    n: int,
-    lam,
-    mu,
-    n_samples: int,
-    rng=None,
-    blocks_per_batch: int = 8,
-) -> MCEstimate:
+def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the U(n) integral.
 
-    Complex powers are evaluated on the corner-determinant ratios
-    r_k = det(1+[g]_k)/det(1+[g]_{k-1}), which live in the closed right
-    half-plane, so the principal branch is safe sample by sample.
+    Complex powers are evaluated on the corner pivots
+    r_k = det(1+[g]_k)/det(1+[g]_{k-1}), which live in the disc
+    |r - 1| <= 1, so the principal branch is safe sample by sample.
     """
     if n < 1:
         raise InvalidParams("need n >= 1")
@@ -287,33 +262,17 @@ def u_integral_mc(
     mu = _exponents(mu, n, "mu")
 
     def evaluate(mats):
-        count = mats.shape[0]
-        acc = np.zeros(count, dtype=complex)
-        ok = np.ones(count, dtype=bool)
-        prev = np.ones(count, dtype=complex)
-        for k in range(1, n + 1):
-            d = np.linalg.det(np.eye(k) + mats[:, :k, :k])
-            good = np.abs(d) > _TINY
-            ok &= good
-            ratio = np.where(good, d, 1.0) / prev
-            lg = np.log(ratio)
-            acc += lam[k - 1] * lg + mu[k - 1] * np.conj(lg)
-            prev = np.where(good, d, 1.0)
-        return np.exp(acc), ok
+        piv, _, ok = _corner_logdets(mats, n)
+        lg = np.log(piv)
+        return np.exp(lg @ lam + np.conj(lg) @ mu), ok
 
     def block(gen, count):
         return _resample_until_valid(lambda c, g: _haar_u_batch(n, c, g), evaluate, gen, count)
 
-    return _mc_reduce(block, n_samples, rng, blocks_per_batch, track_imag=True)
+    return _mc_reduce(block, n_samples, rng, track_imag=True)
 
 
-def sp_integral_mc(
-    n: int,
-    lam,
-    n_samples: int,
-    rng=None,
-    blocks_per_batch: int = 8,
-) -> MCEstimate:
+def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the Sp(n) integral of quaternionic corner determinants."""
     if n < 1:
         raise InvalidParams("need n >= 1")
@@ -321,21 +280,14 @@ def sp_integral_mc(
     diffs = np.append(lam[:-1] - lam[1:], lam[-1])
 
     def evaluate(mats):
-        count = mats.shape[0]
-        logs = np.zeros(count)
-        ok = np.ones(count, dtype=bool)
-        for k in range(1, n + 1):
-            _, logdet = np.linalg.slogdet(np.eye(2 * k) + mats[:, : 2 * k, : 2 * k])
-            good = logdet > log(_TINY)
-            ok &= good
-            # quaternionic determinant is the square root of the complex one
-            logs += diffs[k - 1] * np.where(good, logdet, 0.0) / 2.0
-        return np.exp(logs), ok
+        _, logdets, ok = _corner_logdets(mats, 2 * n)
+        # quaternionic determinant is the square root of the complex one
+        return np.exp(logdets[:, 1::2] @ diffs / 2.0), ok
 
     def block(gen, count):
         return _resample_until_valid(lambda c, g: _haar_sp_batch(n, c, g), evaluate, gen, count)
 
-    return _mc_reduce(block, n_samples, rng, blocks_per_batch)
+    return _mc_reduce(block, n_samples, rng)
 
 
 # ---------------------------------------------------------------------------

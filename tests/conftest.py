@@ -3,6 +3,9 @@
 import numpy as np
 from scipy import stats
 
+from berezin_lab.integrals import BLOCK
+from berezin_lab.rngs import block_rng
+
 
 def corner_entry_cdf(n: int):
     """CDF of the top-left entry of a Haar SO(n) matrix.
@@ -15,3 +18,24 @@ def corner_entry_cdf(n: int):
 
 def ks_pvalue(samples: np.ndarray, cdf) -> float:
     return float(stats.kstest(samples, cdf).pvalue)
+
+
+def one_pass_draws(draw, n_samples: int, root: int) -> np.ndarray:
+    """``draw(gen, count)`` on every block stream block_rng(root, b), concatenated.
+
+    Blocks hold BLOCK samples except a short last one, as in the Monte
+    Carlo engine, so a plain reduction of the result is what the engine's
+    merged estimate must equal.
+    """
+    counts = [min(BLOCK, n_samples - start) for start in range(0, n_samples, BLOCK)]
+    return np.concatenate([draw(block_rng(root, b), count) for b, count in enumerate(counts)])
+
+
+def assert_matches_one_pass(est, values: np.ndarray, rel: float = 1e-12) -> None:
+    """Mean, standard error and max |value| of an estimate against one numpy pass."""
+    n = values.size
+    assert est.n_samples == n
+    assert abs(est.mean - values.mean()) <= rel * abs(values.mean())
+    stderr = values.std(ddof=1) / np.sqrt(n)
+    assert abs(est.stderr - stderr) <= rel * stderr
+    assert abs(est.max_abs - np.abs(values).max()) <= rel * np.abs(values).max()

@@ -23,7 +23,10 @@ from berezin_lab.berezin import (
     restriction_threshold,
     wallach_admissible,
 )
+from berezin_lab.compact import REAL, haar_sample_batch
 from berezin_lab.errors import DomainError, InvalidParams, NonPositiveDeterminant
+
+from conftest import assert_matches_one_pass, one_pass_draws
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +204,6 @@ def test_boundary_sample_shapes_and_rank():
 def test_restriction_threshold_values():
     assert restriction_threshold(1, 2, 0) == pytest.approx(0.5)
     assert restriction_threshold(2, 4, 1) == pytest.approx(2.0)
-    assert restriction_threshold(2, 4, 1, k=1) == pytest.approx(0.0)
-    assert restriction_threshold(2, 4, 1, lambda_max_gap=0.5) == pytest.approx(1.5)
-    with pytest.raises(InvalidParams):
-        restriction_threshold(2, 4, 1, k=-1)
 
 
 def test_restriction_closed_form_values_and_divergence():
@@ -233,7 +232,15 @@ def test_restriction_probe_running_max_grows_above_threshold():
     assert maxes[1] / maxes[0] > 5.0
 
 
-def test_restriction_probe_is_chunking_independent():
-    a = restriction_probe(2, 4, 1, 1.0, n_samples=20_000, rng=3, blocks_per_batch=2)
-    b = restriction_probe(2, 4, 1, 1.0, n_samples=20_000, rng=3, blocks_per_batch=16)
+def test_restriction_probe_matches_a_one_pass_reduction():
+    a = restriction_probe(2, 4, 1, 1.0, n_samples=20_000, rng=3)
+    b = restriction_probe(2, 4, 1, 1.0, n_samples=20_000, rng=3)
     assert (a.mean, a.stderr, a.max_abs) == (b.mean, b.stderr, b.max_abs)
+    assert a.n_resamples == 0
+
+    # det(1 + [z]_1)^-1 on the boundary orbit, z the corner of SO(5)
+    def draw(gen, count):
+        mats = haar_sample_batch(REAL, 5, count, gen)
+        return 1.0 / np.linalg.det(np.eye(1) + mats[:, :1, :1])
+
+    assert_matches_one_pass(a, one_pass_draws(draw, 20_000, 3))

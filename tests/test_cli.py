@@ -105,11 +105,16 @@ def test_integral_u_and_sp(capsys):
     code, out = run_cli(capsys, "integral", "u", "--n", "1", "--lambda", "1",
                         "--mu", "1", "--samples", "40000", "--seed", "2")
     assert code == EXIT_PASS
-    assert json.loads(out)["expected"] == pytest.approx(2.0)
+    doc = json.loads(out)
+    assert doc["expected"] == pytest.approx(2.0)
+    assert doc["inputs"]["diagnostics"] == {"max_abs": pytest.approx(4.0), "n_resamples": 0}
     code, out = run_cli(capsys, "integral", "sp", "--n", "1", "--lambda", "2",
                         "--samples", "40000", "--seed", "2")
     assert code == EXIT_PASS
-    assert json.loads(out)["expected"] == pytest.approx(2.0)
+    doc = json.loads(out)
+    assert doc["expected"] == pytest.approx(2.0)
+    assert set(doc["inputs"]["diagnostics"]) == {"max_abs", "n_resamples"}
+    assert 0 < doc["inputs"]["diagnostics"]["max_abs"] <= 4.0 + 1e-12
 
 
 def test_integral_report_is_deterministic_excluding_duration(capsys):
@@ -261,6 +266,18 @@ def test_plancherel_rank1(capsys):
     assert doc["observed"] < 1e-8
     assert set(doc["inputs"]) == {"q", "alpha", "t_grid", "nodes", "oracle_error",
                                   "s_step_error"}
+
+
+@pytest.mark.parametrize("q, alpha", [("3", "1.2"), ("3", "1.01"), ("2", "0.6")])
+def test_plancherel_rank1_near_threshold_is_inconclusive(capsys, q, alpha):
+    # the Simpson step in s, not the formula, sets the residual here: its
+    # estimate exceeds the 1e-3 tolerance, so no verdict can be given
+    code, out = run_cli(capsys, "plancherel", "rank1", "--q", q, "--alpha", alpha)
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert doc["verdict"] == "inconclusive"
+    assert doc["expected"] == [0.0, 1e-3]
+    assert doc["inputs"]["s_step_error"] > 1e-3
 
 
 def test_plancherel_rank1_ignores_samples_and_seed(capsys):

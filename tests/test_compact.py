@@ -11,7 +11,7 @@ from berezin_lab.compact import (
     cayley_corner_residual,
     corner,
     corner_det_multiplicativity_residual,
-    cube_coords,
+    corner_pivots,
     cube_coords_batch,
     equivariance_residual,
     haar_sample,
@@ -21,6 +21,8 @@ from berezin_lab.compact import (
     quaternionic_det,
     quaternionic_structure_residual,
     upsilon,
+    _gram_schmidt,
+    _structure_map,
 )
 from berezin_lab.errors import InvalidParams, SingularCayley, SingularUpsilon
 
@@ -75,6 +77,33 @@ def test_symplectic_first_component_marginal():
     x = haar_sample_batch(QUATERNION, 1, 40_000, rng=1729)[:, 0, 0].real
     cdf = stats.beta(1.5, 1.5, loc=-1.0, scale=2.0).cdf
     assert ks_pvalue(x, cdf) > 0.01
+
+
+def _paired(drawn):
+    """The S-paired Gaussian: drawn column i in slot 2i, its S-partner in 2i + 1."""
+    size, d, m = drawn.shape
+    full = np.empty((size, d, d), dtype=complex)
+    full[:, :, 0::2] = drawn
+    full[:, :, 1::2] = np.swapaxes(_structure_map(np.swapaxes(drawn, 1, 2)), 1, 2)
+    return full
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_gram_schmidt_equals_qr_with_positive_diagonal(field):
+    # Gram-Schmidt with positive norms is the unique QR with R_jj > 0
+    rng = np.random.default_rng(30)
+    n, size = 8, 200
+    if field == REAL:
+        drawn = rng.standard_normal((size, n, n))
+    else:
+        cols = n if field == COMPLEX else n // 2
+        drawn = rng.standard_normal((size, n, cols)) + 1j * rng.standard_normal((size, n, cols))
+    full = drawn if field != QUATERNION else _paired(drawn)
+    q, r = np.linalg.qr(full)
+    diag = np.einsum("...ii->...i", r)
+    reference = q * (diag / np.abs(diag))[:, None, :]
+    step = 2 if field == QUATERNION else 1
+    assert np.max(np.abs(_gram_schmidt(drawn, step) - reference)) < 1e-12
 
 
 def test_uncorrected_sampler_fails_the_marginal_test():
@@ -185,6 +214,26 @@ def test_upsilon_rejects_bad_step():
             upsilon(g, m)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_corner_pivots_are_ratios_of_corner_determinants(field):
+    rng = np.random.default_rng(31)
+    n = 8 if field != QUATERNION else 4
+    d = matrix_dim(field, n)
+    mats = haar_sample_batch(field, n, 1000, rng)
+    piv = corner_pivots(mats, d)
+    # every pivot is 1 plus a unitary matrix entry; the last one sits on the
+    # circle |p - 1| = 1, and rounding grows like 1 / (smallest earlier pivot)
+    earlier = np.hstack([np.ones((len(piv), 1)), np.abs(piv[:, :-1])])
+    growth = 1.0 / np.minimum.accumulate(np.minimum(earlier, 1.0), axis=1)
+    assert np.all(np.abs(piv - 1.0) <= 1.0 + 1e-12 * growth)
+    assert np.all(np.abs(piv[:, : d - 1] - 1.0) <= 1.0 + 1e-12)
+    products = np.cumprod(piv, axis=1)
+    for k in range(1, d + 1):
+        dets = np.linalg.det(np.eye(k) + mats[:, :k, :k])
+        rel = np.abs(products[:, k - 1] - dets) / np.abs(dets)
+        assert np.max(rel) < 1e-8, (k, np.max(rel))
+
+
 def test_corner_shapes():
     g = haar_sample(QUATERNION, 3, rng=1)
     assert corner(g, 2).shape == (4, 4)
@@ -206,14 +255,18 @@ def test_cube_coords_shape_and_range():
 
 
 def test_cube_coords_match_elementwise_definition():
-    rng = np.random.default_rng(12)
-    g = haar_sample(REAL, 4, rng)
-    c = cube_coords(g)
-    # the last coordinate is the top-left entry of g itself
-    assert c.x[-1] == pytest.approx(g.entries[0, 0], abs=1e-14)
-    # the first coordinate comes from the fully reduced 2 x 2 stage
-    red = upsilon(upsilon(g, 1), 1)
-    assert c.x[0] == pytest.approx(red.entries[0, 0], abs=1e-12)
+    # x_j is the top-left entry after n - 1 - j upsilon steps; the same
+    # seed hands both routes the same matrices
+    n = 4
+    coords = cube_coords_batch(n, 50, rng=12)
+    mats = haar_sample_batch(REAL, n, 50, rng=12)
+    for x, mat in zip(coords, mats):
+        g = CompactGroupElement(REAL, n, mat)
+        chain = [g.entries[0, 0]]
+        for _ in range(n - 2):
+            g = upsilon(g, 1)
+            chain.append(g.entries[0, 0])
+        assert np.max(np.abs(x - chain[::-1])) < 1e-12
 
 
 def test_cube_coordinates_have_the_stagewise_marginals():
@@ -234,8 +287,6 @@ def test_cube_coordinates_are_uncorrelated():
 def test_cube_coords_rejects_small_n():
     with pytest.raises(InvalidParams):
         cube_coords_batch(1, 4)
-    with pytest.raises(InvalidParams):
-        cube_coords(haar_sample(COMPLEX, 3, rng=0))
 
 
 # ---------------------------------------------------------------------------
