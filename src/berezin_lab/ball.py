@@ -48,6 +48,36 @@ def origin(p: int, q: int) -> BallPoint:
     return ball_point(np.zeros((p, q)))
 
 
+def random_ball_points(
+    p: int,
+    q: int,
+    size: int,
+    rng: int | np.random.Generator | None = None,
+    norm_min: float = 0.0,
+    norm_max: float = 0.95,
+) -> np.ndarray:
+    """A (size, p, q) stack of Gaussian directions rescaled to uniform spectral norms in [min, max).
+
+    All Gaussians are drawn before all norms, so a stack of one consumes
+    the generator exactly as a single point does.
+    """
+    if not 0.0 <= norm_min <= norm_max < 1.0:
+        raise InvalidParams("need 0 <= norm_min <= norm_max < 1")
+    if p > q:
+        raise InvalidParams(f"need p <= q, got shape ({p}, {q})")
+    gen = as_generator(rng)
+    z = gen.standard_normal((size, p, q))
+    cur = np.linalg.norm(z, 2, axis=(1, 2))
+    target = gen.uniform(norm_min, norm_max, size=size)
+    pts = z * (target / cur)[:, None, None]
+    # the ball constraint, checked on every point through the eigenvalues
+    # of z z^t rather than the SVD that set the scale
+    norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, 1, 2))[:, -1])
+    if not np.all(norms < 1.0):
+        raise InvalidParams(f"spectral norm {np.max(norms):.6f} violates the ball constraint")
+    return pts
+
+
 def random_ball_point(
     p: int,
     q: int,
@@ -56,18 +86,28 @@ def random_ball_point(
     norm_max: float = 0.95,
 ) -> BallPoint:
     """Gaussian direction rescaled to a uniform spectral norm in [min, max)."""
-    if not 0.0 <= norm_min <= norm_max < 1.0:
-        raise InvalidParams("need 0 <= norm_min <= norm_max < 1")
-    gen = as_generator(rng)
-    z = gen.standard_normal((p, q))
-    cur = np.linalg.norm(z, 2)
-    target = gen.uniform(norm_min, norm_max)
-    return ball_point(z * (target / cur))
+    return BallPoint(p, q, random_ball_points(p, q, 1, rng, norm_min, norm_max)[0])
+
+
+def _entries(z: BallPoint | np.ndarray) -> np.ndarray:
+    """The (..., p, q) entries of a point, or of a stack of points given as an array."""
+    return z.entries if isinstance(z, BallPoint) else np.asarray(z, dtype=float)
+
+
+def _like(z: BallPoint | np.ndarray, entries: np.ndarray) -> BallPoint | np.ndarray:
+    """``entries`` as a BallPoint with z's closure flag when z is one, else the bare array."""
+    if isinstance(z, BallPoint):
+        return BallPoint(z.p, z.q, entries, closure=z.closure)
+    return entries
 
 
 @dataclass
 class PseudoOrthogonalElement:
-    """An O(p, q) element in block form g = (a b; c d)."""
+    """An O(p, q) element in block form g = (a b; c d).
+
+    The blocks may carry leading stack axes, (size, p, p) and so on, for a
+    stack of elements acting elementwise on a stack of points.
+    """
 
     p: int
     q: int
@@ -78,16 +118,23 @@ class PseudoOrthogonalElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        top = np.hstack([self.a, self.b])
-        bot = np.hstack([self.c, self.d])
-        return np.vstack([top, bot])
+        top = np.concatenate([self.a, self.b], axis=-1)
+        bot = np.concatenate([self.c, self.d], axis=-1)
+        return np.concatenate([top, bot], axis=-2)
 
     @classmethod
     def from_matrix(cls, p: int, q: int, mat: np.ndarray) -> "PseudoOrthogonalElement":
         mat = np.asarray(mat, dtype=float)
-        if mat.shape != (p + q, p + q):
+        if mat.ndim < 2 or mat.shape[-2:] != (p + q, p + q):
             raise InvalidParams(f"expected a {(p + q)} x {(p + q)} matrix")
-        return cls(p, q, mat[:p, :p].copy(), mat[:p, p:].copy(), mat[p:, :p].copy(), mat[p:, p:].copy())
+        return cls(
+            p,
+            q,
+            mat[..., :p, :p].copy(),
+            mat[..., :p, p:].copy(),
+            mat[..., p:, :p].copy(),
+            mat[..., p:, p:].copy(),
+        )
 
     @classmethod
     def identity(cls, p: int, q: int) -> "PseudoOrthogonalElement":
@@ -108,24 +155,32 @@ def validate_pseudo_orthogonal(g: PseudoOrthogonalElement, tol: float = 1e-9) ->
     return res
 
 
-def _action_base(g: PseudoOrthogonalElement, z: BallPoint) -> np.ndarray:
-    if (z.p, z.q) != (g.p, g.q):
-        raise InvalidParams(f"point shape ({z.p}, {z.q}) does not match group ({g.p}, {g.q})")
-    m = g.a + z.entries @ g.c
-    if np.linalg.cond(m) > _COND_BOUND:
+def _action_base(g: PseudoOrthogonalElement, z: np.ndarray) -> np.ndarray:
+    if z.shape[-2:] != (g.p, g.q):
+        raise InvalidParams(f"point shape {z.shape[-2:]} does not match group ({g.p}, {g.q})")
+    m = g.a + z @ g.c
+    if np.any(np.linalg.cond(m) > _COND_BOUND):
         raise NearSingularCocycle("a + z c is too ill conditioned")
     return m
 
-def moebius_act(g: PseudoOrthogonalElement, z: BallPoint) -> BallPoint:
-    """z |-> (a + z c)^(-1) (b + z d); preserves the ball and its closure."""
-    m = _action_base(g, z)
-    w = np.linalg.solve(m, g.b + z.entries @ g.d)
-    return BallPoint(z.p, z.q, w, closure=z.closure)
+
+def moebius_act(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> BallPoint | np.ndarray:
+    """z |-> (a + z c)^(-1) (b + z d); preserves the ball and its closure.
+
+    A BallPoint maps to a BallPoint; a (..., p, q) stack maps to a stack,
+    each point moved by its own element when g is a stack too.
+    """
+    zs = _entries(z)
+    return _like(z, np.linalg.solve(_action_base(g, zs), g.b + zs @ g.d))
 
 
-def cocycle(g: PseudoOrthogonalElement, z: BallPoint) -> float:
-    """det(a + z c), the multiplier attached to the Moebius action at z."""
-    return float(np.linalg.det(_action_base(g, z)))
+def cocycle(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> float | np.ndarray:
+    """det(a + z c), the multiplier attached to the Moebius action at z (one per stacked point)."""
+    return _float_or_array(np.linalg.det(_action_base(g, _entries(z))))
+
+
+def _float_or_array(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass
@@ -142,17 +197,23 @@ def orbit_rank(z: BallPoint, tol: float = 1e-9) -> OrbitRank:
 
 
 def boost(p: int, q: int, t: np.ndarray) -> PseudoOrthogonalElement:
-    """The diagonal boost B(t): cosh/sinh in p planes, identity elsewhere."""
+    """The diagonal boost B(t): cosh/sinh in p planes, identity elsewhere.
+
+    Rapidities of shape (..., p) give a stack of boosts.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (p,):
+    if t.shape[-1:] != (p,):
         raise InvalidParams(f"boost needs {p} rapidities, got shape {t.shape}")
-    a = np.diag(np.cosh(t))
-    b = np.zeros((p, q))
-    b[:, :p] = np.diag(np.sinh(t))
-    c = np.zeros((q, p))
-    c[:p, :] = np.diag(np.sinh(t))
-    d = np.eye(q)
-    d[:p, :p] = np.diag(np.cosh(t))
+    stack = t.shape[:-1]
+    diag = np.arange(p)
+    a = np.zeros(stack + (p, p))
+    a[..., diag, diag] = np.cosh(t)
+    b = np.zeros(stack + (p, q))
+    b[..., diag, diag] = np.sinh(t)
+    c = np.zeros(stack + (q, p))
+    c[..., diag, diag] = np.sinh(t)
+    d = np.broadcast_to(np.eye(q), stack + (q, q)).copy()
+    d[..., diag, diag] = np.cosh(t)
     return PseudoOrthogonalElement(p, q, a, b, c, d)
 
 
@@ -183,6 +244,29 @@ def transport_to_origin(z: BallPoint) -> PseudoOrthogonalElement:
     return compose(k, boost(z.p, z.q, -np.arctanh(sig)))
 
 
+def random_pseudo_orthogonal_batch(
+    p: int,
+    q: int,
+    size: int,
+    rng: int | np.random.Generator | None = None,
+    boost_range: float = 2.0,
+) -> PseudoOrthogonalElement:
+    """A stack of KAK samples k1 B(t) k2, k_i in O(p) x O(q), |t_j| <= boost_range.
+
+    All rapidities are drawn first, then the O(p) and O(q) frames of k1
+    and of k2 as four batches, so a stack of one consumes the generator
+    exactly as a single sample does.
+    """
+    gen = as_generator(rng)
+    t = gen.uniform(-boost_range, boost_range, size=(size, p))
+    frames = np.zeros((2, size, p + q, p + q))
+    for frame in frames:
+        frame[:, :p, :p] = _haar_orthogonal_batch(p, size, gen)
+        frame[:, p:, p:] = _haar_orthogonal_batch(q, size, gen)
+    mat = frames[0] @ (boost(p, q, t).matrix @ frames[1])
+    return PseudoOrthogonalElement.from_matrix(p, q, mat)
+
+
 def random_pseudo_orthogonal(
     p: int,
     q: int,
@@ -190,12 +274,5 @@ def random_pseudo_orthogonal(
     boost_range: float = 2.0,
 ) -> PseudoOrthogonalElement:
     """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= boost_range."""
-    gen = as_generator(rng)
-    t = gen.uniform(-boost_range, boost_range, size=p)
-    ks = []
-    for _ in range(2):
-        frame = np.zeros((p + q, p + q))
-        frame[:p, :p] = _haar_orthogonal_batch(p, 1, gen)[0]
-        frame[p:, p:] = _haar_orthogonal_batch(q, 1, gen)[0]
-        ks.append(PseudoOrthogonalElement.from_matrix(p, q, frame))
-    return compose(ks[0], compose(boost(p, q, t), ks[1]))
+    g = random_pseudo_orthogonal_batch(p, q, 1, rng, boost_range)
+    return PseudoOrthogonalElement.from_matrix(p, q, g.matrix[0])

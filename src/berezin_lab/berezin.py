@@ -14,7 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BallPoint, PseudoOrthogonalElement, cocycle, moebius_act, random_ball_point
+from .ball import (
+    BallPoint,
+    PseudoOrthogonalElement,
+    _entries,
+    _float_or_array,
+    _like,
+    cocycle,
+    moebius_act,
+    random_ball_point,
+    random_ball_points,
+    random_pseudo_orthogonal_batch,
+)
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
 from .integrals import (
@@ -28,17 +39,33 @@ from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
 
+# Samples drawn and evaluated at once: a large sample budget runs in
+# chunks of this size, so memory stays flat whatever the budget.
+_CHUNK = 4096
+# Kernel entries K(z_i, z_j) evaluated at once by the Gram-matrix checks.
+_GRAM_ENTRIES = 2**14
 
-def berezin_kernel(z: BallPoint, u: BallPoint, alpha: float) -> float:
-    """K_alpha(z, u) = det(1 - z u^t)^(-alpha); the base is always positive."""
-    if (z.p, z.q) != (u.p, u.q):
+
+def _chunk_sizes(total: int, per_chunk: int) -> list[int]:
+    return [min(per_chunk, total - start) for start in range(0, total, per_chunk)]
+
+
+def berezin_kernel(
+    z: BallPoint | np.ndarray, u: BallPoint | np.ndarray, alpha: float
+) -> float | np.ndarray:
+    """K_alpha(z, u) = det(1 - z u^t)^(-alpha); the base is always positive.
+
+    Stacks of points (..., p, q) give one kernel value per pair.
+    """
+    zs, us = _entries(z), _entries(u)
+    if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
-    base = float(np.linalg.det(np.eye(z.p) - z.entries @ u.entries.T))
-    if base <= 0:
+    base = np.linalg.det(np.eye(zs.shape[-2]) - zs @ np.swapaxes(us, -1, -2))
+    if np.any(base <= 0):
         # contractions have eigenvalues of z u^t inside the unit disc, so a
         # nonpositive value can only mean the inputs were out of domain
-        raise NonPositiveDeterminant(f"det(1 - z u^t) = {base:.3e}")
-    return base ** (-alpha)
+        raise NonPositiveDeterminant(f"det(1 - z u^t) = {np.min(base):.3e}")
+    return _float_or_array(base ** (-alpha))
 
 
 def wallach_admissible(alpha: float, p: int, tol: float = 1e-12) -> bool:
@@ -51,10 +78,12 @@ def wallach_admissible(alpha: float, p: int, tol: float = 1e-12) -> bool:
 
 
 def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
-    # points: (n, p, q); dets of 1 - z_i z_j^t batched over the pair grid
-    n, p, _ = points.shape
-    cross = np.einsum("iak,jbk->ijab", points, points)
-    mats = np.eye(p)[None, None] - cross
+    # points: (N, m, p, q); dets of 1 - z_i z_j^t batched over configurations and pairs
+    n, m, p, q = points.shape
+    flat = points.reshape(n, m * p, q)
+    mats = (flat @ np.swapaxes(flat, 1, 2)).reshape(n, m, p, m, p).swapaxes(2, 3)
+    mats *= -1.0  # 1 - z_i z_j^t in place: the pair grid is the largest array here
+    mats[..., range(p), range(p)] += 1.0
     dets = np.linalg.det(mats)
     if np.any(dets <= 0):
         raise NonPositiveDeterminant("a pair determinant came out nonpositive")
@@ -63,25 +92,54 @@ def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass
 class GramReport:
-    """Extreme eigenvalues of one kernel Gram matrix."""
+    """Extreme eigenvalues of one kernel Gram matrix, or arrays of them over a stack."""
 
     n_points: int
     alpha: float
-    min_eig: float
-    max_eig: float
+    min_eig: float | np.ndarray
+    max_eig: float | np.ndarray
+
+    @property
+    def ratio(self) -> float | np.ndarray:
+        """min_eig / max_eig, the scale-free positivity measure (NaN stays NaN)."""
+        return self.min_eig / np.maximum(self.max_eig, _TINY)
 
 
 def gram_spectrum(points, alpha: float) -> GramReport:
-    """Eigenvalue range of [K_alpha(z_i, z_j)] over a point configuration."""
+    """Eigenvalue range of [K_alpha(z_i, z_j)] over a point configuration.
+
+    ``points`` is one configuration (a sequence of points or an (m, p, q)
+    array), or an (N, m, p, q) stack of N configurations, which gives
+    arrays of N extreme eigenvalues.
+    """
     pts = _as_point_stack(points)
-    eigs = np.linalg.eigvalsh(_gram_matrix(pts, alpha))
-    return GramReport(pts.shape[0], alpha, float(eigs[0]), float(eigs[-1]))
+    eigs = np.linalg.eigvalsh(_gram_matrix(pts if pts.ndim == 4 else pts[None], alpha))
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    if pts.ndim == 3:
+        lo, hi = float(lo[0]), float(hi[0])
+    return GramReport(pts.shape[-3], alpha, lo, hi)
 
 
 def _as_point_stack(points) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim == 3:
+    if isinstance(points, np.ndarray) and points.ndim >= 3:
         return points
     return np.stack([p.entries if isinstance(p, BallPoint) else np.asarray(p) for p in points])
+
+
+def gram_min_ratio(p: int, q: int, alpha: float, n_configs: int, rng=None, n_points: int = 12) -> float:
+    """Smallest eigenvalue ratio over random configurations of ``n_points`` ball points.
+
+    Configurations are drawn and evaluated in chunks; a NaN ratio anywhere
+    makes the result NaN.
+    """
+    gen = as_generator(rng)
+    ratios = [
+        gram_spectrum(
+            random_ball_points(p, q, size * n_points, gen).reshape(size, n_points, p, q), alpha
+        ).ratio
+        for size in _chunk_sizes(n_configs, max(1, _GRAM_ENTRIES // n_points**2))
+    ]
+    return float(np.min(np.concatenate(ratios)))
 
 
 @dataclass
@@ -96,27 +154,75 @@ class WitnessReport:
     seed: int
 
 
-def _shell_config(p: int, q: int, k: int, eta: float, gen: np.random.Generator) -> np.ndarray:
+_WITNESS_RATIO = -1e-6
+_FIRST_TRIALS = 8
+_MAX_SHELL_POINTS = 16
+
+
+def _shell_configs(k: int, eta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Rotation and reflection orbits of a planar section, all at norm eta.
 
     k equally spaced rotations plus the k matching reflections, pushed
-    into random two-dimensional frames on both sides.  The alternating
-    combination over the two families isolates the kernel component whose
-    expansion coefficient turns negative between the integer admissible
-    points, so these configurations expose non-definiteness that diffuse
-    clouds miss.
+    into two-dimensional frames on both sides: ``left`` (S, p, 2) and
+    ``right`` (S, q, 2) with orthonormal columns, one pair per shell, and
+    ``eta`` (S,), giving (S, 2k, p, q).  The alternating combination over
+    the two families isolates the kernel component whose expansion
+    coefficient turns negative between the integer admissible points, so
+    these configurations expose non-definiteness that diffuse clouds miss.
     """
-    left = np.linalg.qr(gen.standard_normal((p, 2)))[0]
-    right = np.linalg.qr(gen.standard_normal((q, 2)))[0]
     thetas = np.arange(k) * (2.0 * np.pi / k)
-    mats = []
-    for t in thetas:
-        c, s = np.cos(t), np.sin(t)
-        mats.append(np.array([[c, -s], [s, c]]))
-    for t in thetas:
-        c, s = np.cos(t), np.sin(t)
-        mats.append(np.array([[c, s], [s, -c]]))
-    return np.stack([eta * left @ m @ right.T for m in mats])
+    c, s = np.cos(thetas), np.sin(thetas)
+    rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    reflections = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
+    planar = np.concatenate([rotations, reflections])
+    frames = left[:, None] @ planar @ np.swapaxes(right, 1, 2)[:, None]
+    return eta[:, None, None, None] * frames
+
+
+def _witness_trials(p: int, q: int, n_points: int, gen: np.random.Generator):
+    """Endless stream of search trials, in chunks of 8, 16, 32, ... trials.
+
+    Chunks stop doubling where a chunk of the largest configurations would
+    hold more than ``_GRAM_ENTRIES`` kernel entries.  Even trials (every
+    trial when p < 2) are diffuse near-boundary clouds of 3 to n_points
+    points, odd ones rotation-reflection shells of 6 to 16 points.  Each
+    chunk is yielded as (start, size, groups), where groups maps a point
+    count m to (trial indices, (G, m, p, q) configurations).
+    Trial i's configuration depends only on the generator and i, not on
+    how many trials are later evaluated.
+    """
+    cap = max(_FIRST_TRIALS, _GRAM_ENTRIES // max(n_points, _MAX_SHELL_POINTS) ** 2)
+    start, size = 0, _FIRST_TRIALS
+    while True:
+        trials = np.arange(start, start + size)
+        is_shell = trials % 2 == 1 if p >= 2 else np.zeros(size, dtype=bool)
+        clouds, shells = trials[~is_shell], trials[is_shell]
+        counts = 3 + gen.integers(n_points - 2, size=clouds.size)
+        ks = gen.integers(3, 9, size=shells.size)
+        etas = gen.uniform(0.5, 0.95, size=shells.size)
+        left = np.linalg.qr(gen.standard_normal((shells.size, p, 2)))[0]
+        right = np.linalg.qr(gen.standard_normal((shells.size, q, 2)))[0]
+        # one draw for every cloud point, dealt out in order of point count
+        order = np.argsort(counts, kind="stable")
+        by_count, sorted_counts = clouds[order], counts[order]
+        pts = random_ball_points(p, q, int(counts.sum()), gen, 0.8, 0.999)
+        parts: dict[int, list] = {}
+        offset = 0
+        for m in np.unique(counts):
+            sel = by_count[sorted_counts == m]
+            group = pts[offset : offset + sel.size * m].reshape(sel.size, m, p, q)
+            parts.setdefault(int(m), []).append((sel, group))
+            offset += sel.size * m
+        for k in np.unique(ks):
+            sel = ks == k
+            configs = _shell_configs(int(k), etas[sel], left[sel], right[sel])
+            parts.setdefault(2 * int(k), []).append((shells[sel], configs))
+        groups = {
+            m: (np.concatenate([t for t, _ in group]), np.concatenate([c for _, c in group]))
+            for m, group in parts.items()
+        }
+        yield start, size, groups
+        start, size = start + size, min(2 * size, cap)
 
 
 def pd_witness_search(
@@ -133,7 +239,10 @@ def pd_witness_search(
     smallest eigenvalue drops below -1e-6 times the largest.  Trials
     alternate between diffuse near-boundary clouds and planar
     rotation-reflection shells; on the admissible set both families must
-    come up empty.
+    come up empty.  Trials are drawn in chunks that double in size and
+    evaluated batched by point count; the report names the first
+    witnessing trial (``n_configs`` is its index plus one) and the best
+    ratio up to it.  A NaN ratio makes ``best_ratio`` NaN.
     """
     if not 1 <= p <= q:
         raise InvalidParams(f"need 1 <= p <= q, got ({p}, {q})")
@@ -141,28 +250,29 @@ def pd_witness_search(
         raise InvalidParams("budget must be positive")
     seed = derive_root_seed(rng)
     gen = as_generator(seed)
-    best_ratio = np.inf
-    best_min = np.inf
-    for trial in range(budget):
-        if trial % 2 == 0 or p < 2:
-            pts = np.stack(
-                [
-                    random_ball_point(p, q, gen, 0.8, 0.999).entries
-                    for _ in range(3 + int(gen.integers(n_points - 2)))
-                ]
-            )
-        else:
-            k = int(gen.integers(3, 9))
-            pts = _shell_config(p, q, k, float(gen.uniform(0.5, 0.95)), gen)
-        eigs = np.linalg.eigvalsh(_gram_matrix(pts, alpha))
-        ratio = eigs[0] / max(eigs[-1], _TINY)
-        if ratio < best_ratio:
-            best_ratio = float(ratio)
-            best_min = float(eigs[0])
-            best_pts = pts
-        if best_ratio < -1e-6:
-            return WitnessReport(True, trial + 1, best_min, best_ratio, best_pts, seed)
-    return WitnessReport(False, budget, best_min, best_ratio, None, seed)
+    best_ratio = best_min = np.inf
+    for start, size, groups in _witness_trials(p, q, n_points, gen):
+        n = min(size, budget - start)
+        ratios, mins = np.empty(n), np.empty(n)
+        for trials, configs in groups.values():
+            keep = trials < start + n
+            if keep.any():
+                rep = gram_spectrum(configs[keep], alpha)
+                ratios[trials[keep] - start] = rep.ratio
+                mins[trials[keep] - start] = rep.min_eig
+        hits = np.flatnonzero(ratios < _WITNESS_RATIO)
+        stop = hits[0] + 1 if hits.size else n
+        i = int(np.argmin(ratios[:stop]))  # the first NaN, if there is one
+        if np.isnan(ratios[i]) or ratios[i] < best_ratio:
+            best_ratio, best_min = float(ratios[i]), float(mins[i])
+        if hits.size:
+            trial = start + int(hits[0])
+            for trials, configs in groups.values():
+                if trial in trials:
+                    points = configs[int(np.flatnonzero(trials == trial)[0])]
+            return WitnessReport(True, trial + 1, best_min, best_ratio, points, seed)
+        if start + n == budget:
+            return WitnessReport(False, budget, best_min, best_ratio, None, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +289,17 @@ WINNING_COVARIANCE_VARIANT = "u-cocycle-corrected"
 
 def covariance_residual(
     g: PseudoOrthogonalElement,
-    z: BallPoint,
-    u: BallPoint,
+    z: BallPoint | np.ndarray,
+    u: BallPoint | np.ndarray,
     alpha: float,
     variant: str = WINNING_COVARIANCE_VARIANT,
-) -> float:
+) -> float | np.ndarray:
     """Relative error of K(z^[g], u^[g]) = K(z, u) (c_g(z) c_g(u))^alpha.
 
-    The ``as-printed`` variant replaces the second cocycle with
-    det(a + z u), which is only even defined for p = q; it is kept so the
-    discrepancy can be demonstrated.
+    Stacks of elements and points give one residual per triple; a
+    nonpositive multiplier gives inf.  The ``as-printed`` variant replaces
+    the second cocycle with det(a + z u), which is only even defined for
+    p = q; it is kept so the discrepancy can be demonstrated.
     """
     if variant not in COVARIANCE_VARIANTS:
         raise InvalidParams(f"variant must be one of {COVARIANCE_VARIANTS}")
@@ -196,18 +307,33 @@ def covariance_residual(
     base = berezin_kernel(z, u, alpha)
     if variant == "u-cocycle-corrected":
         mult = cocycle(g, z) * cocycle(g, u)
-        if mult <= 0:
-            return float("inf")
-        rhs = base * mult**alpha
+        ok = mult > 0
     else:
-        if z.p != z.q:
+        zs = _entries(z)
+        if zs.shape[-2] != zs.shape[-1]:
             raise InvalidParams("the as-printed multiplier det(a + z u) needs p = q")
         m1 = cocycle(g, z)
-        m2 = float(np.linalg.det(g.a + z.entries @ u.entries))
-        if m1 <= 0 or m2 <= 0:
-            return float("inf")
-        rhs = base * (m1 * m2) ** alpha
-    return float(abs(lhs - rhs) / abs(lhs))
+        m2 = np.linalg.det(g.a + zs @ _entries(u))
+        mult = m1 * m2
+        ok = (m1 > 0) & (m2 > 0)
+    rhs = base * np.where(ok, mult, 1.0) ** alpha
+    return _float_or_array(np.where(ok, np.abs(lhs - rhs) / np.abs(lhs), np.inf))
+
+
+def max_covariance_residual(p: int, q: int, alpha: float, n_samples: int, rng=None) -> float:
+    """Largest covariance residual over random triples (g, z, u), drawn in chunks.
+
+    Each chunk draws a stack of pseudo-orthogonal elements, then the z
+    stack, then the u stack.  A NaN residual makes the result NaN.
+    """
+    gen = as_generator(rng)
+    worst = []
+    for size in _chunk_sizes(n_samples, _CHUNK):
+        g = random_pseudo_orthogonal_batch(p, q, size, gen)
+        z = random_ball_points(p, q, size, gen)
+        u = random_ball_points(p, q, size, gen)
+        worst.append(np.max(covariance_residual(g, z, u, alpha)))
+    return float(np.max(worst))
 
 
 def covariance_convention_table(
@@ -248,23 +374,51 @@ def covariance_convention_table(
     return table
 
 
-def domination_residual(z: BallPoint, u: BallPoint, c: float, alpha: float) -> float:
+def domination_residual(
+    z: BallPoint | np.ndarray, u: BallPoint | np.ndarray, c: float | np.ndarray, alpha: float
+) -> float | np.ndarray:
     """Positive part of K_alpha(c z, c u) - 2^(p alpha) K_alpha(z, u).
 
     Zero for every valid input: shrinking both arguments by c in [0, 1]
-    can inflate the kernel by at most 2^(p alpha).
+    can inflate the kernel by at most 2^(p alpha).  Stacks of pairs take
+    one shrink factor each and give one residual per pair.
     """
-    if not 0.0 <= c <= 1.0:
+    c = np.asarray(c, dtype=float)
+    if not np.all((0.0 <= c) & (c <= 1.0)):
         raise InvalidParams("the shrink factor must lie in [0, 1]")
     if alpha < 0:
         raise InvalidParams("domination is stated for alpha >= 0")
     lhs = berezin_kernel(ball_scale(z, c), ball_scale(u, c), alpha)
-    rhs = 2.0 ** (z.p * alpha) * berezin_kernel(z, u, alpha)
-    return float(max(0.0, lhs - rhs))
+    rhs = 2.0 ** (_entries(z).shape[-2] * alpha) * berezin_kernel(z, u, alpha)
+    return _float_or_array(np.maximum(0.0, lhs - rhs))
 
 
-def ball_scale(z: BallPoint, c: float) -> BallPoint:
-    return BallPoint(z.p, z.q, c * z.entries, closure=z.closure)
+# The first shrink factors of a domination run: near 1, where the bound is
+# tightest, and 1/2, alternately; the rest are uniform on [0, 1).
+_FIRST_SHRINKS = (1.0 - 1e-3, 0.5, 1.0 - 1e-3, 0.5)
+
+
+def max_domination_residual(p: int, q: int, alpha: float, n_samples: int, rng=None) -> float:
+    """Largest domination residual over random pairs (z, u), drawn in chunks.
+
+    Each chunk draws the z stack, the u stack and then the shrink factors.
+    A NaN residual makes the result NaN.
+    """
+    gen = as_generator(rng)
+    worst = []
+    for i, size in enumerate(_chunk_sizes(n_samples, _CHUNK)):
+        z = random_ball_points(p, q, size, gen)
+        u = random_ball_points(p, q, size, gen)
+        c = gen.uniform(0.0, 1.0, size=size)
+        if i == 0:
+            c[: len(_FIRST_SHRINKS)] = _FIRST_SHRINKS[:size]
+        worst.append(np.max(domination_residual(z, u, c, alpha)))
+    return float(np.max(worst))
+
+
+def ball_scale(z: BallPoint | np.ndarray, c: float | np.ndarray) -> BallPoint | np.ndarray:
+    """c z; a stack of points takes one shrink factor each from a stack of factors."""
+    return _like(z, np.asarray(c, dtype=float)[..., None, None] * _entries(z))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ order bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from math import factorial, pi
+from math import comb, factorial, pi
 
 import numpy as np
 from scipy.special import gammaln, loggamma, roots_jacobi
@@ -66,26 +65,49 @@ def block_index(u) -> BlockIndex:
     return BlockIndex(len(u), u, w)
 
 
+# Most blocks one expansion may enumerate.  The count grows like
+# top^p / p!, so large ranks far below the threshold are refused with
+# InvalidParams instead of enumerated for minutes; the benchmark's largest
+# inventory, (4, 12, -3), has 551 blocks and (5, 12, -12) has 27,684.
+BLOCK_BUDGET = 100_000
+
+
 def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[BlockIndex]:
     """All blocks in the continued expansion at ``params.alpha``.
 
     The continuous block r = 0 is always present; a discrete block (r, u)
     survives when w_r < h - alpha (strict by default, weak inequality on
-    request).  The list is finite because w_r >= r/2.
+    request).  The list is finite because w_r >= r/2: for each rank it
+    holds the labels with sum(u) <= top, ordered by (sum(u), u).  More
+    than ``BLOCK_BUDGET`` blocks raise InvalidParams.
     """
     bound = params.h - params.alpha
-    out = [block_index(())]
+    tops = {}
     for r in range(1, params.p + 1):
         slack = bound - r / 2.0
         top = int(np.floor(slack - 1e-9)) if strict else int(np.floor(slack + 1e-9))
-        if top < 0:
-            continue
-        labels = [
-            u for u in iter_product(range(top + 1), repeat=r) if sum(u) <= top
-        ]
-        labels.sort(key=lambda u: (sum(u), u))
-        out.extend(block_index(u) for u in labels)
+        if top >= 0:
+            tops[r] = top
+    count = 1 + sum(comb(top + r, r) for r, top in tops.items())
+    if count > BLOCK_BUDGET:
+        raise InvalidParams(
+            f"{count} blocks at (p, q, alpha) = ({params.p}, {params.q}, {params.alpha}) "
+            f"exceed the budget of {BLOCK_BUDGET}"
+        )
+    out = [block_index(())]
+    for r, top in tops.items():
+        out.extend(block_index(u) for total in range(top + 1) for u in _compositions(total, r))
     return out
+
+
+def _compositions(total: int, parts: int):
+    """Tuples of ``parts`` nonnegative integers summing to ``total``, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
 
 
 # ---------------------------------------------------------------------------

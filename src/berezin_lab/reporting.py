@@ -110,7 +110,9 @@ def jsonable(value: Any) -> Any:
 
 
 def in_interval(value: float, interval) -> bool:
-    """Membership of value in [lo, hi], None meaning unbounded."""
+    """Membership of value in [lo, hi], None meaning unbounded; NaN lies in no interval."""
+    if np.isnan(value):
+        return False
     lo, hi = interval
     if lo is not None and value < lo:
         return False

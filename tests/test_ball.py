@@ -11,7 +11,9 @@ from berezin_lab.ball import (
     orbit_rank,
     origin,
     random_ball_point,
+    random_ball_points,
     random_pseudo_orthogonal,
+    random_pseudo_orthogonal_batch,
     signature_matrix,
     transport_to_origin,
     validate_pseudo_orthogonal,
@@ -50,6 +52,49 @@ def test_random_ball_point_norm_window():
         random_ball_point(1, 2, rng, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("p,q", PQ)
+def test_random_ball_points_norm_window(p, q):
+    pts = random_ball_points(p, q, 500, 1, 0.3, 0.9)
+    assert pts.shape == (500, p, q)
+    norms = np.array([np.linalg.norm(z, 2) for z in pts])
+    assert np.all(norms >= 0.3 - 1e-12) and np.all(norms < 0.9 + 1e-12)
+    for lo, hi in [(0.5, 1.0), (-0.1, 0.5), (0.6, 0.5)]:
+        with pytest.raises(InvalidParams):
+            random_ball_points(p, q, 3, 1, lo, hi)
+    with pytest.raises(InvalidParams):
+        random_ball_points(q + 1, q, 3, 1)
+
+
+def test_random_ball_points_check_every_norm():
+    class Outside(np.random.Generator):
+        """Hands out a norm of 1.5 to the last point of a stack."""
+
+        def uniform(self, low=0.0, high=1.0, size=None):
+            out = super().uniform(low, high, size)
+            out[-1] = 1.5
+            return out
+
+    with pytest.raises(InvalidParams, match="violates the ball constraint"):
+        random_ball_points(2, 3, 10, Outside(np.random.PCG64(1)))
+
+
+def test_seeded_random_ball_point_is_unchanged():
+    # the single-point sampler as it stood before points came in stacks
+    def reference(gen, p, q, lo, hi):
+        z = gen.standard_normal((p, q))
+        cur = np.linalg.norm(z, 2)
+        target = gen.uniform(lo, hi)
+        return z * (target / cur)
+
+    for seed in (0, 7, 1729):
+        ref_gen, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for p, q in PQ:
+            expect = reference(ref_gen, p, q, 0.2, 0.9)
+            assert np.array_equal(random_ball_point(p, q, gen, 0.2, 0.9).entries, expect)
+        expect = reference(np.random.default_rng(seed), 2, 3, 0.0, 0.95)
+        assert np.array_equal(random_ball_point(2, 3, seed).entries, expect)
+
+
 def test_origin_is_fixed_by_boosts_only_when_trivial():
     z = origin(2, 3)
     assert np.all(z.entries == 0)
@@ -71,6 +116,39 @@ def test_signature_matrix_and_validation():
     bad = PseudoOrthogonalElement(2, 3, 2 * g.a, g.b, g.c, g.d)
     with pytest.raises(InvalidParams):
         validate_pseudo_orthogonal(bad)
+
+
+@pytest.mark.parametrize("p,q", PQ)
+def test_random_pseudo_orthogonal_batch_elements(p, q):
+    g = random_pseudo_orthogonal_batch(p, q, 40, 3)
+    assert g.matrix.shape == (40, p + q, p + q)
+    for mat in g.matrix:
+        assert validate_pseudo_orthogonal(PseudoOrthogonalElement.from_matrix(p, q, mat)) < 1e-9
+    # a stack of one is the single sample, bit for bit
+    one = random_pseudo_orthogonal_batch(p, q, 1, 5)
+    assert np.array_equal(one.matrix[0], random_pseudo_orthogonal(p, q, 5).matrix)
+
+
+@pytest.mark.parametrize("p,q", PQ)
+def test_batched_action_and_cocycle_match_the_formulas(p, q):
+    gs = random_pseudo_orthogonal_batch(p, q, 30, 21, boost_range=1.5)
+    zs = random_ball_points(p, q, 30, 22)
+    w = moebius_act(gs, zs)
+    c = cocycle(gs, zs)
+    single = random_pseudo_orthogonal(p, q, 23)
+    w_single = moebius_act(single, zs)
+    for i, z in enumerate(zs):
+        a, b, cc, d = gs.a[i], gs.b[i], gs.c[i], gs.d[i]
+        assert np.max(np.abs(w[i] - np.linalg.solve(a + z @ cc, b + z @ d))) < 1e-12
+        assert c[i] == pytest.approx(np.linalg.det(a + z @ cc), rel=1e-12)
+        expect = np.linalg.solve(single.a + z @ single.c, single.b + z @ single.d)
+        assert np.max(np.abs(w_single[i] - expect)) < 1e-12
+    # a BallPoint keeps its type, and a stack of one agrees with it
+    z0 = ball_point(zs[0])
+    g0 = PseudoOrthogonalElement.from_matrix(p, q, gs.matrix[0])
+    assert isinstance(moebius_act(g0, z0), type(z0))
+    assert np.array_equal(moebius_act(g0, z0).entries, moebius_act(g0, zs[:1])[0])
+    assert isinstance(cocycle(g0, z0), float)
 
 
 def test_from_matrix_round_trip():
@@ -156,6 +234,11 @@ def test_near_singular_cocycle_is_flagged():
     z = ball_point(np.array([[-1.0 / np.tanh(t)]]), closure=True)
     with pytest.raises(NearSingularCocycle):
         moebius_act(g, z)
+    # in a stack, one ill-conditioned element is enough
+    stack = np.array([[[0.5]], [[0.1]], z.entries])
+    with pytest.raises(NearSingularCocycle):
+        cocycle(g, stack)
+    assert cocycle(g, stack[:2]).shape == (2,)
 
 
 # ---------------------------------------------------------------------------

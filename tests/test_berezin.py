@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from berezin_lab import berezin
 from berezin_lab.ball import (
+    PseudoOrthogonalElement,
     ball_point,
     moebius_act,
     random_ball_point,
+    random_ball_points,
     random_pseudo_orthogonal,
+    random_pseudo_orthogonal_batch,
 )
 from berezin_lab.berezin import (
     WINNING_COVARIANCE_VARIANT,
@@ -16,7 +20,9 @@ from berezin_lab.berezin import (
     covariance_convention_table,
     covariance_residual,
     domination_residual,
+    gram_min_ratio,
     gram_spectrum,
+    max_covariance_residual,
     pd_witness_search,
     restriction_closed_form,
     restriction_probe,
@@ -54,6 +60,25 @@ def test_kernel_rejects_shape_mismatch_and_degenerate_base():
         berezin_kernel(w, w, 1.0)
 
 
+def test_batched_kernel_matches_the_formula():
+    zs = random_ball_points(2, 3, 50, 31, 0.0, 0.99)
+    us = random_ball_points(2, 3, 50, 32, 0.0, 0.99)
+    values = berezin_kernel(zs, us, 1.3)
+    assert values.shape == (50,)
+    for z, u, value in zip(zs, us, values):
+        assert value == pytest.approx(np.linalg.det(np.eye(2) - z @ u.T) ** -1.3, rel=1e-12)
+    assert isinstance(berezin_kernel(ball_point(zs[0]), ball_point(us[0]), 1.3), float)
+
+
+def test_batched_kernel_checks_every_base():
+    zs = random_ball_points(2, 4, 5, 33)
+    zs[3] = np.eye(2, 4)  # orthonormal rows: det(1 - z z^t) = 0
+    with pytest.raises(NonPositiveDeterminant):
+        berezin_kernel(zs, zs, 1.0)
+    with pytest.raises(InvalidParams):
+        berezin_kernel(zs, zs[:, :1], 1.0)
+
+
 def test_wallach_admissible_set():
     # p = 2: {0, 1} union (1, inf)
     assert wallach_admissible(0.0, 2)
@@ -84,6 +109,92 @@ def test_gram_positive_semidefinite_on_admissible_alphas(p, q):
             pts = [random_ball_point(p, q, rng, 0.5, 0.98) for _ in range(6)]
             rep = gram_spectrum(pts, alpha)
             assert rep.min_eig >= -1e-8 * max(rep.max_eig, 1e-30)
+
+
+def test_gram_spectrum_of_a_stack_matches_each_configuration():
+    pts = random_ball_points(2, 3, 40 * 7, 34, 0.5, 0.98).reshape(40, 7, 2, 3)
+    rep = gram_spectrum(pts, 0.7)
+    assert rep.n_points == 7 and rep.min_eig.shape == (40,)
+    for i, config in enumerate(pts):
+        gram = np.array([[np.linalg.det(np.eye(2) - z @ u.T) ** -0.7 for u in config]
+                         for z in config])
+        eigs = np.linalg.eigvalsh(gram)
+        assert abs(rep.min_eig[i] - eigs[0]) <= 1e-12 * eigs[-1]
+        assert rep.max_eig[i] == pytest.approx(eigs[-1], rel=1e-12)
+        single = gram_spectrum(config, 0.7)
+        assert (single.min_eig, single.max_eig) == (rep.min_eig[i], rep.max_eig[i])
+
+
+def test_shell_configs_match_the_planar_formula():
+    gen = np.random.default_rng(43)
+    left = np.linalg.qr(gen.standard_normal((4, 3, 2)))[0]
+    right = np.linalg.qr(gen.standard_normal((4, 5, 2)))[0]
+    etas = gen.uniform(0.5, 0.95, 4)
+    for k in (3, 5, 8):
+        shells = berezin._shell_configs(k, etas, left, right)
+        assert shells.shape == (4, 2 * k, 3, 5)
+        for s in range(4):
+            planar = []
+            for t in np.arange(k) * (2.0 * np.pi / k):
+                planar.append(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
+            for t in np.arange(k) * (2.0 * np.pi / k):
+                planar.append(np.array([[np.cos(t), np.sin(t)], [np.sin(t), -np.cos(t)]]))
+            expect = np.stack([etas[s] * left[s] @ m @ right[s].T for m in planar])
+            assert np.max(np.abs(shells[s] - expect)) < 1e-12
+            assert np.allclose(np.linalg.norm(shells[s], 2, axis=(1, 2)), etas[s])
+
+
+def test_chunk_sizes_cover_the_budget():
+    assert berezin._chunk_sizes(12, 5) == [5, 5, 2]
+    assert berezin._chunk_sizes(10, 5) == [5, 5]
+    assert berezin._chunk_sizes(3, 5) == [3]
+
+
+def test_gram_min_ratio_runs_in_chunks(monkeypatch):
+    # 5 configurations of 12 points, 2 per chunk: chunks of 2, 2 and 1
+    monkeypatch.setattr(berezin, "_GRAM_ENTRIES", 2 * 144)
+    gen = np.random.default_rng(35)
+    ratios = []
+    for size in (2, 2, 1):
+        for config in random_ball_points(2, 3, size * 12, gen).reshape(size, 12, 2, 3):
+            rep = gram_spectrum(config, 1.5)
+            ratios.append(rep.min_eig / rep.max_eig)
+    assert gram_min_ratio(2, 3, 1.5, 5, 35) == pytest.approx(min(ratios), rel=1e-12)
+
+
+def _trial_ratios(p, q, alpha, seed, n_trials, n_points=8):
+    """Each search trial's configuration evaluated on its own, in trial order."""
+    ratios, configs = {}, {}
+    for start, size, groups in berezin._witness_trials(p, q, n_points, np.random.default_rng(seed)):
+        for trials, stack in groups.values():
+            for trial, config in zip(trials, stack):
+                rep = gram_spectrum(config, alpha)
+                ratios[int(trial)] = rep.min_eig / max(rep.max_eig, 1e-300)
+                configs[int(trial)] = config
+        if start + size >= n_trials:
+            return [ratios[i] for i in range(n_trials)], configs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_witness_search_names_the_first_witnessing_trial(seed):
+    rep = pd_witness_search(2, 3, 0.5, budget=1000, rng=seed)
+    ratios, configs = _trial_ratios(2, 3, 0.5, seed, rep.n_configs)
+    first = next(i for i, r in enumerate(ratios) if r < -1e-6)
+    assert rep.found and rep.n_configs == first + 1
+    assert rep.best_ratio == pytest.approx(ratios[first], rel=1e-12)
+    assert np.array_equal(rep.points, configs[first])
+    # the trial stream does not depend on the budget
+    if first:
+        before = pd_witness_search(2, 3, 0.5, budget=first, rng=seed)
+        assert not before.found and before.n_configs == first
+        assert before.best_ratio == pytest.approx(min(ratios[:first]), rel=1e-12)
+
+
+def test_witness_search_reports_the_best_ratio_over_the_budget():
+    rep = pd_witness_search(2, 3, 1.5, budget=100, rng=6)
+    ratios, _ = _trial_ratios(2, 3, 1.5, 6, 100)
+    assert not rep.found and rep.n_configs == 100
+    assert rep.best_ratio == pytest.approx(min(ratios), rel=1e-12)
 
 
 def test_witness_found_off_the_admissible_set():
@@ -144,6 +255,53 @@ def test_covariance_as_printed_variant_needs_square_shape():
         covariance_residual(g, z, z, 1.0, variant="as-printed")
     with pytest.raises(InvalidParams):
         covariance_residual(g, z, z, 1.0, variant="mystery")
+
+
+def test_batched_covariance_matches_a_loop_of_single_triples():
+    gs = random_pseudo_orthogonal_batch(2, 2, 30, 36, boost_range=1.0)
+    zs = random_ball_points(2, 2, 30, 37, 0.0, 0.9)
+    us = random_ball_points(2, 2, 30, 38, 0.0, 0.9)
+    for variant in ("u-cocycle-corrected", "as-printed"):
+        batched = covariance_residual(gs, zs, us, 1.5, variant)
+        for i in range(30):
+            g = PseudoOrthogonalElement.from_matrix(2, 2, gs.matrix[i])
+            single = covariance_residual(g, ball_point(zs[i]), ball_point(us[i]), 1.5, variant)
+            assert batched[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
+    # the as-printed law is off by O(1), so the comparison above is not vacuous
+    assert np.max(covariance_residual(gs, zs, us, 1.5, "as-printed")) > 1e-3
+
+
+def test_max_covariance_residual_runs_in_chunks(monkeypatch):
+    monkeypatch.setattr(berezin, "_CHUNK", 5)
+    gen = np.random.default_rng(39)
+    worst = 0.0
+    for size in (5, 5, 2):
+        gs = random_pseudo_orthogonal_batch(2, 3, size, gen)
+        zs = random_ball_points(2, 3, size, gen)
+        us = random_ball_points(2, 3, size, gen)
+        for i in range(size):
+            g = PseudoOrthogonalElement.from_matrix(2, 3, gs.matrix[i])
+            worst = max(worst, covariance_residual(g, zs[i], us[i], 1.5))
+    assert max_covariance_residual(2, 3, 1.5, 12, 39) == worst
+
+
+def test_batched_domination_matches_a_loop_and_propagates_nan():
+    zs = random_ball_points(2, 3, 40, 40, 0.0, 0.999)
+    us = random_ball_points(2, 3, 40, 41, 0.0, 0.999)
+    cs = np.random.default_rng(42).uniform(0.0, 1.0, 40)
+    batched = domination_residual(zs, us, cs, 1.7)
+    loop = [domination_residual(ball_point(z), ball_point(u), c, 1.7) for z, u, c in zip(zs, us, cs)]
+    assert np.array_equal(batched, loop)
+    # the unclipped difference the residual is taken from, pair by pair
+    diff = berezin_kernel(cs[:, None, None] * zs, cs[:, None, None] * us, 1.7) \
+        - 2.0 ** (2 * 1.7) * berezin_kernel(zs, us, 1.7)
+    assert np.all(diff < 0) and np.array_equal(batched, np.maximum(0.0, diff))
+    zs[7] = np.nan
+    with np.errstate(invalid="ignore"):
+        res = domination_residual(zs, us, cs, 1.7)
+    assert np.isnan(res[7]) and np.isnan(np.max(res))
+    with pytest.raises(InvalidParams):
+        domination_residual(zs, us, np.where(np.arange(40) == 3, 1.5, cs), 1.7)
 
 
 def test_domination_residual_is_exactly_zero():

@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from berezin_lab import berezin
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
 
 
@@ -202,6 +204,64 @@ def test_kernel_covariance_and_domination(capsys):
     assert json.loads(out)["observed"] == 0.0
 
 
+KERNEL_ARGV = {
+    "gram": ("--samples", "40"),
+    "witness": ("--alpha", "0.5"),
+    "covariance": ("--samples", "60"),
+    "domination": ("--samples", "300"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(KERNEL_ARGV))
+def test_kernel_reports_repeat_under_a_seed(capsys, sub):
+    argv = ("kernel", sub, "--p", "2", "--q", "3", "--alpha", "1.5", *KERNEL_ARGV[sub],
+            "--seed", "11")
+    docs = []
+    for _ in range(2):
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_PASS
+        doc = json.loads(out)
+        doc.pop("duration")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0]["verdict"] == "pass"
+
+
+def _one_nan(n, fill):
+    """``fill`` everywhere except one NaN, which a NaN-dropping reduction would skip."""
+    out = np.full(n, fill)
+    out[n // 2] = np.nan
+    return out
+
+
+def _nan_gram(points, alpha):
+    n = len(points)
+    return berezin.GramReport(points.shape[-3], alpha, _one_nan(n, 1.0), np.ones(n))
+
+
+@pytest.mark.parametrize("sub,name,fake", [
+    ("gram", "gram_spectrum", _nan_gram),
+    ("covariance", "covariance_residual", lambda g, z, u, alpha: _one_nan(len(z), 0.0)),
+    ("domination", "domination_residual", lambda z, u, c, alpha: _one_nan(len(z), 0.0)),
+])
+def test_nan_kernel_evidence_fails(capsys, monkeypatch, sub, name, fake):
+    monkeypatch.setattr(berezin, name, fake)
+    code, out = run_cli(capsys, "kernel", sub, "--p", "2", "--q", "3", "--alpha", "1.5",
+                        "--samples", "20", "--seed", "4")
+    doc = json.loads(out)
+    assert doc["observed"] == "nan"
+    assert code == EXIT_FAIL and doc["verdict"] == "fail"
+
+
+def test_nan_witness_ratio_fails(capsys, monkeypatch):
+    monkeypatch.setattr(berezin, "gram_spectrum", _nan_gram)
+    code, out = run_cli(capsys, "kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5",
+                        "--samples", "50", "--seed", "4")
+    doc = json.loads(out)
+    assert doc["inputs"]["best_ratio"] == "nan" and doc["observed"] == "nan"
+    assert code == EXIT_FAIL and doc["verdict"] == "fail"
+
+
 # ---------------------------------------------------------------------------
 # boundary
 # ---------------------------------------------------------------------------
@@ -240,6 +300,14 @@ def test_plancherel_blocks_table(capsys):
     assert {(r["r"], tuple(r["u"])) for r in rows} == {
         (0, ()), (1, (0,)), (1, (1,)), (2, (0, 0)),
     }
+
+
+def test_plancherel_blocks_over_budget_is_a_usage_error(capsys):
+    for sub in ("blocks", "degeneration"):
+        code, out = run_cli(capsys, "plancherel", sub, "--p", "8", "--q", "20",
+                            "--alpha", "-40")
+        assert code == EXIT_USAGE
+        assert out == ""
 
 
 def test_plancherel_weight_grid(capsys):

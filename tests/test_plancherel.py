@@ -1,6 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from berezin_lab import plancherel
 from berezin_lab.errors import InvalidParams, OracleNotConverged
 from berezin_lab.gammaval import gamma_value
 from berezin_lab.plancherel import (
@@ -74,6 +77,41 @@ def test_surviving_blocks_strict_versus_weak_boundary():
     weak = {(b.r, b.u) for b in surviving_blocks(params, strict=False)}
     assert strict == {(0, ())}
     assert weak == {(0, ()), (1, (0,))}
+
+
+def _filtered_product(params, strict=True):
+    """The block list built the long way: the whole (top+1)^r grid, filtered and sorted."""
+    out = [block_index(())]
+    for r in range(1, params.p + 1):
+        slack = params.h - params.alpha - r / 2.0
+        top = int(np.floor(slack - 1e-9)) if strict else int(np.floor(slack + 1e-9))
+        if top >= 0:
+            labels = sorted((u for u in product(range(top + 1), repeat=r) if sum(u) <= top),
+                            key=lambda u: (sum(u), u))
+            out.extend(block_index(u) for u in labels)
+    return out
+
+
+@pytest.mark.parametrize("p,q,alpha", [
+    (1, 2, -5.0), (2, 5, 0.4), (2, 5, 2.0), (3, 6, 0.25), (3, 3, 0.5),
+    (4, 12, -3.0), (4, 12, -2.5), (4, 9, -1.0), (5, 8, -2.0),
+])
+@pytest.mark.parametrize("strict", [True, False])
+def test_surviving_blocks_equal_the_filtered_product(p, q, alpha, strict):
+    params = PlancherelParams(p, q, alpha)
+    assert surviving_blocks(params, strict) == _filtered_product(params, strict)
+
+
+def test_surviving_blocks_budget(monkeypatch):
+    # (4, 12, -3) has 551 blocks
+    assert len(surviving_blocks(PlancherelParams(4, 12, -3.0))) == 551
+    monkeypatch.setattr(plancherel, "BLOCK_BUDGET", 550)
+    with pytest.raises(InvalidParams, match="551 blocks"):
+        surviving_blocks(PlancherelParams(4, 12, -3.0))
+    monkeypatch.undo()
+    # a large rank far below the threshold is refused before any enumeration
+    with pytest.raises(InvalidParams, match="exceed the budget"):
+        surviving_blocks(PlancherelParams(8, 20, -40.0))
 
 
 def test_blocks_are_sorted_and_finite():

@@ -117,3 +117,10 @@ def test_in_interval_with_open_sides():
     assert in_interval(123.0, [0.0, None])
     assert in_interval(-5.0, [None, 0.0])
     assert not in_interval(-5.0, [0.0, None])
+
+
+def test_nan_lies_in_no_interval():
+    nan = float("nan")
+    for interval in ([0.0, 1.0], [0.0, 0.0], [None, 0.0], [0.0, None], [None, None]):
+        assert not in_interval(nan, interval)
+        assert not in_interval(np.float64(nan), interval)
