@@ -48,49 +48,45 @@ def origin(p: int, q: int) -> BallPoint:
     return ball_point(np.zeros((p, q)))
 
 
-def random_ball_points(
-    p: int,
-    q: int,
-    size: int,
-    rng: int | np.random.Generator | None = None,
-    norm_min: float = 0.0,
-    norm_max: float = 0.95,
-) -> np.ndarray:
-    """A (size, p, q) stack of Gaussian directions rescaled to uniform spectral norms in [min, max).
-
-    All Gaussians are drawn before all norms, so a stack of one consumes
-    the generator exactly as a single point does.
-    """
-    if not 0.0 <= norm_min <= norm_max < 1.0:
-        raise InvalidParams("need 0 <= norm_min <= norm_max < 1")
-    if p > q:
-        raise InvalidParams(f"need p <= q, got shape ({p}, {q})")
-    gen = as_generator(rng)
-    z = gen.standard_normal((size, p, q))
-    cur = np.linalg.norm(z, 2, axis=(1, 2))
-    target = gen.uniform(norm_min, norm_max, size=size)
-    pts = z * (target / cur)[:, None, None]
-    # the ball constraint, checked on every point through the eigenvalues
-    # of z z^t rather than the SVD that set the scale
-    norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, 1, 2))[:, -1])
-    if not np.all(norms < 1.0):
-        raise InvalidParams(f"spectral norm {np.max(norms):.6f} violates the ball constraint")
-    return pts
-
-
 def random_ball_point(
     p: int,
     q: int,
     rng: int | np.random.Generator | None = None,
     norm_min: float = 0.0,
     norm_max: float = 0.95,
-) -> BallPoint:
-    """Gaussian direction rescaled to a uniform spectral norm in [min, max)."""
-    return BallPoint(p, q, random_ball_points(p, q, 1, rng, norm_min, norm_max)[0])
+    size: int | tuple[int, ...] | None = None,
+) -> BallPoint | np.ndarray:
+    """Gaussian direction rescaled to a uniform spectral norm in [min, max).
+
+    With ``size`` (an int or a shape) the result is an array of that many
+    points, of shape size + (p, q), instead of one BallPoint.  All
+    Gaussians are drawn before all norms, so a single point consumes the
+    generator as a stack of one does.
+    """
+    if not 0.0 <= norm_min <= norm_max < 1.0:
+        raise InvalidParams("need 0 <= norm_min <= norm_max < 1")
+    if p > q:
+        raise InvalidParams(f"need p <= q, got shape ({p}, {q})")
+    gen = as_generator(rng)
+    shape = (1,) if size is None else tuple(np.atleast_1d(size))
+    z = gen.standard_normal((*shape, p, q))
+    cur = np.linalg.norm(z, 2, axis=(-2, -1))
+    target = gen.uniform(norm_min, norm_max, size=shape)
+    pts = z * (target / cur)[..., None, None]
+    # the ball constraint, checked on every point through the eigenvalues
+    # of z z^t rather than the SVD that set the scale
+    norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, -1, -2))[..., -1])
+    if not np.all(norms < 1.0):
+        raise InvalidParams(f"spectral norm {np.max(norms):.6f} violates the ball constraint")
+    return BallPoint(p, q, pts[0]) if size is None else pts
 
 
-def _entries(z: BallPoint | np.ndarray) -> np.ndarray:
-    """The (..., p, q) entries of a point, or of a stack of points given as an array."""
+def as_entries(z: BallPoint | np.ndarray) -> np.ndarray:
+    """The (..., p, q) entries of a point, or of a stack of points given as an array.
+
+    Every function that acts on points takes either form: a BallPoint
+    comes back as a BallPoint or a float, a stack as an array.
+    """
     return z.entries if isinstance(z, BallPoint) else np.asarray(z, dtype=float)
 
 
@@ -99,6 +95,11 @@ def _like(z: BallPoint | np.ndarray, entries: np.ndarray) -> BallPoint | np.ndar
     if isinstance(z, BallPoint):
         return BallPoint(z.p, z.q, entries, closure=z.closure)
     return entries
+
+
+def ball_scale(z: BallPoint | np.ndarray, c: float | np.ndarray) -> BallPoint | np.ndarray:
+    """c z; a stack of points takes one shrink factor each from a stack of factors."""
+    return _like(z, np.asarray(c, dtype=float)[..., None, None] * as_entries(z))
 
 
 @dataclass
@@ -170,17 +171,13 @@ def moebius_act(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> BallPo
     A BallPoint maps to a BallPoint; a (..., p, q) stack maps to a stack,
     each point moved by its own element when g is a stack too.
     """
-    zs = _entries(z)
+    zs = as_entries(z)
     return _like(z, np.linalg.solve(_action_base(g, zs), g.b + zs @ g.d))
 
 
 def cocycle(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> float | np.ndarray:
     """det(a + z c), the multiplier attached to the Moebius action at z (one per stacked point)."""
-    return _float_or_array(np.linalg.det(_action_base(g, _entries(z))))
-
-
-def _float_or_array(value: np.ndarray) -> float | np.ndarray:
-    return float(value) if np.ndim(value) == 0 else value
+    return np.linalg.det(_action_base(g, as_entries(z)))
 
 
 @dataclass
@@ -244,35 +241,26 @@ def transport_to_origin(z: BallPoint) -> PseudoOrthogonalElement:
     return compose(k, boost(z.p, z.q, -np.arctanh(sig)))
 
 
-def random_pseudo_orthogonal_batch(
-    p: int,
-    q: int,
-    size: int,
-    rng: int | np.random.Generator | None = None,
-    boost_range: float = 2.0,
-) -> PseudoOrthogonalElement:
-    """A stack of KAK samples k1 B(t) k2, k_i in O(p) x O(q), |t_j| <= boost_range.
-
-    All rapidities are drawn first, then the O(p) and O(q) frames of k1
-    and of k2 as four batches, so a stack of one consumes the generator
-    exactly as a single sample does.
-    """
-    gen = as_generator(rng)
-    t = gen.uniform(-boost_range, boost_range, size=(size, p))
-    frames = np.zeros((2, size, p + q, p + q))
-    for frame in frames:
-        frame[:, :p, :p] = _haar_orthogonal_batch(p, size, gen)
-        frame[:, p:, p:] = _haar_orthogonal_batch(q, size, gen)
-    mat = frames[0] @ (boost(p, q, t).matrix @ frames[1])
-    return PseudoOrthogonalElement.from_matrix(p, q, mat)
-
-
 def random_pseudo_orthogonal(
     p: int,
     q: int,
     rng: int | np.random.Generator | None = None,
     boost_range: float = 2.0,
+    size: int | None = None,
 ) -> PseudoOrthogonalElement:
-    """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= boost_range."""
-    g = random_pseudo_orthogonal_batch(p, q, 1, rng, boost_range)
-    return PseudoOrthogonalElement.from_matrix(p, q, g.matrix[0])
+    """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= boost_range.
+
+    With ``size`` the element holds a stack of that many samples.  All
+    rapidities are drawn first, then the O(p) and O(q) frames of k1 and of
+    k2 as four batches, so a single sample consumes the generator as a
+    stack of one does.
+    """
+    gen = as_generator(rng)
+    n = 1 if size is None else size
+    t = gen.uniform(-boost_range, boost_range, size=(n, p))
+    frames = np.zeros((2, n, p + q, p + q))
+    for frame in frames:
+        frame[:, :p, :p] = _haar_orthogonal_batch(p, n, gen)
+        frame[:, p:, p:] = _haar_orthogonal_batch(q, n, gen)
+    mat = frames[0] @ (boost(p, q, t).matrix @ frames[1])
+    return PseudoOrthogonalElement.from_matrix(p, q, mat[0] if size is None else mat)

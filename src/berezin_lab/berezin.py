@@ -17,14 +17,11 @@ import numpy as np
 from .ball import (
     BallPoint,
     PseudoOrthogonalElement,
-    _entries,
-    _float_or_array,
-    _like,
+    as_entries,
+    ball_scale,
     cocycle,
     moebius_act,
     random_ball_point,
-    random_ball_points,
-    random_pseudo_orthogonal_batch,
 )
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
@@ -39,15 +36,10 @@ from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
 
-# Samples drawn and evaluated at once: a large sample budget runs in
-# chunks of this size, so memory stays flat whatever the budget.
-_CHUNK = 4096
-# Kernel entries K(z_i, z_j) evaluated at once by the Gram-matrix checks.
+# Kernel entries K(z_i, z_j) evaluated at once: a stack of Gram matrices
+# runs in chunks of this many entries, so the pair grids take fixed memory
+# whatever the number of configurations.
 _GRAM_ENTRIES = 2**14
-
-
-def _chunk_sizes(total: int, per_chunk: int) -> list[int]:
-    return [min(per_chunk, total - start) for start in range(0, total, per_chunk)]
 
 
 def berezin_kernel(
@@ -57,7 +49,7 @@ def berezin_kernel(
 
     Stacks of points (..., p, q) give one kernel value per pair.
     """
-    zs, us = _entries(z), _entries(u)
+    zs, us = as_entries(z), as_entries(u)
     if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
     base = np.linalg.det(np.eye(zs.shape[-2]) - zs @ np.swapaxes(us, -1, -2))
@@ -65,7 +57,7 @@ def berezin_kernel(
         # contractions have eigenvalues of z u^t inside the unit disc, so a
         # nonpositive value can only mean the inputs were out of domain
         raise NonPositiveDeterminant(f"det(1 - z u^t) = {np.min(base):.3e}")
-    return _float_or_array(base ** (-alpha))
+    return base ** (-alpha)
 
 
 def wallach_admissible(alpha: float, p: int, tol: float = 1e-12) -> bool:
@@ -110,11 +102,17 @@ def gram_spectrum(points, alpha: float) -> GramReport:
 
     ``points`` is one configuration (a sequence of points or an (m, p, q)
     array), or an (N, m, p, q) stack of N configurations, which gives
-    arrays of N extreme eigenvalues.
+    arrays of N extreme eigenvalues.  A large stack is evaluated in chunks
+    of ``_GRAM_ENTRIES`` kernel entries.
     """
     pts = _as_point_stack(points)
-    eigs = np.linalg.eigvalsh(_gram_matrix(pts if pts.ndim == 4 else pts[None], alpha))
-    lo, hi = eigs[:, 0], eigs[:, -1]
+    stack = pts if pts.ndim == 4 else pts[None]
+    per_chunk = max(1, _GRAM_ENTRIES // stack.shape[1] ** 2)
+    extremes = [
+        np.linalg.eigvalsh(_gram_matrix(stack[i : i + per_chunk], alpha))[:, [0, -1]]
+        for i in range(0, len(stack), per_chunk)
+    ]
+    lo, hi = np.concatenate(extremes).T
     if pts.ndim == 3:
         lo, hi = float(lo[0]), float(hi[0])
     return GramReport(pts.shape[-3], alpha, lo, hi)
@@ -124,22 +122,6 @@ def _as_point_stack(points) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.ndim >= 3:
         return points
     return np.stack([p.entries if isinstance(p, BallPoint) else np.asarray(p) for p in points])
-
-
-def gram_min_ratio(p: int, q: int, alpha: float, n_configs: int, rng=None, n_points: int = 12) -> float:
-    """Smallest eigenvalue ratio over random configurations of ``n_points`` ball points.
-
-    Configurations are drawn and evaluated in chunks; a NaN ratio anywhere
-    makes the result NaN.
-    """
-    gen = as_generator(rng)
-    ratios = [
-        gram_spectrum(
-            random_ball_points(p, q, size * n_points, gen).reshape(size, n_points, p, q), alpha
-        ).ratio
-        for size in _chunk_sizes(n_configs, max(1, _GRAM_ENTRIES // n_points**2))
-    ]
-    return float(np.min(np.concatenate(ratios)))
 
 
 @dataclass
@@ -156,7 +138,9 @@ class WitnessReport:
 
 _WITNESS_RATIO = -1e-6
 _FIRST_TRIALS = 8
-_MAX_SHELL_POINTS = 16
+# Rotation counts k of the shell trials, drawn from [lo, hi): a shell holds
+# 2k points, so at most 2 (hi - 1).
+_SHELL_K = (3, 9)
 
 
 def _shell_configs(k: int, eta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -191,21 +175,22 @@ def _witness_trials(p: int, q: int, n_points: int, gen: np.random.Generator):
     Trial i's configuration depends only on the generator and i, not on
     how many trials are later evaluated.
     """
-    cap = max(_FIRST_TRIALS, _GRAM_ENTRIES // max(n_points, _MAX_SHELL_POINTS) ** 2)
+    largest = max(n_points, 2 * (_SHELL_K[1] - 1))
+    cap = max(_FIRST_TRIALS, _GRAM_ENTRIES // largest**2)
     start, size = 0, _FIRST_TRIALS
     while True:
         trials = np.arange(start, start + size)
         is_shell = trials % 2 == 1 if p >= 2 else np.zeros(size, dtype=bool)
         clouds, shells = trials[~is_shell], trials[is_shell]
         counts = 3 + gen.integers(n_points - 2, size=clouds.size)
-        ks = gen.integers(3, 9, size=shells.size)
+        ks = gen.integers(*_SHELL_K, size=shells.size)
         etas = gen.uniform(0.5, 0.95, size=shells.size)
         left = np.linalg.qr(gen.standard_normal((shells.size, p, 2)))[0]
         right = np.linalg.qr(gen.standard_normal((shells.size, q, 2)))[0]
         # one draw for every cloud point, dealt out in order of point count
         order = np.argsort(counts, kind="stable")
         by_count, sorted_counts = clouds[order], counts[order]
-        pts = random_ball_points(p, q, int(counts.sum()), gen, 0.8, 0.999)
+        pts = random_ball_point(p, q, gen, 0.8, 0.999, size=int(counts.sum()))
         parts: dict[int, list] = {}
         offset = 0
         for m in np.unique(counts):
@@ -309,31 +294,15 @@ def covariance_residual(
         mult = cocycle(g, z) * cocycle(g, u)
         ok = mult > 0
     else:
-        zs = _entries(z)
+        zs = as_entries(z)
         if zs.shape[-2] != zs.shape[-1]:
             raise InvalidParams("the as-printed multiplier det(a + z u) needs p = q")
         m1 = cocycle(g, z)
-        m2 = np.linalg.det(g.a + zs @ _entries(u))
+        m2 = np.linalg.det(g.a + zs @ as_entries(u))
         mult = m1 * m2
         ok = (m1 > 0) & (m2 > 0)
     rhs = base * np.where(ok, mult, 1.0) ** alpha
-    return _float_or_array(np.where(ok, np.abs(lhs - rhs) / np.abs(lhs), np.inf))
-
-
-def max_covariance_residual(p: int, q: int, alpha: float, n_samples: int, rng=None) -> float:
-    """Largest covariance residual over random triples (g, z, u), drawn in chunks.
-
-    Each chunk draws a stack of pseudo-orthogonal elements, then the z
-    stack, then the u stack.  A NaN residual makes the result NaN.
-    """
-    gen = as_generator(rng)
-    worst = []
-    for size in _chunk_sizes(n_samples, _CHUNK):
-        g = random_pseudo_orthogonal_batch(p, q, size, gen)
-        z = random_ball_points(p, q, size, gen)
-        u = random_ball_points(p, q, size, gen)
-        worst.append(np.max(covariance_residual(g, z, u, alpha)))
-    return float(np.max(worst))
+    return np.where(ok, np.abs(lhs - rhs) / np.abs(lhs), np.inf)[()]
 
 
 def covariance_convention_table(
@@ -389,36 +358,8 @@ def domination_residual(
     if alpha < 0:
         raise InvalidParams("domination is stated for alpha >= 0")
     lhs = berezin_kernel(ball_scale(z, c), ball_scale(u, c), alpha)
-    rhs = 2.0 ** (_entries(z).shape[-2] * alpha) * berezin_kernel(z, u, alpha)
-    return _float_or_array(np.maximum(0.0, lhs - rhs))
-
-
-# The first shrink factors of a domination run: near 1, where the bound is
-# tightest, and 1/2, alternately; the rest are uniform on [0, 1).
-_FIRST_SHRINKS = (1.0 - 1e-3, 0.5, 1.0 - 1e-3, 0.5)
-
-
-def max_domination_residual(p: int, q: int, alpha: float, n_samples: int, rng=None) -> float:
-    """Largest domination residual over random pairs (z, u), drawn in chunks.
-
-    Each chunk draws the z stack, the u stack and then the shrink factors.
-    A NaN residual makes the result NaN.
-    """
-    gen = as_generator(rng)
-    worst = []
-    for i, size in enumerate(_chunk_sizes(n_samples, _CHUNK)):
-        z = random_ball_points(p, q, size, gen)
-        u = random_ball_points(p, q, size, gen)
-        c = gen.uniform(0.0, 1.0, size=size)
-        if i == 0:
-            c[: len(_FIRST_SHRINKS)] = _FIRST_SHRINKS[:size]
-        worst.append(np.max(domination_residual(z, u, c, alpha)))
-    return float(np.max(worst))
-
-
-def ball_scale(z: BallPoint | np.ndarray, c: float | np.ndarray) -> BallPoint | np.ndarray:
-    """c z; a stack of points takes one shrink factor each from a stack of factors."""
-    return _like(z, np.asarray(c, dtype=float)[..., None, None] * _entries(z))
+    rhs = 2.0 ** (as_entries(z).shape[-2] * alpha) * berezin_kernel(z, u, alpha)
+    return np.maximum(0.0, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, berezin, compact, hermitization, integrals, plancherel
+from .ball import random_ball_point, random_pseudo_orthogonal
 from .errors import BerezinLabError, InvalidParams
 from .reporting import (
     DEFAULT_SEED,
@@ -29,6 +30,7 @@ from .reporting import (
     render_report,
     render_table,
 )
+from .rngs import as_generator
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -99,6 +101,11 @@ def _build_parser() -> _Parser:
 
 
 _KERNEL_SAMPLES = {"gram": 50, "witness": 1000, "covariance": 200, "domination": 10_000}
+# Points per configuration of the Gram check.
+_GRAM_POINTS = 12
+# The first shrink factors of a domination run: near 1, where the bound is
+# tightest, and 1/2, alternately; the rest are uniform on [0, 1).
+_FIRST_SHRINKS = (1.0 - 1e-3, 0.5, 1.0 - 1e-3, 0.5)
 
 
 def _common(sp: argparse.ArgumentParser, *names: str, default_samples: int = 200_000) -> None:
@@ -281,26 +288,35 @@ def cmd_verify_integral(cfg: RunConfig, group: str, n: int, lam, mu=None) -> int
 
 
 def cmd_kernel(cfg: RunConfig, sub: str, p: int, q: int, alpha: float) -> int:
-    """One kernel check over ``cfg.n_samples`` seeded samples; NaN evidence fails."""
+    """One kernel check over ``cfg.n_samples`` samples drawn as stacks; NaN evidence fails."""
     t0 = time.perf_counter()
     inputs = {"p": p, "q": q, "alpha": alpha, "samples": cfg.n_samples}
+    gen = as_generator(cfg.seed)
+    n = cfg.n_samples
     if sub == "gram":
-        tol = cfg.tol("pd", 1e-8)
-        expected = [-tol, None]
-        observed = berezin.gram_min_ratio(p, q, alpha, cfg.n_samples, cfg.seed)
+        expected = [-cfg.tol("pd", 1e-8), None]
+        configs = random_ball_point(p, q, gen, size=(n, _GRAM_POINTS))
+        observed = float(np.min(berezin.gram_spectrum(configs, alpha).ratio))
     elif sub == "witness":
         admissible = berezin.wallach_admissible(alpha, p)
-        rep = berezin.pd_witness_search(p, q, alpha, budget=cfg.n_samples, rng=cfg.seed)
+        rep = berezin.pd_witness_search(p, q, alpha, budget=n, rng=cfg.seed)
         inputs["wallach_admissible"] = admissible
         inputs["best_ratio"] = rep.best_ratio
         expected = [0.0, 0.0] if admissible else [1.0, 1.0]
         observed = float("nan") if np.isnan(rep.best_ratio) else float(rep.found)
     elif sub == "covariance":
         expected = [0.0, cfg.tol("res", 1e-10)]
-        observed = berezin.max_covariance_residual(p, q, alpha, cfg.n_samples, cfg.seed)
+        g = random_pseudo_orthogonal(p, q, gen, size=n)
+        z = random_ball_point(p, q, gen, size=n)
+        u = random_ball_point(p, q, gen, size=n)
+        observed = float(np.max(berezin.covariance_residual(g, z, u, alpha)))
     else:
         expected = [0.0, 0.0]
-        observed = berezin.max_domination_residual(p, q, alpha, cfg.n_samples, cfg.seed)
+        z = random_ball_point(p, q, gen, size=n)
+        u = random_ball_point(p, q, gen, size=n)
+        c = gen.uniform(0.0, 1.0, size=n)
+        c[: len(_FIRST_SHRINKS)] = _FIRST_SHRINKS[:n]
+        observed = float(np.max(berezin.domination_residual(z, u, c, alpha)))
     verdict = PASS if in_interval(observed, expected) else FAIL
     report = _report(cfg, f"kernel {sub}", inputs, expected, observed, None, None, verdict, t0)
     return _finish(report, cfg)

@@ -11,9 +11,7 @@ from berezin_lab.ball import (
     orbit_rank,
     origin,
     random_ball_point,
-    random_ball_points,
     random_pseudo_orthogonal,
-    random_pseudo_orthogonal_batch,
     signature_matrix,
     transport_to_origin,
     validate_pseudo_orthogonal,
@@ -53,19 +51,23 @@ def test_random_ball_point_norm_window():
 
 
 @pytest.mark.parametrize("p,q", PQ)
-def test_random_ball_points_norm_window(p, q):
-    pts = random_ball_points(p, q, 500, 1, 0.3, 0.9)
+def test_random_ball_point_stack_norm_window(p, q):
+    pts = random_ball_point(p, q, 1, 0.3, 0.9, size=500)
     assert pts.shape == (500, p, q)
     norms = np.array([np.linalg.norm(z, 2) for z in pts])
     assert np.all(norms >= 0.3 - 1e-12) and np.all(norms < 0.9 + 1e-12)
     for lo, hi in [(0.5, 1.0), (-0.1, 0.5), (0.6, 0.5)]:
         with pytest.raises(InvalidParams):
-            random_ball_points(p, q, 3, 1, lo, hi)
+            random_ball_point(p, q, 1, lo, hi, size=3)
     with pytest.raises(InvalidParams):
-        random_ball_points(q + 1, q, 3, 1)
+        random_ball_point(q + 1, q, 1, size=3)
+    # a shape gives an array of that shape of points, drawn as one flat stack
+    grid = random_ball_point(p, q, 4, size=(6, 5))
+    assert grid.shape == (6, 5, p, q)
+    assert np.array_equal(grid.reshape(30, p, q), random_ball_point(p, q, 4, size=30))
 
 
-def test_random_ball_points_check_every_norm():
+def test_random_ball_point_stack_checks_every_norm():
     class Outside(np.random.Generator):
         """Hands out a norm of 1.5 to the last point of a stack."""
 
@@ -75,7 +77,7 @@ def test_random_ball_points_check_every_norm():
             return out
 
     with pytest.raises(InvalidParams, match="violates the ball constraint"):
-        random_ball_points(2, 3, 10, Outside(np.random.PCG64(1)))
+        random_ball_point(2, 3, Outside(np.random.PCG64(1)), size=10)
 
 
 def test_seeded_random_ball_point_is_unchanged():
@@ -119,20 +121,20 @@ def test_signature_matrix_and_validation():
 
 
 @pytest.mark.parametrize("p,q", PQ)
-def test_random_pseudo_orthogonal_batch_elements(p, q):
-    g = random_pseudo_orthogonal_batch(p, q, 40, 3)
+def test_random_pseudo_orthogonal_stack_elements(p, q):
+    g = random_pseudo_orthogonal(p, q, 3, size=40)
     assert g.matrix.shape == (40, p + q, p + q)
     for mat in g.matrix:
         assert validate_pseudo_orthogonal(PseudoOrthogonalElement.from_matrix(p, q, mat)) < 1e-9
     # a stack of one is the single sample, bit for bit
-    one = random_pseudo_orthogonal_batch(p, q, 1, 5)
+    one = random_pseudo_orthogonal(p, q, 5, size=1)
     assert np.array_equal(one.matrix[0], random_pseudo_orthogonal(p, q, 5).matrix)
 
 
 @pytest.mark.parametrize("p,q", PQ)
 def test_batched_action_and_cocycle_match_the_formulas(p, q):
-    gs = random_pseudo_orthogonal_batch(p, q, 30, 21, boost_range=1.5)
-    zs = random_ball_points(p, q, 30, 22)
+    gs = random_pseudo_orthogonal(p, q, 21, boost_range=1.5, size=30)
+    zs = random_ball_point(p, q, 22, size=30)
     w = moebius_act(gs, zs)
     c = cocycle(gs, zs)
     single = random_pseudo_orthogonal(p, q, 23)

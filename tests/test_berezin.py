@@ -7,9 +7,7 @@ from berezin_lab.ball import (
     ball_point,
     moebius_act,
     random_ball_point,
-    random_ball_points,
     random_pseudo_orthogonal,
-    random_pseudo_orthogonal_batch,
 )
 from berezin_lab.berezin import (
     WINNING_COVARIANCE_VARIANT,
@@ -20,9 +18,7 @@ from berezin_lab.berezin import (
     covariance_convention_table,
     covariance_residual,
     domination_residual,
-    gram_min_ratio,
     gram_spectrum,
-    max_covariance_residual,
     pd_witness_search,
     restriction_closed_form,
     restriction_probe,
@@ -61,8 +57,8 @@ def test_kernel_rejects_shape_mismatch_and_degenerate_base():
 
 
 def test_batched_kernel_matches_the_formula():
-    zs = random_ball_points(2, 3, 50, 31, 0.0, 0.99)
-    us = random_ball_points(2, 3, 50, 32, 0.0, 0.99)
+    zs = random_ball_point(2, 3, 31, 0.0, 0.99, size=50)
+    us = random_ball_point(2, 3, 32, 0.0, 0.99, size=50)
     values = berezin_kernel(zs, us, 1.3)
     assert values.shape == (50,)
     for z, u, value in zip(zs, us, values):
@@ -71,7 +67,7 @@ def test_batched_kernel_matches_the_formula():
 
 
 def test_batched_kernel_checks_every_base():
-    zs = random_ball_points(2, 4, 5, 33)
+    zs = random_ball_point(2, 4, 33, size=5)
     zs[3] = np.eye(2, 4)  # orthonormal rows: det(1 - z z^t) = 0
     with pytest.raises(NonPositiveDeterminant):
         berezin_kernel(zs, zs, 1.0)
@@ -112,7 +108,7 @@ def test_gram_positive_semidefinite_on_admissible_alphas(p, q):
 
 
 def test_gram_spectrum_of_a_stack_matches_each_configuration():
-    pts = random_ball_points(2, 3, 40 * 7, 34, 0.5, 0.98).reshape(40, 7, 2, 3)
+    pts = random_ball_point(2, 3, 34, 0.5, 0.98, size=(40, 7))
     rep = gram_spectrum(pts, 0.7)
     assert rep.n_points == 7 and rep.min_eig.shape == (40,)
     for i, config in enumerate(pts):
@@ -144,22 +140,23 @@ def test_shell_configs_match_the_planar_formula():
             assert np.allclose(np.linalg.norm(shells[s], 2, axis=(1, 2)), etas[s])
 
 
-def test_chunk_sizes_cover_the_budget():
-    assert berezin._chunk_sizes(12, 5) == [5, 5, 2]
-    assert berezin._chunk_sizes(10, 5) == [5, 5]
-    assert berezin._chunk_sizes(3, 5) == [3]
-
-
-def test_gram_min_ratio_runs_in_chunks(monkeypatch):
-    # 5 configurations of 12 points, 2 per chunk: chunks of 2, 2 and 1
+def test_gram_spectrum_runs_a_large_stack_in_chunks(monkeypatch):
+    pts = random_ball_point(2, 3, 35, size=(5, 12))
+    whole = gram_spectrum(pts, 1.5)
+    # 2 configurations of 12 points per chunk: chunks of 2, 2 and 1
     monkeypatch.setattr(berezin, "_GRAM_ENTRIES", 2 * 144)
-    gen = np.random.default_rng(35)
-    ratios = []
-    for size in (2, 2, 1):
-        for config in random_ball_points(2, 3, size * 12, gen).reshape(size, 12, 2, 3):
-            rep = gram_spectrum(config, 1.5)
-            ratios.append(rep.min_eig / rep.max_eig)
-    assert gram_min_ratio(2, 3, 1.5, 5, 35) == pytest.approx(min(ratios), rel=1e-12)
+    calls = []
+    gram_matrix = berezin._gram_matrix
+
+    def counted(stack, alpha):
+        calls.append(len(stack))
+        return gram_matrix(stack, alpha)
+
+    monkeypatch.setattr(berezin, "_gram_matrix", counted)
+    chunked = gram_spectrum(pts, 1.5)
+    assert calls == [2, 2, 1]
+    assert np.array_equal(chunked.min_eig, whole.min_eig)
+    assert np.array_equal(chunked.max_eig, whole.max_eig)
 
 
 def _trial_ratios(p, q, alpha, seed, n_trials, n_points=8):
@@ -258,9 +255,9 @@ def test_covariance_as_printed_variant_needs_square_shape():
 
 
 def test_batched_covariance_matches_a_loop_of_single_triples():
-    gs = random_pseudo_orthogonal_batch(2, 2, 30, 36, boost_range=1.0)
-    zs = random_ball_points(2, 2, 30, 37, 0.0, 0.9)
-    us = random_ball_points(2, 2, 30, 38, 0.0, 0.9)
+    gs = random_pseudo_orthogonal(2, 2, 36, boost_range=1.0, size=30)
+    zs = random_ball_point(2, 2, 37, 0.0, 0.9, size=30)
+    us = random_ball_point(2, 2, 38, 0.0, 0.9, size=30)
     for variant in ("u-cocycle-corrected", "as-printed"):
         batched = covariance_residual(gs, zs, us, 1.5, variant)
         for i in range(30):
@@ -271,23 +268,24 @@ def test_batched_covariance_matches_a_loop_of_single_triples():
     assert np.max(covariance_residual(gs, zs, us, 1.5, "as-printed")) > 1e-3
 
 
-def test_max_covariance_residual_runs_in_chunks(monkeypatch):
-    monkeypatch.setattr(berezin, "_CHUNK", 5)
-    gen = np.random.default_rng(39)
-    worst = 0.0
-    for size in (5, 5, 2):
-        gs = random_pseudo_orthogonal_batch(2, 3, size, gen)
-        zs = random_ball_points(2, 3, size, gen)
-        us = random_ball_points(2, 3, size, gen)
-        for i in range(size):
-            g = PseudoOrthogonalElement.from_matrix(2, 3, gs.matrix[i])
-            worst = max(worst, covariance_residual(g, zs[i], us[i], 1.5))
-    assert max_covariance_residual(2, 3, 1.5, 12, 39) == worst
+def test_nonpositive_multiplier_gives_inf_element_by_element():
+    # every other element reflects the first axis: det(a + z c) = det(a) = -1
+    flips = np.arange(30) % 2 == 0
+    mats = np.where(flips[:, None, None], np.diag([-1.0, 1.0, 1.0, 1.0]), np.eye(4))
+    gs = PseudoOrthogonalElement.from_matrix(2, 2, mats)
+    zs = random_ball_point(2, 2, 44, 0.0, 0.5, size=30)
+    us = random_ball_point(2, 2, 45, 0.0, 0.5, size=30)
+    res = covariance_residual(gs, zs, us, 1.5, "as-printed")
+    assert np.array_equal(np.isinf(res), flips)
+    # the two cocycles share a sign, so the corrected law stays finite
+    assert np.max(covariance_residual(gs, zs, us, 1.5)) < 1e-12
+    single = PseudoOrthogonalElement.from_matrix(2, 2, mats[0])
+    assert covariance_residual(single, zs[0], us[0], 1.5, "as-printed") == np.inf
 
 
 def test_batched_domination_matches_a_loop_and_propagates_nan():
-    zs = random_ball_points(2, 3, 40, 40, 0.0, 0.999)
-    us = random_ball_points(2, 3, 40, 41, 0.0, 0.999)
+    zs = random_ball_point(2, 3, 40, 0.0, 0.999, size=40)
+    us = random_ball_point(2, 3, 41, 0.0, 0.999, size=40)
     cs = np.random.default_rng(42).uniform(0.0, 1.0, 40)
     batched = domination_residual(zs, us, cs, 1.7)
     loop = [domination_residual(ball_point(z), ball_point(u), c, 1.7) for z, u, c in zip(zs, us, cs)]

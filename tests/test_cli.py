@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from berezin_lab import berezin
+from berezin_lab.ball import random_ball_point, random_pseudo_orthogonal
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
 
 
@@ -225,6 +226,44 @@ def test_kernel_reports_repeat_under_a_seed(capsys, sub):
         docs.append(doc)
     assert docs[0] == docs[1]
     assert docs[0]["verdict"] == "pass"
+
+
+def _recording(monkeypatch, name):
+    """Wrap berezin.<name> so each call's arguments are kept."""
+    calls, original = [], getattr(berezin, name)
+    monkeypatch.setattr(berezin, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_kernel_checks_evaluate_the_seeded_stacks(capsys, monkeypatch):
+    # each check draws whole stacks, in the order g, z, u (covariance),
+    # z, u, c (domination) or one (n, 12) stack (gram)
+    argv = ("--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "30", "--seed", "9")
+    gen = np.random.default_rng(9)
+    g = random_pseudo_orthogonal(2, 3, gen, size=30)
+    z, u = random_ball_point(2, 3, gen, size=30), random_ball_point(2, 3, gen, size=30)
+    calls = _recording(monkeypatch, "covariance_residual")
+    _, out = run_cli(capsys, "kernel", "covariance", *argv)
+    (g_seen, z_seen, u_seen, _), = calls
+    assert np.array_equal(g_seen.matrix, g.matrix)
+    assert np.array_equal(z_seen, z) and np.array_equal(u_seen, u)
+    assert json.loads(out)["observed"] == np.max(berezin.covariance_residual(g, z, u, 1.5))
+
+    gen = np.random.default_rng(9)
+    z, u = random_ball_point(2, 3, gen, size=30), random_ball_point(2, 3, gen, size=30)
+    c = gen.uniform(0.0, 1.0, 30)
+    c[:4] = (0.999, 0.5, 0.999, 0.5)  # the tight end of the bound comes first
+    calls = _recording(monkeypatch, "domination_residual")
+    run_cli(capsys, "kernel", "domination", *argv)
+    (z_seen, u_seen, c_seen, _), = calls
+    assert np.array_equal(z_seen, z) and np.array_equal(u_seen, u)
+    assert np.array_equal(c_seen, c)
+
+    configs = random_ball_point(2, 3, 9, size=(30, 12))
+    calls = _recording(monkeypatch, "gram_spectrum")
+    _, out = run_cli(capsys, "kernel", "gram", *argv)
+    assert np.array_equal(calls[0][0], configs)
+    assert json.loads(out)["observed"] == np.min(berezin.gram_spectrum(configs, 1.5).ratio)
 
 
 def _one_nan(n, fill):
