@@ -8,6 +8,7 @@ seed; ``BEREZIN_SEED`` supplies the seed when ``--seed`` is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process and shared by every ``main`` call."""
     parser = _Parser(prog="berezin-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"berezin-lab {__version__}")
     top = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -384,13 +387,11 @@ def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float
     if sub == "weight":
         grid = np.linspace(0.0, 10.0, cfg.n_samples)
         rest = [float(j) for j in range(2, p + 1)]
-        rows = []
+        points = np.column_stack([grid, np.broadcast_to(rest, (grid.size, p - 1))])
+        weights = plancherel.continuous_weight_o(params, points)
+        rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
         floor = -1e-12
-        worst = 0.0
-        for s1 in grid:
-            w = plancherel.continuous_weight_o(params, [float(s1)] + rest)
-            worst = min(worst, w)
-            rows.append({"s": float(s1), "weight": w})
+        worst = min(0.0, float(np.min(weights)))
         if cfg.format == "csv":
             _emit(render_table(rows), cfg)
             return EXIT_PASS if worst >= floor else EXIT_FAIL
@@ -399,24 +400,27 @@ def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float
         report = _report(cfg, "plancherel weight", inputs, [0.0, None], worst, None, None, verdict, t0)
         return _finish(report, cfg)
 
-    # degeneration: zero-flag bookkeeping over the surviving blocks
-    blocks = plancherel.surviving_blocks(params)
+    # degeneration: zero-flag bookkeeping over the surviving blocks, one stack per rank
     statuses = []
     low_rank_alive = 0
     full_rank_finite = 0
-    for b in blocks:
-        value = plancherel.coeff_C(b, p) * plancherel.coeff_V_o(alpha, b, p, q)
-        status = "pole" if value.is_pole else ("zero" if value.is_zero else "finite")
-        statuses.append({"r": b.r, "u": list(b.u), "status": status})
-        if b.r < p and status != "zero":
-            low_rank_alive += 1
-        if b.r == p and status == "finite":
-            full_rank_finite += 1
+    any_pole = False
+    for r, labels in plancherel.label_stacks(plancherel.surviving_blocks(params)):
+        value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
+        status = np.where(value.is_pole, "pole", np.where(value.is_zero, "zero", "finite"))
+        statuses += [
+            {"r": r, "u": u, "status": st} for u, st in zip(labels.tolist(), status.tolist())
+        ]
+        any_pole |= bool(value.is_pole.any())
+        if r < p:
+            low_rank_alive += int(np.count_nonzero(~value.is_zero))
+        else:
+            full_rank_finite += int(np.count_nonzero(status == "finite"))
     negative_integer = alpha <= -0.5 and abs(alpha - round(alpha)) < 1e-9
     if negative_integer:
         ok = low_rank_alive == 0 and full_rank_finite > 0
     else:
-        ok = all(s["status"] != "pole" for s in statuses)
+        ok = not any_pole
     inputs = {"p": p, "q": q, "alpha": alpha, "blocks": statuses}
     report = _report(
         cfg,

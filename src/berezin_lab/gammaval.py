@@ -6,6 +6,11 @@ arguments.  Near a pole, Gamma(-m + eps) ~ (-1)^m / (m! eps); all factors
 use this unit-rate convention in their own argument, which is enough to
 cancel poles against zeros order by order and to read off finite limits
 up to the direction of approach.
+
+A ``GammaStack`` holds many such values as arrays, for coefficient
+formulas evaluated over a stack of block labels at once.  Its single net
+order (poles minus zeros) carries what a ``GammaValue`` keeps as two
+reduced orders: orders only add under products, so the net is enough.
 """
 
 from __future__ import annotations
@@ -97,11 +102,7 @@ def nearest_nonpositive_int(x: float, tol: float = _INT_TOL):
 
 def gamma_value(x: float, tol: float = _INT_TOL) -> GammaValue:
     """Gamma(x) as a GammaValue; at x = -m it is the unit-rate pole."""
-    m = nearest_nonpositive_int(x, tol)
-    if m is not None:
-        mm = -m
-        return GammaValue(-float(gammaln(mm + 1)), 1 if mm % 2 == 0 else -1, pole_order=1)
-    return GammaValue(float(gammaln(x)), int(gammasgn(x)))
+    return gamma_stack(x, tol)[()]
 
 
 def pochhammer_value(a: float, m: int, tol: float = _INT_TOL) -> GammaValue:
@@ -110,12 +111,7 @@ def pochhammer_value(a: float, m: int, tol: float = _INT_TOL) -> GammaValue:
     Factors within ``tol`` of zero are counted as unit-rate zeros, so the
     result composes correctly with Gamma poles.
     """
-    if m < 0:
-        raise InvalidParams("Pochhammer length must be nonnegative")
-    out = one()
-    for i in range(m):
-        out = out * from_real_snapped(a + i, tol)
-    return out
+    return pochhammer_stack(a, m, tol)[()]
 
 
 def from_real_snapped(x: float, tol: float = _INT_TOL) -> GammaValue:
@@ -123,3 +119,87 @@ def from_real_snapped(x: float, tol: float = _INT_TOL) -> GammaValue:
     if abs(x) <= tol:
         return GammaValue(0.0, 1, zero_order=1)
     return from_real(x)
+
+
+# ---------------------------------------------------------------------------
+# Stacks of values
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GammaStack:
+    """Arrays of leading coefficients (sign, log magnitude) and net orders.
+
+    ``order`` is poles minus zeros: positive entries are poles, negative
+    ones zeros.  Products broadcast like the arrays they hold.
+    """
+
+    log_abs: np.ndarray
+    sign: np.ndarray
+    order: np.ndarray
+
+    @property
+    def is_pole(self) -> np.ndarray:
+        return self.order > 0
+
+    @property
+    def is_zero(self) -> np.ndarray:
+        return self.order < 0
+
+    def __mul__(self, other: "GammaStack") -> "GammaStack":
+        return GammaStack(
+            self.log_abs + other.log_abs, self.sign * other.sign, self.order + other.order
+        )
+
+    def __truediv__(self, other: "GammaStack") -> "GammaStack":
+        return GammaStack(
+            self.log_abs - other.log_abs, self.sign * other.sign, self.order - other.order
+        )
+
+    def prod(self, axis: int) -> "GammaStack":
+        """The product of the values along ``axis``."""
+        return GammaStack(
+            self.log_abs.sum(axis), self.sign.prod(axis), self.order.sum(axis)
+        )
+
+    def __getitem__(self, index) -> GammaValue:
+        net = int(self.order[index])
+        return GammaValue(
+            float(self.log_abs[index]), int(self.sign[index]), max(net, 0), max(-net, 0)
+        )
+
+
+def gamma_stack(x, tol: float = _INT_TOL) -> GammaStack:
+    """Gamma at every entry of x; entries within ``tol`` of -m are unit-rate poles."""
+    x = np.asarray(x, dtype=float)
+    m = np.rint(x)
+    pole = (m <= 0) & (np.abs(x - m) <= tol)
+    # Gamma(-n + eps) ~ (-1)^n / (n! eps), and n! = Gamma(1 - m) at m = -n
+    arg = np.where(pole, 1.0 - m, x)
+    log_abs = gammaln(arg)
+    odd = (np.where(pole, m, 0.0).astype(np.int64) & 1).astype(bool)
+    sign = np.where(odd, -1, gammasgn(arg).astype(np.int64))
+    return GammaStack(np.where(pole, -log_abs, log_abs), sign, pole.astype(np.int64))
+
+
+def pochhammer_stack(a, m, tol: float = _INT_TOL) -> GammaStack:
+    """(a)_m at every entry, each with its own length m, factor by factor.
+
+    Factor i of an entry counts only while i < m there; factors within
+    ``tol`` of zero are unit-rate zeros, as in ``pochhammer_value``.
+    """
+    a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m))
+    if np.any(m < 0):
+        raise InvalidParams("Pochhammer length must be nonnegative")
+    log_abs = np.zeros(a.shape)
+    negative = np.zeros(a.shape, dtype=np.int64)
+    zeros = np.zeros(a.shape, dtype=np.int64)
+    for i in range(int(m.max(initial=0))):
+        x = a + i
+        live = i < m
+        zero = live & (np.abs(x) <= tol)
+        factor = live & ~zero
+        log_abs += np.log(np.abs(np.where(factor, x, 1.0)))
+        negative += factor & (x < 0)
+        zeros += zero
+    return GammaStack(log_abs, 1 - 2 * (negative % 2), -zeros)

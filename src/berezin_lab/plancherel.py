@@ -8,24 +8,33 @@ a Gamma-product factor V and a residual continuous density Q over the
 remaining p - r spectral variables.  All Gamma products run through the
 pole-aware arithmetic so that negative-integer degenerations reduce to
 order bookkeeping.
+
+C, V and W work on stacks: C and V on an (N, r) array of same-rank labels,
+W on an (N, p) array of points, each factor one array operation.  Q stays
+one block at a time, as the independent side of the r = 0 check against W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, pi
+from itertools import accumulate, count
+from math import comb, factorial, log, pi
+from operator import add
 
 import numpy as np
 from scipy.special import gammaln, loggamma, roots_jacobi
 
 from .errors import InvalidParams, OracleNotConverged, PoleOnContour
 from .gammaval import (
+    GammaStack,
     GammaValue,
     from_real,
     from_real_snapped,
+    gamma_stack,
     gamma_value,
     nearest_nonpositive_int,
     one,
+    pochhammer_stack,
     pochhammer_value,
 )
 
@@ -61,8 +70,20 @@ def block_index(u) -> BlockIndex:
     u = tuple(int(x) for x in u)
     if any(x < 0 for x in u):
         raise InvalidParams("block labels are nonnegative integers")
-    w = tuple(sum(u[: j + 1]) + (j + 1) / 2.0 for j in range(len(u)))
-    return BlockIndex(len(u), u, w)
+    return _block(u)
+
+
+def _block(u: tuple[int, ...]) -> BlockIndex:
+    """The BlockIndex of a checked label tuple; w_j = u_1 + ... + u_j + j/2 by one running sum."""
+    return BlockIndex(len(u), u, tuple(map(add, accumulate(u), count(0.5, 0.5))))
+
+
+def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
+    """The labels of ``blocks`` as one (N, r) integer array per rank, in order of rank."""
+    by_rank: dict[int, list] = {}
+    for b in blocks:
+        by_rank.setdefault(b.r, []).append(b.u)
+    return [(r, np.array(us, dtype=np.int64).reshape(len(us), r)) for r, us in by_rank.items()]
 
 
 # Most blocks one expansion may enumerate.  The count grows like
@@ -94,9 +115,9 @@ def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[Bloc
             f"{count} blocks at (p, q, alpha) = ({params.p}, {params.q}, {params.alpha}) "
             f"exceed the budget of {BLOCK_BUDGET}"
         )
-    out = [block_index(())]
+    out = [_block(())]
     for r, top in tops.items():
-        out.extend(block_index(u) for total in range(top + 1) for u in _compositions(total, r))
+        out.extend(_block(u) for total in range(top + 1) for u in _compositions(total, r))
     return out
 
 
@@ -115,9 +136,9 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 
 
-def _log_abs_gamma_sq(z: complex) -> float:
-    """log |Gamma(z)|^2 for z off the pole set."""
-    return 2.0 * float(np.real(loggamma(z)))
+def _log_abs_gamma_sq(z):
+    """log |Gamma(z)|^2 at every entry of z, off the pole set."""
+    return 2.0 * np.real(loggamma(z))
 
 
 def _abs_gamma_sq_limit(x0: float, rate: float) -> GammaValue:
@@ -154,13 +175,16 @@ def _log_abs_poch_sq(z: complex, m: int) -> float:
     return total
 
 
-def _pair_interactions(s: np.ndarray) -> float:
-    total = 1.0
-    for k in range(s.size):
-        for l in range(k + 1, s.size):
-            dm, dp = s[k] - s[l], s[k] + s[l]
-            total *= (s[k] ** 2 - s[l] ** 2) * np.tanh(pi * dm / 2.0) * np.tanh(pi * dp / 2.0)
-    return float(total)
+def _pair_interactions(s: np.ndarray):
+    """The pair product over the last axis: a float for one point, an array for a stack."""
+    n = s.shape[-1]
+    total = np.ones(s.shape[:-1])
+    for k in range(n):
+        for l in range(k + 1, n):
+            sk, sl = s[..., k], s[..., l]
+            dm, dp = sk - sl, sk + sl
+            total = total * ((sk**2 - sl**2) * np.tanh(pi * dm / 2.0) * np.tanh(pi * dp / 2.0))
+    return total if total.ndim else float(total)
 
 
 def _collapse(gv: GammaValue, where: str) -> float | None:
@@ -177,38 +201,42 @@ def _collapse(gv: GammaValue, where: str) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def continuous_weight_o(params: PlancherelParams, s) -> float:
+def continuous_weight_o(params: PlancherelParams, s):
     """The spectral weight W(s) over p real parameters, orthogonal case.
 
     Per coordinate: |Gamma((alpha - (p+q)/2 + 1 + i s)/2)|^2 times, when
     q > p, the ratio |Gamma((q-p)/2 + i s)|^2 / |Gamma(i s)|^2 (for q = p
     the ratio cancels identically); pairs contribute
     (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2).
-    Coordinates at s = 0 are evaluated as limits: net zeros give an exact
-    zero, net poles raise PoleOnContour.
+    ``s`` is one point of shape (p,), giving a float, or an (N, p) stack,
+    giving an array of N weights.  Coordinates at s = 0 are evaluated as
+    limits, one constant for all of them: net zeros give an exact zero,
+    net poles raise PoleOnContour.
     """
     p, q, alpha = params.p, params.q, params.alpha
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (p,):
-        raise InvalidParams(f"need {p} spectral parameters, got shape {s.shape}")
+    s = np.asarray(s, dtype=float)
+    if s.ndim not in (1, 2) or s.shape[-1] != p:
+        raise InvalidParams(f"need {p} spectral parameters per point, got shape {s.shape}")
+    points = s.reshape(-1, p)
     arg0 = (alpha - (p + q) / 2.0 + 1.0) / 2.0
-    log_acc = 0.0
-    for k in range(p):
-        sk = float(s[k])
-        if abs(sk) > _ZERO_TOL:
-            log_acc += _log_abs_gamma_sq(arg0 + 0.5j * sk)
-            if q > p:
-                log_acc += _log_abs_gamma_sq((q - p) / 2.0 + 1j * sk)
-                log_acc -= _log_abs_gamma_sq(1j * sk)
-        else:
-            gv = _abs_gamma_sq_limit(arg0, 0.5)
-            if q > p:
-                gv = gv * _abs_gamma_sq_limit((q - p) / 2.0, 1.0) * _inv_abs_gamma_sq_zero(1.0)
-            piece = _collapse(gv, f"s[{k}] = 0")
-            if piece is None:
-                return 0.0
-            log_acc += piece
-    return float(np.exp(log_acc)) * _pair_interactions(s)
+    off = np.abs(points) > _ZERO_TOL
+    z = np.where(off, points, 1.0)  # placeholder at s = 0, where the limit below takes over
+    log_terms = _log_abs_gamma_sq(arg0 + 0.5j * z)
+    if q > p:
+        log_terms += _log_abs_gamma_sq((q - p) / 2.0 + 1j * z) - _log_abs_gamma_sq(1j * z)
+    on_zero = ~off.all(axis=1)
+    piece = 0.0
+    if on_zero.any():
+        gv = _abs_gamma_sq_limit(arg0, 0.5)
+        if q > p:
+            gv = gv * _abs_gamma_sq_limit((q - p) / 2.0, 1.0) * _inv_abs_gamma_sq_zero(1.0)
+        piece = _collapse(gv, "s = 0")
+    if piece is None:
+        weights = np.exp(log_terms.sum(axis=1)) * _pair_interactions(points)
+        weights[on_zero] = 0.0
+    else:
+        weights = np.exp(np.where(off, log_terms, piece).sum(axis=1)) * _pair_interactions(points)
+    return weights if s.ndim == 2 else float(weights[0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,52 +244,74 @@ def continuous_weight_o(params: PlancherelParams, s) -> float:
 # ---------------------------------------------------------------------------
 
 
-def coeff_C(u: BlockIndex, p: int) -> GammaValue:
-    """Combinatorial block factor C over the label (r, u)."""
-    r = u.r
+def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, w, w_prev) of an (N, r) label stack; a BlockIndex is the stack of one.
+
+    w holds the partial sums w_k = u_1 + ... + u_k + k/2 and w_prev the
+    shifted sums w_{k-1}, with w_0 = 0.
+    """
+    if isinstance(labels, BlockIndex):
+        u = np.array([labels.u], dtype=np.int64).reshape(1, labels.r)
+    else:
+        u = np.asarray(labels)
+        if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
+            raise InvalidParams(f"block labels must be an (N, r) integer array, got {u.shape}")
+        if np.any(u < 0):
+            raise InvalidParams("block labels are nonnegative integers")
+    r = u.shape[1]
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    out = from_real(2.0 ** (p - r) * factorial(p) * (2.0 * pi) ** r / factorial(p - r))
-    for uk in u.u:
-        out = out * from_real((-1.0) ** uk / factorial(uk))
-    for k in range(1, r + 1):
-        w_prev = u.w[k - 2] if k >= 2 else 0.0
-        for m in range(k + 1, r + 1):
-            out = out * gamma_value(0.5 + u.w[m - 1] - u.w[k - 1])
-            out = out / gamma_value(u.w[m - 1] - u.w[k - 1])
-            out = out / pochhammer_value(0.5 + w_prev - u.w[m - 1], u.u[k - 1])
-    return out
+    w = np.cumsum(u, axis=1) + np.arange(1, r + 1) / 2.0
+    return u, w, w - u - 0.5
 
 
-def coeff_V_o(alpha: float, u: BlockIndex, p: int, q: int) -> GammaValue:
+def _stack_result(labels, value: GammaStack):
+    """The GammaValue of a single BlockIndex, the whole stack otherwise."""
+    return value[0] if isinstance(labels, BlockIndex) else value
+
+
+def coeff_C(labels, p: int):
+    """Combinatorial block factor C over labels (r, u).
+
+    ``labels`` is a BlockIndex, giving a GammaValue, or an (N, r) integer
+    array of same-rank labels, giving a GammaStack of N values.
+    """
+    u, w, w_prev = _label_stack(labels, p)
+    r = u.shape[1]
+    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + gammaln(p + 1) - gammaln(p - r + 1)
+    # prod (-1)^u_k / u_k!, with log u_k! from gammaln so large labels do not overflow
+    out = GammaStack(
+        log_const - gammaln(u + 1.0).sum(axis=1),
+        1 - 2 * (u.sum(axis=1) % 2),
+        np.zeros(u.shape[0], dtype=np.int64),
+    )
+    k, m = np.triu_indices(r, 1)
+    gap = w[:, m] - w[:, k]
+    pairs = gamma_stack(0.5 + gap) / gamma_stack(gap)
+    pairs = pairs / pochhammer_stack(0.5 + w_prev[:, k] - w[:, m], u[:, k])
+    return _stack_result(labels, out * pairs.prod(axis=1))
+
+
+def coeff_V_o(alpha: float, labels, p: int, q: int):
     """Gamma-product block factor V, orthogonal case.
 
     Includes the 1/Gamma(alpha - m + 1) prefactor over m = 1..p, so the
     r = 0 block reproduces the continuous expansion's prefactor exactly
     and negative-integer alpha degenerations appear as net zero orders.
+    ``labels`` is a BlockIndex or an (N, r) stack, as for ``coeff_C``.
     """
-    if u.r > p:
-        raise InvalidParams(f"block rank {u.r} exceeds p = {p}")
+    u, w, w_prev = _label_stack(labels, p)
     half = (p + q) / 2.0
-    out = one()
-    for m in range(1, p + 1):
-        out = out / gamma_value(alpha - m + 1.0)
-    for k in range(1, u.r + 1):
-        wk = u.w[k - 1]
-        w_prev = u.w[k - 2] if k >= 2 else 0.0
-        out = out * gamma_value(alpha - p + 1.0 + 2.0 * wk)
-        out = out * gamma_value(-alpha + q - 1.0 - 2.0 * wk)
-        out = out / gamma_value(-alpha + half - 2.0 * wk)
-        out = out / pochhammer_value(alpha - half + wk + w_prev + 0.5, u.u[k - 1])
-    for k in range(1, u.r + 1):
-        w_prev = u.w[k - 2] if k >= 2 else 0.0
-        for m in range(k + 1, u.r + 1):
-            wm = u.w[m - 1]
-            wk = u.w[k - 1]
-            out = out * gamma_value(0.5 - alpha + half - wk - wm)
-            out = out / gamma_value(-alpha + half - wk - wm)
-            out = out / pochhammer_value(alpha - half + wm + w_prev + 0.5, u.u[k - 1])
-    return out
+    prefactor = gamma_stack(alpha - np.arange(p)).prod(axis=0)
+    singles = gamma_stack(alpha - p + 1.0 + 2.0 * w) * gamma_stack(-alpha + q - 1.0 - 2.0 * w)
+    singles = singles / gamma_stack(-alpha + half - 2.0 * w)
+    singles = singles / pochhammer_stack(alpha - half + w + w_prev + 0.5, u)
+    k, m = np.triu_indices(u.shape[1], 1)
+    both = w[:, k] + w[:, m]
+    pairs = gamma_stack(0.5 - alpha + half - both) / gamma_stack(-alpha + half - both)
+    pairs = pairs / pochhammer_stack(alpha - half + w[:, m] + w_prev[:, k] + 0.5, u[:, k])
+    out = singles.prod(axis=1) * pairs.prod(axis=1) / prefactor
+    return _stack_result(labels, out)
 
 
 def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
@@ -337,7 +387,7 @@ def coeff_CVQ_u(alpha: float, w, s, p: int, q: int) -> tuple[GammaValue, GammaVa
 
     c_val = from_real(2.0 ** (p - r) * factorial(p) * (2.0 * pi) ** r / factorial(p - r))
     for wk in w:
-        c_val = c_val * from_real((-1.0) ** wk / factorial(wk))
+        c_val = c_val * GammaValue(-float(gammaln(wk + 1)), 1 if wk % 2 == 0 else -1)
     for k in range(r):
         for l in range(k + 1, r):
             c_val = c_val * from_real_snapped(float((w[k] - w[l]) ** 2))
@@ -459,7 +509,7 @@ def rank1_plancherel_probe(
     a = (q - 3) / 2.0
     s = np.linspace(0.0, s_max, n_quad)
     params = PlancherelParams(1, q, alpha)
-    weight = np.array([continuous_weight_o(params, [sv]) for sv in s])
+    weight = continuous_weight_o(params, s[:, None])
 
     def phi(m: int) -> np.ndarray:
         """phi_s(t) on the s-grid (rows) at every t in ``ts`` (columns)."""

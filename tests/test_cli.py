@@ -466,6 +466,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    from berezin_lab import cli
+
+    seen = []
+    config = cli._config
+    monkeypatch.setattr(cli, "_config", lambda args: seen.append(args) or config(args))
+    target = tmp_path / "blocks.csv"
+    argv = ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"]
+    code, out = run_cli(capsys, *argv, "--tol", "z=5", "--format", "csv", "--out", str(target))
+    assert code == EXIT_PASS and out == ""
+    assert target.read_text().startswith("r,u,w")
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_PASS
+    assert len(json.loads(out)) == 6
+    assert (seen[0].tol, seen[0].format, seen[0].out) == (["z=5"], "csv", str(target))
+    assert (seen[1].tol, seen[1].format, seen[1].out) == ([], "json", None)
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_usage_errors_exit_three(capsys):
     cases = [
         ["nosuchcommand"],

@@ -1,11 +1,15 @@
+import functools
+import json
+import math
 from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
-from berezin_lab import plancherel
-from berezin_lab.errors import InvalidParams, OracleNotConverged
-from berezin_lab.gammaval import gamma_value
+from berezin_lab import cli, plancherel
+from berezin_lab.errors import InvalidParams, OracleNotConverged, PoleOnContour
+from berezin_lab.gammaval import GammaStack, GammaValue, gamma_value
 from berezin_lab.plancherel import (
     PlancherelParams,
     block_index,
@@ -14,6 +18,7 @@ from berezin_lab.plancherel import (
     coeff_Q_o,
     coeff_V_o,
     continuous_weight_o,
+    label_stacks,
     rank1_plancherel_probe,
     surviving_blocks,
 )
@@ -248,6 +253,257 @@ def test_unitary_degeneration_only_at_even_negatives():
 def test_unitary_repeated_labels_vanish():
     c, v, _ = coeff_CVQ_u(2.5, (1, 1), [], 2, 5)
     assert (c * v).is_zero
+
+
+# ---------------------------------------------------------------------------
+# Stacked C*V and W against factor-by-factor references
+# ---------------------------------------------------------------------------
+
+_POLE_TOL = 1e-9
+
+
+def _ref_gamma(x):
+    """(log |Gamma(x)|, sign, net order) by math.lgamma, with the unit-rate pole at -n."""
+    n = round(x)
+    if n <= 0 and abs(x - n) <= _POLE_TOL:
+        return -math.lgamma(1 - n), (-1) ** (-n), 1
+    sign = 1 if x > 0 else (-1) ** math.ceil(-x)
+    return math.lgamma(x), sign, 0
+
+
+def _ref_poch(a, length):
+    """(a)_length one factor at a time; factors within 1e-9 of zero are unit-rate zeros."""
+    log_abs, sign, order = 0.0, 1, 0
+    for i in range(length):
+        x = a + i
+        if abs(x) <= _POLE_TOL:
+            order -= 1
+        else:
+            log_abs += math.log(abs(x))
+            sign *= 1 if x > 0 else -1
+    return log_abs, sign, order
+
+
+@functools.cache
+def _reference_cv(alpha, u, p, q):
+    """C*V of one label tuple as (net order, sign, log magnitude), factor by factor."""
+    acc = [0.0, 1, 0]
+
+    def times(factor, power=1):
+        acc[0] += power * factor[0]
+        acc[1] *= factor[1]
+        acc[2] += power * factor[2]
+
+    r = len(u)
+    w = [sum(u[: j + 1]) + (j + 1) / 2 for j in range(r)]
+    w_prev = [0.0] + w[:-1]
+    half = (p + q) / 2
+    const = 2.0 ** (p - r) * math.factorial(p) * (2 * math.pi) ** r / math.factorial(p - r)
+    times((math.log(const), 1, 0))
+    for uk in u:
+        times((-math.lgamma(uk + 1), (-1) ** uk, 0))
+    for mm in range(1, p + 1):
+        times(_ref_gamma(alpha - mm + 1), -1)
+    for k in range(r):
+        times(_ref_gamma(alpha - p + 1 + 2 * w[k]))
+        times(_ref_gamma(-alpha + q - 1 - 2 * w[k]))
+        times(_ref_gamma(-alpha + half - 2 * w[k]), -1)
+        times(_ref_poch(alpha - half + w[k] + w_prev[k] + 0.5, u[k]), -1)
+        for m in range(k + 1, r):
+            times(_ref_gamma(0.5 + w[m] - w[k]))
+            times(_ref_gamma(w[m] - w[k]), -1)
+            times(_ref_poch(0.5 + w_prev[k] - w[m], u[k]), -1)
+            times(_ref_gamma(0.5 - alpha + half - w[k] - w[m]))
+            times(_ref_gamma(-alpha + half - w[k] - w[m]), -1)
+            times(_ref_poch(alpha - half + w[m] + w_prev[k] + 0.5, u[k]), -1)
+    return acc[2], acc[1], acc[0]
+
+
+def _reference_status(alpha, u, p, q):
+    order = _reference_cv(alpha, u, p, q)[0]
+    return "pole" if order > 0 else ("zero" if order < 0 else "finite")
+
+
+_CV_SWEEP = [
+    (4, 12, -3.0), (4, 12, -2.5), (5, 12, -12.0), (3, 7, -1.0), (2, 5, 0.4), (1, 3, -200.0),
+]
+
+
+@pytest.mark.parametrize("p,q,alpha", _CV_SWEEP)
+@pytest.mark.parametrize("strict", [True, False])
+def test_stacked_cv_matches_factor_by_factor_reference(p, q, alpha, strict):
+    blocks = surviving_blocks(PlancherelParams(p, q, alpha), strict)
+    checked = 0
+    for r, labels in label_stacks(blocks):
+        assert labels.shape == (sum(b.r == r for b in blocks), r)
+        cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+        assert isinstance(cv, GammaStack)
+        for i, u in enumerate(labels.tolist()):
+            order, sign, log_abs = _reference_cv(alpha, tuple(u), p, q)
+            assert cv.order[i] == order, u
+            assert cv.sign[i] == sign, u
+            assert abs(cv.log_abs[i] - log_abs) <= 1e-12 * max(abs(log_abs), 1.0), u
+            checked += 1
+    assert checked == len(blocks)
+
+
+def test_a_block_index_is_the_stack_of_one():
+    p, q, alpha = 4, 12, -2.5
+    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
+    stacks = dict(label_stacks(blocks))
+    for u in [(), (3,), (1, 0, 2), (0, 2, 0, 1)]:
+        b = block_index(u)
+        single = coeff_C(b, p) * coeff_V_o(alpha, b, p, q)
+        assert isinstance(single, GammaValue)
+        labels = stacks[b.r]
+        row = labels.tolist().index(list(u))
+        assert single == (coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q))[row]
+
+
+def test_label_stacks_keep_block_order():
+    blocks = surviving_blocks(PlancherelParams(3, 6, 0.25))
+    stacks = label_stacks(blocks)
+    assert [r for r, _ in stacks] == sorted({b.r for b in blocks})
+    flat = [(r, tuple(u)) for r, labels in stacks for u in labels.tolist()]
+    assert flat == [(b.r, b.u) for b in blocks]
+
+
+def test_stacked_labels_are_validated():
+    with pytest.raises(InvalidParams):
+        coeff_C(np.array([[0, -1]]), 2)
+    with pytest.raises(InvalidParams):
+        coeff_V_o(1.0, np.array([[0.5, 1.0]]), 2, 5)
+    with pytest.raises(InvalidParams):
+        coeff_V_o(1.0, np.array([0, 1]), 2, 5)
+    with pytest.raises(InvalidParams):
+        coeff_C(np.zeros((4, 3), dtype=int), 2)
+
+
+def test_large_labels_do_not_overflow():
+    # u! past 170 overflows a float; both orthogonal and unitary C take log u! instead
+    c = coeff_C(block_index((200,)), 1)
+    assert c.log_abs == pytest.approx(math.log(2 * math.pi) - math.lgamma(201), rel=1e-14)
+    assert c.sign == 1
+    cu, _, _ = coeff_CVQ_u(-200.0, (181,), [], 1, 3)
+    assert cu.log_abs == pytest.approx(math.log(2 * math.pi) - math.lgamma(182), rel=1e-14)
+    assert cu.sign == -1
+
+
+def _reference_weight(params, point):
+    """W at one point by the per-coordinate formula, s = 0 limits by explicit order counting."""
+    p, q, alpha = params.p, params.q, params.alpha
+    arg0 = (alpha - (p + q) / 2 + 1) / 2
+    log_acc, order = 0.0, 0
+    for sk in point:
+        if abs(sk) > 1e-12:
+            log_acc += 2 * loggamma(arg0 + 0.5j * sk).real
+            if q > p:
+                log_acc += 2 * loggamma((q - p) / 2 + 1j * sk).real
+                log_acc -= 2 * loggamma(1j * sk).real
+            continue
+        # |Gamma(arg0 + i eps/2)|^2 and, for q > p, |Gamma((q-p)/2)|^2 |i eps|^2
+        n = round(arg0)
+        if n <= 0 and abs(arg0 - n) <= _POLE_TOL:
+            log_acc += -2 * math.lgamma(1 - n) - 2 * math.log(0.5)
+            order += 2
+        else:
+            log_acc += 2 * math.lgamma(arg0)
+        if q > p:
+            log_acc += 2 * math.lgamma((q - p) / 2)
+            order -= 2
+    if order > 0:
+        raise PoleOnContour("net pole")
+    if order < 0:
+        return 0.0
+    pairs = 1.0
+    for k in range(p):
+        for l in range(k + 1, p):
+            sk, sl = point[k], point[l]
+            pairs *= (sk**2 - sl**2) * math.tanh(math.pi * (sk - sl) / 2) * math.tanh(
+                math.pi * (sk + sl) / 2
+            )
+    return math.exp(log_acc) * pairs
+
+
+@pytest.mark.parametrize("p,q,alpha", [
+    (5, 12, 3.0),   # s = 0 gives an exact zero
+    (2, 5, 2.5),    # alpha = h: the double pole cancels, finite limit
+    (2, 5, 4.0),
+    (2, 2, 2.0),    # q = p: no ratio factor, finite limit
+    (3, 3, 0.5),
+    (1, 3, 2.0),
+])
+def test_stacked_weight_matches_per_point_reference(p, q, alpha):
+    params = PlancherelParams(p, q, alpha)
+    rng = np.random.default_rng(p * 100 + q)
+    points = rng.uniform(-6.0, 6.0, size=(200, p))
+    points[:20, 0] = 0.0
+    points[20:25] = 0.0
+    points[25:30, -1] = points[25:30, 0]  # coincident coordinates: the pair factor vanishes
+    weights = continuous_weight_o(params, points)
+    assert weights.shape == (200,)
+    for point, w in zip(points.tolist(), weights.tolist()):
+        ref = _reference_weight(params, point)
+        if ref == 0.0 and 0.0 in point:
+            assert w == 0.0
+        else:
+            assert abs(w - ref) <= 1e-12 * abs(ref) + 1e-300
+        assert continuous_weight_o(params, point) == w
+    assert isinstance(continuous_weight_o(params, points[30]), float)
+
+
+def test_stacked_weight_exact_zero_and_pole_rows():
+    # (5, 12, 3): generic alpha, q > p, so a zero coordinate gives an exact 0.0
+    params = PlancherelParams(5, 12, 3.0)
+    s1 = [0.0, 0.7, 1.3, 6.1, 9.9]
+    grid = np.column_stack([s1, np.tile([2.0, 3.0, 4.0, 5.0], (len(s1), 1))])
+    weights = continuous_weight_o(params, grid)
+    assert weights[0] == 0.0 and np.all(weights[1:] > 0.0)
+    # q = p and alpha = h: |Gamma(i s/2)|^2 has a double pole at s = 0 with nothing to cancel it
+    params = PlancherelParams(2, 2, 1.0)
+    off = np.array([[0.7, 1.9], [1.3, 0.2]])
+    assert np.all(np.isfinite(continuous_weight_o(params, off)))
+    with pytest.raises(PoleOnContour):
+        continuous_weight_o(params, np.vstack([off, [[0.0, 1.1]]]))
+    with pytest.raises(PoleOnContour):
+        _reference_weight(params, [0.0, 1.1])
+    with pytest.raises(InvalidParams):
+        continuous_weight_o(params, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("p,q,alpha", _CV_SWEEP + [(3, 3, -4.0), (2, 2, -2.0)])
+def test_degeneration_report_matches_the_reference(capsys, p, q, alpha):
+    code = cli.main(["plancherel", "degeneration", "--p", str(p), "--q", str(q),
+                     "--alpha", f"{alpha:g}"])
+    doc = json.loads(capsys.readouterr().out)
+    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
+    rows = doc["inputs"]["blocks"]
+    assert [(row["r"], tuple(row["u"])) for row in rows] == [(b.r, b.u) for b in blocks]
+    statuses = [_reference_status(alpha, b.u, p, q) for b in blocks]
+    assert [row["status"] for row in rows] == statuses
+    low_rank_alive = sum(s != "zero" for b, s in zip(blocks, statuses) if b.r < p)
+    full_rank_finite = sum(s == "finite" for b, s in zip(blocks, statuses) if b.r == p)
+    assert doc["observed"] == low_rank_alive
+    if alpha == round(alpha):
+        ok = low_rank_alive == 0 and full_rank_finite > 0
+    else:
+        ok = "pole" not in statuses
+    # at q = p some low-rank blocks survive a negative integer alpha: the check fails there
+    assert ok == ((p, q) != (3, 3) and (p, q) != (2, 2))
+    assert doc["verdict"] == ("pass" if ok else "fail")
+    assert code == (cli.EXIT_PASS if ok else cli.EXIT_FAIL)
+
+
+def test_degeneration_at_very_negative_alpha(capsys):
+    # (-1)^u / u! overflowed a float past u = 170 and crashed the command
+    code = cli.main(["plancherel", "degeneration", "--p", "1", "--q", "3", "--alpha", "-200"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_PASS
+    assert doc["verdict"] == "pass"
+    rows = doc["inputs"]["blocks"]
+    assert len(rows) == 202
+    assert rows[0] == {"r": 0, "u": [], "status": "zero"}
+    assert sum(row["status"] == "finite" for row in rows if row["r"] == 1) == 200
 
 
 # ---------------------------------------------------------------------------
