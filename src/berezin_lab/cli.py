@@ -16,7 +16,9 @@ import time
 
 import numpy as np
 
-from . import __version__, berezin, compact, hermitization, integrals, plancherel
+# Each command imports the library module it runs inside its own body, so
+# start-up and the commands that need no Gamma function load no SciPy.
+from . import __version__, compact
 from .ball import random_ball_point, random_pseudo_orthogonal
 from .errors import BerezinLabError, InvalidParams
 from .reporting import (
@@ -255,6 +257,8 @@ def _matrix_entries(m: np.ndarray) -> list:
 
 def cmd_verify_integral(cfg: RunConfig, group: str, n: int, lam, mu=None) -> int:
     """Closed form(s) against Monte Carlo, and quadrature where available."""
+    from . import integrals
+
     t0 = time.perf_counter()
     inputs: dict = {"group": group, "n": n, "lambda": list(lam), "samples": cfg.n_samples}
     evaluations: dict = {}
@@ -292,6 +296,8 @@ def cmd_verify_integral(cfg: RunConfig, group: str, n: int, lam, mu=None) -> int
 
 def cmd_kernel(cfg: RunConfig, sub: str, p: int, q: int, alpha: float) -> int:
     """One kernel check over ``cfg.n_samples`` samples drawn as stacks; NaN evidence fails."""
+    from . import berezin
+
     t0 = time.perf_counter()
     inputs = {"p": p, "q": q, "alpha": alpha, "samples": cfg.n_samples}
     gen = as_generator(cfg.seed)
@@ -326,6 +332,8 @@ def cmd_kernel(cfg: RunConfig, sub: str, p: int, q: int, alpha: float) -> int:
 
 
 def cmd_boundary_probe(cfg: RunConfig, p: int, q: int, r: int, alpha: float) -> int:
+    from . import berezin
+
     t0 = time.perf_counter()
     threshold = berezin.restriction_threshold(p, q, r)
     mc = berezin.restriction_probe(p, q, r, alpha, cfg.n_samples, cfg.seed)
@@ -352,6 +360,8 @@ def cmd_boundary_probe(cfg: RunConfig, p: int, q: int, r: int, alpha: float) -> 
 
 
 def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float) -> int:
+    from . import plancherel
+
     t0 = time.perf_counter()
     if sub == "rank1":
         # deterministic quadrature: --samples and --seed do not enter.  A
@@ -437,6 +447,8 @@ def cmd_plancherel(cfg: RunConfig, sub: str, p: int | None, q: int, alpha: float
 
 
 def cmd_catalog(cfg: RunConfig, self_test_corrupt: bool = False) -> int:
+    from . import hermitization
+
     t0 = time.perf_counter()
     rows = []
     pairs = hermitization.catalog()
@@ -444,16 +456,7 @@ def cmd_catalog(cfg: RunConfig, self_test_corrupt: bool = False) -> int:
         pairs = pairs[:7] + [hermitization.corrupted_pair()] + pairs[8:]
     mismatches = 0
     for pair in pairs:
-        ok_all = True
-        for n in range(1, 9):
-            params = {"n": n} if pair.params == ("n",) else None
-            if params is not None:
-                ok_all &= hermitization.dims_match(pair, params)
-            else:
-                for p in range(1, 9):
-                    for q in range(1, 9):
-                        ok_all &= hermitization.dims_match(pair, {"p": p, "q": q})
-                break
+        ok_all = hermitization.sweep_ok(pair, upto=8)
         mismatches += 0 if ok_all else 1
         example = {name: 2 for name in pair.params}
         rows.append(

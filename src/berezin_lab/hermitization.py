@@ -12,6 +12,7 @@ only SO*(4n)/U(2n) matches it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Callable
 
 from .errors import InvalidParams
@@ -74,6 +75,16 @@ def dims_match(pair: SymmetricPair, params: dict[str, int]) -> bool:
             raise InvalidParams(f"parameter {name!r} must be a positive integer")
     args = {name: params[name] for name in pair.params}
     return pair.dim_real(**args) == pair.dim_cplx(**args)
+
+
+def sweep_ok(pair: SymmetricPair, *, upto: int) -> bool:
+    """Whether the dimensions agree at every parameter tuple in 1..upto.
+
+    The whole grid is checked with no early exit, so a sweep always makes
+    upto ** len(pair.params) calls of ``dims_match``.
+    """
+    grid = product(range(1, upto + 1), repeat=len(pair.params))
+    return all([dims_match(pair, dict(zip(pair.params, values))) for values in grid])
 
 
 def corrupted_pair() -> SymmetricPair:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from math import ceil, log, sqrt
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch, corner_pivots
@@ -317,7 +316,11 @@ def so_integral_quadrature(n: int, lam) -> float:
 
 
 def _alg_weight_integral(alpha: float, beta: float) -> float:
-    # int_{-1}^{1} (1+x)^alpha (1-x)^beta dx via the QAWS algorithm
+    # int_{-1}^{1} (1+x)^alpha (1-x)^beta dx via the QAWS algorithm.
+    # scipy.integrate is imported here, the only place that needs it,
+    # because importing it costs several times the rest of the library.
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda _x: 1.0,
         -1.0,

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from math import isinf
 from typing import Any
 
 import numpy as np
@@ -88,7 +89,17 @@ class VerificationReport:
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays and non-finite floats."""
+    """Recursively coerce numpy scalars/arrays and non-finite floats.
+
+    Plain str, int, bool, None and float, which make up most report rows,
+    are dispatched on their exact type before the isinstance chain that
+    numpy types and subclasses of the builtins go through.
+    """
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
+        return value
+    if kind is float:
+        return _json_float(value)
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -96,16 +107,20 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
-        value = float(value)
-        if value != value:
-            return "nan"
-        if value in (float("inf"), float("-inf")):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return _json_float(float(value))
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
+    return value
+
+
+def _json_float(value: float) -> float | str:
+    """A finite float as is; NaN and the infinities by name, which JSON lacks."""
+    if value != value:
+        return "nan"
+    if isinf(value):
+        return "inf" if value > 0 else "-inf"
     return value
 
 

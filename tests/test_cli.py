@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -511,3 +512,50 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+# Runs each argv through main in order in one fresh interpreter and prints,
+# after each, the scipy modules loaded so far.  Modules only accumulate, so a
+# module absent after a command was loaded by none of the commands before it.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from berezin_lab.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_import_only_the_library_modules_they_run():
+    no_scipy = [
+        ["--version"],
+        ["haar", "so", "--n", "2", "--samples", "1"],
+        ["catalog"],
+        ["ledger"],
+    ]
+    no_quadrature = [
+        ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--samples", "50"],
+        ["boundary", "probe", "--p", "2", "--q", "3", "--r", "1", "--alpha", "0.5",
+         "--samples", "100"],
+        ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
+    ]
+    quadrature = [["integral", "so", "--n", "2", "--lambda", "1,0", "--samples", "100"]]
+    argvs = no_scipy + no_quadrature + quadrature
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv, loaded in zip(argvs, json.loads(proc.stdout), strict=True):
+        if argv in no_scipy:
+            assert loaded == [], argv
+        elif argv in no_quadrature:
+            assert "scipy.integrate" not in loaded, argv
+        else:  # the positive control: the probe does see what a command loads
+            assert "scipy.integrate" in loaded, argv

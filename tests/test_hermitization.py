@@ -1,7 +1,8 @@
 import pytest
 
+from berezin_lab import hermitization
 from berezin_lab.errors import InvalidParams
-from berezin_lab.hermitization import catalog, corrupted_pair, dims_match
+from berezin_lab.hermitization import catalog, corrupted_pair, dims_match, sweep_ok
 
 
 def test_catalog_has_twelve_rows_with_distinct_indices():
@@ -31,6 +32,20 @@ def test_corrupted_row_fails_for_every_parameter_value():
     for value in range(1, 9):
         params = {name: value for name in bad.params}
         assert not dims_match(bad, params)
+
+
+def test_sweep_checks_the_whole_grid_without_stopping_at_a_mismatch(monkeypatch):
+    calls = []
+    original = hermitization.dims_match
+    monkeypatch.setattr(hermitization, "dims_match",
+                        lambda pair, params: calls.append(params) or original(pair, params))
+    assert not sweep_ok(corrupted_pair(), upto=8)
+    assert calls == [{"n": n} for n in range(1, 9)]  # every n, although n = 1 already fails
+    calls.clear()
+    row2 = catalog()[1]
+    assert row2.params == ("p", "q") and sweep_ok(row2, upto=8)
+    assert calls == [{"p": p, "q": q} for p in range(1, 9) for q in range(1, 9)]
+    assert all(sweep_ok(row, upto=8) for row in catalog())
 
 
 def test_quaternionic_row_doubles_to_the_four_n_form():
