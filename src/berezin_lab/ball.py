@@ -198,6 +198,8 @@ def boost(p: int, q: int, t: np.ndarray) -> PseudoOrthogonalElement:
 
     Rapidities of shape (..., p) give a stack of boosts.
     """
+    if p > q:
+        raise InvalidParams(f"need p <= q, got ({p}, {q})")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[-1:] != (p,):
         raise InvalidParams(f"boost needs {p} rapidities, got shape {t.shape}")

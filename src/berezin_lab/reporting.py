@@ -1,11 +1,12 @@
 """Run configuration and verification-report serialization.
 
 Reports carry a fixed top-level field set (command, inputs, expected,
-observed, stderr, z_score, verdict, duration, seed, version).  ``expected``
-is either a target value, when a z-score criterion applies, or a two-sided
-interval [lo, hi] with None for an open side.  JSON key order is fixed and
-CSV is the flat projection of the same fields, so equal seeds reproduce
-reports byte for byte apart from ``duration``.
+observed, stderr, z_score, verdict, duration, seed, version, then samples
+when set).  ``expected`` is either a target value, when a z-score
+criterion applies, or a two-sided interval [lo, hi] with None for an open
+side.  JSON key order is fixed and CSV is the flat projection of the same
+fields, so equal seeds reproduce reports byte for byte apart from
+``duration``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ class VerificationReport:
     duration: float | None
     seed: int
     version: str = __version__
+    samples: Any = None  # the drawn samples themselves, when a command emits them
 
     def to_dict(self) -> dict[str, Any]:
         out = {
@@ -85,6 +87,8 @@ class VerificationReport:
         }
         if out["duration"] is None:
             del out["duration"]
+        if self.samples is not None:
+            out["samples"] = jsonable(self.samples)
         return out
 
 

@@ -218,6 +218,8 @@ def test_boost_composition_adds_rapidity():
     assert np.allclose(gh.matrix, direct.matrix, atol=1e-12)
     with pytest.raises(InvalidParams):
         boost(2, 3, np.array([0.5]))
+    with pytest.raises(InvalidParams):  # p > q: more boost planes than the q side holds
+        boost(3, 2, np.zeros(3))
 
 
 def test_shape_mismatches_are_rejected():

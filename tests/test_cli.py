@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -34,7 +35,9 @@ def test_haar_so_report_shape(capsys):
     assert doc["inputs"]["realization"] == "real"
     assert doc["verdict"] == "pass"
     assert doc["seed"] == 5
-    assert "duration" not in doc
+    # a report without duration, then the matrices themselves
+    assert list(doc) == ["command", "inputs", "expected", "observed", "stderr", "z_score",
+                         "verdict", "seed", "version", "samples"]
     assert len(doc["samples"]) == 2
     assert len(doc["samples"][0]) == 3
 
@@ -447,7 +450,7 @@ def test_ledger_cited_tests_exist():
         for row in ledger_rows()
         for m in re.finditer(r"(tests/\w+\.py)::(\w+)", row["evidence"])
     ]
-    assert cited
+    assert all(re.search(r"tests/\w+\.py::\w+", row["evidence"]) for row in ledger_rows())
     for path, name in cited:
         source = (root / path).read_text(encoding="utf-8")
         assert re.search(rf"^def {name}\(", source, re.M), f"{path}::{name}"
@@ -487,6 +490,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys,
 
 
 def test_usage_errors_exit_three(capsys):
+    blocks = ["plancherel", "blocks", "--p", "2", "--q", "3", "--alpha"]
     cases = [
         ["nosuchcommand"],
         ["integral", "so", "--n", "2"],  # missing --lambda
@@ -497,11 +501,100 @@ def test_usage_errors_exit_three(capsys):
         ["boundary", "probe", "--p", "2", "--q", "4", "--r", "5", "--alpha", "1"],
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=-1"],
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "zzz"],
+        # malformed values are refused before any command runs
+        ["integral", "so", "--n", "2", "--lambda", ","],
+        ["kernel", "gram", "--p", "0", "--q", "3", "--alpha", "1"],
+        ["kernel", "covariance", "--p", "0", "--q", "3", "--alpha", "1"],
+        ["kernel", "domination", "--p", "0", "--q", "3", "--alpha", "1"],
+        ["kernel", "covariance", "--p", "3", "--q", "2", "--alpha", "1"],
+        [*blocks, "nan"],
+        ["plancherel", "weight", "--p", "2", "--q", "3", "--alpha", "nan"],
+        ["plancherel", "degeneration", "--p", "2", "--q", "3", "--alpha", "inf"],
+        ["plancherel", "rank1", "--q", "3", "--alpha", "nan"],
+        ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "nan"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=abc"],
+        ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "nan"],
+        ["boundary", "probe", "--p", "2", "--q", "4", "--r", "-1", "--alpha", "1"],
+        ["integral", "so", "--n", "2", "--lambda", "nan,0"],
+        ["integral", "u", "--n", "1", "--lambda", "1", "--mu", "x"],
+        # commands that draw nothing take neither --samples nor --seed
+        [*blocks, "0.4", "--samples", "5"],
+        ["plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha", "-2", "--seed", "1"],
+        ["catalog", "--samples", "5"],
+        ["ledger", "--seed", "1"],
     ]
     for argv in cases:
         code = main(argv)
-        capsys.readouterr()
+        captured = capsys.readouterr()
         assert code == EXIT_USAGE, argv
+        assert captured.out == "", argv
+        # one line, never a traceback
+        assert captured.err.startswith("berezin-lab") and captured.err.count("\n") == 1, argv
+
+
+# A tiny budget for every command of the table; commands that draw take a seed.
+_RUNNER_CASES = {
+    ("haar", "so"): ["--n", "2", "--samples", "2", "--seed", "3"],
+    ("haar", "u"): ["--n", "2", "--samples", "2", "--seed", "3"],
+    ("haar", "sp"): ["--n", "1", "--samples", "2", "--seed", "3"],
+    ("integral", "so"): ["--n", "2", "--lambda", "1,0", "--samples", "300", "--seed", "3"],
+    ("integral", "u"): ["--n", "2", "--lambda", "1,0", "--mu", "0,1", "--samples", "300",
+                        "--seed", "3"],
+    ("integral", "sp"): ["--n", "1", "--lambda", "2", "--samples", "300", "--seed", "3"],
+    ("kernel", "gram"): ["--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "4",
+                         "--seed", "3"],
+    ("kernel", "witness"): ["--p", "2", "--q", "3", "--alpha", "0.5", "--samples", "20",
+                            "--seed", "3"],
+    ("kernel", "covariance"): ["--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "8",
+                               "--seed", "3"],
+    ("kernel", "domination"): ["--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "20",
+                               "--seed", "3"],
+    ("boundary", "probe"): ["--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0", "--samples",
+                            "500", "--seed", "3"],
+    ("plancherel", "blocks"): ["--p", "2", "--q", "5", "--alpha", "0.4"],
+    ("plancherel", "weight"): ["--p", "2", "--q", "5", "--alpha", "2.5", "--samples", "5",
+                               "--seed", "3"],
+    ("plancherel", "degeneration"): ["--p", "3", "--q", "3", "--alpha", "-4"],
+    ("plancherel", "rank1"): ["--q", "3", "--alpha", "2", "--samples", "10", "--seed", "3"],
+    ("catalog",): ["--self-test-corrupt"],
+    ("ledger",): [],
+}
+
+
+def _parser_commands():
+    """Every (command, subcommand) path of the CLI's parser."""
+    from berezin_lab import cli
+
+    def paths(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return [prefix]
+        return [p for name, sub in subs[0].choices.items() for p in paths(sub, (*prefix, name))]
+
+    return paths(cli._build_parser(), ())
+
+
+def test_runner_cases_cover_the_parser():
+    assert sorted(_parser_commands()) == sorted(_RUNNER_CASES)
+
+
+@pytest.mark.parametrize("path", sorted(_RUNNER_CASES), ids=" ".join)
+def test_runner_renders_every_command_in_both_formats(capsys, path):
+    argv = [*path, *_RUNNER_CASES[path]]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    if isinstance(doc, dict):  # a report: the exit code follows its verdict
+        assert code == (EXIT_FAIL if doc["verdict"] == "fail" else EXIT_PASS)
+    else:  # a table without a report
+        assert code == EXIT_PASS and doc
+    csv_code, csv_out = run_cli(capsys, *argv, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert rows and csv_code == code
+    if path[0] in ("haar", "catalog", "ledger") or path[-1] in ("blocks", "weight"):
+        assert "verdict" not in rows[0]  # the command's own rows
+    else:  # the report, flattened to one row
+        assert list(rows[0]) == list(doc) and len(rows) == 1
+        assert rows[0]["verdict"] == doc["verdict"]
 
 
 def test_console_script_entry_point():
