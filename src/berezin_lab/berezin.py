@@ -11,6 +11,7 @@ orbits against the closed form of the matching Haar integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,13 +26,7 @@ from .ball import (
 )
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
-from .integrals import (
-    MCEstimate,
-    _corner_logdets,
-    _mc_reduce,
-    _resample_until_valid,
-    so_integral_closed_form,
-)
+from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
 from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
@@ -429,14 +424,5 @@ def restriction_probe(p: int, q: int, r: int, alpha: float, n_samples: int, rng=
     bound, which ``max_abs`` makes visible.
     """
     _check_boundary_params(p, q, r)
-    n = q + r
     m = p - r
-
-    def evaluate(mats):
-        _, logdets, ok = _corner_logdets(mats, m, real=True)
-        return np.exp(-alpha * logdets[:, -1]), ok
-
-    def block(gen, count):
-        return _resample_until_valid(lambda c, g: _haar_so_batch(n, c, g), evaluate, gen, count)
-
-    return _mc_reduce(block, n_samples, rng)
+    return corner_power_mc(partial(_haar_so_batch, q + r), m, np.full(m, -alpha), n_samples, rng)

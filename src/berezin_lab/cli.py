@@ -82,6 +82,7 @@ _OPTIONS = {
     "alpha": {"type": _number(float, math.isfinite, "a finite real"), "required": True},
     "lambda": {"dest": "lam", "type": _VECTOR, "required": True, "help": "exponent vector, CSV"},
     "mu": {"type": _VECTOR, "default": None, "help": "conjugate exponents, CSV"},
+    "seed": {"type": int, "default": None},
     "self-test-corrupt": {"action": "store_true",
                           "help": "sweep a deliberately corrupted row; must detect the mismatch"},
 }
@@ -136,7 +137,8 @@ def cmd_haar(cfg: RunConfig, args):
     group, n = args.subcommand, args.n
     field = _FIELD_BY_GROUP[group]
     mats = compact.haar_sample_batch(field, n, cfg.n_samples, cfg.seed)
-    worst = max(compact.CompactGroupElement(field, n, m).unitarity_residual() for m in mats)
+    gram = np.conj(np.swapaxes(mats, 1, 2)) @ mats
+    worst = float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
     tol = cfg.tol("res", 1e-12)
     rows = samples = None
     if cfg.format == "csv":
@@ -440,24 +442,24 @@ _HELP = {
     "catalog": "hermitization dimension table",
     "ledger": "formula adjudication table",
 }
-# (command, subcommand, run, options, default --samples).  A command with no
-# default takes neither --samples nor --seed: nothing it computes is drawn.
+# (command, subcommand, run, options, default --samples).  Only a command
+# with a default takes --samples, and only one that lists "seed" takes --seed.
 _COMMANDS = [
-    ("haar", "so", cmd_haar, ("n",), 5),
-    ("haar", "u", cmd_haar, ("n",), 5),
-    ("haar", "sp", cmd_haar, ("n",), 5),
-    ("integral", "so", cmd_integral, ("n", "lambda"), DEFAULT_SAMPLES),
-    ("integral", "u", cmd_integral, ("n", "lambda", "mu"), DEFAULT_SAMPLES),
-    ("integral", "sp", cmd_integral, ("n", "lambda"), DEFAULT_SAMPLES),
-    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha"), 50),
-    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha"), 1000),
-    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha"), 200),
-    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha"), 10_000),
-    ("boundary", "probe", cmd_boundary_probe, ("p", "q", "r", "alpha"), DEFAULT_SAMPLES),
+    ("haar", "so", cmd_haar, ("n", "seed"), 5),
+    ("haar", "u", cmd_haar, ("n", "seed"), 5),
+    ("haar", "sp", cmd_haar, ("n", "seed"), 5),
+    ("integral", "so", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES),
+    ("integral", "u", cmd_integral, ("n", "lambda", "mu", "seed"), DEFAULT_SAMPLES),
+    ("integral", "sp", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES),
+    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha", "seed"), 50),
+    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha", "seed"), 1000),
+    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha", "seed"), 200),
+    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha", "seed"), 10_000),
+    ("boundary", "probe", cmd_boundary_probe, ("p", "q", "r", "alpha", "seed"), DEFAULT_SAMPLES),
     ("plancherel", "blocks", cmd_plancherel_blocks, ("p", "q", "alpha"), None),
     ("plancherel", "weight", cmd_plancherel_weight, ("p", "q", "alpha"), 101),
     ("plancherel", "degeneration", cmd_plancherel_degeneration, ("p", "q", "alpha"), None),
-    ("plancherel", "rank1", cmd_plancherel_rank1, ("q", "alpha"), DEFAULT_SAMPLES),
+    ("plancherel", "rank1", cmd_plancherel_rank1, ("q", "alpha", "seed"), DEFAULT_SAMPLES),
     ("catalog", None, cmd_catalog, ("self-test-corrupt",), None),
     ("ledger", None, cmd_ledger, (), None),
 ]
@@ -480,7 +482,6 @@ def _build_parser() -> _Parser:
             sp.add_argument(f"--{name}", **_OPTIONS[name])
         if samples is not None:
             sp.add_argument("--samples", type=int, default=samples)
-            sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--tol", action="append", default=[], metavar="NAME=REAL")

@@ -9,13 +9,16 @@ Three independent evaluation routes are kept deliberately separate:
 
 The Monte Carlo engine draws each logical block of 4096 samples from its
 own seeded substream and merges block partials in block order, so a fixed
-seed gives a bit-identical result.  Every evaluator reads its corner
-determinants off one batched elimination, ``compact.corner_pivots``.
+seed gives a bit-identical result.  Every estimate is one call to
+``corner_power_mc``, which raises the corner pivots of one batched
+elimination, ``compact.corner_pivots``, to one exponent vector per family,
+and every closed form is one vectorised Gamma ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -46,8 +49,8 @@ class MCEstimate:
     n_samples: int
     seed: int
     n_resamples: int = 0
-    imag_mean: float | None = None
-    max_abs: float | None = None
+    imag_mean: float = 0.0
+    max_abs: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +58,50 @@ class MCEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _exponents(lam, n: int, name: str = "lambda") -> np.ndarray:
+def _exponents(lam, n: int, name: str = "lambda", n_min: int = 1) -> np.ndarray:
+    if n < n_min:
+        raise InvalidParams(f"need n >= {n_min}")
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (n,):
         raise InvalidParams(f"{name} must have length n = {n}, got shape {lam.shape}")
     return lam
 
 
-def _require_trailing_zero(lam: np.ndarray) -> None:
-    # The real-case identity normalizes the last exponent to zero; the
-    # integrand only sees differences, so shift the whole vector first.
+# ---------------------------------------------------------------------------
+# Closed forms
+# ---------------------------------------------------------------------------
+
+
+def _gamma_ratio(num, den, what: str) -> float:
+    """prod Gamma(num) / prod Gamma(den) over (factors, args) arrays.
+
+    Row k - 1 holds the arguments of factor k.  Each integral converges
+    exactly where every argument is positive; elsewhere the DomainError
+    names the first divergent k and states the condition ``what``.
+    """
+    bad = ~(np.all(num > 0, axis=1) & np.all(den > 0, axis=1))
+    if bad.any():
+        raise DomainError(f"convergence needs {what}; violated at k = {np.argmax(bad) + 1}")
+    return float(np.exp(gammaln(num).sum() - gammaln(den).sum()))
+
+
+_SO_DOMAIN = "lambda_k > -(n-k)/2"
+
+
+def _so_gamma_args(n: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked SO(n) exponents and the Gamma arguments of their n - 1 factors.
+
+    The real-case identity normalizes the last exponent to zero; the
+    integrand only sees differences, so a vector is shifted first.
+    """
+    lam = _exponents(lam, n, n_min=2)
     if abs(lam[-1]) > 0:
         raise InvalidParams(
             "the last exponent must be 0; subtract lambda[n-1] from every entry "
             "(the integrand depends only on the differences)"
         )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms
-# ---------------------------------------------------------------------------
+    a = n - np.arange(1.0, n)
+    return lam, np.column_stack([a, lam[:-1] + a / 2.0]), np.column_stack([a / 2.0, lam[:-1] + a])
 
 
 def so_integral_closed_form(n: int, lam, variant: str = WINNING_SO_VARIANT) -> float:
@@ -86,63 +113,32 @@ def so_integral_closed_form(n: int, lam, variant: str = WINNING_SO_VARIANT) -> f
     """
     if variant not in SO_VARIANTS:
         raise InvalidParams(f"variant must be one of {SO_VARIANTS}")
-    if n < 2:
-        raise InvalidParams("need n >= 2")
-    lam = _exponents(lam, n)
-    _require_trailing_zero(lam)
-    _check_so_domain(n, lam)
-    total = 0.0
-    for k in range(1, n):
-        a = float(n - k)
-        lk = lam[k - 1]
-        total += gammaln(a) + gammaln(lk + a / 2.0) - gammaln(a / 2.0) - gammaln(lk + a)
-        if variant == VARIANT_CORRECTED:
-            total += lk * log(2.0)
-    return float(np.exp(total))
-
-
-def _check_so_domain(n: int, lam: np.ndarray) -> None:
-    bad = [k for k in range(1, n) if lam[k - 1] <= -(n - k) / 2.0]
-    if bad:
-        raise DomainError(
-            f"convergence needs lambda_k > -(n-k)/2; violated at k = {bad} for n = {n}"
-        )
+    lam, num, den = _so_gamma_args(n, lam)
+    value = _gamma_ratio(num, den, _SO_DOMAIN)
+    return value * 2.0 ** float(lam.sum()) if variant == VARIANT_CORRECTED else value
 
 
 def u_integral_closed_form(n: int, lam, mu) -> float:
     """Gamma product for the U(n) integral with holomorphic and conjugate exponents."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
     lam = _exponents(lam, n, "lambda")
     mu = _exponents(mu, n, "mu")
-    total = 0.0
-    for k in range(1, n + 1):
-        a = float(n - k + 1)
-        lk, mk = lam[k - 1], mu[k - 1]
-        for arg in (a + lk + mk, a + lk, a + mk):
-            if arg <= 0:
-                raise DomainError(
-                    f"convergence needs n-k+1+lambda_k, n-k+1+mu_k and their sum "
-                    f"positive; violated at k = {k}"
-                )
-        total += gammaln(a) + gammaln(a + lk + mk) - gammaln(a + lk) - gammaln(a + mk)
-    return float(np.exp(total))
+    a = n - np.arange(0.0, n)
+    return _gamma_ratio(
+        np.column_stack([a, a + lam + mu]),
+        np.column_stack([a + lam, a + mu]),
+        "n-k+1+lambda_k, n-k+1+mu_k and their sum positive",
+    )
 
 
 def sp_integral_closed_form(n: int, lam) -> float:
     """Gamma product for the Sp(n) quaternionic corner-determinant integral."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
     lam = _exponents(lam, n)
-    total = 0.0
-    for k in range(1, n + 1):
-        a = 2.0 * (n - k + 1)
-        lk = lam[k - 1]
-        for arg in (a + lk + 1.0, a + lk / 2.0, a + lk / 2.0 + 1.0):
-            if arg <= 0:
-                raise DomainError(f"convergence violated at k = {k} (argument {arg:.3f})")
-        total += gammaln(a) + gammaln(a + lk + 1.0) - gammaln(a + lk / 2.0) - gammaln(a + lk / 2.0 + 1.0)
-    return float(np.exp(total))
+    a = 2.0 * (n - np.arange(0.0, n))
+    return _gamma_ratio(
+        np.column_stack([a, a + lam + 1.0]),
+        np.column_stack([a + lam / 2.0, a + lam / 2.0 + 1.0]),
+        "2(n-k+1)+lambda_k/2 and 2(n-k+1)+lambda_k+1 positive",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ def sp_integral_closed_form(n: int, lam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mc_reduce(block_values, n_samples: int, rng, track_imag: bool = False) -> MCEstimate:
+def _mc_reduce(block_values, n_samples: int, rng) -> MCEstimate:
     """Reduce per-block values into one estimate.
 
     ``block_values(gen, count)`` returns (values, n_resampled) for one
@@ -188,42 +184,50 @@ def _mc_reduce(block_values, n_samples: int, rng, track_imag: bool = False) -> M
         n_samples=n_samples,
         seed=root,
         n_resamples=n_res,
-        imag_mean=(si / n_samples) if track_imag else None,
+        imag_mean=si / n_samples,
         max_abs=max_abs,
     )
-
-
-def _resample_until_valid(sampler, evaluate, gen, count: int):
-    """Draw a block, redrawing the measure-zero samples whose base degenerates."""
-    mats = sampler(count, gen)
-    vals, ok = evaluate(mats)
-    n_res = 0
-    while not ok.all():
-        idx = np.flatnonzero(~ok)
-        n_res += idx.size
-        fresh = sampler(idx.size, gen)
-        fvals, fok = evaluate(fresh)
-        vals[idx] = fvals
-        ok[idx] = fok
-    return vals, n_res
 
 
 _LOG_TINY = log(1e-300)
 
 
-def _corner_logdets(mats: np.ndarray, k: int, real: bool = False):
-    """Pivots and log|det(1+[g]_j)| for j = 1..k stored rows, plus the usable samples.
+def corner_power_mc(sample, rows: int, a, n_samples: int, rng=None, b=None) -> MCEstimate:
+    """Monte Carlo mean of prod_j p_j^a_j (times conj(p_j)^b_j when ``b`` is given).
 
-    A sample must be redrawn when a real pivot is <= 0 or a log corner
-    determinant falls below log 1e-300; its pivots and logs read 1 and 0.
+    p_j = det(1+[g]_j) / det(1+[g]_{j-1}), j = 1..``rows`` stored rows, are
+    the corner pivots of g = ``sample(count, gen)``.  They telescope:
+    prod_k det(1+[g]_k)^c_k = prod_j p_j^(sum_{k>=j} c_k), so every
+    corner-determinant integrand is one exponent vector.  Without ``b``
+    the powers are taken of |p_j|; with it, of p_j on the principal
+    branch, which is safe because every pivot lies in |p - 1| <= 1.
+    A sample is redrawn, and counted in ``n_resamples``, when a real pivot
+    is <= 0 or a log corner determinant falls below log 1e-300.
     """
-    piv = corner_pivots(mats, k)
-    with np.errstate(divide="ignore"):
-        logdets = np.cumsum(np.log(np.abs(piv)), axis=1)
-    ok = np.all(logdets > _LOG_TINY, axis=1)
-    if real:
-        ok &= np.all(piv > 0, axis=1)
-    return np.where(ok[:, None], piv, 1.0), np.where(ok[:, None], logdets, 0.0), ok
+    a = np.asarray(a, dtype=float)
+
+    def evaluate(mats):
+        piv = corner_pivots(mats, rows)
+        with np.errstate(divide="ignore"):
+            logabs = np.log(np.abs(piv))
+        ok = np.all(np.cumsum(logabs, axis=1) > _LOG_TINY, axis=1)
+        if not np.iscomplexobj(piv):
+            ok &= np.all(piv > 0, axis=1)
+        if b is None:
+            return np.exp(np.where(ok[:, None], logabs, 0.0) @ a), ok
+        lg = np.log(np.where(ok[:, None], piv, 1.0))
+        return np.exp(lg @ a + np.conj(lg) @ b), ok
+
+    def block(gen, count):
+        vals, ok = evaluate(sample(count, gen))
+        n_res = 0
+        while not ok.all():
+            idx = np.flatnonzero(~ok)
+            n_res += idx.size
+            vals[idx], ok[idx] = evaluate(sample(idx.size, gen))
+        return vals, n_res
+
+    return _mc_reduce(block, n_samples, rng)
 
 
 def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
@@ -233,60 +237,26 @@ def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     constant to all entries, which is how it connects to the normalized
     closed form.
     """
-    if n < 2:
-        raise InvalidParams("need n >= 2")
-    lam = _exponents(lam, n)
-    diffs = lam[:-1] - lam[1:]
-
-    def evaluate(mats):
-        _, logdets, ok = _corner_logdets(mats, n - 1, real=True)
-        return np.exp(logdets @ diffs), ok
-
-    def block(gen, count):
-        return _resample_until_valid(lambda c, g: _haar_so_batch(n, c, g), evaluate, gen, count)
-
-    return _mc_reduce(block, n_samples, rng)
+    lam = _exponents(lam, n, n_min=2)
+    return corner_power_mc(partial(_haar_so_batch, n), n - 1, lam[:-1] - lam[-1], n_samples, rng)
 
 
 def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:
-    """Monte Carlo for the U(n) integral.
-
-    Complex powers are evaluated on the corner pivots
-    r_k = det(1+[g]_k)/det(1+[g]_{k-1}), which live in the disc
-    |r - 1| <= 1, so the principal branch is safe sample by sample.
-    """
-    if n < 1:
-        raise InvalidParams("need n >= 1")
+    """Monte Carlo for the U(n) integral, powers of the complex pivots."""
     lam = _exponents(lam, n, "lambda")
     mu = _exponents(mu, n, "mu")
-
-    def evaluate(mats):
-        piv, _, ok = _corner_logdets(mats, n)
-        lg = np.log(piv)
-        return np.exp(lg @ lam + np.conj(lg) @ mu), ok
-
-    def block(gen, count):
-        return _resample_until_valid(lambda c, g: _haar_u_batch(n, c, g), evaluate, gen, count)
-
-    return _mc_reduce(block, n_samples, rng, track_imag=True)
+    return corner_power_mc(partial(_haar_u_batch, n), n, lam, n_samples, rng, b=mu)
 
 
 def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
-    """Monte Carlo for the Sp(n) integral of quaternionic corner determinants."""
-    if n < 1:
-        raise InvalidParams("need n >= 1")
+    """Monte Carlo for the Sp(n) integral of quaternionic corner determinants.
+
+    The quaternionic determinant is the square root of the complex one, so
+    each exponent covers the two stored rows of its unit, halved.
+    """
     lam = _exponents(lam, n)
-    diffs = np.append(lam[:-1] - lam[1:], lam[-1])
-
-    def evaluate(mats):
-        _, logdets, ok = _corner_logdets(mats, 2 * n)
-        # quaternionic determinant is the square root of the complex one
-        return np.exp(logdets[:, 1::2] @ diffs / 2.0), ok
-
-    def block(gen, count):
-        return _resample_until_valid(lambda c, g: _haar_sp_batch(n, c, g), evaluate, gen, count)
-
-    return _mc_reduce(block, n_samples, rng)
+    a = np.repeat(lam, 2) / 2.0
+    return corner_power_mc(partial(_haar_sp_batch, n), 2 * n, a, n_samples, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +271,8 @@ def so_integral_quadrature(n: int, lam) -> float:
     (1 - x^2)^((n-k-2)/2) on [-1, 1], evaluated with the algebraic-weight
     quadrature rule so the endpoint singularities are handled exactly.
     """
-    if n < 2:
-        raise InvalidParams("need n >= 2")
-    lam = _exponents(lam, n)
-    _require_trailing_zero(lam)
-    _check_so_domain(n, lam)
+    lam, num, den = _so_gamma_args(n, lam)
+    _gamma_ratio(num, den, _SO_DOMAIN)  # the closed form's domain rule, value unused
     total = 1.0
     for k in range(1, n):
         e = (n - k - 2) / 2.0

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from math import isinf
+from math import inf, isinf
 from typing import Any
 
 import numpy as np
@@ -49,8 +49,8 @@ class RunConfig:
         if self.n_samples < 1:
             raise InvalidParams(f"need at least 1 sample, got {self.n_samples}")
         for name, value in self.tolerances.items():
-            if not value > 0:
-                raise InvalidParams(f"tolerance {name!r} must be positive, got {value}")
+            if not 0 < value < inf:  # NaN and inf would make every check pass
+                raise InvalidParams(f"tolerance {name!r} must be finite and positive, got {value}")
 
     def tol(self, name: str, default: float) -> float:
         return self.tolerances.get(name, default)

@@ -355,7 +355,7 @@ def test_plancherel_blocks_over_budget_is_a_usage_error(capsys):
 
 def test_plancherel_weight_grid(capsys):
     code, out = run_cli(capsys, "plancherel", "weight", "--p", "2", "--q", "5",
-                        "--alpha", "2.5", "--samples", "30", "--seed", "3")
+                        "--alpha", "2.5", "--samples", "30")
     assert code == EXIT_PASS
     assert json.loads(out)["verdict"] == "pass"
 
@@ -501,6 +501,10 @@ def test_usage_errors_exit_three(capsys):
         ["boundary", "probe", "--p", "2", "--q", "4", "--r", "5", "--alpha", "1"],
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=-1"],
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "zzz"],
+        # a tolerance must be finite: inf would let any observation pass
+        ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1", "--tol", "pd=inf"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=inf"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "rel=inf"],
         # malformed values are refused before any command runs
         ["integral", "so", "--n", "2", "--lambda", ","],
         ["kernel", "gram", "--p", "0", "--q", "3", "--alpha", "1"],
@@ -522,6 +526,7 @@ def test_usage_errors_exit_three(capsys):
         ["plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha", "-2", "--seed", "1"],
         ["catalog", "--samples", "5"],
         ["ledger", "--seed", "1"],
+        ["plancherel", "weight", "--p", "2", "--q", "3", "--alpha", "1", "--seed", "1"],
     ]
     for argv in cases:
         code = main(argv)
@@ -552,8 +557,7 @@ _RUNNER_CASES = {
     ("boundary", "probe"): ["--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0", "--samples",
                             "500", "--seed", "3"],
     ("plancherel", "blocks"): ["--p", "2", "--q", "5", "--alpha", "0.4"],
-    ("plancherel", "weight"): ["--p", "2", "--q", "5", "--alpha", "2.5", "--samples", "5",
-                               "--seed", "3"],
+    ("plancherel", "weight"): ["--p", "2", "--q", "5", "--alpha", "2.5", "--samples", "5"],
     ("plancherel", "degeneration"): ["--p", "3", "--q", "3", "--alpha", "-4"],
     ("plancherel", "rank1"): ["--q", "3", "--alpha", "2", "--samples", "10", "--seed", "3"],
     ("catalog",): ["--self-test-corrupt"],

@@ -1,13 +1,16 @@
+from math import lgamma, log
+
 import numpy as np
 import pytest
 
-from berezin_lab.compact import REAL, haar_sample_batch
+from berezin_lab.compact import COMPLEX, QUATERNION, REAL, haar_sample_batch
 from berezin_lab.errors import DomainError, InvalidParams
 from berezin_lab.integrals import (
     VARIANT_AS_PRINTED,
     VARIANT_CORRECTED,
     WINNING_SO_VARIANT,
     _mc_reduce,
+    corner_power_mc,
     so_integral_closed_form,
     so_integral_mc,
     so_integral_quadrature,
@@ -84,6 +87,58 @@ def test_sp_closed_form_n1_exact():
 def test_sp_domain_error():
     with pytest.raises(DomainError):
         sp_integral_closed_form(1, [-3.0])
+
+
+def _factor_by_factor(n, lam, mu=None, family="so", corrected=True):
+    """The three Gamma products written out one factor k at a time."""
+    total = 0.0
+    for k in range(1, n + (family != "so")):
+        lk = lam[k - 1]
+        if family == "so":
+            a = n - k
+            total += lgamma(a) + lgamma(lk + a / 2) - lgamma(a / 2) - lgamma(lk + a)
+            total += lk * log(2.0) if corrected else 0.0
+        elif family == "u":
+            a, mk = n - k + 1, mu[k - 1]
+            total += lgamma(a) + lgamma(a + lk + mk) - lgamma(a + lk) - lgamma(a + mk)
+        else:
+            a = 2 * (n - k + 1)
+            total += lgamma(a) + lgamma(a + lk + 1) - lgamma(a + lk / 2) - lgamma(a + lk / 2 + 1)
+    return np.exp(total)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_forms_match_a_factor_by_factor_reference(n):
+    gen = np.random.default_rng(n)
+    lam, mu = gen.uniform(-0.3, 2.5, n), gen.uniform(-0.3, 2.5, n)
+    for got, want in [
+        (u_integral_closed_form(n, lam, mu), _factor_by_factor(n, lam, mu, "u")),
+        (sp_integral_closed_form(n, lam), _factor_by_factor(n, lam, family="sp")),
+    ]:
+        assert got == pytest.approx(want, rel=1e-13)
+    if n >= 2:
+        lam[-1] = 0.0
+        for variant, corrected in [(VARIANT_CORRECTED, True), (VARIANT_AS_PRINTED, False)]:
+            got = so_integral_closed_form(n, lam, variant)
+            assert got == pytest.approx(_factor_by_factor(n, lam, corrected=corrected), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "evaluate,args,k",
+    [
+        (so_integral_closed_form, (4, [1.0, 1.0, -0.5, 0.0]), 3),
+        (so_integral_closed_form, (4, [1.0, -1.0, -0.5, 0.0]), 2),
+        (so_integral_quadrature, (4, [1.0, -1.0, -0.5, 0.0]), 2),
+        (u_integral_closed_form, (3, [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]), 3),
+        (u_integral_closed_form, (3, [0.0, -2.0, -1.0], [0.0, 0.0, 0.0]), 2),
+        (sp_integral_closed_form, (3, [0.0, 0.0, -4.0]), 3),
+        (sp_integral_closed_form, (3, [-8.0, 0.0, -4.0]), 1),
+    ],
+    ids=["so-k3", "so-k2", "quadrature-k2", "u-mu-k3", "u-lambda-k2", "sp-k3", "sp-k1"],
+)
+def test_domain_error_names_the_first_divergent_factor(evaluate, args, k):
+    with pytest.raises(DomainError, match=rf"violated at k = {k}$"):
+        evaluate(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +226,51 @@ def test_mc_seed_reproducibility_and_one_pass_agreement():
         return np.sqrt(dets[0] * dets[1])
 
     assert_matches_one_pass(est, one_pass_draws(draw, 30_000, 9))
+
+
+def test_u_mc_matches_one_pass_over_lapack_determinants():
+    # integer exponents make every power single-valued: the integrand is
+    # det(1+[g]_1) conj(det(1+[g]_2)) det(1+[g]_3)
+    lam, mu = np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0, 0.0])
+    est = u_integral_mc(3, lam, mu, 20_000, rng=11)
+    assert est.n_resamples == 0
+
+    def draw(gen, count):
+        mats = haar_sample_batch(COMPLEX, 3, count, gen)
+        dets = [np.linalg.det(np.eye(k) + mats[:, :k, :k]) for k in (1, 2, 3)]
+        return dets[0] * np.conj(dets[1]) * dets[2]
+
+    assert_matches_one_pass(est, one_pass_draws(draw, 20_000, 11))
+
+
+def test_sp_mc_matches_one_pass_over_lapack_determinants():
+    # the quaternionic determinant is the square root of the complex 2k x 2k one
+    est = sp_integral_mc(2, np.array([1.5, 0.8]), 20_000, rng=13)
+    assert est.n_resamples == 0
+
+    def draw(gen, count):
+        mats = haar_sample_batch(QUATERNION, 2, count, gen)
+        dets = [np.abs(np.linalg.det(np.eye(2 * k) + mats[:, : 2 * k, : 2 * k])) for k in (1, 2)]
+        return dets[0] ** ((1.5 - 0.8) / 2) * dets[1] ** (0.8 / 2)
+
+    assert_matches_one_pass(est, one_pass_draws(draw, 20_000, 13))
+
+
+def test_corner_power_mc_redraws_degenerate_samples():
+    # g = -1 makes the first pivot 1 + g_11 vanish: every second sample of
+    # the first draw is redrawn once, from the block's own stream
+    draws = []
+
+    def sample(count, gen):
+        mats = haar_sample_batch(REAL, 3, count, gen)
+        if not draws:
+            mats[::2] = -np.eye(3)
+        draws.append(count)
+        return mats
+
+    est = corner_power_mc(sample, 2, [1.0, 0.5], 4096, rng=5)
+    assert draws == [4096, 2048] and est.n_resamples == 2048
+    assert np.isfinite(est.mean) and 0 < est.max_abs <= 2.0**1.5
 
 
 def test_mc_stderr_survives_a_large_mean():
