@@ -393,8 +393,8 @@ def boundary_sample(p: int, q: int, r: int, rng=None) -> BoundaryOrbitPoint:
 
 def boundary_sample_batch(p: int, q: int, r: int, size: int, rng=None) -> np.ndarray:
     _check_boundary_params(p, q, r)
-    g = _haar_so_batch(q + r, size, as_generator(rng))
-    return g[:, :p, :q]
+    g = _haar_so_batch(q + r, size, as_generator(rng), cols=q)
+    return g[:, :p]
 
 
 def restriction_threshold(p: int, q: int, r: int) -> float:
@@ -425,4 +425,5 @@ def restriction_probe(p: int, q: int, r: int, alpha: float, n_samples: int, rng=
     """
     _check_boundary_params(p, q, r)
     m = p - r
-    return corner_power_mc(partial(_haar_so_batch, q + r), m, np.full(m, -alpha), n_samples, rng)
+    sample = partial(_haar_so_batch, q + r, cols=m)
+    return corner_power_mc(sample, m, np.full(m, -alpha), n_samples, rng)

@@ -86,6 +86,24 @@ _OPTIONS = {
     "self-test-corrupt": {"action": "store_true",
                           "help": "sweep a deliberately corrupted row; must detect the mismatch"},
 }
+_VECTOR_FLAGS = tuple(f"--{name}" for name, spec in _OPTIONS.items() if spec.get("type") is _VECTOR)
+
+
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """``--lambda X`` as ``--lambda=X`` for every CSV option, the rest unchanged.
+
+    argparse takes a separate ``-0.5,0.3,0`` for an option, because only
+    a plain negative number escapes that reading; joined to its flag, it
+    reaches ``_VECTOR``.  A flag at the end or followed by another ``--``
+    option is left alone, so argparse still refuses the missing value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and not arg.startswith("--"):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -498,7 +516,7 @@ def main(argv=None) -> int:
     """
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -77,13 +77,16 @@ def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
 
     Positive norms make the factorization unique, so Q is exactly Haar on
     the unitary group of a Gaussian's field (Mezzadri, math-ph/0609050).
-    With ``step`` 2 the m drawn columns of ``gauss`` (size, 2m, m) fill the
+    Exactly the columns given are orthonormalised: column j of Q depends
+    on the first j columns of ``gauss`` only, so a (size, d, k) slice
+    gives the first k columns of the full factor, bit for bit.  With
+    ``step`` 2 the m drawn columns of ``gauss`` (size, 2m, m) fill the
     even slots and each is followed by its S-partner: S(u) is orthogonal
     to u and the span of finished pairs is S-invariant, so the result is
     the QR factor of the S-paired Gaussian and lies in Sp(m).
     """
     size, d, m = gauss.shape
-    qt = np.zeros((size, d, d), dtype=gauss.dtype)  # row j holds column j
+    qt = np.zeros((size, step * m, d), dtype=gauss.dtype)  # row j holds column j
     for i in range(m):
         j = step * i
         col = gauss[:, :, i]
@@ -103,9 +106,24 @@ def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.nd
     return _gram_schmidt(gen.standard_normal((size, n, n)))
 
 
-def _haar_so_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar SO(n): Haar O(n) with the last column flipped on det = -1."""
-    q = _haar_orthogonal_batch(n, size, gen)
+def _haar_so_batch(
+    n: int, size: int, gen: np.random.Generator, cols: int | None = None
+) -> np.ndarray:
+    """Haar SO(n): Haar O(n) with the last column flipped on det = -1.
+
+    With ``cols`` < n only the first ``cols`` columns, shape (size, n,
+    cols), are orthonormalised, and the flip, which changes column n
+    alone, is skipped: they are the first columns of the full sample, bit
+    for bit.  A caller that reads a leading corner sets ``cols`` to the
+    columns it reads.  The full n x n Gaussian is still drawn, so seeded
+    samples and the stream position stay as they were; drawing only
+    ``cols`` columns would be cheaper but would change every seeded
+    SO(n) estimate.
+    """
+    gauss = gen.standard_normal((size, n, n))
+    if cols is not None and cols < n:
+        return _gram_schmidt(gauss[:, :, :cols])
+    q = _gram_schmidt(gauss)
     q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
@@ -287,7 +305,7 @@ def cube_coords_batch(
     out = np.empty((size, n - 1))
     todo = np.arange(size)
     while todo.size:
-        piv = corner_pivots(_haar_so_batch(n, todo.size, gen), n - 1)
+        piv = corner_pivots(_haar_so_batch(n, todo.size, gen, cols=n - 1), n - 1)
         ok = np.all(np.abs(piv[:, :-1]) > _SINGULAR_TOL, axis=1)
         out[todo[ok]] = piv[ok, ::-1] - 1.0
         todo = todo[~ok]

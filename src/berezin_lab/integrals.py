@@ -12,7 +12,14 @@ own seeded substream and merges block partials in block order, so a fixed
 seed gives a bit-identical result.  Every estimate is one call to
 ``corner_power_mc``, which raises the corner pivots of one batched
 elimination, ``compact.corner_pivots``, to one exponent vector per family,
-and every closed form is one vectorised Gamma ratio.
+and every closed form is one vectorised Gamma ratio.  The pivots read only
+the leading ``rows`` x ``rows`` corner, so the SO(n) sampler
+orthonormalises only the first ``rows`` columns of each Gaussian draw.
+Gram-Schmidt fixes column j from the first j Gaussian columns alone,
+and the det = -1 sign flip changes column n alone, so the flip is skipped
+and the corner is bit-identical to the full sample's.  The full n x n
+Gaussian is still drawn: drawing only the needed columns would save a
+little more but would change every seeded SO estimate.
 """
 
 from __future__ import annotations
@@ -203,6 +210,8 @@ def corner_power_mc(sample, rows: int, a, n_samples: int, rng=None, b=None) -> M
     branch, which is safe because every pivot lies in |p - 1| <= 1.
     A sample is redrawn, and counted in ``n_resamples``, when a real pivot
     is <= 0 or a log corner determinant falls below log 1e-300.
+    ``sample`` must return at least the leading ``rows`` x ``rows`` block
+    of each matrix; nothing outside it is read.
     """
     a = np.asarray(a, dtype=float)
 
@@ -238,7 +247,8 @@ def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     closed form.
     """
     lam = _exponents(lam, n, n_min=2)
-    return corner_power_mc(partial(_haar_so_batch, n), n - 1, lam[:-1] - lam[-1], n_samples, rng)
+    sample = partial(_haar_so_batch, n, cols=n - 1)
+    return corner_power_mc(sample, n - 1, lam[:-1] - lam[-1], n_samples, rng)
 
 
 def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,9 @@ from berezin_lab.berezin import (
     restriction_threshold,
     wallach_admissible,
 )
-from berezin_lab.compact import REAL, haar_sample_batch
+from berezin_lab.compact import REAL, _haar_so_batch, haar_sample_batch
 from berezin_lab.errors import DomainError, InvalidParams, NonPositiveDeterminant
+from berezin_lab.integrals import corner_power_mc
 
 from conftest import assert_matches_one_pass, one_pass_draws
 
@@ -400,3 +403,16 @@ def test_restriction_probe_matches_a_one_pass_reduction():
         return 1.0 / np.linalg.det(np.eye(1) + mats[:, :1, :1])
 
     assert_matches_one_pass(a, one_pass_draws(draw, 20_000, 3))
+
+
+@pytest.mark.parametrize("p,q,r", [(1, 2, 0), (2, 4, 1), (3, 6, 1), (3, 5, 2), (2, 3, 0)])
+def test_boundary_draws_equal_the_full_samples_corner(p, q, r):
+    # the samplers orthonormalise only the p - r (probe) or q (orbit point)
+    # columns they read; the results equal those of the full SO(q + r) sampler
+    m = p - r
+    est = restriction_probe(p, q, r, 0.3, n_samples=6000, rng=11)
+    full = corner_power_mc(partial(_haar_so_batch, q + r), m, np.full(m, -0.3), 6000, rng=11)
+    assert est == full
+    z = boundary_sample_batch(p, q, r, 200, rng=12)
+    assert z.shape == (200, p, q)
+    assert (z == _haar_so_batch(q + r, 200, np.random.default_rng(12))[:, :p, :q]).all()

@@ -134,6 +134,23 @@ def test_integral_report_is_deterministic_excluding_duration(capsys):
     assert da == db
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (("so", "--n", "3", "--lambda", "-0.5,0.3,0"), ("so", "--n", "3", "--lambda=-0.5,0.3,0")),
+    (("u", "--n", "2", "--lambda", "-0.4,0.2", "--mu", "-0.3,0.1"),
+     ("u", "--n", "2", "--lambda=-0.4,0.2", "--mu=-0.3,0.1")),
+])
+def test_negative_leading_vector_entries_may_follow_their_flag(capsys, spaced, joined):
+    # argparse reads a separate "-0.5,0.3,0" as an option unless it is joined to its flag
+    docs = []
+    for form in (spaced, joined):
+        code, out = run_cli(capsys, "integral", *form, "--samples", "2000", "--seed", "7")
+        assert code == EXIT_PASS
+        docs.append(json.loads(out))
+        docs[-1].pop("duration")
+    assert docs[0] == docs[1]
+    assert docs[0]["inputs"]["lambda"][0] < 0
+
+
 def test_collapsed_stderr_is_not_a_free_pass(capsys):
     # draws differ only at 1e-9: a sum-of-squares variance cancels to 0
     code, out = run_cli(capsys, "integral", "so", "--n", "3", "--lambda", "1e-9,0,0",
@@ -521,6 +538,9 @@ def test_usage_errors_exit_three(capsys):
         ["boundary", "probe", "--p", "2", "--q", "4", "--r", "-1", "--alpha", "1"],
         ["integral", "so", "--n", "2", "--lambda", "nan,0"],
         ["integral", "u", "--n", "1", "--lambda", "1", "--mu", "x"],
+        # a CSV flag without its value, at the end or before another option
+        ["integral", "so", "--n", "2", "--lambda"],
+        ["integral", "u", "--n", "1", "--lambda", "1", "--mu", "--seed", "3"],
         # commands that draw nothing take neither --samples nor --seed
         [*blocks, "0.4", "--samples", "5"],
         ["plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha", "-2", "--seed", "1"],

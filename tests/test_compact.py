@@ -22,6 +22,7 @@ from berezin_lab.compact import (
     quaternionic_structure_residual,
     upsilon,
     _gram_schmidt,
+    _haar_so_batch,
     _structure_map,
 )
 from berezin_lab.errors import InvalidParams, SingularCayley, SingularUpsilon
@@ -104,6 +105,19 @@ def test_gram_schmidt_equals_qr_with_positive_diagonal(field):
     reference = q * (diag / np.abs(diag))[:, None, :]
     step = 2 if field == QUATERNION else 1
     assert np.max(np.abs(_gram_schmidt(drawn, step) - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_so_sampler_columns_are_the_full_samples_leading_columns(n):
+    # column j of Gram-Schmidt reads Gaussian columns 1..j only and the
+    # det = -1 flip touches column n only; the full n x n draw is kept,
+    # so the stream is left where the full sampler leaves it
+    for k in range(1, n):
+        gen, gen2 = np.random.default_rng(41), np.random.default_rng(41)
+        part = _haar_so_batch(n, 300, gen, cols=k)
+        assert part.shape == (300, n, k)
+        assert (part == _haar_so_batch(n, 300, gen2)[:, :, :k]).all()
+        assert (gen.standard_normal(3) == gen2.standard_normal(3)).all()
 
 
 def test_uncorrected_sampler_fails_the_marginal_test():

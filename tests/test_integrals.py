@@ -1,9 +1,10 @@
+from functools import partial
 from math import lgamma, log
 
 import numpy as np
 import pytest
 
-from berezin_lab.compact import COMPLEX, QUATERNION, REAL, haar_sample_batch
+from berezin_lab.compact import COMPLEX, QUATERNION, REAL, _haar_so_batch, haar_sample_batch
 from berezin_lab.errors import DomainError, InvalidParams
 from berezin_lab.integrals import (
     VARIANT_AS_PRINTED,
@@ -226,6 +227,16 @@ def test_mc_seed_reproducibility_and_one_pass_agreement():
         return np.sqrt(dets[0] * dets[1])
 
     assert_matches_one_pass(est, one_pass_draws(draw, 30_000, 9))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_so_mc_equals_the_estimator_over_full_samples(n):
+    # the sampler orthonormalises only the n - 1 columns the pivots read;
+    # two blocks, the second short, over the full sampler give the same estimate
+    lam = np.linspace(0.9, 0.0, n)
+    est = so_integral_mc(n, lam, 6000, rng=7)
+    full = corner_power_mc(partial(_haar_so_batch, n), n - 1, lam[:-1] - lam[-1], 6000, rng=7)
+    assert est == full
 
 
 def test_u_mc_matches_one_pass_over_lapack_determinants():
