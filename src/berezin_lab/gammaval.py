@@ -7,136 +7,44 @@ use this unit-rate convention in their own argument, which is enough to
 cancel poles against zeros order by order and to read off finite limits
 up to the direction of approach.
 
-A ``GammaStack`` holds many such values as arrays, for coefficient
-formulas evaluated over a stack of block labels at once.  Its single net
-order (poles minus zeros) carries what a ``GammaValue`` keeps as two
-reduced orders: orders only add under products, so the net is enough.
+The fields are arrays: the sign and log magnitude of c and one net order,
+poles minus zeros, which is all a product needs because orders only add.
+A single value is the 0-d case.  Products broadcast like the arrays they
+hold, and every constructor takes a scalar or an array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
 
 import numpy as np
 from scipy.special import gammaln, gammasgn
 
 from .errors import InvalidParams, UncancelledPole
 
+# Arguments this close to a nonpositive integer are poles, values this close to 0 zeros.
 _INT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Leading coefficient (sign, log magnitude) and net pole/zero orders."""
-
-    log_abs: float
-    sign: int
-    pole_order: int = 0
-    zero_order: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise InvalidParams("sign must be +1 or -1")
-        if self.pole_order < 0 or self.zero_order < 0:
-            raise InvalidParams("orders must be nonnegative")
-        if self.pole_order and self.zero_order:
-            raise InvalidParams("orders must be reduced; use _make")
-
-    @property
-    def is_pole(self) -> bool:
-        return self.pole_order > 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.zero_order > 0
-
-    def __mul__(self, other: "GammaValue") -> "GammaValue":
-        return _make(
-            self.log_abs + other.log_abs,
-            self.sign * other.sign,
-            self.pole_order + other.pole_order,
-            self.zero_order + other.zero_order,
-        )
-
-    def __truediv__(self, other: "GammaValue") -> "GammaValue":
-        return self * other.reciprocal()
-
-    def reciprocal(self) -> "GammaValue":
-        return _make(-self.log_abs, self.sign, self.zero_order, self.pole_order)
-
-    def to_float(self) -> float:
-        """Collapse to a float: poles raise, zeros are exactly 0."""
-        if self.is_pole:
-            raise UncancelledPole(f"net pole of order {self.pole_order}")
-        if self.is_zero:
-            return 0.0
-        return self.sign * float(np.exp(self.log_abs))
-
-
-def _make(log_abs: float, sign: int, pole: int, zero: int) -> GammaValue:
-    net = pole - zero
-    return GammaValue(log_abs, sign, max(net, 0), max(-net, 0))
-
-
-def one() -> GammaValue:
-    return GammaValue(0.0, 1)
-
-
-def from_real(x: float) -> GammaValue:
-    """Wrap a plain real number; an exact zero becomes a first-order zero."""
-    if not isfinite(x):
-        raise InvalidParams(f"cannot wrap non-finite value {x!r}")
-    if x == 0.0:
-        return GammaValue(0.0, 1, zero_order=1)
-    return GammaValue(log(abs(x)), 1 if x > 0 else -1)
-
-
-def nearest_nonpositive_int(x: float, tol: float = _INT_TOL):
-    """The nonpositive integer within ``tol`` of x, or None."""
-    m = round(x)
-    if m <= 0 and abs(x - m) <= tol:
-        return int(m)
-    return None
-
-
-def gamma_value(x: float, tol: float = _INT_TOL) -> GammaValue:
-    """Gamma(x) as a GammaValue; at x = -m it is the unit-rate pole."""
-    return gamma_stack(x, tol)[()]
-
-
-def pochhammer_value(a: float, m: int, tol: float = _INT_TOL) -> GammaValue:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1), factor by factor.
-
-    Factors within ``tol`` of zero are counted as unit-rate zeros, so the
-    result composes correctly with Gamma poles.
-    """
-    return pochhammer_stack(a, m, tol)[()]
-
-
-def from_real_snapped(x: float, tol: float = _INT_TOL) -> GammaValue:
-    """As ``from_real`` but values within ``tol`` of 0 count as zeros."""
-    if abs(x) <= tol:
-        return GammaValue(0.0, 1, zero_order=1)
-    return from_real(x)
-
-
-# ---------------------------------------------------------------------------
-# Stacks of values
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, eq=False)
-class GammaStack:
+class GammaValue:
     """Arrays of leading coefficients (sign, log magnitude) and net orders.
 
     ``order`` is poles minus zeros: positive entries are poles, negative
-    ones zeros.  Products broadcast like the arrays they hold.
+    ones zeros.
     """
 
     log_abs: np.ndarray
     sign: np.ndarray
     order: np.ndarray
+
+    @property
+    def pole_order(self) -> np.ndarray:
+        return np.maximum(self.order, 0)
+
+    @property
+    def zero_order(self) -> np.ndarray:
+        return np.maximum(-self.order, 0)
 
     @property
     def is_pole(self) -> np.ndarray:
@@ -146,47 +54,76 @@ class GammaStack:
     def is_zero(self) -> np.ndarray:
         return self.order < 0
 
-    def __mul__(self, other: "GammaStack") -> "GammaStack":
-        return GammaStack(
+    def __mul__(self, other: "GammaValue") -> "GammaValue":
+        return GammaValue(
             self.log_abs + other.log_abs, self.sign * other.sign, self.order + other.order
         )
 
-    def __truediv__(self, other: "GammaStack") -> "GammaStack":
-        return GammaStack(
+    def __truediv__(self, other: "GammaValue") -> "GammaValue":
+        return GammaValue(
             self.log_abs - other.log_abs, self.sign * other.sign, self.order - other.order
         )
 
-    def prod(self, axis: int) -> "GammaStack":
+    def reciprocal(self) -> "GammaValue":
+        return GammaValue(-self.log_abs, self.sign, -self.order)
+
+    def prod(self, axis: int) -> "GammaValue":
         """The product of the values along ``axis``."""
-        return GammaStack(
+        return GammaValue(
             self.log_abs.sum(axis), self.sign.prod(axis), self.order.sum(axis)
         )
 
-    def __getitem__(self, index) -> GammaValue:
-        net = int(self.order[index])
-        return GammaValue(
-            float(self.log_abs[index]), int(self.sign[index]), max(net, 0), max(-net, 0)
-        )
+    def __getitem__(self, index) -> "GammaValue":
+        return GammaValue(self.log_abs[index], self.sign[index], self.order[index])
+
+    def to_float(self):
+        """Collapse to floats: any pole raises, zeros are exactly 0; a 0-d value gives a float."""
+        if np.any(self.is_pole):
+            raise UncancelledPole(f"net pole of order {int(np.max(self.order))}")
+        value = np.where(self.is_zero, 0.0, self.sign * np.exp(self.log_abs))
+        return float(value) if value.ndim == 0 else value
 
 
-def gamma_stack(x, tol: float = _INT_TOL) -> GammaStack:
-    """Gamma at every entry of x; entries within ``tol`` of -m are unit-rate poles."""
+def one() -> GammaValue:
+    return from_real(1.0)
+
+
+def from_real(x) -> GammaValue:
+    """Wrap plain reals; an exact zero becomes a first-order zero."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidParams(f"cannot wrap non-finite value {x!r}")
+    zero = x == 0.0
+    return GammaValue(
+        np.log(np.abs(np.where(zero, 1.0, x))), np.where(x < 0.0, -1, 1), -zero.astype(np.int64)
+    )
+
+
+def from_real_snapped(x) -> GammaValue:
+    """As ``from_real`` but values within 1e-9 of 0 count as zeros."""
+    x = np.asarray(x, dtype=float)
+    return from_real(np.where(np.abs(x) <= _INT_TOL, 0.0, x))
+
+
+def gamma_value(x) -> GammaValue:
+    """Gamma at every entry of x; entries within 1e-9 of -n are unit-rate poles."""
     x = np.asarray(x, dtype=float)
     m = np.rint(x)
-    pole = (m <= 0) & (np.abs(x - m) <= tol)
+    pole = (m <= 0) & (np.abs(x - m) <= _INT_TOL)
     # Gamma(-n + eps) ~ (-1)^n / (n! eps), and n! = Gamma(1 - m) at m = -n
     arg = np.where(pole, 1.0 - m, x)
     log_abs = gammaln(arg)
     odd = (np.where(pole, m, 0.0).astype(np.int64) & 1).astype(bool)
     sign = np.where(odd, -1, gammasgn(arg).astype(np.int64))
-    return GammaStack(np.where(pole, -log_abs, log_abs), sign, pole.astype(np.int64))
+    return GammaValue(np.where(pole, -log_abs, log_abs), sign, pole.astype(np.int64))
 
 
-def pochhammer_stack(a, m, tol: float = _INT_TOL) -> GammaStack:
-    """(a)_m at every entry, each with its own length m, factor by factor.
+def pochhammer_value(a, m) -> GammaValue:
+    """Rising factorial (a)_m = a (a+1) ... (a+m-1) at every entry, factor by factor.
 
-    Factor i of an entry counts only while i < m there; factors within
-    ``tol`` of zero are unit-rate zeros, as in ``pochhammer_value``.
+    Each entry has its own length m: factor i counts only while i < m there.
+    Factors within 1e-9 of zero are unit-rate zeros, so the result composes
+    correctly with Gamma poles.
     """
     a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m))
     if np.any(m < 0):
@@ -197,9 +134,9 @@ def pochhammer_stack(a, m, tol: float = _INT_TOL) -> GammaStack:
     for i in range(int(m.max(initial=0))):
         x = a + i
         live = i < m
-        zero = live & (np.abs(x) <= tol)
+        zero = live & (np.abs(x) <= _INT_TOL)
         factor = live & ~zero
         log_abs += np.log(np.abs(np.where(factor, x, 1.0)))
         negative += factor & (x < 0)
         zeros += zero
-    return GammaStack(log_abs, 1 - 2 * (negative % 2), -zeros)
+    return GammaValue(log_abs, 1 - 2 * (negative % 2), -zeros)

@@ -6,35 +6,35 @@ spawns finitely many discrete blocks indexed by (r, u) through
 w_j = u_1 + ... + u_j + j/2; each block carries a combinatorial factor C,
 a Gamma-product factor V and a residual continuous density Q over the
 remaining p - r spectral variables.  All Gamma products run through the
-pole-aware arithmetic so that negative-integer degenerations reduce to
+pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
 order bookkeeping.
 
-C, V and W work on stacks: C and V on an (N, r) array of same-rank labels,
-W on an (N, p) array of points, each factor one array operation.  Q stays
-one block at a time, as the independent side of the r = 0 check against W.
+C and V work on an (N, r) array of same-rank labels and W on an (N, p)
+array of points, each factor one array operation.  W, Q_o and the unitary Q
+are products of one primitive, |Gamma(x0 + i rate s)|^2, which takes the
+s = 0 limit itself, so a coordinate at s = 0 runs the same code as any
+other and only the final collapse tells a net zero from a net pole.  Q
+stays one block at a time, assembled factor by factor as the independent
+side of the r = 0 check against W.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count
-from math import comb, factorial, log, pi
+from math import comb, log, pi
 from operator import add
 
 import numpy as np
 from scipy.special import gammaln, loggamma, roots_jacobi
 
 from .errors import InvalidParams, OracleNotConverged, PoleOnContour
-from .gammaval import (
-    GammaStack,
+from .gammaval import (  # perfbench/layers.py counts calls through every one of these names
     GammaValue,
     from_real,
     from_real_snapped,
-    gamma_stack,
     gamma_value,
-    nearest_nonpositive_int,
-    one,
-    pochhammer_stack,
+    one,  # not called here: bound as plancherel.one
     pochhammer_value,
 )
 
@@ -43,18 +43,20 @@ _ZERO_TOL = 1e-12
 
 @dataclass
 class PlancherelParams:
-    """Rank/weight parameters; ``h`` defaults to (p + q)/2 - 1."""
+    """Rank/weight parameters (p, q, alpha) of the expansion."""
 
     p: int
     q: int
     alpha: float
-    h: float | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.p <= self.q:
             raise InvalidParams(f"need 1 <= p <= q, got ({self.p}, {self.q})")
-        if self.h is None:
-            self.h = (self.p + self.q) / 2.0 - 1.0
+
+    @property
+    def h(self) -> float:
+        """The threshold (p + q)/2 - 1 below which discrete blocks appear."""
+        return (self.p + self.q) / 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -132,47 +134,37 @@ def _compositions(total: int, parts: int):
 
 
 # ---------------------------------------------------------------------------
-# Squared-modulus helpers (shared primitive of W and Q)
+# Squared Gamma moduli (the one primitive of W and Q)
 # ---------------------------------------------------------------------------
 
 
-def _log_abs_gamma_sq(z):
-    """log |Gamma(z)|^2 at every entry of z, off the pole set."""
-    return 2.0 * np.real(loggamma(z))
+def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
+    """|Gamma(x0 + i rate s)|^2 at every s, as a GammaValue.
+
+    Off s = 0 the value is finite.  At s = 0 it is the limit in the unit-rate
+    convention: |Gamma(x0)|^2, or the double pole 1 / (n! rate eps)^2 when x0
+    is the nonpositive integer -n.  The limit is taken of x0 as given, before
+    it is broadcast against s.  A Pochhammer square |(c + i rate s)_m|^2 is
+    the ratio of this at c + m and at c, in the limit too.
+    """
+    s = np.asarray(s, dtype=float)
+    at_zero = np.abs(s) <= _ZERO_TOL
+    z = np.where(at_zero, 1.0, s)  # placeholder at s = 0, where the limit takes over
+    off = 2.0 * np.real(loggamma(x0 + 1j * rate * z))
+    limit = gamma_value(x0)
+    limit_log = 2.0 * limit.log_abs - 2.0 * np.log(abs(rate)) * limit.is_pole
+    return GammaValue(
+        np.where(at_zero, limit_log, off),
+        np.ones(off.shape, dtype=np.int64),
+        np.where(at_zero, 2 * limit.order, 0),
+    )
 
 
-def _abs_gamma_sq_limit(x0: float, rate: float) -> GammaValue:
-    """|Gamma(x0 + i rate eps)|^2 as eps -> 0, pole-aware in eps."""
-    m = nearest_nonpositive_int(x0)
-    if m is not None:
-        mm = -m
-        log_abs = -2.0 * float(gammaln(mm + 1)) - 2.0 * np.log(abs(rate))
-        return GammaValue(log_abs, 1, pole_order=2)
-    return GammaValue(2.0 * float(gammaln(x0)), 1)
-
-
-def _inv_abs_gamma_sq_zero(rate: float) -> GammaValue:
-    """1 / |Gamma(i rate eps)|^2 = (rate eps)^2 (1 + O(eps^2))."""
-    return GammaValue(2.0 * np.log(abs(rate)), 1, zero_order=2)
-
-
-def _abs_poch_sq_limit(base: float, m: int, rate: float) -> GammaValue:
-    """|(base + i rate eps)_m|^2 as eps -> 0."""
-    out = one()
-    for i in range(m):
-        x = base + i
-        if abs(x) <= _ZERO_TOL:
-            out = out * GammaValue(2.0 * np.log(abs(rate)), 1, zero_order=2)
-        else:
-            out = out * GammaValue(2.0 * np.log(abs(x)), 1)
-    return out
-
-
-def _log_abs_poch_sq(z: complex, m: int) -> float:
-    total = 0.0
-    for i in range(m):
-        total += 2.0 * np.log(abs(z + i))
-    return total
+def _collapse(value: GammaValue):
+    """Floats of a product over s: a net pole raises PoleOnContour, a net zero is exactly 0.0."""
+    if np.any(value.is_pole):
+        raise PoleOnContour(f"net pole of order {int(np.max(value.order))} at s = 0")
+    return value.to_float()
 
 
 def _pair_interactions(s: np.ndarray):
@@ -185,15 +177,6 @@ def _pair_interactions(s: np.ndarray):
             dm, dp = sk - sl, sk + sl
             total = total * ((sk**2 - sl**2) * np.tanh(pi * dm / 2.0) * np.tanh(pi * dp / 2.0))
     return total if total.ndim else float(total)
-
-
-def _collapse(gv: GammaValue, where: str) -> float | None:
-    """Finite value of a coordinate limit; None encodes an exact zero."""
-    if gv.is_pole:
-        raise PoleOnContour(f"net pole of order {gv.pole_order} at {where}")
-    if gv.is_zero:
-        return None
-    return gv.log_abs
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +193,18 @@ def continuous_weight_o(params: PlancherelParams, s):
     (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2).
     ``s`` is one point of shape (p,), giving a float, or an (N, p) stack,
     giving an array of N weights.  Coordinates at s = 0 are evaluated as
-    limits, one constant for all of them: net zeros give an exact zero,
-    net poles raise PoleOnContour.
+    limits: net zeros give an exact zero, net poles raise PoleOnContour.
     """
     p, q, alpha = params.p, params.q, params.alpha
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != p:
         raise InvalidParams(f"need {p} spectral parameters per point, got shape {s.shape}")
     points = s.reshape(-1, p)
-    arg0 = (alpha - (p + q) / 2.0 + 1.0) / 2.0
-    off = np.abs(points) > _ZERO_TOL
-    z = np.where(off, points, 1.0)  # placeholder at s = 0, where the limit below takes over
-    log_terms = _log_abs_gamma_sq(arg0 + 0.5j * z)
+    factors = _abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
     if q > p:
-        log_terms += _log_abs_gamma_sq((q - p) / 2.0 + 1j * z) - _log_abs_gamma_sq(1j * z)
-    on_zero = ~off.all(axis=1)
-    piece = 0.0
-    if on_zero.any():
-        gv = _abs_gamma_sq_limit(arg0, 0.5)
-        if q > p:
-            gv = gv * _abs_gamma_sq_limit((q - p) / 2.0, 1.0) * _inv_abs_gamma_sq_zero(1.0)
-        piece = _collapse(gv, "s = 0")
-    if piece is None:
-        weights = np.exp(log_terms.sum(axis=1)) * _pair_interactions(points)
-        weights[on_zero] = 0.0
-    else:
-        weights = np.exp(np.where(off, log_terms, piece).sum(axis=1)) * _pair_interactions(points)
+        ratio = _abs_gamma_sq((q - p) / 2.0, 1.0, points) / _abs_gamma_sq(0.0, 1.0, points)
+        factors = factors * ratio
+    weights = _collapse(factors.prod(axis=1)) * _pair_interactions(points)
     return weights if s.ndim == 2 else float(weights[0])
 
 
@@ -265,34 +234,41 @@ def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, w, w - u - 0.5
 
 
-def _stack_result(labels, value: GammaStack):
-    """The GammaValue of a single BlockIndex, the whole stack otherwise."""
+def _stack_result(labels, value: GammaValue) -> GammaValue:
+    """The 0-d value of a single BlockIndex, the whole stack otherwise."""
     return value[0] if isinstance(labels, BlockIndex) else value
 
 
-def coeff_C(labels, p: int):
+def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
+    """2^(p-r) (2 pi)^r p!/(p-r)! prod_k (-1)^u_k / u_k! over the last axis of labels u.
+
+    Built in logs, with log u_k! from gammaln, so neither large p nor large
+    labels overflow a float.
+    """
+    r = u.shape[-1]
+    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + gammaln(p + 1) - gammaln(p - r + 1)
+    return GammaValue(
+        log_const - gammaln(u + 1.0).sum(axis=-1),
+        1 - 2 * (u.sum(axis=-1) % 2),
+        np.zeros(u.shape[:-1], dtype=np.int64),
+    )
+
+
+def coeff_C(labels, p: int) -> GammaValue:
     """Combinatorial block factor C over labels (r, u).
 
-    ``labels`` is a BlockIndex, giving a GammaValue, or an (N, r) integer
-    array of same-rank labels, giving a GammaStack of N values.
+    ``labels`` is a BlockIndex, giving a 0-d GammaValue, or an (N, r)
+    integer array of same-rank labels, giving N values.
     """
     u, w, w_prev = _label_stack(labels, p)
-    r = u.shape[1]
-    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + gammaln(p + 1) - gammaln(p - r + 1)
-    # prod (-1)^u_k / u_k!, with log u_k! from gammaln so large labels do not overflow
-    out = GammaStack(
-        log_const - gammaln(u + 1.0).sum(axis=1),
-        1 - 2 * (u.sum(axis=1) % 2),
-        np.zeros(u.shape[0], dtype=np.int64),
-    )
-    k, m = np.triu_indices(r, 1)
+    k, m = np.triu_indices(u.shape[1], 1)
     gap = w[:, m] - w[:, k]
-    pairs = gamma_stack(0.5 + gap) / gamma_stack(gap)
-    pairs = pairs / pochhammer_stack(0.5 + w_prev[:, k] - w[:, m], u[:, k])
-    return _stack_result(labels, out * pairs.prod(axis=1))
+    pairs = gamma_value(0.5 + gap) / gamma_value(gap)
+    pairs = pairs / pochhammer_value(0.5 + w_prev[:, k] - w[:, m], u[:, k])
+    return _stack_result(labels, _c_prefix(u, p) * pairs.prod(axis=1))
 
 
-def coeff_V_o(alpha: float, labels, p: int, q: int):
+def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     """Gamma-product block factor V, orthogonal case.
 
     Includes the 1/Gamma(alpha - m + 1) prefactor over m = 1..p, so the
@@ -302,16 +278,24 @@ def coeff_V_o(alpha: float, labels, p: int, q: int):
     """
     u, w, w_prev = _label_stack(labels, p)
     half = (p + q) / 2.0
-    prefactor = gamma_stack(alpha - np.arange(p)).prod(axis=0)
-    singles = gamma_stack(alpha - p + 1.0 + 2.0 * w) * gamma_stack(-alpha + q - 1.0 - 2.0 * w)
-    singles = singles / gamma_stack(-alpha + half - 2.0 * w)
-    singles = singles / pochhammer_stack(alpha - half + w + w_prev + 0.5, u)
+    prefactor = gamma_value(alpha - np.arange(p)).prod(axis=0)
+    singles = gamma_value(alpha - p + 1.0 + 2.0 * w) * gamma_value(-alpha + q - 1.0 - 2.0 * w)
+    singles = singles / gamma_value(-alpha + half - 2.0 * w)
+    singles = singles / pochhammer_value(alpha - half + w + w_prev + 0.5, u)
     k, m = np.triu_indices(u.shape[1], 1)
     both = w[:, k] + w[:, m]
-    pairs = gamma_stack(0.5 - alpha + half - both) / gamma_stack(-alpha + half - both)
-    pairs = pairs / pochhammer_stack(alpha - half + w[:, m] + w_prev[:, k] + 0.5, u[:, k])
+    pairs = gamma_value(0.5 - alpha + half - both) / gamma_value(-alpha + half - both)
+    pairs = pairs / pochhammer_value(alpha - half + w[:, m] + w_prev[:, k] + 0.5, u[:, k])
     out = singles.prod(axis=1) * pairs.prod(axis=1) / prefactor
     return _stack_result(labels, out)
+
+
+def _spectral_args(s, n: int) -> np.ndarray:
+    """``s`` as a float array of exactly n spectral parameters."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.shape != (n,):
+        raise InvalidParams(f"need {n} spectral parameters, got shape {s.shape}")
+    return s
 
 
 def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
@@ -324,42 +308,21 @@ def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
     r = u.r
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (p - r,):
-        raise InvalidParams(f"need {p - r} spectral parameters, got shape {s.shape}")
+    s = _spectral_args(s, p - r)
     half = (p + q) / 2.0
     wr = u.w[-1] if r else 0.0
-    arg0 = (alpha - half + 1.0) / 2.0
-    log_acc = 0.0
-    for idx in range(p - r):
-        sl = float(s[idx])
-        if abs(sl) > _ZERO_TOL:
-            log_acc += _log_abs_gamma_sq(arg0 + wr + 0.5j * sl)
-            if q > p:
-                log_acc += _log_abs_gamma_sq((q - p) / 2.0 + 1j * sl)
-                log_acc -= _log_abs_gamma_sq(1j * sl)
-            for k in range(1, r + 1):
-                wk = u.w[k - 1]
-                a_num = (1.0 - alpha + half - 2.0 * wk) / 2.0
-                a_den = (-alpha + half - 2.0 * wk) / 2.0
-                c0 = (alpha - half + wk) / 2.0
-                log_acc += _log_abs_gamma_sq(a_num + 0.5j * sl)
-                log_acc -= _log_abs_gamma_sq(a_den + 0.5j * sl)
-                log_acc -= _log_abs_poch_sq(c0 + 0.5j * sl, u.u[k - 1])
-        else:
-            gv = _abs_gamma_sq_limit(arg0 + wr, 0.5)
-            if q > p:
-                gv = gv * _abs_gamma_sq_limit((q - p) / 2.0, 1.0) * _inv_abs_gamma_sq_zero(1.0)
-            for k in range(1, r + 1):
-                wk = u.w[k - 1]
-                gv = gv * _abs_gamma_sq_limit((1.0 - alpha + half - 2.0 * wk) / 2.0, 0.5)
-                gv = gv / _abs_gamma_sq_limit((-alpha + half - 2.0 * wk) / 2.0, 0.5)
-                gv = gv / _abs_poch_sq_limit((alpha - half + wk) / 2.0, u.u[k - 1], 0.5)
-            piece = _collapse(gv, f"s[{idx}] = 0")
-            if piece is None:
-                return 0.0
-            log_acc += piece
-    return float(np.exp(log_acc)) * _pair_interactions(s)
+    value = _abs_gamma_sq((alpha - half + 1.0) / 2.0 + wr, 0.5, s)
+    if q > p:
+        value = value * (_abs_gamma_sq((q - p) / 2.0, 1.0, s) / _abs_gamma_sq(0.0, 1.0, s))
+    # one column per label k: s down the rows, w_k and u_k across
+    col = s[:, None]
+    w, labels = np.array(u.w), np.array(u.u)
+    per_label = _abs_gamma_sq((1.0 - alpha + half - 2.0 * w) / 2.0, 0.5, col)
+    per_label = per_label / _abs_gamma_sq((-alpha + half - 2.0 * w) / 2.0, 0.5, col)
+    c0 = (alpha - half + w) / 2.0
+    per_label = per_label / (_abs_gamma_sq(c0 + labels, 0.5, col) / _abs_gamma_sq(c0, 0.5, col))
+    value = value * per_label.prod(axis=1)
+    return float(_collapse(value.prod(axis=0))) * _pair_interactions(s)
 
 
 # ---------------------------------------------------------------------------
@@ -373,73 +336,43 @@ def coeff_CVQ_u(alpha: float, w, s, p: int, q: int) -> tuple[GammaValue, GammaVa
     Here the labels are plain nonnegative integers, repeated labels make C
     vanish through the squared Vandermonde, and the prefactor
     1/Gamma(alpha/2 - m + 1)^2 confines degeneration to even negative
-    integers alpha.
+    integers alpha.  C and V are 0-d GammaValues.
     """
-    w = tuple(int(x) for x in w)
-    if any(x < 0 for x in w):
+    w = np.array([int(x) for x in w], dtype=np.int64)
+    if np.any(w < 0):
         raise InvalidParams("block labels are nonnegative integers")
-    r = len(w)
+    r = w.size
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (p - r,):
-        raise InvalidParams(f"need {p - r} spectral parameters, got shape {s.shape}")
+    s = _spectral_args(s, p - r)
+    k, l = np.triu_indices(r, 1)
 
-    c_val = from_real(2.0 ** (p - r) * factorial(p) * (2.0 * pi) ** r / factorial(p - r))
-    for wk in w:
-        c_val = c_val * GammaValue(-float(gammaln(wk + 1)), 1 if wk % 2 == 0 else -1)
-    for k in range(r):
-        for l in range(k + 1, r):
-            c_val = c_val * from_real_snapped(float((w[k] - w[l]) ** 2))
+    c_val = _c_prefix(w, p) * from_real_snapped((w[k] - w[l]) ** 2.0).prod(axis=0)
 
-    v_val = one()
-    for m in range(1, p + 1):
-        g = gamma_value(alpha / 2.0 - m + 1.0)
-        v_val = v_val / (g * g)
-    for wk in w:
-        g1 = gamma_value(alpha / 2.0 - p + 1.0 + wk)
-        g2 = gamma_value(-alpha / 2.0 + q - wk)
-        v_val = v_val * g1 * g1 * g2 * g2
-        v_val = v_val / gamma_value(-alpha + (p + q) - 1.0 + 2.0 * wk)
-        v_val = v_val / pochhammer_value(alpha - (p + q) + 1.0 + wk, wk)
-    for k in range(r):
-        for l in range(k + 1, r):
-            f = from_real_snapped(alpha - (p + q) + 1.0 + w[k] + w[l])
-            v_val = v_val * f * f
+    shift = alpha - (p + q) + 1.0
+    prefactor = gamma_value(alpha / 2.0 - np.arange(p))
+    singles = gamma_value(alpha / 2.0 - p + 1.0 + w) * gamma_value(-alpha / 2.0 + q - w)
+    singles = singles * singles / gamma_value(-alpha + (p + q) - 1.0 + 2.0 * w)
+    singles = singles / pochhammer_value(shift + w, w)
+    pairs = from_real_snapped(shift + w[k] + w[l])
+    v_val = singles.prod(axis=0) * (pairs * pairs).prod(axis=0)
+    v_val = v_val / (prefactor * prefactor).prod(axis=0)
 
-    q_val = _unitary_q(alpha, w, s, p, q)
-    return c_val, v_val, q_val
+    return c_val, v_val, _unitary_q(alpha, w, s, p, q)
 
 
-def _unitary_q(alpha: float, w: tuple[int, ...], s: np.ndarray, p: int, q: int) -> float:
-    log_acc = 0.0
-    shifts = [0.25 * (alpha - (p + q) + 1.0 + 2.0 * wk) ** 2 for wk in w]
-    for idx in range(s.size):
-        sn = float(s[idx])
-        if abs(sn) > _ZERO_TOL:
-            for shift in shifts:
-                log_acc += 2.0 * np.log(shift + sn * sn)
-            log_acc += 2.0 * _log_abs_gamma_sq((q - p + 1.0) / 2.0 + 0.5j * sn)
-            log_acc += _log_abs_gamma_sq((alpha - p - q + 1.0) / 2.0 + 0.5j * sn)
-            log_acc -= _log_abs_gamma_sq(1j * sn)
-        else:
-            gv = one()
-            for shift in shifts:
-                f = from_real_snapped(shift)
-                gv = gv * f * f
-            fin = _abs_gamma_sq_limit((q - p + 1.0) / 2.0, 0.5)
-            gv = gv * fin * fin
-            gv = gv * _abs_gamma_sq_limit((alpha - p - q + 1.0) / 2.0, 0.5)
-            gv = gv * _inv_abs_gamma_sq_zero(1.0)
-            piece = _collapse(gv, f"s[{idx}] = 0")
-            if piece is None:
-                return 0.0
-            log_acc += piece
-    total = float(np.exp(log_acc))
-    for m in range(s.size):
-        for n in range(m + 1, s.size):
-            total *= float((s[n] ** 2 - s[m] ** 2) ** 2)
-    return total
+def _unitary_q(alpha: float, w: np.ndarray, s: np.ndarray, p: int, q: int) -> float:
+    """Q as one product: per coordinate, then the squared Vandermonde in s^2."""
+    # (c_k^2 + s^2)^2 = |(c_k + i s)_1|^4, one column per label
+    col = s[:, None]
+    c = (alpha - (p + q) + 1.0 + 2.0 * w) / 2.0
+    shifts = _abs_gamma_sq(c + 1.0, 1.0, col) / _abs_gamma_sq(c, 1.0, col)
+    fin = _abs_gamma_sq((q - p + 1.0) / 2.0, 0.5, s)
+    value = (shifts * shifts).prod(axis=1) * fin * fin
+    value = value * _abs_gamma_sq((alpha - p - q + 1.0) / 2.0, 0.5, s) / _abs_gamma_sq(0.0, 1.0, s)
+    m, n = np.triu_indices(s.size, 1)
+    pairs = from_real(s[n] ** 2 - s[m] ** 2)
+    return float(_collapse(value.prod(axis=0) * (pairs * pairs).prod(axis=0)))
 
 
 # ---------------------------------------------------------------------------

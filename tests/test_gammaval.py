@@ -10,7 +10,6 @@ from berezin_lab.gammaval import (
     from_real,
     from_real_snapped,
     gamma_value,
-    nearest_nonpositive_int,
     one,
     pochhammer_value,
 )
@@ -32,6 +31,30 @@ def test_pole_bookkeeping():
     g3 = gamma_value(-3.0)
     assert g3.sign == -1
     assert g3.log_abs == pytest.approx(-math.log(6.0))
+    # arguments within 1e-9 of a nonpositive integer are the pole there
+    assert gamma_value(-2.0 + 1e-12).is_pole
+    assert not gamma_value(-2.5).is_pole and not gamma_value(1.0).is_pole
+
+
+def test_arrays_hold_the_0d_values():
+    x = np.array([[0.5, -3.0, 2.0], [-2.5, 0.0, 4.0]])
+    g = gamma_value(x)
+    assert g.order.shape == x.shape
+    for index in np.ndindex(x.shape):
+        single = gamma_value(x[index])
+        assert (g[index].order, g[index].sign, g[index].log_abs) == (
+            single.order, single.sign, single.log_abs
+        )
+    assert np.array_equal(g.prod(axis=1).order, [1, 1])
+    with pytest.raises(UncancelledPole):
+        g.to_float()
+    finite = (g / gamma_value(x)).to_float()
+    assert finite.shape == x.shape and np.allclose(finite, 1.0)
+    h = pochhammer_value([-3.0, 2.5], [5, 3])
+    assert np.array_equal(h.is_zero, [True, False])
+    assert h[1].to_float() == pytest.approx(2.5 * 3.5 * 4.5)
+    z = from_real_snapped([0.0, 1e-12, -2.0])
+    assert np.array_equal(z.order, [-1, -1, 0]) and z.to_float()[2] == -2.0
 
 
 def test_pole_ratio_classic_value():
@@ -58,13 +81,6 @@ def test_pochhammer_values():
     # negative-integer base: finite falling products, then zero
     assert pochhammer_value(-3.0, 2).to_float() == pytest.approx(6.0)
     assert pochhammer_value(-3.0, 5).is_zero
-
-
-def test_nearest_nonpositive_int():
-    assert nearest_nonpositive_int(-2.0 + 1e-12) == -2
-    assert nearest_nonpositive_int(0.0) == 0
-    assert nearest_nonpositive_int(-2.5) is None
-    assert nearest_nonpositive_int(1.0) is None
 
 
 def test_from_real_snapped_rounds_near_integers():

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import loggamma
 
 from berezin_lab import cli, plancherel
 from berezin_lab.errors import InvalidParams, OracleNotConverged, PoleOnContour
-from berezin_lab.gammaval import GammaStack, GammaValue, gamma_value
+from berezin_lab.gammaval import GammaValue, gamma_value
 from berezin_lab.plancherel import (
     PlancherelParams,
     block_index,
@@ -32,7 +33,6 @@ from berezin_lab.plancherel import (
 def test_params_default_h():
     assert PlancherelParams(2, 5, 1.0).h == pytest.approx(2.5)
     assert PlancherelParams(3, 3, 1.0).h == pytest.approx(2.0)
-    assert PlancherelParams(2, 5, 1.0, h=4.0).h == pytest.approx(4.0)
     with pytest.raises(InvalidParams):
         PlancherelParams(0, 5, 1.0)
     with pytest.raises(InvalidParams):
@@ -337,7 +337,7 @@ def test_stacked_cv_matches_factor_by_factor_reference(p, q, alpha, strict):
     for r, labels in label_stacks(blocks):
         assert labels.shape == (sum(b.r == r for b in blocks), r)
         cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-        assert isinstance(cv, GammaStack)
+        assert isinstance(cv, GammaValue) and cv.order.shape == (len(labels),)
         for i, u in enumerate(labels.tolist()):
             order, sign, log_abs = _reference_cv(alpha, tuple(u), p, q)
             assert cv.order[i] == order, u
@@ -354,10 +354,13 @@ def test_a_block_index_is_the_stack_of_one():
     for u in [(), (3,), (1, 0, 2), (0, 2, 0, 1)]:
         b = block_index(u)
         single = coeff_C(b, p) * coeff_V_o(alpha, b, p, q)
-        assert isinstance(single, GammaValue)
+        assert isinstance(single, GammaValue) and single.order.shape == ()
         labels = stacks[b.r]
         row = labels.tolist().index(list(u))
-        assert single == (coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q))[row]
+        stacked = (coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q))[row]
+        assert (single.order, single.sign, single.log_abs) == (
+            stacked.order, stacked.sign, stacked.log_abs
+        )
 
 
 def test_label_stacks_keep_block_order():
@@ -387,6 +390,13 @@ def test_large_labels_do_not_overflow():
     cu, _, _ = coeff_CVQ_u(-200.0, (181,), [], 1, 3)
     assert cu.log_abs == pytest.approx(math.log(2 * math.pi) - math.lgamma(182), rel=1e-14)
     assert cu.sign == -1
+    # nor does p! past p = 170 in the constant 2^(p-r) (2 pi)^r p! / (p-r)!
+    cu, _, qu = coeff_CVQ_u(400.0, range(171), [], 171, 171)
+    log_c = (math.lgamma(172) + 171 * math.log(2 * math.pi)
+             - sum(math.lgamma(k + 1) for k in range(171))
+             + sum(2 * math.log(l - k) for k in range(171) for l in range(k + 1, 171)))
+    assert cu.log_abs == pytest.approx(log_c, rel=1e-12)
+    assert (cu.sign, cu.order, qu) == (-1, 0, 1.0)
 
 
 def _reference_weight(params, point):
@@ -504,6 +514,72 @@ def test_degeneration_at_very_negative_alpha(capsys):
     assert len(rows) == 202
     assert rows[0] == {"r": 0, "u": [], "status": "zero"}
     assert sum(row["status"] == "finite" for row in rows if row["r"] == 1) == 200
+
+
+# ---------------------------------------------------------------------------
+# Residual densities Q against recorded values
+# ---------------------------------------------------------------------------
+
+# Rows [family, p, q, alpha, label, s, Q] over (p, q) in {(2,5), (3,6), (2,2), (1,3)},
+# alpha = -3..3.5 by 0.5 and labels of rank 0-2, recorded from the factor-by-factor
+# implementation (a Python loop per coordinate with separate s = 0 limit helpers).
+# Q is "pole" where PoleOnContour was raised.  Each (family, p, q, alpha, label) has a
+# point with no zero coordinate, one with s_1 = 0 and, with two or more coordinates,
+# the origin.
+_Q_PINS = json.loads((Path(__file__).parent / "data" / "q_pins.json").read_text())
+
+
+def _q(family, alpha, label, s, p, q):
+    if family == "o":
+        return coeff_Q_o(alpha, block_index(label), np.asarray(s), p, q)
+    return coeff_CVQ_u(alpha, label, s, p, q)[2]
+
+
+def test_q_matches_recorded_values():
+    assert len(_Q_PINS) == 1428
+    statuses = {"pole": 0, "zero": 0, "finite": 0}
+    for family, p, q, alpha, label, s, pinned in _Q_PINS:
+        where = (family, p, q, alpha, label, s)
+        if pinned == "pole":
+            with pytest.raises(PoleOnContour):
+                _q(family, alpha, label, s, p, q)
+            statuses["pole"] += 1
+            continue
+        value = _q(family, alpha, label, s, p, q)
+        assert isinstance(value, float), where
+        if pinned == 0.0:
+            assert value == 0.0, where
+            statuses["zero"] += 1
+        else:
+            assert abs(value - pinned) <= 1e-13 * abs(pinned), where
+            statuses["finite"] += 1
+    assert all(statuses.values())
+
+
+def _moved(s, eps):
+    """``s`` with its j-th zero coordinate moved to eps * (j + 1)."""
+    out, j = [], 0
+    for x in s:
+        if x == 0.0:
+            j += 1
+            x = eps * j
+        out.append(x)
+    return out
+
+
+def test_q_at_a_zero_coordinate_is_the_limit():
+    checked = 0
+    for family, p, q, alpha, label, s, pinned in _Q_PINS:
+        if pinned == "pole" or 0.0 not in s:
+            continue
+        near = _q(family, alpha, label, _moved(s, 1e-6), p, q)
+        if pinned == 0.0:
+            # a zero of order >= 2 in each moved coordinate: Q(1e-6) / Q(1e-2) <= 1e-8
+            assert abs(near) <= 1e-6 * abs(_q(family, alpha, label, _moved(s, 1e-2), p, q))
+        else:
+            assert abs(near - pinned) <= 1e-6 * abs(pinned), (family, p, q, alpha, label, s)
+        checked += 1
+    assert checked > 500
 
 
 # ---------------------------------------------------------------------------
