@@ -4,6 +4,10 @@ Points are real p x q matrices of spectral norm below one (p <= q).  The
 group O(p, q), block-decomposed as g = (a b; c d) with g^t J g = J and
 J = diag(1_p, -1_q), acts by z |-> (a + z c)^(-1) (b + z d); the scalar
 cocycle of the action is det(a + z c).
+
+A point is a (p, q) array and a stack of points the same array with
+leading axes, (..., p, q).  The action, the cocycle and ``ball_scale``
+take either; ``orbit_rank`` and ``transport_to_origin`` take one point.
 """
 
 from __future__ import annotations
@@ -19,18 +23,8 @@ from .rngs import as_generator
 _COND_BOUND = 1e12
 
 
-@dataclass
-class BallPoint:
-    """A p x q matrix of spectral norm < 1, or <= 1 when ``closure`` is set."""
-
-    p: int
-    q: int
-    entries: np.ndarray
-    closure: bool = False
-
-
-def ball_point(entries: np.ndarray, closure: bool = False, tol: float = 1e-9) -> BallPoint:
-    """Validating constructor: checks the shape and the norm constraint."""
+def ball_point(entries: np.ndarray, closure: bool = False, tol: float = 1e-9) -> np.ndarray:
+    """``entries`` as a checked (p, q) point: spectral norm < 1, or <= 1 + tol with ``closure``."""
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2:
         raise InvalidParams("a ball point is a 2-d real matrix")
@@ -41,10 +35,10 @@ def ball_point(entries: np.ndarray, closure: bool = False, tol: float = 1e-9) ->
     limit_ok = norm <= 1.0 + tol if closure else norm < 1.0
     if not limit_ok:
         raise InvalidParams(f"spectral norm {norm:.6f} violates the ball constraint")
-    return BallPoint(p, q, entries, closure)
+    return entries
 
 
-def origin(p: int, q: int) -> BallPoint:
+def origin(p: int, q: int) -> np.ndarray:
     return ball_point(np.zeros((p, q)))
 
 
@@ -55,13 +49,12 @@ def random_ball_point(
     norm_min: float = 0.0,
     norm_max: float = 0.95,
     size: int | tuple[int, ...] | None = None,
-) -> BallPoint | np.ndarray:
+) -> np.ndarray:
     """Gaussian direction rescaled to a uniform spectral norm in [min, max).
 
-    With ``size`` (an int or a shape) the result is an array of that many
-    points, of shape size + (p, q), instead of one BallPoint.  All
-    Gaussians are drawn before all norms, so a single point consumes the
-    generator as a stack of one does.
+    One (p, q) point, or with ``size`` (an int or a shape) a stack of shape
+    size + (p, q).  All Gaussians are drawn before all norms, so a single
+    point consumes the generator as a stack of one does.
     """
     if not 0.0 <= norm_min <= norm_max < 1.0:
         raise InvalidParams("need 0 <= norm_min <= norm_max < 1")
@@ -78,28 +71,12 @@ def random_ball_point(
     norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, -1, -2))[..., -1])
     if not np.all(norms < 1.0):
         raise InvalidParams(f"spectral norm {np.max(norms):.6f} violates the ball constraint")
-    return BallPoint(p, q, pts[0]) if size is None else pts
+    return pts[0] if size is None else pts
 
 
-def as_entries(z: BallPoint | np.ndarray) -> np.ndarray:
-    """The (..., p, q) entries of a point, or of a stack of points given as an array.
-
-    Every function that acts on points takes either form: a BallPoint
-    comes back as a BallPoint or a float, a stack as an array.
-    """
-    return z.entries if isinstance(z, BallPoint) else np.asarray(z, dtype=float)
-
-
-def _like(z: BallPoint | np.ndarray, entries: np.ndarray) -> BallPoint | np.ndarray:
-    """``entries`` as a BallPoint with z's closure flag when z is one, else the bare array."""
-    if isinstance(z, BallPoint):
-        return BallPoint(z.p, z.q, entries, closure=z.closure)
-    return entries
-
-
-def ball_scale(z: BallPoint | np.ndarray, c: float | np.ndarray) -> BallPoint | np.ndarray:
+def ball_scale(z: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     """c z; a stack of points takes one shrink factor each from a stack of factors."""
-    return _like(z, np.asarray(c, dtype=float)[..., None, None] * as_entries(z))
+    return np.asarray(c, dtype=float)[..., None, None] * np.asarray(z, dtype=float)
 
 
 @dataclass
@@ -165,32 +142,27 @@ def _action_base(g: PseudoOrthogonalElement, z: np.ndarray) -> np.ndarray:
     return m
 
 
-def moebius_act(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> BallPoint | np.ndarray:
+def moebius_act(g: PseudoOrthogonalElement, z: np.ndarray) -> np.ndarray:
     """z |-> (a + z c)^(-1) (b + z d); preserves the ball and its closure.
 
-    A BallPoint maps to a BallPoint; a (..., p, q) stack maps to a stack,
-    each point moved by its own element when g is a stack too.
+    A (..., p, q) stack maps to a stack, each point moved by its own
+    element when g is a stack too.
     """
-    zs = as_entries(z)
-    return _like(z, np.linalg.solve(_action_base(g, zs), g.b + zs @ g.d))
+    z = np.asarray(z, dtype=float)
+    return np.linalg.solve(_action_base(g, z), g.b + z @ g.d)
 
 
-def cocycle(g: PseudoOrthogonalElement, z: BallPoint | np.ndarray) -> float | np.ndarray:
+def cocycle(g: PseudoOrthogonalElement, z: np.ndarray) -> float | np.ndarray:
     """det(a + z c), the multiplier attached to the Moebius action at z (one per stacked point)."""
-    return np.linalg.det(_action_base(g, as_entries(z)))
+    return np.linalg.det(_action_base(g, np.asarray(z, dtype=float)))
 
 
-@dataclass
-class OrbitRank:
+def orbit_rank(z: np.ndarray, tol: float = 1e-9) -> int:
     """Numerical rank h of 1 - z z^t; h = p in the interior, h < p on boundary orbits."""
-
-    h: int
-
-
-def orbit_rank(z: BallPoint, tol: float = 1e-9) -> OrbitRank:
-    s = np.linalg.svd(np.eye(z.p) - z.entries @ z.entries.T, compute_uv=False)
+    z = np.asarray(z, dtype=float)
+    s = np.linalg.svd(np.eye(z.shape[0]) - z @ z.T, compute_uv=False)
     floor = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    return OrbitRank(int(np.sum(s > floor)))
+    return int(np.sum(s > floor))
 
 
 def boost(p: int, q: int, t: np.ndarray) -> PseudoOrthogonalElement:
@@ -222,25 +194,26 @@ def compose(g: PseudoOrthogonalElement, h: PseudoOrthogonalElement) -> PseudoOrt
     return PseudoOrthogonalElement.from_matrix(g.p, g.q, g.matrix @ h.matrix)
 
 
-def transport_to_origin(z: BallPoint) -> PseudoOrthogonalElement:
+def transport_to_origin(z: np.ndarray) -> PseudoOrthogonalElement:
     """An element g with z^[g] = 0, built from the SVD of z.
 
     With z = U diag(sigma) V^t, the product diag(U, V) B(-atanh sigma)
     moves z to the origin; its cocycle at z is prod(1 / cosh(atanh sigma)).
     """
-    u, sig, vt = np.linalg.svd(z.entries)
+    p, q = np.shape(z)
+    u, sig, vt = np.linalg.svd(z)
     if sig.size and sig[0] >= 1.0:
         raise InvalidParams("transport needs an interior point")
     if np.linalg.det(u) < 0:
         # flip one singular pair jointly: z is unchanged and the cocycle
         # at z comes out positive, as advertised
         u[:, -1] *= -1.0
-        vt[z.p - 1, :] *= -1.0
-    frame = np.zeros((z.p + z.q, z.p + z.q))
-    frame[: z.p, : z.p] = u
-    frame[z.p :, z.p :] = vt.T
-    k = PseudoOrthogonalElement.from_matrix(z.p, z.q, frame)
-    return compose(k, boost(z.p, z.q, -np.arctanh(sig)))
+        vt[p - 1, :] *= -1.0
+    frame = np.zeros((p + q, p + q))
+    frame[:p, :p] = u
+    frame[p:, p:] = vt.T
+    k = PseudoOrthogonalElement.from_matrix(p, q, frame)
+    return compose(k, boost(p, q, -np.arctanh(sig)))
 
 
 def random_pseudo_orthogonal(

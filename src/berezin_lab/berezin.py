@@ -6,6 +6,9 @@ exactly for alpha in {0, 1, ..., p-1} together with the continuous ray
 witnesses off that set, verifies the transformation law under the Moebius
 action, and probes integrability of the kernel restricted to boundary
 orbits against the closed form of the matching Haar integral.
+
+Points are (p, q) arrays and stacks of them (..., p, q) arrays, as in
+``ball``; a boundary-orbit point is a point of the closure.
 """
 
 from __future__ import annotations
@@ -15,15 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .ball import (
-    BallPoint,
-    PseudoOrthogonalElement,
-    as_entries,
-    ball_scale,
-    cocycle,
-    moebius_act,
-    random_ball_point,
-)
+from .ball import PseudoOrthogonalElement, ball_scale, cocycle, moebius_act, random_ball_point
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
 from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
@@ -37,14 +32,12 @@ _TINY = 1e-300
 _GRAM_ENTRIES = 2**14
 
 
-def berezin_kernel(
-    z: BallPoint | np.ndarray, u: BallPoint | np.ndarray, alpha: float
-) -> float | np.ndarray:
+def berezin_kernel(z: np.ndarray, u: np.ndarray, alpha: float) -> float | np.ndarray:
     """K_alpha(z, u) = det(1 - z u^t)^(-alpha); the base is always positive.
 
     Stacks of points (..., p, q) give one kernel value per pair.
     """
-    zs, us = as_entries(z), as_entries(u)
+    zs, us = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
     if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
     base = np.linalg.det(np.eye(zs.shape[-2]) - zs @ np.swapaxes(us, -1, -2))
@@ -100,7 +93,7 @@ def gram_spectrum(points, alpha: float) -> GramReport:
     arrays of N extreme eigenvalues.  A large stack is evaluated in chunks
     of ``_GRAM_ENTRIES`` kernel entries.
     """
-    pts = _as_point_stack(points)
+    pts = np.asarray(points, dtype=float)
     stack = pts if pts.ndim == 4 else pts[None]
     per_chunk = max(1, _GRAM_ENTRIES // stack.shape[1] ** 2)
     extremes = [
@@ -111,12 +104,6 @@ def gram_spectrum(points, alpha: float) -> GramReport:
     if pts.ndim == 3:
         lo, hi = float(lo[0]), float(hi[0])
     return GramReport(pts.shape[-3], alpha, lo, hi)
-
-
-def _as_point_stack(points) -> np.ndarray:
-    if isinstance(points, np.ndarray) and points.ndim >= 3:
-        return points
-    return np.stack([p.entries if isinstance(p, BallPoint) else np.asarray(p) for p in points])
 
 
 @dataclass
@@ -269,8 +256,8 @@ WINNING_COVARIANCE_VARIANT = "u-cocycle-corrected"
 
 def covariance_residual(
     g: PseudoOrthogonalElement,
-    z: BallPoint | np.ndarray,
-    u: BallPoint | np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
     alpha: float,
     variant: str = WINNING_COVARIANCE_VARIANT,
 ) -> float | np.ndarray:
@@ -289,11 +276,11 @@ def covariance_residual(
         mult = cocycle(g, z) * cocycle(g, u)
         ok = mult > 0
     else:
-        zs = as_entries(z)
-        if zs.shape[-2] != zs.shape[-1]:
+        z, u = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
+        if z.shape[-2] != z.shape[-1]:
             raise InvalidParams("the as-printed multiplier det(a + z u) needs p = q")
         m1 = cocycle(g, z)
-        m2 = np.linalg.det(g.a + zs @ as_entries(u))
+        m2 = np.linalg.det(g.a + z @ u)
         mult = m1 * m2
         ok = (m1 > 0) & (m2 > 0)
     rhs = base * np.where(ok, mult, 1.0) ** alpha
@@ -326,7 +313,7 @@ def covariance_convention_table(
         m1 = cocycle(g, z)
         cands = {
             "u-cocycle": cocycle(g, u),
-            "a+zu": float(g.a[0, 0] + z.entries[0, 0] * u.entries[0, 0]),
+            "a+zu": float(g.a[0, 0] + z[0, 0] * u[0, 0]),
         }
         for name, m2 in cands.items():
             for s1 in (1, -1):
@@ -339,7 +326,7 @@ def covariance_convention_table(
 
 
 def domination_residual(
-    z: BallPoint | np.ndarray, u: BallPoint | np.ndarray, c: float | np.ndarray, alpha: float
+    z: np.ndarray, u: np.ndarray, c: float | np.ndarray, alpha: float
 ) -> float | np.ndarray:
     """Positive part of K_alpha(c z, c u) - 2^(p alpha) K_alpha(z, u).
 
@@ -353,23 +340,13 @@ def domination_residual(
     if alpha < 0:
         raise InvalidParams("domination is stated for alpha >= 0")
     lhs = berezin_kernel(ball_scale(z, c), ball_scale(u, c), alpha)
-    rhs = 2.0 ** (as_entries(z).shape[-2] * alpha) * berezin_kernel(z, u, alpha)
+    rhs = 2.0 ** (np.shape(z)[-2] * alpha) * berezin_kernel(z, u, alpha)
     return np.maximum(0.0, lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
 # Boundary orbits
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BoundaryOrbitPoint:
-    """A p x q boundary point with 1 - z z^t of rank r."""
-
-    p: int
-    q: int
-    r: int
-    entries: np.ndarray
 
 
 def _check_boundary_params(p: int, q: int, r: int) -> None:
@@ -379,19 +356,13 @@ def _check_boundary_params(p: int, q: int, r: int) -> None:
         raise InvalidParams(f"need 0 <= r < p, got r = {r}")
 
 
-def boundary_sample(p: int, q: int, r: int, rng=None) -> BoundaryOrbitPoint:
-    """Uniform point of the rank-r boundary orbit.
+def boundary_sample_batch(p: int, q: int, r: int, size: int, rng=None) -> np.ndarray:
+    """``size`` uniform points of the rank-r boundary orbit, shape (size, p, q).
 
     The upper-left p x q block of a Haar SO(q + r) matrix lands on the
     orbit where 1 - z z^t has rank r (its complement block supplies a rank
     r factorization almost surely).
     """
-    _check_boundary_params(p, q, r)
-    z = boundary_sample_batch(p, q, r, 1, rng)[0]
-    return BoundaryOrbitPoint(p, q, r, z)
-
-
-def boundary_sample_batch(p: int, q: int, r: int, size: int, rng=None) -> np.ndarray:
     _check_boundary_params(p, q, r)
     g = _haar_so_batch(q + r, size, as_generator(rng), cols=q)
     return g[:, :p]

@@ -72,8 +72,8 @@ def _number(cast, ok, what: str):
 
 
 _POSITIVE_INT = _number(int, lambda v: v > 0, "a positive integer")
-_VECTOR = _number(lambda text: [float(x) for x in text.split(",") if x.strip() != ""],
-                  lambda v: v and all(map(math.isfinite, v)), "a non-empty CSV of finite reals")
+_VECTOR = _number(lambda text: [float(x) for x in text.split(",")],
+                  lambda v: all(map(math.isfinite, v)), "a CSV of finite reals")
 _OPTIONS = {
     "n": {"type": _POSITIVE_INT, "required": True},
     "p": {"type": _POSITIVE_INT, "required": True},

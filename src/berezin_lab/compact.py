@@ -9,11 +9,14 @@ realization: the quaternion a + b i + c j + d k occupies a 2 x 2 block
 so a matrix M is quaternionic iff M Jhat = Jhat conj(M) with
 Jhat = diag([[0, -1], [1, 0]], ...).  Even-indexed columns determine the
 odd-indexed ones through the antilinear map S(u) = Jhat conj(u).
+
+A group element is its stored matrix, (n, n) for the real and complex
+fields and (2n, 2n) complex for the quaternion field, and a stack of them
+is a (size, d, d) array.  The corner calculus takes the field as an
+argument, REAL by default, and reads n off the matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,46 +28,12 @@ COMPLEX = "complex"
 QUATERNION = "quaternion"
 FIELDS = (REAL, COMPLEX, QUATERNION)
 
-# Haar group per field label, in the sampled realization.
-GROUPS = {REAL: "SO(n)", COMPLEX: "U(n)", QUATERNION: "Sp(n)"}
-
 _SINGULAR_TOL = 1e-12
-
-
-@dataclass
-class CompactGroupElement:
-    """One sampled group element.
-
-    ``entries`` is (n, n) for the real and complex fields and (2n, 2n)
-    complex for the quaternion field.
-    """
-
-    field: str
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.field not in FIELDS:
-            raise InvalidParams(f"unknown field {self.field!r}; expected one of {FIELDS}")
-        d = matrix_dim(self.field, self.n)
-        if self.entries.shape != (d, d):
-            raise InvalidParams(
-                f"{self.field} element of size {self.n} needs a {d} x {d} matrix, "
-                f"got shape {self.entries.shape}"
-            )
-
-    @property
-    def matrix_dim(self) -> int:
-        return matrix_dim(self.field, self.n)
-
-    def unitarity_residual(self) -> float:
-        g = self.entries
-        return float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))))
 
 
 def matrix_dim(field: str, n: int) -> int:
     """Side length of the stored matrix: n, except 2n for quaternions."""
-    return 2 * n if field == QUATERNION else n
+    return _unit(field) * n
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +146,6 @@ def haar_sample_batch(
     return _BATCH_SAMPLERS[field](n, size, as_generator(rng))
 
 
-def haar_sample(
-    field: str, n: int, rng: int | np.random.Generator | None = None
-) -> CompactGroupElement:
-    """One Haar sample from SO(n), U(n) or Sp(n) by field label."""
-    mat = haar_sample_batch(field, n, 1, rng)[0]
-    return CompactGroupElement(field, n, mat)
-
-
 def haar_sample_uncorrected(
     field: str, n: int, rng: int | np.random.Generator | None = None, size: int = 1
 ) -> np.ndarray:
@@ -213,19 +174,28 @@ def haar_sample_uncorrected(
 
 def _unit(field: str) -> int:
     """Stored rows per group unit of size: 2 for quaternions else 1."""
+    if field not in FIELDS:
+        raise InvalidParams(f"unknown field {field!r}; expected one of {FIELDS}")
     return 2 if field == QUATERNION else 1
 
 
-def corner(g: CompactGroupElement | np.ndarray, k: int, field: str = REAL) -> np.ndarray:
+def _size(g: np.ndarray, field: str) -> int:
+    """The group size n of a stored element: a square matrix of n whole units of ``field``."""
+    unit, shape = _unit(field), np.shape(g)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % unit:
+        raise InvalidParams(f"a {field} group element is a square matrix of {unit} x {unit} "
+                            f"units, got shape {shape}")
+    return shape[0] // unit
+
+
+def corner(g: np.ndarray, k: int, field: str = REAL) -> np.ndarray:
     """Leading principal k x k corner [g]_k (2k x 2k for quaternions)."""
-    if isinstance(g, CompactGroupElement):
-        mat, field, n = g.entries, g.field, g.n
-    else:
-        mat, n = np.asarray(g), np.asarray(g).shape[0] // _unit(field)
+    g = np.asarray(g)
+    n = _size(g, field)
     if not 1 <= k <= n:
         raise InvalidParams(f"corner index must satisfy 1 <= k <= {n}, got {k}")
     s = _unit(field) * k
-    return mat[:s, :s]
+    return g[:s, :s]
 
 
 def _upsilon_matrix(mat: np.ndarray, m_rows: int) -> np.ndarray:
@@ -243,22 +213,23 @@ def _upsilon_matrix(mat: np.ndarray, m_rows: int) -> np.ndarray:
     return t_blk - r_blk @ np.linalg.solve(lhs, q_blk)
 
 
-def upsilon(g: CompactGroupElement, m: int) -> CompactGroupElement:
+def upsilon(g: np.ndarray, m: int, field: str = REAL) -> np.ndarray:
     """Corner reduction by m units: blocks (P Q; R T) |-> T - R (1+P)^(-1) Q.
 
     Maps the group of size n onto the group of size n - m and sends Haar
     measure to Haar measure.  Composes additively: upsilon(k) o upsilon(m)
     equals upsilon(k + m).
     """
-    if not 1 <= m < g.n:
-        raise InvalidParams(f"reduction step must satisfy 1 <= m < {g.n}, got {m}")
-    out = _upsilon_matrix(g.entries, _unit(g.field) * m)
-    return CompactGroupElement(g.field, g.n - m, out)
+    g = np.asarray(g)
+    n = _size(g, field)
+    if not 1 <= m < n:
+        raise InvalidParams(f"reduction step must satisfy 1 <= m < {n}, got {m}")
+    return _upsilon_matrix(g, _unit(field) * m)
 
 
-def cayley(g: CompactGroupElement | np.ndarray) -> np.ndarray:
+def cayley(g: np.ndarray) -> np.ndarray:
     """Cayley transform (g - 1)(g + 1)^(-1); defined when det(g + 1) != 0."""
-    mat = g.entries if isinstance(g, CompactGroupElement) else np.asarray(g)
+    mat = np.asarray(g)
     d = mat.shape[0]
     lhs = mat + np.eye(d, dtype=mat.dtype)
     sign, logdet = np.linalg.slogdet(lhs)
@@ -313,53 +284,56 @@ def cube_coords_batch(
 
 
 def equivariance_residual(
-    g: CompactGroupElement, a: CompactGroupElement, b: CompactGroupElement, m: int
+    g: np.ndarray, a: np.ndarray, b: np.ndarray, m: int, field: str = REAL
 ) -> float:
     """Residual of upsilon_m(diag(1, A) g diag(1, B)) = A upsilon_m(g) B.
 
     A and B are group elements of size n - m; the reduction only sees the
     left-upper corner, so framing the complement acts by outer translation.
     """
-    if a.field != g.field or b.field != g.field or a.n != g.n - m or b.n != g.n - m:
-        raise InvalidParams("A and B must live in the size n - m group over the same field")
-    u = _unit(g.field)
-    d = g.matrix_dim
-    left = np.eye(d, dtype=complex if g.field != REAL else float)
+    n = _size(g, field)
+    if _size(a, field) != n - m or _size(b, field) != n - m:
+        raise InvalidParams("A and B must live in the size n - m group")
+    u = _unit(field)
+    left = np.eye(u * n, dtype=complex if field != REAL else float)
     right = left.copy()
-    left[u * m :, u * m :] = a.entries
-    right[u * m :, u * m :] = b.entries
-    framed = CompactGroupElement(g.field, g.n, left @ g.entries @ right)
-    lhs = upsilon(framed, m).entries
-    rhs = a.entries @ upsilon(g, m).entries @ b.entries
+    left[u * m :, u * m :] = a
+    right[u * m :, u * m :] = b
+    lhs = upsilon(left @ g @ right, m, field)
+    rhs = a @ upsilon(g, m, field) @ b
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def cayley_corner_residual(g: CompactGroupElement, p: int) -> float:
+def cayley_corner_residual(g: np.ndarray, p: int, field: str = REAL) -> float:
     """Scale-aware residual of {cayley(g)}_p = cayley(upsilon(g, n-p)).
 
     The braces take the lower-right p x p corner (2p x 2p for
     quaternions).  Cayley entries grow like the reciprocal distance to the
     singular set, so the comparison is normalized by the corner magnitude.
     """
-    if not 1 <= p < g.n:
-        raise InvalidParams(f"corner size must satisfy 1 <= p < {g.n}, got {p}")
-    u = _unit(g.field)
-    m = g.n - p
+    n = _size(g, field)
+    if not 1 <= p < n:
+        raise InvalidParams(f"corner size must satisfy 1 <= p < {n}, got {p}")
+    u = _unit(field)
+    m = n - p
     lhs = cayley(g)[u * m :, u * m :]
-    rhs = cayley(upsilon(g, m))
+    rhs = cayley(upsilon(g, m, field))
     scale = max(1.0, float(np.max(np.abs(lhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def corner_det_multiplicativity_residual(g: CompactGroupElement, m: int, p: int) -> float:
+def corner_det_multiplicativity_residual(
+    g: np.ndarray, m: int, p: int, field: str = REAL
+) -> float:
     """Residual of det(1+[g]_p) = det(1+[g]_m) det(1+[upsilon_m(g)]_{p-m})."""
-    if not 1 <= m < p <= g.n:
-        raise InvalidParams(f"need 1 <= m < p <= {g.n}, got m={m}, p={p}")
-    u = _unit(g.field)
-    full = np.linalg.det(np.eye(u * p) + corner(g, p))
-    part = np.linalg.det(np.eye(u * m) + corner(g, m))
-    red = upsilon(g, m)
-    rest = np.linalg.det(np.eye(u * (p - m)) + corner(red, p - m))
+    n = _size(g, field)
+    if not 1 <= m < p <= n:
+        raise InvalidParams(f"need 1 <= m < p <= {n}, got m={m}, p={p}")
+    u = _unit(field)
+    full = np.linalg.det(np.eye(u * p) + corner(g, p, field))
+    part = np.linalg.det(np.eye(u * m) + corner(g, m, field))
+    red = upsilon(g, m, field)
+    rest = np.linalg.det(np.eye(u * (p - m)) + corner(red, p - m, field))
     return float(abs(full - part * rest) / max(abs(full), 1e-30))
 
 
@@ -387,14 +361,14 @@ def _real_realization(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def quaternionic_det(a: CompactGroupElement | np.ndarray, tol: float = 1e-9) -> float:
+def quaternionic_det(a: np.ndarray, tol: float = 1e-9) -> float:
     """Nonnegative quaternionic determinant of a quaternionic matrix.
 
     Computed as sqrt(det) of the 2n x 2n complex realization and
     cross-checked against det^(1/4) of the 4n x 4n real realization,
     which must come out nonnegative.
     """
-    mat = a.entries if isinstance(a, CompactGroupElement) else np.asarray(a, dtype=complex)
+    mat = np.asarray(a, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise InvalidParams("expected a 2n x 2n complex realization")
     scale = max(float(np.max(np.abs(mat))), 1.0)

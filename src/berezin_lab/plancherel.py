@@ -9,13 +9,14 @@ remaining p - r spectral variables.  All Gamma products run through the
 pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
 order bookkeeping.
 
-C and V work on an (N, r) array of same-rank labels and W on an (N, p)
-array of points, each factor one array operation.  W, Q_o and the unitary Q
-are products of one primitive, |Gamma(x0 + i rate s)|^2, which takes the
-s = 0 limit itself, so a coordinate at s = 0 runs the same code as any
-other and only the final collapse tells a net zero from a net pole.  Q
-stays one block at a time, assembled factor by factor as the independent
-side of the r = 0 check against W.
+C and V work on an (N, r) array of same-rank labels, one label being a
+(1, r) row, and W on an (N, p) array of points, each factor one array
+operation.  W, Q_o and the unitary Q are products of one primitive,
+|Gamma(x0 + i rate s)|^2, which takes the s = 0 limit itself, so a
+coordinate at s = 0 runs the same code as any other; a net pole raises
+PoleOnContour.  Q stays one block at a time, assembled factor by factor as
+the independent side of the r = 0 check against W, and comes back as a 0-d
+GammaValue, so a Q past the float range keeps its logarithm.
 """
 
 from __future__ import annotations
@@ -160,23 +161,22 @@ def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
     )
 
 
-def _collapse(value: GammaValue):
-    """Floats of a product over s: a net pole raises PoleOnContour, a net zero is exactly 0.0."""
+def _pole_checked(value: GammaValue) -> GammaValue:
+    """A product over s, once it holds no net pole; a net pole raises PoleOnContour."""
     if np.any(value.is_pole):
         raise PoleOnContour(f"net pole of order {int(np.max(value.order))} at s = 0")
-    return value.to_float()
+    return value
 
 
-def _pair_interactions(s: np.ndarray):
-    """The pair product over the last axis: a float for one point, an array for a stack."""
-    n = s.shape[-1]
-    total = np.ones(s.shape[:-1])
-    for k in range(n):
-        for l in range(k + 1, n):
-            sk, sl = s[..., k], s[..., l]
-            dm, dp = sk - sl, sk + sl
-            total = total * ((sk**2 - sl**2) * np.tanh(pi * dm / 2.0) * np.tanh(pi * dp / 2.0))
-    return total if total.ndim else float(total)
+def _pair_factors(s: np.ndarray) -> np.ndarray:
+    """One factor per pair k < l of the last axis.
+
+    (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2): W takes
+    their float product, Q their product as a GammaValue.
+    """
+    k, l = np.triu_indices(s.shape[-1], 1)
+    sk, sl = s[..., k], s[..., l]
+    return (sk**2 - sl**2) * np.tanh(pi * (sk - sl) / 2.0) * np.tanh(pi * (sk + sl) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def continuous_weight_o(params: PlancherelParams, s):
     if q > p:
         ratio = _abs_gamma_sq((q - p) / 2.0, 1.0, points) / _abs_gamma_sq(0.0, 1.0, points)
         factors = factors * ratio
-    weights = _collapse(factors.prod(axis=1)) * _pair_interactions(points)
+    weights = _pole_checked(factors.prod(axis=1)).to_float() * _pair_factors(points).prod(axis=1)
     return weights if s.ndim == 2 else float(weights[0])
 
 
@@ -214,29 +214,21 @@ def continuous_weight_o(params: PlancherelParams, s):
 
 
 def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, w, w_prev) of an (N, r) label stack; a BlockIndex is the stack of one.
+    """(u, w, w_prev) of an (N, r) label stack.
 
     w holds the partial sums w_k = u_1 + ... + u_k + k/2 and w_prev the
     shifted sums w_{k-1}, with w_0 = 0.
     """
-    if isinstance(labels, BlockIndex):
-        u = np.array([labels.u], dtype=np.int64).reshape(1, labels.r)
-    else:
-        u = np.asarray(labels)
-        if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
-            raise InvalidParams(f"block labels must be an (N, r) integer array, got {u.shape}")
-        if np.any(u < 0):
-            raise InvalidParams("block labels are nonnegative integers")
+    u = np.asarray(labels)
+    if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
+        raise InvalidParams(f"block labels must be an (N, r) integer array, got {u.shape}")
+    if np.any(u < 0):
+        raise InvalidParams("block labels are nonnegative integers")
     r = u.shape[1]
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
     w = np.cumsum(u, axis=1) + np.arange(1, r + 1) / 2.0
     return u, w, w - u - 0.5
-
-
-def _stack_result(labels, value: GammaValue) -> GammaValue:
-    """The 0-d value of a single BlockIndex, the whole stack otherwise."""
-    return value[0] if isinstance(labels, BlockIndex) else value
 
 
 def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
@@ -257,15 +249,15 @@ def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
 def coeff_C(labels, p: int) -> GammaValue:
     """Combinatorial block factor C over labels (r, u).
 
-    ``labels`` is a BlockIndex, giving a 0-d GammaValue, or an (N, r)
-    integer array of same-rank labels, giving N values.
+    ``labels`` is an (N, r) integer array of same-rank labels, giving N
+    values; one label is a (1, r) row.
     """
     u, w, w_prev = _label_stack(labels, p)
     k, m = np.triu_indices(u.shape[1], 1)
     gap = w[:, m] - w[:, k]
     pairs = gamma_value(0.5 + gap) / gamma_value(gap)
     pairs = pairs / pochhammer_value(0.5 + w_prev[:, k] - w[:, m], u[:, k])
-    return _stack_result(labels, _c_prefix(u, p) * pairs.prod(axis=1))
+    return _c_prefix(u, p) * pairs.prod(axis=1)
 
 
 def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
@@ -274,7 +266,7 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     Includes the 1/Gamma(alpha - m + 1) prefactor over m = 1..p, so the
     r = 0 block reproduces the continuous expansion's prefactor exactly
     and negative-integer alpha degenerations appear as net zero orders.
-    ``labels`` is a BlockIndex or an (N, r) stack, as for ``coeff_C``.
+    ``labels`` is an (N, r) stack, as for ``coeff_C``.
     """
     u, w, w_prev = _label_stack(labels, p)
     half = (p + q) / 2.0
@@ -286,8 +278,7 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     both = w[:, k] + w[:, m]
     pairs = gamma_value(0.5 - alpha + half - both) / gamma_value(-alpha + half - both)
     pairs = pairs / pochhammer_value(alpha - half + w[:, m] + w_prev[:, k] + 0.5, u[:, k])
-    out = singles.prod(axis=1) * pairs.prod(axis=1) / prefactor
-    return _stack_result(labels, out)
+    return singles.prod(axis=1) * pairs.prod(axis=1) / prefactor
 
 
 def _spectral_args(s, n: int) -> np.ndarray:
@@ -298,8 +289,8 @@ def _spectral_args(s, n: int) -> np.ndarray:
     return s
 
 
-def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
-    """Residual continuous density Q over the p - r remaining parameters.
+def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> GammaValue:
+    """Residual continuous density Q over the p - r remaining parameters, a 0-d GammaValue.
 
     Assembled factor by factor, independently of ``continuous_weight_o``;
     at r = 0 the two must agree, which is what the consistency check in
@@ -322,7 +313,7 @@ def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
     c0 = (alpha - half + w) / 2.0
     per_label = per_label / (_abs_gamma_sq(c0 + labels, 0.5, col) / _abs_gamma_sq(c0, 0.5, col))
     value = value * per_label.prod(axis=1)
-    return float(_collapse(value.prod(axis=0))) * _pair_interactions(s)
+    return _pole_checked(value.prod(axis=0)) * from_real(_pair_factors(s)).prod(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +321,15 @@ def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def coeff_CVQ_u(alpha: float, w, s, p: int, q: int) -> tuple[GammaValue, GammaValue, float]:
+def coeff_CVQ_u(
+    alpha: float, w, s, p: int, q: int
+) -> tuple[GammaValue, GammaValue, GammaValue]:
     """Unitary-case block coefficients (C, V, Q) for integer labels w.
 
     Here the labels are plain nonnegative integers, repeated labels make C
     vanish through the squared Vandermonde, and the prefactor
     1/Gamma(alpha/2 - m + 1)^2 confines degeneration to even negative
-    integers alpha.  C and V are 0-d GammaValues.
+    integers alpha.  C, V and Q are 0-d GammaValues.
     """
     w = np.array([int(x) for x in w], dtype=np.int64)
     if np.any(w < 0):
@@ -361,7 +354,7 @@ def coeff_CVQ_u(alpha: float, w, s, p: int, q: int) -> tuple[GammaValue, GammaVa
     return c_val, v_val, _unitary_q(alpha, w, s, p, q)
 
 
-def _unitary_q(alpha: float, w: np.ndarray, s: np.ndarray, p: int, q: int) -> float:
+def _unitary_q(alpha: float, w: np.ndarray, s: np.ndarray, p: int, q: int) -> GammaValue:
     """Q as one product: per coordinate, then the squared Vandermonde in s^2."""
     # (c_k^2 + s^2)^2 = |(c_k + i s)_1|^4, one column per label
     col = s[:, None]
@@ -372,7 +365,7 @@ def _unitary_q(alpha: float, w: np.ndarray, s: np.ndarray, p: int, q: int) -> fl
     value = value * _abs_gamma_sq((alpha - p - q + 1.0) / 2.0, 0.5, s) / _abs_gamma_sq(0.0, 1.0, s)
     m, n = np.triu_indices(s.size, 1)
     pairs = from_real(s[n] ** 2 - s[m] ** 2)
-    return float(_collapse(value.prod(axis=0) * (pairs * pairs).prod(axis=0)))
+    return _pole_checked(value.prod(axis=0) * (pairs * pairs).prod(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from berezin_lab.compact import (
     corner_det_multiplicativity_residual,
     cube_coords_batch,
     equivariance_residual,
-    haar_sample,
     haar_sample_batch,
     upsilon,
 )
@@ -81,15 +80,15 @@ def test_criterion_01_corner_reduction_calculus():
     for field in FIELDS:
         for n in (4, 5, 6):
             for _ in range(12):
-                g = haar_sample(field, n, rng)
-                a = haar_sample(field, n - 2, rng)
-                b = haar_sample(field, n - 2, rng)
-                two = upsilon(upsilon(g, 1), 1)
-                one = upsilon(g, 2)
-                comp = max(comp, float(np.max(np.abs(two.entries - one.entries))))
-                equi = max(equi, equivariance_residual(g, a, b, 2))
-                mult = max(mult, corner_det_multiplicativity_residual(g, 1, n - 1))
-                cay = max(cay, cayley_corner_residual(g, n - 2))
+                g = haar_sample_batch(field, n, 1, rng)[0]
+                a = haar_sample_batch(field, n - 2, 1, rng)[0]
+                b = haar_sample_batch(field, n - 2, 1, rng)[0]
+                two = upsilon(upsilon(g, 1, field), 1, field)
+                one = upsilon(g, 2, field)
+                comp = max(comp, float(np.max(np.abs(two - one))))
+                equi = max(equi, equivariance_residual(g, a, b, 2, field))
+                mult = max(mult, corner_det_multiplicativity_residual(g, 1, n - 1, field))
+                cay = max(cay, cayley_corner_residual(g, n - 2, field))
                 count += 1
     elapsed = time.perf_counter() - t0
     assert count >= 100
@@ -292,7 +291,8 @@ def test_criterion_08_plancherel_block_structure():
         for u in [(), (0,), (1,), (2,), (3,)] + [
             (a, b) for a in range(4) for b in range(4)
         ]:
-            cv = coeff_C(block_index(u), 2) * coeff_V_o(alpha, block_index(u), 2, 5)
+            row = np.array([u], dtype=np.int64).reshape(1, len(u))
+            cv = (coeff_C(row, 2) * coeff_V_o(alpha, row, 2, 5))[0]
             assert not cv.is_pole
             statuses[u] = "zero" if cv.is_zero else "finite"
         assert all(statuses[u] == "zero" for u in statuses if len(u) < 2)
@@ -301,12 +301,13 @@ def test_criterion_08_plancherel_block_structure():
     # s-independent constant
     p, q, alpha = 2, 5, 2.5
     b0 = block_index(())
-    cv = (coeff_C(b0, p) * coeff_V_o(alpha, b0, p, q)).to_float()
+    row = np.zeros((1, 0), dtype=np.int64)
+    cv = (coeff_C(row, p) * coeff_V_o(alpha, row, p, q)).to_float()[0]
     prefactor = 1.0
     for m in range(1, p + 1):
         prefactor *= 1.0 / gamma_value(alpha - m + 1).to_float()
     ratios = [
-        cv * coeff_Q_o(alpha, b0, np.asarray(s), p, q)
+        cv * coeff_Q_o(alpha, b0, np.asarray(s), p, q).to_float()
         / (prefactor * continuous_weight_o(PlancherelParams(p, q, alpha), s))
         for s in ([0.7, 0.3], [1.9, 1.1], [3.3, 0.9], [5.0, 2.2], [0.0, 1.3])
     ]

@@ -15,7 +15,6 @@ from berezin_lab.berezin import (
     WINNING_COVARIANCE_VARIANT,
     ball_scale,
     berezin_kernel,
-    boundary_sample,
     boundary_sample_batch,
     covariance_convention_table,
     covariance_residual,
@@ -318,8 +317,8 @@ def test_domination_residual_is_exactly_zero():
 def test_domination_near_boundary_closure_pairs():
     rng = np.random.default_rng(15)
     for _ in range(50):
-        z = ball_point(boundary_sample(2, 4, 1, rng).entries, closure=True)
-        u = ball_point(boundary_sample(2, 4, 1, rng).entries, closure=True)
+        z = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
+        u = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
         assert domination_residual(z, u, 1.0 - 1e-3, 0.8) == 0.0
 
 
@@ -332,9 +331,15 @@ def test_domination_rejects_bad_parameters():
 
 
 def test_ball_scale_preserves_metadata():
+    # a point stays a (p, q) point and a stack keeps its shape, one factor per point
     z = ball_point(np.eye(2, 3), closure=True)
     w = ball_scale(z, 0.5)
-    assert w.closure and np.allclose(w.entries, 0.5 * np.eye(2, 3))
+    assert w.shape == (2, 3) and np.allclose(w, 0.5 * np.eye(2, 3))
+    zs = random_ball_point(2, 3, 46, size=(4, 5))
+    cs = np.linspace(0.1, 0.9, 20).reshape(4, 5)
+    ws = ball_scale(zs, cs)
+    assert ws.shape == (4, 5, 2, 3)
+    assert np.array_equal(ws[1, 2], cs[1, 2] * zs[1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +349,11 @@ def test_ball_scale_preserves_metadata():
 
 def test_boundary_sample_parameter_validation():
     with pytest.raises(InvalidParams):
-        boundary_sample(2, 2, 0)  # needs p < q
+        boundary_sample_batch(2, 2, 0, 1)  # needs p < q
     with pytest.raises(InvalidParams):
-        boundary_sample(2, 4, 2)  # needs r < p
+        boundary_sample_batch(2, 4, 2, 1)  # needs r < p
     with pytest.raises(InvalidParams):
-        boundary_sample(2, 4, -1)
+        boundary_sample_batch(2, 4, -1, 1)
 
 
 def test_boundary_sample_shapes_and_rank():

@@ -524,6 +524,11 @@ def test_usage_errors_exit_three(capsys):
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "rel=inf"],
         # malformed values are refused before any command runs
         ["integral", "so", "--n", "2", "--lambda", ","],
+        # every CSV field is parsed: an empty one is refused, not dropped
+        ["integral", "so", "--n", "2", "--lambda", "1,,0"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0,"],
+        ["integral", "so", "--n", "2", "--lambda", "1, ,0"],
+        ["integral", "u", "--n", "2", "--lambda", "1,0", "--mu", "0,,1"],
         ["kernel", "gram", "--p", "0", "--q", "3", "--alpha", "1"],
         ["kernel", "covariance", "--p", "0", "--q", "3", "--alpha", "1"],
         ["kernel", "domination", "--p", "0", "--q", "3", "--alpha", "1"],

@@ -5,7 +5,6 @@ from berezin_lab.compact import (
     COMPLEX,
     QUATERNION,
     REAL,
-    CompactGroupElement,
     block_j,
     cayley,
     cayley_corner_residual,
@@ -14,7 +13,6 @@ from berezin_lab.compact import (
     corner_pivots,
     cube_coords_batch,
     equivariance_residual,
-    haar_sample,
     haar_sample_batch,
     haar_sample_uncorrected,
     matrix_dim,
@@ -126,13 +124,6 @@ def test_uncorrected_sampler_fails_the_marginal_test():
     assert ks_pvalue(x, corner_entry_cdf(3)) < 1e-6
 
 
-def test_haar_sample_wraps_one_element():
-    g = haar_sample(COMPLEX, 3, rng=8)
-    assert isinstance(g, CompactGroupElement)
-    assert (g.field, g.n) == (COMPLEX, 3)
-    assert g.unitarity_residual() < 1e-12
-
-
 def test_sampling_rejects_bad_arguments():
     with pytest.raises(InvalidParams):
         haar_sample_batch("octonion", 2, 1)
@@ -155,74 +146,68 @@ def test_matrix_dim_by_field():
 
 def test_upsilon_on_rotation_is_trivial():
     theta = 0.7
-    g = CompactGroupElement(
-        REAL,
-        2,
-        np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]),
-    )
+    g = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     out = upsilon(g, 1)
-    assert out.n == 1
-    assert np.allclose(out.entries, [[1.0]], atol=1e-14)
+    assert out.shape == (1, 1)
+    assert np.allclose(out, [[1.0]], atol=1e-14)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_upsilon_composes_additively(field):
     rng = np.random.default_rng(4)
     for _ in range(20):
-        g = haar_sample(field, 4, rng)
-        twice = upsilon(upsilon(g, 1), 1)
-        once = upsilon(g, 2)
-        assert np.max(np.abs(twice.entries - once.entries)) < 1e-12
+        g = haar_sample_batch(field, 4, 1, rng)[0]
+        twice = upsilon(upsilon(g, 1, field), 1, field)
+        once = upsilon(g, 2, field)
+        assert np.max(np.abs(twice - once)) < 1e-12
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_upsilon_equivariance(field):
     rng = np.random.default_rng(5)
     for _ in range(20):
-        g = haar_sample(field, 4, rng)
-        a = haar_sample(field, 3, rng)
-        b = haar_sample(field, 3, rng)
-        assert equivariance_residual(g, a, b, 1) < 1e-12
+        g = haar_sample_batch(field, 4, 1, rng)[0]
+        a = haar_sample_batch(field, 3, 1, rng)[0]
+        b = haar_sample_batch(field, 3, 1, rng)[0]
+        assert equivariance_residual(g, a, b, 1, field) < 1e-12
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_corner_det_multiplicativity(field):
     rng = np.random.default_rng(6)
     for _ in range(20):
-        g = haar_sample(field, 5, rng)
+        g = haar_sample_batch(field, 5, 1, rng)[0]
         for m, p in [(1, 2), (1, 5), (2, 4)]:
-            assert corner_det_multiplicativity_residual(g, m, p) < 1e-10
+            assert corner_det_multiplicativity_residual(g, m, p, field) < 1e-10
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_cayley_corner_identity(field):
     rng = np.random.default_rng(7)
     for _ in range(15):
-        g = haar_sample(field, 4, rng)
+        g = haar_sample_batch(field, 4, 1, rng)[0]
         for p in [1, 2, 3]:
-            assert cayley_corner_residual(g, p) < 1e-10
+            assert cayley_corner_residual(g, p, field) < 1e-10
 
 
 def test_cayley_of_rotation_is_skew():
-    g = haar_sample(REAL, 4, rng=9)
-    s = cayley(g.entries if hasattr(g, "entries") else g)
+    g = haar_sample_batch(REAL, 4, 1, rng=9)[0]
+    s = cayley(g)
     assert np.max(np.abs(s + s.T)) < 1e-12
 
 
 def test_cayley_rejects_minus_one():
-    g = CompactGroupElement(REAL, 2, -np.eye(2))
     with pytest.raises(SingularCayley):
-        cayley(g)
+        cayley(-np.eye(2))
 
 
 def test_upsilon_rejects_singular_corner():
-    g = CompactGroupElement(REAL, 2, np.diag([-1.0, -1.0]))
     with pytest.raises(SingularUpsilon):
-        upsilon(g, 1)
+        upsilon(np.diag([-1.0, -1.0]), 1)
 
 
 def test_upsilon_rejects_bad_step():
-    g = haar_sample(REAL, 3, rng=0)
+    g = haar_sample_batch(REAL, 3, 1, rng=0)[0]
     for m in [0, 3, 4]:
         with pytest.raises(InvalidParams):
             upsilon(g, m)
@@ -249,12 +234,32 @@ def test_corner_pivots_are_ratios_of_corner_determinants(field):
 
 
 def test_corner_shapes():
-    g = haar_sample(QUATERNION, 3, rng=1)
-    assert corner(g, 2).shape == (4, 4)
-    h = haar_sample(REAL, 3, rng=1)
+    g = haar_sample_batch(QUATERNION, 3, 1, rng=1)[0]
+    assert corner(g, 2, QUATERNION).shape == (4, 4)
+    h = haar_sample_batch(REAL, 3, 1, rng=1)[0]
     assert corner(h, 2).shape == (2, 2)
     with pytest.raises(InvalidParams):
         corner(h, 4)
+
+
+def test_corner_calculus_validates_field_and_shape():
+    # n is read off the matrix, so a side that is no whole number of the
+    # field's units, a non-square matrix or an unknown field is refused
+    with pytest.raises(InvalidParams):
+        corner(np.eye(3), 1, QUATERNION)
+    with pytest.raises(InvalidParams):
+        corner(np.eye(2), 1, "octonion")
+    with pytest.raises(InvalidParams):
+        corner(np.zeros((2, 3)), 1)
+    g = haar_sample_batch(QUATERNION, 3, 1, rng=2)[0]
+    with pytest.raises(InvalidParams):
+        upsilon(g[:5, :5], 1, QUATERNION)
+    with pytest.raises(InvalidParams):
+        cayley_corner_residual(g, 1, "octonion")
+    with pytest.raises(InvalidParams):  # A and B of the wrong size
+        equivariance_residual(g, g, g, 1, QUATERNION)
+    with pytest.raises(InvalidParams):
+        matrix_dim("octonion", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +279,11 @@ def test_cube_coords_match_elementwise_definition():
     n = 4
     coords = cube_coords_batch(n, 50, rng=12)
     mats = haar_sample_batch(REAL, n, 50, rng=12)
-    for x, mat in zip(coords, mats):
-        g = CompactGroupElement(REAL, n, mat)
-        chain = [g.entries[0, 0]]
+    for x, g in zip(coords, mats):
+        chain = [g[0, 0]]
         for _ in range(n - 2):
             g = upsilon(g, 1)
-            chain.append(g.entries[0, 0])
+            chain.append(g[0, 0])
         assert np.max(np.abs(x - chain[::-1])) < 1e-12
 
 

@@ -169,25 +169,30 @@ def test_weight_equal_rank_case_runs():
 # ---------------------------------------------------------------------------
 
 
+def _row(u):
+    """One block label as the (1, r) row of a label stack."""
+    return np.array([u], dtype=np.int64).reshape(1, len(u))
+
+
 def test_coeff_c_r0_value():
     # C at r = 0 is 2^p
-    assert coeff_C(block_index(()), 2).to_float() == pytest.approx(4.0)
-    assert coeff_C(block_index(()), 3).to_float() == pytest.approx(8.0)
+    assert coeff_C(_row(()), 2).to_float()[0] == pytest.approx(4.0)
+    assert coeff_C(_row(()), 3).to_float()[0] == pytest.approx(8.0)
     with pytest.raises(InvalidParams):
-        coeff_C(block_index((0, 0, 0)), 2)
+        coeff_C(_row((0, 0, 0)), 2)
 
 
 def test_r0_product_reproduces_continuous_weight():
     p, q, alpha = 2, 5, 2.5
     params = PlancherelParams(p, q, alpha)
     b0 = block_index(())
-    cv = (coeff_C(b0, p) * coeff_V_o(alpha, b0, p, q)).to_float()
+    cv = (coeff_C(_row(()), p) * coeff_V_o(alpha, _row(()), p, q)).to_float()[0]
     prefactor = 1.0
     for m in range(1, p + 1):
         prefactor *= 1.0 / gamma_value(alpha - m + 1).to_float()
     ratios = []
     for s in ([0.7, 0.3], [1.9, 1.1], [3.3, 0.9], [5.0, 2.2]):
-        q0 = coeff_Q_o(alpha, b0, np.asarray(s), p, q)
+        q0 = coeff_Q_o(alpha, b0, np.asarray(s), p, q).to_float()
         w = continuous_weight_o(params, s)
         ratios.append(cv * q0 / (prefactor * w))
     assert np.max(np.abs(np.diff(ratios))) < 1e-8
@@ -196,7 +201,7 @@ def test_r0_product_reproduces_continuous_weight():
 
 
 def _classify(alpha, u, p=2, q=5):
-    cv = coeff_C(block_index(u), p) * coeff_V_o(alpha, block_index(u), p, q)
+    cv = (coeff_C(_row(u), p) * coeff_V_o(alpha, _row(u), p, q))[0]
     if cv.is_pole:
         return "pole"
     if cv.is_zero:
@@ -352,15 +357,17 @@ def test_a_block_index_is_the_stack_of_one():
     blocks = surviving_blocks(PlancherelParams(p, q, alpha))
     stacks = dict(label_stacks(blocks))
     for u in [(), (3,), (1, 0, 2), (0, 2, 0, 1)]:
-        b = block_index(u)
-        single = coeff_C(b, p) * coeff_V_o(alpha, b, p, q)
-        assert isinstance(single, GammaValue) and single.order.shape == ()
-        labels = stacks[b.r]
+        single = coeff_C(_row(u), p) * coeff_V_o(alpha, _row(u), p, q)
+        assert isinstance(single, GammaValue) and single.order.shape == (1,)
+        labels = stacks[len(u)]
         row = labels.tolist().index(list(u))
         stacked = (coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q))[row]
-        assert (single.order, single.sign, single.log_abs) == (
+        assert (single.order[0], single.sign[0], single.log_abs[0]) == (
             stacked.order, stacked.sign, stacked.log_abs
         )
+    # a BlockIndex is not a stack: one label is a (1, r) row
+    with pytest.raises(InvalidParams):
+        coeff_C(block_index((3,)), p)
 
 
 def test_label_stacks_keep_block_order():
@@ -384,7 +391,7 @@ def test_stacked_labels_are_validated():
 
 def test_large_labels_do_not_overflow():
     # u! past 170 overflows a float; both orthogonal and unitary C take log u! instead
-    c = coeff_C(block_index((200,)), 1)
+    c = coeff_C(_row((200,)), 1)[0]
     assert c.log_abs == pytest.approx(math.log(2 * math.pi) - math.lgamma(201), rel=1e-14)
     assert c.sign == 1
     cu, _, _ = coeff_CVQ_u(-200.0, (181,), [], 1, 3)
@@ -396,7 +403,31 @@ def test_large_labels_do_not_overflow():
              - sum(math.lgamma(k + 1) for k in range(171))
              + sum(2 * math.log(l - k) for k in range(171) for l in range(k + 1, 171)))
     assert cu.log_abs == pytest.approx(log_c, rel=1e-12)
-    assert (cu.sign, cu.order, qu) == (-1, 0, 1.0)
+    assert (cu.sign, cu.order, qu.to_float()) == (-1, 0, 1.0)
+
+
+def test_q_past_the_float_range_keeps_its_logarithm():
+    # log Q is about 4.3e4 here, far past the float range
+    s = np.linspace(0.1, 3.0, 171)
+    _, _, qu = coeff_CVQ_u(400.0, (), s, 171, 171)
+    # r = 0 and p = q: per coordinate |Gamma(1/2 + i s/2)|^4 |Gamma(59/2 + i s/2)|^2
+    # / |Gamma(i s)|^2, times the squared Vandermonde in s^2
+    per_coordinate = (4 * loggamma(0.5 + 0.5j * s).real + 2 * loggamma(29.5 + 0.5j * s).real
+                      - 2 * loggamma(1j * s).real)
+    k, l = np.triu_indices(s.size, 1)
+    log_q = per_coordinate.sum() + 2 * np.log(s[l] ** 2 - s[k] ** 2).sum()
+    assert (qu.sign, qu.order) == (1, 0)
+    assert qu.log_abs == pytest.approx(log_q, rel=1e-12)
+    assert qu.log_abs == pytest.approx(42720.8, abs=0.1)
+    # the orthogonal Q there: |Gamma(115 + i s/2)|^2 per coordinate times the pair factors,
+    # whose float product alone overflows
+    qo = coeff_Q_o(400.0, block_index(()), s, 171, 171)
+    pairs = (s[l] ** 2 - s[k] ** 2) * np.tanh(np.pi * (s[l] - s[k]) / 2) * np.tanh(
+        np.pi * (s[l] + s[k]) / 2
+    )
+    log_qo = 2 * loggamma(115 + 0.5j * s).real.sum() + np.log(pairs).sum()
+    assert (qo.sign, qo.order) == (1, 0)
+    assert qo.log_abs == pytest.approx(log_qo, rel=1e-12)
 
 
 def _reference_weight(params, point):
@@ -531,8 +562,8 @@ _Q_PINS = json.loads((Path(__file__).parent / "data" / "q_pins.json").read_text(
 
 def _q(family, alpha, label, s, p, q):
     if family == "o":
-        return coeff_Q_o(alpha, block_index(label), np.asarray(s), p, q)
-    return coeff_CVQ_u(alpha, label, s, p, q)[2]
+        return coeff_Q_o(alpha, block_index(label), np.asarray(s), p, q).to_float()
+    return coeff_CVQ_u(alpha, label, s, p, q)[2].to_float()
 
 
 def test_q_matches_recorded_values():
