@@ -1,18 +1,20 @@
 """The matrix ball, its Moebius action and pseudo-orthogonal transport.
 
 Points are real p x q matrices of spectral norm below one (p <= q).  The
-group O(p, q), block-decomposed as g = (a b; c d) with g^t J g = J and
-J = diag(1_p, -1_q), acts by z |-> (a + z c)^(-1) (b + z d); the scalar
+group O(p, q) acts by z |-> (a + z c)^(-1) (b + z d), where g = (a b; c d)
+is block-decomposed with g^t J g = J and J = diag(1_p, -1_q); the scalar
 cocycle of the action is det(a + z c).
 
 A point is a (p, q) array and a stack of points the same array with
-leading axes, (..., p, q).  The action, the cocycle and ``ball_scale``
-take either; ``orbit_rank`` and ``transport_to_origin`` take one point.
+leading axes, (..., p, q).  An element is its (p+q, p+q) matrix and a stack
+of elements a (..., p+q, p+q) array; composition is ``g @ h`` and the
+identity ``np.eye(p + q)``.  The action and the cocycle read p and q off
+the point and take the blocks a, b, c, d as views of g.  The action, the
+cocycle and ``ball_scale`` take stacks; ``orbit_rank`` and
+``transport_to_origin`` take one point.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,93 +81,64 @@ def ball_scale(z: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     return np.asarray(c, dtype=float)[..., None, None] * np.asarray(z, dtype=float)
 
 
-@dataclass
-class PseudoOrthogonalElement:
-    """An O(p, q) element in block form g = (a b; c d).
-
-    The blocks may carry leading stack axes, (size, p, p) and so on, for a
-    stack of elements acting elementwise on a stack of points.
-    """
-
-    p: int
-    q: int
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        top = np.concatenate([self.a, self.b], axis=-1)
-        bot = np.concatenate([self.c, self.d], axis=-1)
-        return np.concatenate([top, bot], axis=-2)
-
-    @classmethod
-    def from_matrix(cls, p: int, q: int, mat: np.ndarray) -> "PseudoOrthogonalElement":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim < 2 or mat.shape[-2:] != (p + q, p + q):
-            raise InvalidParams(f"expected a {(p + q)} x {(p + q)} matrix")
-        return cls(
-            p,
-            q,
-            mat[..., :p, :p].copy(),
-            mat[..., :p, p:].copy(),
-            mat[..., p:, :p].copy(),
-            mat[..., p:, p:].copy(),
-        )
-
-    @classmethod
-    def identity(cls, p: int, q: int) -> "PseudoOrthogonalElement":
-        return cls.from_matrix(p, q, np.eye(p + q))
-
-
 def signature_matrix(p: int, q: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
 
 
-def validate_pseudo_orthogonal(g: PseudoOrthogonalElement, tol: float = 1e-9) -> float:
-    """Frobenius residual of g^t J g = J; raises when it exceeds ``tol``."""
-    j = signature_matrix(g.p, g.q)
-    mat = g.matrix
-    res = float(np.linalg.norm(mat.T @ j @ mat - j)) / np.sqrt(g.p + g.q)
+def validate_pseudo_orthogonal(g: np.ndarray, p: int, tol: float = 1e-9) -> float:
+    """Frobenius residual of g^t J g = J for one element; raises when it exceeds ``tol``.
+
+    p cannot be read off a square matrix, so here it is an argument.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not 0 <= p <= g.shape[0]:
+        raise InvalidParams(f"need a square matrix with at least p = {p} rows, got {g.shape}")
+    j = signature_matrix(p, len(g) - p)
+    res = float(np.linalg.norm(g.T @ j @ g - j)) / np.sqrt(len(g))
     if res > tol:
         raise InvalidParams(f"g^t J g - J residual {res:.3e} exceeds tolerance {tol:.1e}")
     return res
 
 
-def _action_base(g: PseudoOrthogonalElement, z: np.ndarray) -> np.ndarray:
-    if z.shape[-2:] != (g.p, g.q):
-        raise InvalidParams(f"point shape {z.shape[-2:]} does not match group ({g.p}, {g.q})")
-    m = g.a + z @ g.c
+def _action_base(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a + z c; refuses an element whose last two axes are not (p+q, p+q) for (p, q) points."""
+    d = sum(z.shape[-2:])
+    if z.ndim < 2 or np.shape(g)[-2:] != (d, d):
+        raise InvalidParams(f"an element of shape {np.shape(g)} cannot act on points of "
+                            f"shape {z.shape}")
+    p = z.shape[-2]
+    m = g[..., :p, :p] + z @ g[..., p:, :p]
     if np.any(np.linalg.cond(m) > _COND_BOUND):
         raise NearSingularCocycle("a + z c is too ill conditioned")
     return m
 
 
-def moebius_act(g: PseudoOrthogonalElement, z: np.ndarray) -> np.ndarray:
+def moebius_act(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     """z |-> (a + z c)^(-1) (b + z d); preserves the ball and its closure.
 
     A (..., p, q) stack maps to a stack, each point moved by its own
     element when g is a stack too.
     """
     z = np.asarray(z, dtype=float)
-    return np.linalg.solve(_action_base(g, z), g.b + z @ g.d)
+    m = _action_base(g, z)
+    p = z.shape[-2]
+    return np.linalg.solve(m, g[..., :p, p:] + z @ g[..., p:, p:])
 
 
-def cocycle(g: PseudoOrthogonalElement, z: np.ndarray) -> float | np.ndarray:
+def cocycle(g: np.ndarray, z: np.ndarray) -> float | np.ndarray:
     """det(a + z c), the multiplier attached to the Moebius action at z (one per stacked point)."""
     return np.linalg.det(_action_base(g, np.asarray(z, dtype=float)))
 
 
 def orbit_rank(z: np.ndarray, tol: float = 1e-9) -> int:
-    """Numerical rank h of 1 - z z^t; h = p in the interior, h < p on boundary orbits."""
-    z = np.asarray(z, dtype=float)
+    """Numerical rank h of 1 - z z^t at a closure point; h = p inside, h < p on boundary orbits."""
+    z = ball_point(z, closure=True)
     s = np.linalg.svd(np.eye(z.shape[0]) - z @ z.T, compute_uv=False)
     floor = tol * max(float(s[0]) if s.size else 0.0, 1.0)
     return int(np.sum(s > floor))
 
 
-def boost(p: int, q: int, t: np.ndarray) -> PseudoOrthogonalElement:
+def boost(p: int, q: int, t: np.ndarray) -> np.ndarray:
     """The diagonal boost B(t): cosh/sinh in p planes, identity elsewhere.
 
     Rapidities of shape (..., p) give a stack of boosts.
@@ -175,35 +148,22 @@ def boost(p: int, q: int, t: np.ndarray) -> PseudoOrthogonalElement:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape[-1:] != (p,):
         raise InvalidParams(f"boost needs {p} rapidities, got shape {t.shape}")
-    stack = t.shape[:-1]
-    diag = np.arange(p)
-    a = np.zeros(stack + (p, p))
-    a[..., diag, diag] = np.cosh(t)
-    b = np.zeros(stack + (p, q))
-    b[..., diag, diag] = np.sinh(t)
-    c = np.zeros(stack + (q, p))
-    c[..., diag, diag] = np.sinh(t)
-    d = np.broadcast_to(np.eye(q), stack + (q, q)).copy()
-    d[..., diag, diag] = np.cosh(t)
-    return PseudoOrthogonalElement(p, q, a, b, c, d)
+    a, b = np.arange(p), p + np.arange(p)
+    g = np.broadcast_to(np.eye(p + q), t.shape[:-1] + (p + q, p + q)).copy()
+    g[..., a, a] = g[..., b, b] = np.cosh(t)
+    g[..., a, b] = g[..., b, a] = np.sinh(t)
+    return g
 
 
-def compose(g: PseudoOrthogonalElement, h: PseudoOrthogonalElement) -> PseudoOrthogonalElement:
-    if (g.p, g.q) != (h.p, h.q):
-        raise InvalidParams("cannot compose elements of different signatures")
-    return PseudoOrthogonalElement.from_matrix(g.p, g.q, g.matrix @ h.matrix)
-
-
-def transport_to_origin(z: np.ndarray) -> PseudoOrthogonalElement:
-    """An element g with z^[g] = 0, built from the SVD of z.
+def transport_to_origin(z: np.ndarray) -> np.ndarray:
+    """An element g with z^[g] = 0 for an interior point z, built from the SVD of z.
 
     With z = U diag(sigma) V^t, the product diag(U, V) B(-atanh sigma)
     moves z to the origin; its cocycle at z is prod(1 / cosh(atanh sigma)).
     """
-    p, q = np.shape(z)
+    z = ball_point(z)
+    p, q = z.shape
     u, sig, vt = np.linalg.svd(z)
-    if sig.size and sig[0] >= 1.0:
-        raise InvalidParams("transport needs an interior point")
     if np.linalg.det(u) < 0:
         # flip one singular pair jointly: z is unchanged and the cocycle
         # at z comes out positive, as advertised
@@ -212,8 +172,7 @@ def transport_to_origin(z: np.ndarray) -> PseudoOrthogonalElement:
     frame = np.zeros((p + q, p + q))
     frame[:p, :p] = u
     frame[p:, p:] = vt.T
-    k = PseudoOrthogonalElement.from_matrix(p, q, frame)
-    return compose(k, boost(p, q, -np.arctanh(sig)))
+    return frame @ boost(p, q, -np.arctanh(sig))
 
 
 def random_pseudo_orthogonal(
@@ -222,10 +181,10 @@ def random_pseudo_orthogonal(
     rng: int | np.random.Generator | None = None,
     boost_range: float = 2.0,
     size: int | None = None,
-) -> PseudoOrthogonalElement:
+) -> np.ndarray:
     """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= boost_range.
 
-    With ``size`` the element holds a stack of that many samples.  All
+    One (p+q, p+q) element, or with ``size`` a stack of that many.  All
     rapidities are drawn first, then the O(p) and O(q) frames of k1 and of
     k2 as four batches, so a single sample consumes the generator as a
     stack of one does.
@@ -237,5 +196,5 @@ def random_pseudo_orthogonal(
     for frame in frames:
         frame[:, :p, :p] = _haar_orthogonal_batch(p, n, gen)
         frame[:, p:, p:] = _haar_orthogonal_batch(q, n, gen)
-    mat = frames[0] @ (boost(p, q, t).matrix @ frames[1])
-    return PseudoOrthogonalElement.from_matrix(p, q, mat[0] if size is None else mat)
+    mat = frames[0] @ (boost(p, q, t) @ frames[1])
+    return mat[0] if size is None else mat

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .ball import PseudoOrthogonalElement, ball_scale, cocycle, moebius_act, random_ball_point
+from .ball import ball_scale, cocycle, moebius_act, random_ball_point
 from .compact import _haar_so_batch
 from .errors import InvalidParams, NonPositiveDeterminant
 from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
@@ -255,7 +255,7 @@ WINNING_COVARIANCE_VARIANT = "u-cocycle-corrected"
 
 
 def covariance_residual(
-    g: PseudoOrthogonalElement,
+    g: np.ndarray,
     z: np.ndarray,
     u: np.ndarray,
     alpha: float,
@@ -277,10 +277,11 @@ def covariance_residual(
         ok = mult > 0
     else:
         z, u = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
-        if z.shape[-2] != z.shape[-1]:
+        p, q = z.shape[-2:]
+        if p != q:
             raise InvalidParams("the as-printed multiplier det(a + z u) needs p = q")
         m1 = cocycle(g, z)
-        m2 = np.linalg.det(g.a + z @ u)
+        m2 = np.linalg.det(g[..., :p, :p] + z @ u)
         mult = m1 * m2
         ok = (m1 > 0) & (m2 > 0)
     rhs = base * np.where(ok, mult, 1.0) ** alpha
@@ -313,7 +314,7 @@ def covariance_convention_table(
         m1 = cocycle(g, z)
         cands = {
             "u-cocycle": cocycle(g, u),
-            "a+zu": float(g.a[0, 0] + z[0, 0] * u[0, 0]),
+            "a+zu": float(g[0, 0] + z[0, 0] * u[0, 0]),
         }
         for name, m2 in cands.items():
             for s1 in (1, -1):

@@ -283,11 +283,12 @@ def cmd_plancherel_blocks(cfg: RunConfig, args):
     from . import plancherel
 
     blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(args.p, args.q, args.alpha))
-    return None, [{"r": b.r, "u": list(b.u), "w": list(b.w)} for b in blocks]
+    return None, [{"r": len(u), "u": list(u), "w": plancherel.partial_sums(u).tolist()}
+                  for u in blocks]
 
 
 def cmd_plancherel_weight(cfg: RunConfig, args):
-    """The continuous weight on ``cfg.n_samples`` points of s_1; none may be negative."""
+    """The continuous weight on ``cfg.n_samples`` points of s_1; each must be finite and >= 0."""
     from . import plancherel
 
     t0 = time.perf_counter()
@@ -298,7 +299,7 @@ def cmd_plancherel_weight(cfg: RunConfig, args):
     points = np.column_stack([grid, np.broadcast_to(rest, (grid.size, p - 1))])
     weights = plancherel.continuous_weight_o(params, points)
     rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
-    worst = min(0.0, float(np.min(weights)))
+    worst = min(0.0, float(np.min(weights))) if np.all(np.isfinite(weights)) else float("nan")
     verdict = PASS if worst >= -1e-12 else FAIL
     inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": cfg.n_samples, "s_rest": rest}
     return _report(cfg, "plancherel weight", inputs, [0.0, None], worst, None, None, verdict,

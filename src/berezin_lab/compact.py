@@ -230,7 +230,7 @@ def upsilon(g: np.ndarray, m: int, field: str = REAL) -> np.ndarray:
 def cayley(g: np.ndarray) -> np.ndarray:
     """Cayley transform (g - 1)(g + 1)^(-1); defined when det(g + 1) != 0."""
     mat = np.asarray(g)
-    d = mat.shape[0]
+    d = _size(mat, REAL)
     lhs = mat + np.eye(d, dtype=mat.dtype)
     sign, logdet = np.linalg.slogdet(lhs)
     if sign == 0 or logdet < np.log(_SINGULAR_TOL):

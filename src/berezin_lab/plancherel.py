@@ -9,22 +9,22 @@ remaining p - r spectral variables.  All Gamma products run through the
 pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
 order bookkeeping.
 
-C and V work on an (N, r) array of same-rank labels, one label being a
-(1, r) row, and W on an (N, p) array of points, each factor one array
-operation.  W, Q_o and the unitary Q are products of one primitive,
-|Gamma(x0 + i rate s)|^2, which takes the s = 0 limit itself, so a
-coordinate at s = 0 runs the same code as any other; a net pole raises
-PoleOnContour.  Q stays one block at a time, assembled factor by factor as
-the independent side of the r = 0 check against W, and comes back as a 0-d
-GammaValue, so a Q past the float range keeps its logarithm.
+A block label is a tuple u from ``surviving_blocks``, its rank r being
+len(u) and its w the ``partial_sums`` of u.  C and V work on an (N, r)
+array of same-rank labels and Q_o on one label, a (1, r) row; W works on
+an (N, p) array of points, each factor one array operation.  W, Q_o and
+the unitary Q are products of one primitive, |Gamma(x0 + i rate s)|^2,
+which takes the s = 0 limit itself, so a coordinate at s = 0 runs the
+same code as any other; a net pole raises PoleOnContour.  Q stays one
+block at a time, assembled factor by factor as the independent side of
+the r = 0 check against W, and comes back as a 0-d GammaValue, so a Q
+past the float range keeps its logarithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count
 from math import comb, log, pi
-from operator import add
 
 import numpy as np
 from scipy.special import gammaln, loggamma, roots_jacobi
@@ -60,32 +60,17 @@ class PlancherelParams:
         return (self.p + self.q) / 2.0 - 1.0
 
 
-@dataclass(frozen=True)
-class BlockIndex:
-    """Discrete block label (r, u) with its partial sums w."""
-
-    r: int
-    u: tuple[int, ...]
-    w: tuple[float, ...]
-
-
-def block_index(u) -> BlockIndex:
-    u = tuple(int(x) for x in u)
-    if any(x < 0 for x in u):
-        raise InvalidParams("block labels are nonnegative integers")
-    return _block(u)
-
-
-def _block(u: tuple[int, ...]) -> BlockIndex:
-    """The BlockIndex of a checked label tuple; w_j = u_1 + ... + u_j + j/2 by one running sum."""
-    return BlockIndex(len(u), u, tuple(map(add, accumulate(u), count(0.5, 0.5))))
+def partial_sums(labels) -> np.ndarray:
+    """w_k = u_1 + ... + u_k + k/2 along the last axis of one label or a label stack."""
+    u = np.asarray(labels)
+    return np.cumsum(u, axis=-1) + np.arange(1, u.shape[-1] + 1) / 2.0
 
 
 def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
-    """The labels of ``blocks`` as one (N, r) integer array per rank, in order of rank."""
+    """The label tuples ``blocks`` as one (N, r) integer array per rank, in order of rank."""
     by_rank: dict[int, list] = {}
-    for b in blocks:
-        by_rank.setdefault(b.r, []).append(b.u)
+    for u in blocks:
+        by_rank.setdefault(len(u), []).append(u)
     return [(r, np.array(us, dtype=np.int64).reshape(len(us), r)) for r, us in by_rank.items()]
 
 
@@ -96,14 +81,15 @@ def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
 BLOCK_BUDGET = 100_000
 
 
-def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[BlockIndex]:
-    """All blocks in the continued expansion at ``params.alpha``.
+def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[tuple[int, ...]]:
+    """The label tuples u of all blocks in the continued expansion at ``params.alpha``.
 
-    The continuous block r = 0 is always present; a discrete block (r, u)
-    survives when w_r < h - alpha (strict by default, weak inequality on
-    request).  The list is finite because w_r >= r/2: for each rank it
-    holds the labels with sum(u) <= top, ordered by (sum(u), u).  More
-    than ``BLOCK_BUDGET`` blocks raise InvalidParams.
+    The rank r of a block is len(u).  The continuous block r = 0, the
+    empty label, is always present; a discrete block (r, u) survives when
+    w_r < h - alpha (strict by default, weak inequality on request).  The
+    list is finite because w_r >= r/2: for each rank it holds the labels
+    with sum(u) <= top, ordered by (sum(u), u).  More than
+    ``BLOCK_BUDGET`` blocks raise InvalidParams.
     """
     bound = params.h - params.alpha
     tops = {}
@@ -118,9 +104,9 @@ def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[Bloc
             f"{count} blocks at (p, q, alpha) = ({params.p}, {params.q}, {params.alpha}) "
             f"exceed the budget of {BLOCK_BUDGET}"
         )
-    out = [_block(())]
+    out = [()]
     for r, top in tops.items():
-        out.extend(_block(u) for total in range(top + 1) for u in _compositions(total, r))
+        out.extend(u for total in range(top + 1) for u in _compositions(total, r))
     return out
 
 
@@ -214,10 +200,10 @@ def continuous_weight_o(params: PlancherelParams, s):
 
 
 def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, w, w_prev) of an (N, r) label stack.
+    """(u, w, w_prev) of an (N, r) label stack, checked.
 
-    w holds the partial sums w_k = u_1 + ... + u_k + k/2 and w_prev the
-    shifted sums w_{k-1}, with w_0 = 0.
+    w holds the partial sums w_k and w_prev the shifted sums w_{k-1}, with
+    w_0 = 0.
     """
     u = np.asarray(labels)
     if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
@@ -227,7 +213,7 @@ def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = u.shape[1]
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    w = np.cumsum(u, axis=1) + np.arange(1, r + 1) / 2.0
+    w = partial_sums(u)
     return u, w, w - u - 0.5
 
 
@@ -289,25 +275,26 @@ def _spectral_args(s, n: int) -> np.ndarray:
     return s
 
 
-def coeff_Q_o(alpha: float, u: BlockIndex, s, p: int, q: int) -> GammaValue:
+def coeff_Q_o(alpha: float, label, s, p: int, q: int) -> GammaValue:
     """Residual continuous density Q over the p - r remaining parameters, a 0-d GammaValue.
 
-    Assembled factor by factor, independently of ``continuous_weight_o``;
-    at r = 0 the two must agree, which is what the consistency check in
-    the test-suite exercises.
+    ``label`` is one (1, r) row, as for ``coeff_C``.  Assembled factor by
+    factor, independently of ``continuous_weight_o``; at r = 0 the two must
+    agree, which is what the consistency check in the test-suite exercises.
     """
-    r = u.r
-    if r > p:
-        raise InvalidParams(f"block rank {r} exceeds p = {p}")
+    labels, w, _ = _label_stack(label, p)
+    if labels.shape[0] != 1:
+        raise InvalidParams(f"Q takes one (1, r) label row, got shape {labels.shape}")
+    labels, w = labels[0], w[0]
+    r = labels.size
     s = _spectral_args(s, p - r)
     half = (p + q) / 2.0
-    wr = u.w[-1] if r else 0.0
+    wr = w[-1] if r else 0.0
     value = _abs_gamma_sq((alpha - half + 1.0) / 2.0 + wr, 0.5, s)
     if q > p:
         value = value * (_abs_gamma_sq((q - p) / 2.0, 1.0, s) / _abs_gamma_sq(0.0, 1.0, s))
     # one column per label k: s down the rows, w_k and u_k across
     col = s[:, None]
-    w, labels = np.array(u.w), np.array(u.u)
     per_label = _abs_gamma_sq((1.0 - alpha + half - 2.0 * w) / 2.0, 0.5, col)
     per_label = per_label / _abs_gamma_sq((-alpha + half - 2.0 * w) / 2.0, 0.5, col)
     c0 = (alpha - half + w) / 2.0
@@ -326,17 +313,14 @@ def coeff_CVQ_u(
 ) -> tuple[GammaValue, GammaValue, GammaValue]:
     """Unitary-case block coefficients (C, V, Q) for integer labels w.
 
-    Here the labels are plain nonnegative integers, repeated labels make C
-    vanish through the squared Vandermonde, and the prefactor
+    Here the labels are plain nonnegative integers, checked as one row of a
+    label stack, so a non-integer label raises InvalidParams.  Repeated
+    labels make C vanish through the squared Vandermonde, and the prefactor
     1/Gamma(alpha/2 - m + 1)^2 confines degeneration to even negative
     integers alpha.  C, V and Q are 0-d GammaValues.
     """
-    w = np.array([int(x) for x in w], dtype=np.int64)
-    if np.any(w < 0):
-        raise InvalidParams("block labels are nonnegative integers")
+    w = _label_stack(np.asarray(w)[None], p)[0][0].astype(np.int64)
     r = w.size
-    if r > p:
-        raise InvalidParams(f"block rank {r} exceeds p = {p}")
     s = _spectral_args(s, p - r)
     k, l = np.triu_indices(r, 1)
 

@@ -36,6 +36,6 @@ def derive_root_seed(rng: int | np.random.Generator | None) -> int:
     raise TypeError(f"rng must be None, an int or a numpy Generator, got {type(rng)!r}")
 
 
-def block_rng(root_seed: int, block_index: int) -> np.random.Generator:
-    """Child generator for one logical block, independent of batching."""
-    return np.random.default_rng([root_seed, block_index])
+def block_rng(root_seed: int, block: int) -> np.random.Generator:
+    """Child generator for the logical block numbered ``block``, independent of batching."""
+    return np.random.default_rng([root_seed, block])

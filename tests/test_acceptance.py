@@ -52,7 +52,6 @@ from berezin_lab.integrals import (
 )
 from berezin_lab.plancherel import (
     PlancherelParams,
-    block_index,
     coeff_C,
     coeff_Q_o,
     coeff_V_o,
@@ -280,9 +279,9 @@ def test_criterion_08_plancherel_block_structure():
             for alpha in np.arange(0.25, h + 2.0, 0.25):
                 blocks = surviving_blocks(PlancherelParams(p, q, float(alpha)))
                 assert len(blocks) < 200
-                assert blocks[0].r == 0
+                assert blocks[0] == ()
                 if alpha >= h:
-                    assert [(b.r, b.u) for b in blocks] == [(0, ())]
+                    assert blocks == [()]
                 n_swept += 1
     # negative-integer degeneration at p = 2: low-rank blocks all killed,
     # some full-rank block finite, no uncancelled poles
@@ -300,14 +299,13 @@ def test_criterion_08_plancherel_block_structure():
     # r = 0 block coefficients reproduce the continuous weight up to an
     # s-independent constant
     p, q, alpha = 2, 5, 2.5
-    b0 = block_index(())
     row = np.zeros((1, 0), dtype=np.int64)
     cv = (coeff_C(row, p) * coeff_V_o(alpha, row, p, q)).to_float()[0]
     prefactor = 1.0
     for m in range(1, p + 1):
         prefactor *= 1.0 / gamma_value(alpha - m + 1).to_float()
     ratios = [
-        cv * coeff_Q_o(alpha, b0, np.asarray(s), p, q).to_float()
+        cv * coeff_Q_o(alpha, row, np.asarray(s), p, q).to_float()
         / (prefactor * continuous_weight_o(PlancherelParams(p, q, alpha), s))
         for s in ([0.7, 0.3], [1.9, 1.1], [3.3, 0.9], [5.0, 2.2], [0.0, 1.3])
     ]

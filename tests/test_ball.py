@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from berezin_lab.ball import (
-    PseudoOrthogonalElement,
     ball_point,
     boost,
     cocycle,
-    compose,
     moebius_act,
     orbit_rank,
     origin,
@@ -16,6 +14,7 @@ from berezin_lab.ball import (
     transport_to_origin,
     validate_pseudo_orthogonal,
 )
+from berezin_lab.compact import cayley
 from berezin_lab.errors import InvalidParams, NearSingularCocycle
 
 PQ = [(1, 2), (2, 2), (2, 3), (3, 5)]
@@ -114,21 +113,28 @@ def test_signature_matrix_and_validation():
     j = signature_matrix(2, 3)
     assert np.array_equal(np.diag(j), [1, 1, -1, -1, -1])
     g = random_pseudo_orthogonal(2, 3, rng=4)
-    assert validate_pseudo_orthogonal(g) < 1e-9
-    bad = PseudoOrthogonalElement(2, 3, 2 * g.a, g.b, g.c, g.d)
+    assert validate_pseudo_orthogonal(g, 2) < 1e-9
+    bad = g.copy()
+    bad[:2, :2] *= 2
     with pytest.raises(InvalidParams):
-        validate_pseudo_orthogonal(bad)
+        validate_pseudo_orthogonal(bad, 2)
+    # p is read from the argument, so the same matrix fails as an O(1, 4) element
+    with pytest.raises(InvalidParams):
+        validate_pseudo_orthogonal(g, 1)
+    for shape, p in [((5, 4), 2), ((2, 5, 5), 2), ((5, 5), 6)]:
+        with pytest.raises(InvalidParams):
+            validate_pseudo_orthogonal(np.zeros(shape), p)
 
 
 @pytest.mark.parametrize("p,q", PQ)
 def test_random_pseudo_orthogonal_stack_elements(p, q):
     g = random_pseudo_orthogonal(p, q, 3, size=40)
-    assert g.matrix.shape == (40, p + q, p + q)
-    for mat in g.matrix:
-        assert validate_pseudo_orthogonal(PseudoOrthogonalElement.from_matrix(p, q, mat)) < 1e-9
+    assert g.shape == (40, p + q, p + q)
+    for mat in g:
+        assert validate_pseudo_orthogonal(mat, p) < 1e-9
     # a stack of one is the single sample, bit for bit
     one = random_pseudo_orthogonal(p, q, 5, size=1)
-    assert np.array_equal(one.matrix[0], random_pseudo_orthogonal(p, q, 5).matrix)
+    assert np.array_equal(one[0], random_pseudo_orthogonal(p, q, 5))
 
 
 @pytest.mark.parametrize("p,q", PQ)
@@ -140,31 +146,23 @@ def test_batched_action_and_cocycle_match_the_formulas(p, q):
     single = random_pseudo_orthogonal(p, q, 23)
     w_single = moebius_act(single, zs)
     for i, z in enumerate(zs):
-        a, b, cc, d = gs.a[i], gs.b[i], gs.c[i], gs.d[i]
+        a, b, cc, d = gs[i, :p, :p], gs[i, :p, p:], gs[i, p:, :p], gs[i, p:, p:]
         assert np.max(np.abs(w[i] - np.linalg.solve(a + z @ cc, b + z @ d))) < 1e-12
         assert c[i] == pytest.approx(np.linalg.det(a + z @ cc), rel=1e-12)
-        expect = np.linalg.solve(single.a + z @ single.c, single.b + z @ single.d)
-        assert np.max(np.abs(w_single[i] - expect)) < 1e-12
+        a, b, cc, d = single[:p, :p], single[:p, p:], single[p:, :p], single[p:, p:]
+        assert np.max(np.abs(w_single[i] - np.linalg.solve(a + z @ cc, b + z @ d))) < 1e-12
     # one point maps to one point, and a stack of one agrees with it
     z0 = zs[0]
-    g0 = PseudoOrthogonalElement.from_matrix(p, q, gs.matrix[0])
+    g0 = gs[0]
     assert moebius_act(g0, z0).shape == (p, q)
     assert np.array_equal(moebius_act(g0, z0), moebius_act(g0, zs[:1])[0])
     assert isinstance(cocycle(g0, z0), float)
 
 
-def test_from_matrix_round_trip():
-    g = random_pseudo_orthogonal(2, 3, rng=5)
-    again = PseudoOrthogonalElement.from_matrix(2, 3, g.matrix)
-    assert np.allclose(again.matrix, g.matrix)
-    with pytest.raises(InvalidParams):
-        PseudoOrthogonalElement.from_matrix(2, 3, np.eye(4))
-
-
 @pytest.mark.parametrize("p,q", PQ)
 def test_identity_acts_trivially(p, q):
     z = random_ball_point(p, q, rng=6)
-    e = PseudoOrthogonalElement.identity(p, q)
+    e = np.eye(p + q)
     assert np.allclose(moebius_act(e, z), z)
     assert cocycle(e, z) == pytest.approx(1.0)
 
@@ -177,7 +175,7 @@ def test_action_composes_and_cocycle_chains(p, q):
         h = random_pseudo_orthogonal(p, q, rng)
         z = random_ball_point(p, q, rng)
         # the action is a right action: z^[gh] = (z^[g])^[h]
-        gh = compose(g, h)
+        gh = g @ h
         one = moebius_act(gh, z)
         two = moebius_act(h, moebius_act(g, z))
         assert np.max(np.abs(one - two)) < 1e-9
@@ -202,7 +200,7 @@ def test_transport_to_origin(p, q):
     for _ in range(10):
         z = random_ball_point(p, q, rng, 0.0, 0.95)
         g = transport_to_origin(z)
-        assert validate_pseudo_orthogonal(g) < 1e-8
+        assert validate_pseudo_orthogonal(g, p) < 1e-8
         assert np.max(np.abs(moebius_act(g, z))) < 1e-9
         # the advertised cocycle value
         sig = np.linalg.svd(z, compute_uv=False)
@@ -213,9 +211,8 @@ def test_transport_to_origin(p, q):
 def test_boost_composition_adds_rapidity():
     g = boost(2, 3, np.array([0.5, -0.2]))
     h = boost(2, 3, np.array([0.1, 0.4]))
-    gh = compose(g, h)
     direct = boost(2, 3, np.array([0.6, 0.2]))
-    assert np.allclose(gh.matrix, direct.matrix, atol=1e-12)
+    assert np.allclose(g @ h, direct, atol=1e-12)
     with pytest.raises(InvalidParams):
         boost(2, 3, np.array([0.5]))
     with pytest.raises(InvalidParams):  # p > q: more boost planes than the q side holds
@@ -227,8 +224,26 @@ def test_shape_mismatches_are_rejected():
     z = random_ball_point(1, 2, rng=10)
     with pytest.raises(InvalidParams):
         moebius_act(g, z)
+    # an element whose last two axes are not (p+q, p+q) is refused for either map
+    for bad in (np.eye(4), g[:, :4], g[0], np.zeros((3, 4, 5))):
+        for act in (moebius_act, cocycle):
+            with pytest.raises(InvalidParams):
+                act(bad, random_ball_point(2, 3, rng=10))
     with pytest.raises(InvalidParams):
-        compose(g, random_pseudo_orthogonal(1, 2, rng=10))
+        cocycle(g, np.zeros(3))
+
+
+def test_one_point_and_one_matrix_inputs_are_validated():
+    with pytest.raises(InvalidParams):
+        cayley(np.ones((2, 3)))
+    with pytest.raises(InvalidParams):
+        orbit_rank(np.zeros((5, 2, 3)))
+    with pytest.raises(InvalidParams):
+        orbit_rank(np.full((2, 3), 0.9))  # outside the closure
+    with pytest.raises(InvalidParams):
+        transport_to_origin(np.zeros((4, 2, 3)))
+    with pytest.raises(InvalidParams, match="violates the ball constraint"):
+        transport_to_origin(np.eye(2, 3))  # a boundary point has no transport
 
 
 def test_near_singular_cocycle_is_flagged():

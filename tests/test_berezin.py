@@ -5,7 +5,6 @@ import pytest
 
 from berezin_lab import berezin
 from berezin_lab.ball import (
-    PseudoOrthogonalElement,
     ball_point,
     moebius_act,
     random_ball_point,
@@ -263,8 +262,7 @@ def test_batched_covariance_matches_a_loop_of_single_triples():
     for variant in ("u-cocycle-corrected", "as-printed"):
         batched = covariance_residual(gs, zs, us, 1.5, variant)
         for i in range(30):
-            g = PseudoOrthogonalElement.from_matrix(2, 2, gs.matrix[i])
-            single = covariance_residual(g, ball_point(zs[i]), ball_point(us[i]), 1.5, variant)
+            single = covariance_residual(gs[i], ball_point(zs[i]), ball_point(us[i]), 1.5, variant)
             assert batched[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
     # the as-printed law is off by O(1), so the comparison above is not vacuous
     assert np.max(covariance_residual(gs, zs, us, 1.5, "as-printed")) > 1e-3
@@ -273,16 +271,14 @@ def test_batched_covariance_matches_a_loop_of_single_triples():
 def test_nonpositive_multiplier_gives_inf_element_by_element():
     # every other element reflects the first axis: det(a + z c) = det(a) = -1
     flips = np.arange(30) % 2 == 0
-    mats = np.where(flips[:, None, None], np.diag([-1.0, 1.0, 1.0, 1.0]), np.eye(4))
-    gs = PseudoOrthogonalElement.from_matrix(2, 2, mats)
+    gs = np.where(flips[:, None, None], np.diag([-1.0, 1.0, 1.0, 1.0]), np.eye(4))
     zs = random_ball_point(2, 2, 44, 0.0, 0.5, size=30)
     us = random_ball_point(2, 2, 45, 0.0, 0.5, size=30)
     res = covariance_residual(gs, zs, us, 1.5, "as-printed")
     assert np.array_equal(np.isinf(res), flips)
     # the two cocycles share a sign, so the corrected law stays finite
     assert np.max(covariance_residual(gs, zs, us, 1.5)) < 1e-12
-    single = PseudoOrthogonalElement.from_matrix(2, 2, mats[0])
-    assert covariance_residual(single, zs[0], us[0], 1.5, "as-printed") == np.inf
+    assert covariance_residual(gs[0], zs[0], us[0], 1.5, "as-printed") == np.inf
 
 
 def test_batched_domination_matches_a_loop_and_propagates_nan():

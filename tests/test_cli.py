@@ -266,7 +266,7 @@ def test_kernel_checks_evaluate_the_seeded_stacks(capsys, monkeypatch):
     calls = _recording(monkeypatch, "covariance_residual")
     _, out = run_cli(capsys, "kernel", "covariance", *argv)
     (g_seen, z_seen, u_seen, _), = calls
-    assert np.array_equal(g_seen.matrix, g.matrix)
+    assert np.array_equal(g_seen, g)
     assert np.array_equal(z_seen, z) and np.array_equal(u_seen, u)
     assert json.loads(out)["observed"] == np.max(berezin.covariance_residual(g, z, u, 1.5))
 
@@ -375,6 +375,20 @@ def test_plancherel_weight_grid(capsys):
                         "--alpha", "2.5", "--samples", "30")
     assert code == EXIT_PASS
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_plancherel_weight_fails_on_non_finite_weights(capsys):
+    # W overflows at (20, 20, 400): the grid reads inf, nan, nan, which is no evidence
+    argv = ("plancherel", "weight", "--p", "20", "--q", "20", "--alpha", "400", "--samples", "3")
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == EXIT_FAIL
+    assert out.splitlines() == ["s,weight", "0.0,inf", "5.0,nan", "10.0,nan"]
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == EXIT_FAIL
+    assert (doc["verdict"], doc["observed"]) == ("fail", "nan")
 
 
 def test_plancherel_degeneration(capsys):

@@ -13,13 +13,13 @@ from berezin_lab.errors import InvalidParams, OracleNotConverged, PoleOnContour
 from berezin_lab.gammaval import GammaValue, gamma_value
 from berezin_lab.plancherel import (
     PlancherelParams,
-    block_index,
     coeff_C,
     coeff_CVQ_u,
     coeff_Q_o,
     coeff_V_o,
     continuous_weight_o,
     label_stacks,
+    partial_sums,
     rank1_plancherel_probe,
     surviving_blocks,
 )
@@ -40,31 +40,22 @@ def test_params_default_h():
 
 
 def test_block_index_weights():
-    b = block_index((2, 0, 1))
-    assert b.r == 3
-    assert b.u == (2, 0, 1)
-    assert b.w == pytest.approx((2.5, 3.0, 4.5))
+    # w_k = u_1 + ... + u_k + k/2, for one label and along each row of a stack
+    assert partial_sums((2, 0, 1)).tolist() == [2.5, 3.0, 4.5]
+    assert partial_sums(()).tolist() == []
+    stack = np.array([[2, 0, 1], [0, 0, 0]])
+    assert partial_sums(stack).tolist() == [[2.5, 3.0, 4.5], [0.5, 1.0, 1.5]]
+    # a negative label is refused where labels enter the coefficients
     with pytest.raises(InvalidParams):
-        block_index((1, -1))
+        coeff_C(np.array([[1, -1]]), 2)
 
 
 def test_surviving_blocks_inventory():
-    labels = {
-        (b.r, b.u) for b in surviving_blocks(PlancherelParams(2, 5, 0.5))
-    }
-    assert labels == {(0, ()), (1, (0,)), (1, (1,)), (2, (0, 0))}
+    labels = set(surviving_blocks(PlancherelParams(2, 5, 0.5)))
+    assert labels == {(), (0,), (1,), (0, 0)}
     # alpha = 0.4 loosens the bound to 2.1 and lets w_2 = 2.0 through
-    labels = {
-        (b.r, b.u) for b in surviving_blocks(PlancherelParams(2, 5, 0.4))
-    }
-    assert labels == {
-        (0, ()),
-        (1, (0,)),
-        (1, (1,)),
-        (2, (0, 0)),
-        (2, (0, 1)),
-        (2, (1, 0)),
-    }
+    labels = set(surviving_blocks(PlancherelParams(2, 5, 0.4)))
+    assert labels == {(), (0,), (1,), (0, 0), (0, 1), (1, 0)}
 
 
 def test_surviving_blocks_above_h_is_continuous_only():
@@ -72,28 +63,26 @@ def test_surviving_blocks_above_h_is_continuous_only():
         h = (p + q) / 2.0 - 1.0
         for alpha in [h, h + 0.5, h + 3.0]:
             blocks = surviving_blocks(PlancherelParams(p, q, alpha))
-            assert [(b.r, b.u) for b in blocks] == [(0, ())]
+            assert blocks == [()]
 
 
 def test_surviving_blocks_strict_versus_weak_boundary():
     # at alpha = 2 the r=1, u=(0,) block sits exactly on w_1 = h - alpha
     params = PlancherelParams(2, 5, 2.0)
-    strict = {(b.r, b.u) for b in surviving_blocks(params)}
-    weak = {(b.r, b.u) for b in surviving_blocks(params, strict=False)}
-    assert strict == {(0, ())}
-    assert weak == {(0, ()), (1, (0,))}
+    assert surviving_blocks(params) == [()]
+    assert surviving_blocks(params, strict=False) == [(), (0,)]
 
 
 def _filtered_product(params, strict=True):
     """The block list built the long way: the whole (top+1)^r grid, filtered and sorted."""
-    out = [block_index(())]
+    out = [()]
     for r in range(1, params.p + 1):
         slack = params.h - params.alpha - r / 2.0
         top = int(np.floor(slack - 1e-9)) if strict else int(np.floor(slack + 1e-9))
         if top >= 0:
             labels = sorted((u for u in product(range(top + 1), repeat=r) if sum(u) <= top),
                             key=lambda u: (sum(u), u))
-            out.extend(block_index(u) for u in labels)
+            out.extend(labels)
     return out
 
 
@@ -121,11 +110,11 @@ def test_surviving_blocks_budget(monkeypatch):
 
 def test_blocks_are_sorted_and_finite():
     blocks = surviving_blocks(PlancherelParams(3, 6, 0.25))
-    assert blocks[0].r == 0
-    ranks = [b.r for b in blocks]
+    assert blocks[0] == ()
+    ranks = [len(u) for u in blocks]
     assert ranks == sorted(ranks)
     for r in set(ranks):
-        keys = [(sum(b.u), b.u) for b in blocks if b.r == r]
+        keys = [(sum(u), u) for u in blocks if len(u) == r]
         assert keys == sorted(keys)
     assert len(blocks) < 40
 
@@ -185,14 +174,13 @@ def test_coeff_c_r0_value():
 def test_r0_product_reproduces_continuous_weight():
     p, q, alpha = 2, 5, 2.5
     params = PlancherelParams(p, q, alpha)
-    b0 = block_index(())
     cv = (coeff_C(_row(()), p) * coeff_V_o(alpha, _row(()), p, q)).to_float()[0]
     prefactor = 1.0
     for m in range(1, p + 1):
         prefactor *= 1.0 / gamma_value(alpha - m + 1).to_float()
     ratios = []
     for s in ([0.7, 0.3], [1.9, 1.1], [3.3, 0.9], [5.0, 2.2]):
-        q0 = coeff_Q_o(alpha, b0, np.asarray(s), p, q).to_float()
+        q0 = coeff_Q_o(alpha, _row(()), np.asarray(s), p, q).to_float()
         w = continuous_weight_o(params, s)
         ratios.append(cv * q0 / (prefactor * w))
     assert np.max(np.abs(np.diff(ratios))) < 1e-8
@@ -258,6 +246,21 @@ def test_unitary_degeneration_only_at_even_negatives():
 def test_unitary_repeated_labels_vanish():
     c, v, _ = coeff_CVQ_u(2.5, (1, 1), [], 2, 5)
     assert (c * v).is_zero
+
+
+def test_unitary_labels_are_checked_as_a_label_row():
+    # a label that is not an integer is refused, not rounded down or parsed
+    for w in ([1.7], ["2"], [1, 0.5], [[1]]):
+        with pytest.raises(InvalidParams):
+            coeff_CVQ_u(2.5, w, [0.7], 2, 5)
+    for w in ([-1], [0, 1, 2]):
+        with pytest.raises(InvalidParams):
+            coeff_CVQ_u(2.5, w, [], 2, 5)
+    # integer sequences of every kind, and the empty label, are accepted
+    for w, same in [(np.array([1], dtype=np.int32), (1,)), (range(2), (0, 1)), ((), [])]:
+        got, expect = coeff_CVQ_u(2.5, w, [0.7, 0.3][len(same):], 2, 5), coeff_CVQ_u(
+            2.5, same, [0.7, 0.3][len(same):], 2, 5)
+        assert [x.to_float() for x in got] == [x.to_float() for x in expect]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,7 @@ def test_stacked_cv_matches_factor_by_factor_reference(p, q, alpha, strict):
     blocks = surviving_blocks(PlancherelParams(p, q, alpha), strict)
     checked = 0
     for r, labels in label_stacks(blocks):
-        assert labels.shape == (sum(b.r == r for b in blocks), r)
+        assert labels.shape == (sum(len(u) == r for u in blocks), r)
         cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
         assert isinstance(cv, GammaValue) and cv.order.shape == (len(labels),)
         for i, u in enumerate(labels.tolist()):
@@ -365,17 +368,17 @@ def test_a_block_index_is_the_stack_of_one():
         assert (single.order[0], single.sign[0], single.log_abs[0]) == (
             stacked.order, stacked.sign, stacked.log_abs
         )
-    # a BlockIndex is not a stack: one label is a (1, r) row
+    # a label tuple is not a stack: one label is a (1, r) row
     with pytest.raises(InvalidParams):
-        coeff_C(block_index((3,)), p)
+        coeff_C((3,), p)
 
 
 def test_label_stacks_keep_block_order():
     blocks = surviving_blocks(PlancherelParams(3, 6, 0.25))
     stacks = label_stacks(blocks)
-    assert [r for r, _ in stacks] == sorted({b.r for b in blocks})
-    flat = [(r, tuple(u)) for r, labels in stacks for u in labels.tolist()]
-    assert flat == [(b.r, b.u) for b in blocks]
+    assert [r for r, _ in stacks] == sorted({len(u) for u in blocks})
+    flat = [tuple(u) for _, labels in stacks for u in labels.tolist()]
+    assert flat == blocks
 
 
 def test_stacked_labels_are_validated():
@@ -387,6 +390,10 @@ def test_stacked_labels_are_validated():
         coeff_V_o(1.0, np.array([0, 1]), 2, 5)
     with pytest.raises(InvalidParams):
         coeff_C(np.zeros((4, 3), dtype=int), 2)
+    # Q_o takes one label row through the same check
+    for label in (np.zeros((2, 1), dtype=int), (1,), _row((0, 0, 0)), _row((-1,)), [[0.5]]):
+        with pytest.raises(InvalidParams):
+            coeff_Q_o(1.0, label, [0.5], 2, 5)
 
 
 def test_large_labels_do_not_overflow():
@@ -421,7 +428,7 @@ def test_q_past_the_float_range_keeps_its_logarithm():
     assert qu.log_abs == pytest.approx(42720.8, abs=0.1)
     # the orthogonal Q there: |Gamma(115 + i s/2)|^2 per coordinate times the pair factors,
     # whose float product alone overflows
-    qo = coeff_Q_o(400.0, block_index(()), s, 171, 171)
+    qo = coeff_Q_o(400.0, _row(()), s, 171, 171)
     pairs = (s[l] ** 2 - s[k] ** 2) * np.tanh(np.pi * (s[l] - s[k]) / 2) * np.tanh(
         np.pi * (s[l] + s[k]) / 2
     )
@@ -519,11 +526,11 @@ def test_degeneration_report_matches_the_reference(capsys, p, q, alpha):
     doc = json.loads(capsys.readouterr().out)
     blocks = surviving_blocks(PlancherelParams(p, q, alpha))
     rows = doc["inputs"]["blocks"]
-    assert [(row["r"], tuple(row["u"])) for row in rows] == [(b.r, b.u) for b in blocks]
-    statuses = [_reference_status(alpha, b.u, p, q) for b in blocks]
+    assert [(row["r"], tuple(row["u"])) for row in rows] == [(len(u), u) for u in blocks]
+    statuses = [_reference_status(alpha, u, p, q) for u in blocks]
     assert [row["status"] for row in rows] == statuses
-    low_rank_alive = sum(s != "zero" for b, s in zip(blocks, statuses) if b.r < p)
-    full_rank_finite = sum(s == "finite" for b, s in zip(blocks, statuses) if b.r == p)
+    low_rank_alive = sum(s != "zero" for u, s in zip(blocks, statuses) if len(u) < p)
+    full_rank_finite = sum(s == "finite" for u, s in zip(blocks, statuses) if len(u) == p)
     assert doc["observed"] == low_rank_alive
     if alpha == round(alpha):
         ok = low_rank_alive == 0 and full_rank_finite > 0
@@ -562,7 +569,7 @@ _Q_PINS = json.loads((Path(__file__).parent / "data" / "q_pins.json").read_text(
 
 def _q(family, alpha, label, s, p, q):
     if family == "o":
-        return coeff_Q_o(alpha, block_index(label), np.asarray(s), p, q).to_float()
+        return coeff_Q_o(alpha, _row(label), np.asarray(s), p, q).to_float()
     return coeff_CVQ_u(alpha, label, s, p, q)[2].to_float()
 
 
