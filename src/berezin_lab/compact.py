@@ -53,21 +53,30 @@ def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
     even slots and each is followed by its S-partner: S(u) is orthogonal
     to u and the span of finished pairs is S-invariant, so the result is
     the QR factor of the S-paired Gaussian and lies in Sp(m).
+
+    The kernel works with the sample axis last: Q is built as a
+    (columns, d, size) array, so every elementwise step sweeps the
+    contiguous samples of a block, and it is returned as the C-contiguous
+    (size, d, columns) stack.  Each column is projected off the finished
+    columns one at a time (modified Gram-Schmidt), in two passes.  The
+    Gaussian draws are the caller's, unchanged by the layout; only the
+    order of the sums differs from a per-sample factorization, so seeded
+    estimates depend on the layout at rounding level only.
     """
     size, d, m = gauss.shape
-    qt = np.zeros((size, step * m, d), dtype=gauss.dtype)  # row j holds column j
+    q = np.empty((step * m, d, size), dtype=gauss.dtype)  # q[j] is column j
     for i in range(m):
         j = step * i
-        col = gauss[:, :, i]
-        done = qt[:, :j]
+        # order "C" puts the samples last in memory; a plain copy keeps them first
+        col = np.array(gauss[:, :, i].T, order="C")
         for _ in range(2 if j else 0):  # the second pass removes cancellation error
-            coef = np.einsum("bkd,bd->bk", done.conj(), col)
-            col = col - np.einsum("bk,bkd->bd", coef, done)
-        col = col / np.linalg.norm(col, axis=1, keepdims=True)
-        qt[:, j] = col
+            for u in q[:j]:
+                col -= (u.conj() * col).sum(axis=0) * u
+        col /= np.linalg.norm(col, axis=0)
+        q[j] = col
         if step == 2:
-            qt[:, j + 1] = _structure_map(col)
-    return np.ascontiguousarray(qt.transpose(0, 2, 1))
+            q[j + 1] = _structure_map(col)
+    return np.ascontiguousarray(q.transpose(2, 1, 0))
 
 
 def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -109,10 +118,10 @@ def _haar_sp_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def _structure_map(u: np.ndarray) -> np.ndarray:
-    """S(u) = Jhat conj(u) along the last axis; S pairs quaternionic columns."""
+    """S(u) = Jhat conj(u) along the first axis; S pairs quaternionic columns."""
     out = np.empty_like(u)
-    out[..., 0::2] = -np.conj(u[..., 1::2])
-    out[..., 1::2] = np.conj(u[..., 0::2])
+    out[0::2] = -np.conj(u[1::2])
+    out[1::2] = np.conj(u[0::2])
     return out
 
 
@@ -248,14 +257,21 @@ def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
     g reduced j - 1 times by one row; that entry is a unitary matrix entry,
     so every pivot lies in the disc |p - 1| <= 1 and elimination cannot
     grow.  A zero pivot leaves the later pivots of its sample meaningless.
+    The kernel works with the sample axis last, on a (k, k, size) copy,
+    so each step sweeps the contiguous samples.  Every entry sees the
+    same operations in the same order as in a per-sample elimination, so
+    the pivots are bit for bit the same.  It draws nothing: the Gaussian
+    draws behind a seeded estimate are the sampler's, and the estimate
+    differs from a per-sample computation only where Q does, at rounding
+    level.
     """
-    work = mats[:, :k, :k] + np.eye(k)
-    piv = np.empty(work.shape[:2], dtype=work.dtype)
+    work = np.add(mats[:, :k, :k].transpose(1, 2, 0), np.eye(k)[:, :, None], order="C")
+    piv = np.empty((work.shape[2], k), dtype=work.dtype)
     for j in range(k):
-        p = work[:, j, j]
+        p = work[j, j]
         piv[:, j] = p
-        safe = np.where(p != 0, p, 1.0)[:, None, None]
-        work[:, j + 1 :, j + 1 :] -= work[:, j + 1 :, j : j + 1] * (work[:, j : j + 1, j + 1 :] / safe)
+        safe = np.where(p != 0, p, 1.0)
+        work[j + 1 :, j + 1 :] -= work[j + 1 :, j : j + 1] * (work[j : j + 1, j + 1 :] / safe)
     return piv
 
 

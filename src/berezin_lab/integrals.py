@@ -19,7 +19,12 @@ Gram-Schmidt fixes column j from the first j Gaussian columns alone,
 and the det = -1 sign flip changes column n alone, so the flip is skipped
 and the corner is bit-identical to the full sample's.  The full n x n
 Gaussian is still drawn: drawing only the needed columns would save a
-little more but would change every seeded SO estimate.
+little more but would change every seeded SO estimate.  Both kernels,
+the Gram-Schmidt sampler and ``corner_pivots``, work with the sample
+axis last, so each elementwise step sweeps a block's 4096 samples.  The
+layout leaves the Gaussian draws as they are and the pivots of a given
+stack bit for bit; only the sampler's sums run in another order, so a
+seeded estimate depends on it at rounding level only.
 """
 
 from __future__ import annotations

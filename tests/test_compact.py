@@ -83,7 +83,7 @@ def _paired(drawn):
     size, d, m = drawn.shape
     full = np.empty((size, d, d), dtype=complex)
     full[:, :, 0::2] = drawn
-    full[:, :, 1::2] = np.swapaxes(_structure_map(np.swapaxes(drawn, 1, 2)), 1, 2)
+    full[:, :, 1::2] = np.moveaxis(_structure_map(np.moveaxis(drawn, 1, 0)), 0, 1)
     return full
 
 
@@ -103,6 +103,27 @@ def test_gram_schmidt_equals_qr_with_positive_diagonal(field):
     reference = q * (diag / np.abs(diag))[:, None, :]
     step = 2 if field == QUATERNION else 1
     assert np.max(np.abs(_gram_schmidt(drawn, step) - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("field, n", [(REAL, 12), (COMPLEX, 8), (QUATERNION, 8)])
+def test_gram_schmidt_stays_orthonormal_on_nearly_dependent_columns(field, n):
+    # Gaussian column 2 is column 1 plus 1e-9 noise: one projection pass
+    # would leave an orthogonality error near 1e-7, the second removes it
+    rng = np.random.default_rng(32)
+    size, d = 50, matrix_dim(field, n)
+    if field == REAL:
+        drawn = rng.standard_normal((size, d, n))
+        noise = rng.standard_normal((size, d))
+    else:
+        drawn = rng.standard_normal((size, d, n)) + 1j * rng.standard_normal((size, d, n))
+        noise = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+    drawn[:, :, 1] = drawn[:, :, 0] + 1e-9 * noise
+    q = _gram_schmidt(drawn, 2 if field == QUATERNION else 1)
+    assert q.shape == (size, d, d) and q.flags.c_contiguous
+    gram = np.conj(np.swapaxes(q, 1, 2)) @ q
+    assert np.max(np.abs(gram - np.eye(d))) <= 1e-13
+    if field == QUATERNION:
+        assert max(quaternionic_structure_residual(m) for m in q) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -231,6 +252,32 @@ def test_corner_pivots_are_ratios_of_corner_determinants(field):
         dets = np.linalg.det(np.eye(k) + mats[:, :k, :k])
         rel = np.abs(products[:, k - 1] - dets) / np.abs(dets)
         assert np.max(rel) < 1e-8, (k, np.max(rel))
+
+
+def _pivots_sample_axis_first(mats, k):
+    """Reference elimination with the sample axis first, one pivot column per step."""
+    work = mats[:, :k, :k] + np.eye(k)
+    piv = np.empty(work.shape[:2], dtype=work.dtype)
+    for j in range(k):
+        p = work[:, j, j]
+        piv[:, j] = p
+        safe = np.where(p != 0, p, 1.0)[:, None, None]
+        work[:, j + 1 :, j + 1 :] -= work[:, j + 1 :, j : j + 1] * (work[:, j : j + 1, j + 1 :] / safe)
+    return piv
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_corner_pivots_equal_the_sample_first_elimination_bit_for_bit(field):
+    # the same operations on every entry in the same order: only the memory layout differs
+    n = 8 if field != QUATERNION else 4
+    d = matrix_dim(field, n)
+    mats = haar_sample_batch(field, n, 500, rng=33)
+    mats[0, 0, 0] = -1.0  # a zero first pivot takes the safe-divisor branch
+    for k in (1, 3, d):
+        piv = corner_pivots(mats, k)
+        assert piv.shape == (500, k)
+        assert np.array_equal(piv, _pivots_sample_axis_first(mats, k))
+    assert corner_pivots(mats[:0], d).shape == (0, d)
 
 
 def test_corner_shapes():
