@@ -42,46 +42,47 @@ def matrix_dim(field: str, n: int) -> int:
 
 
 def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
-    """Batched Gram-Schmidt with positive norms: the Q of gauss = Q R, R_jj > 0.
+    """Batched Gram-Schmidt with positive norms: the Q of G = Q R, R_jj > 0.
 
     Positive norms make the factorization unique, so Q is exactly Haar on
     the unitary group of a Gaussian's field (Mezzadri, math-ph/0609050).
-    Exactly the columns given are orthonormalised: column j of Q depends
-    on the first j columns of ``gauss`` only, so a (size, d, k) slice
-    gives the first k columns of the full factor, bit for bit.  With
-    ``step`` 2 the m drawn columns of ``gauss`` (size, 2m, m) fill the
-    even slots and each is followed by its S-partner: S(u) is orthogonal
-    to u and the span of finished pairs is S-invariant, so the result is
-    the QR factor of the S-paired Gaussian and lies in Sp(m).
+    ``gauss`` holds the columns of G sample-axis-last, shape (columns, d,
+    size) with gauss[j] column j, so every elementwise step sweeps the
+    contiguous samples of a block.  Exactly the columns given are
+    orthonormalised, in place: column j of Q depends on the first j
+    columns of G only, so a leading slice of ``gauss`` gives the first
+    columns of the full factor, bit for bit.  With ``step`` 2 the m drawn
+    columns (m, 2m, size) fill the even slots of a fresh (2m, 2m, size)
+    array and each is followed by its S-partner: S(u) is orthogonal to u
+    and the span of finished pairs is S-invariant, so the result is the
+    QR factor of the S-paired Gaussian and lies in Sp(m).
 
-    The kernel works with the sample axis last: Q is built as a
-    (columns, d, size) array, so every elementwise step sweeps the
-    contiguous samples of a block, and it is returned as the C-contiguous
-    (size, d, columns) stack.  Each column is projected off the finished
-    columns one at a time (modified Gram-Schmidt), in two passes.  The
-    Gaussian draws are the caller's, unchanged by the layout; only the
-    order of the sums differs from a per-sample factorization, so seeded
-    estimates depend on the layout at rounding level only.
+    Each column is projected off the finished columns one at a time
+    (modified Gram-Schmidt), in two passes.  The result is returned as a
+    (size, d, columns) view of Q, with no copy.
     """
-    size, d, m = gauss.shape
-    q = np.empty((step * m, d, size), dtype=gauss.dtype)  # q[j] is column j
-    for i in range(m):
+    m = len(gauss)
+    q = gauss if step == 1 else np.empty((2 * m, *gauss.shape[1:]), dtype=gauss.dtype)
+    for i, col in enumerate(gauss):
         j = step * i
-        # order "C" puts the samples last in memory; a plain copy keeps them first
-        col = np.array(gauss[:, :, i].T, order="C")
         for _ in range(2 if j else 0):  # the second pass removes cancellation error
             for u in q[:j]:
                 col -= (u.conj() * col).sum(axis=0) * u
         col /= np.linalg.norm(col, axis=0)
-        q[j] = col
         if step == 2:
+            q[j] = col
             q[j + 1] = _structure_map(col)
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+    return q.transpose(2, 1, 0)
+
+
+def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussians x + iy: one real draw with the (x, y) pairs last, viewed as complex."""
+    return gen.standard_normal((*shape, 2)).view(complex).reshape(shape)
 
 
 def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Haar O(n), both determinant components."""
-    return _gram_schmidt(gen.standard_normal((size, n, n)))
+    return _gram_schmidt(gen.standard_normal((n, n, size)))
 
 
 def _haar_so_batch(
@@ -89,32 +90,29 @@ def _haar_so_batch(
 ) -> np.ndarray:
     """Haar SO(n): Haar O(n) with the last column flipped on det = -1.
 
-    With ``cols`` < n only the first ``cols`` columns, shape (size, n,
-    cols), are orthonormalised, and the flip, which changes column n
-    alone, is skipped: they are the first columns of the full sample, bit
-    for bit.  A caller that reads a leading corner sets ``cols`` to the
-    columns it reads.  The full n x n Gaussian is still drawn, so seeded
-    samples and the stream position stay as they were; drawing only
-    ``cols`` columns would be cheaper but would change every seeded
-    SO(n) estimate.
+    With ``cols`` < n only the first ``cols`` Gaussian columns are drawn
+    and orthonormalised, shape (size, n, cols), and the flip, which
+    changes column n alone, is skipped.  The draw is column-major, so
+    those are the leading columns of the full sample's draw and the
+    result is the full sample's first columns, bit for bit; only the
+    stream position afterwards differs, by (n - cols) n size normals.
+    A caller that reads a leading corner sets ``cols`` to the columns it
+    reads.
     """
-    gauss = gen.standard_normal((size, n, n))
     if cols is not None and cols < n:
-        return _gram_schmidt(gauss[:, :, :cols])
-    q = _gram_schmidt(gauss)
+        return _gram_schmidt(gen.standard_normal((cols, n, size)))
+    q = _haar_orthogonal_batch(n, size, gen)
     q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
 def _haar_u_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    shape = (size, n, n)
-    return _gram_schmidt(gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    return _gram_schmidt(_complex_normal(gen, (n, n, size)))
 
 
 def _haar_sp_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
     """Haar Sp(n) in the complex realization: n drawn columns, each with its S-partner."""
-    shape = (size, 2 * n, n)
-    return _gram_schmidt(gen.standard_normal(shape) + 1j * gen.standard_normal(shape), step=2)
+    return _gram_schmidt(_complex_normal(gen, (n, 2 * n, size)), step=2)
 
 
 def _structure_map(u: np.ndarray) -> np.ndarray:
@@ -147,7 +145,11 @@ _BATCH_SAMPLERS = {REAL: _haar_so_batch, COMPLEX: _haar_u_batch, QUATERNION: _ha
 def haar_sample_batch(
     field: str, n: int, size: int, rng: int | np.random.Generator | None = None
 ) -> np.ndarray:
-    """Stack of ``size`` Haar samples, shape (size, d, d) with d = matrix_dim."""
+    """Stack of ``size`` Haar samples, shape (size, d, d) with d = matrix_dim.
+
+    The stack is a view of a sample-axis-last array, so its samples are
+    not contiguous in memory.
+    """
     if field not in FIELDS:
         raise InvalidParams(f"unknown field {field!r}; expected one of {FIELDS}")
     if n < 1 or size < 0:

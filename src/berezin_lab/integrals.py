@@ -13,18 +13,14 @@ seed gives a bit-identical result.  Every estimate is one call to
 ``corner_power_mc``, which raises the corner pivots of one batched
 elimination, ``compact.corner_pivots``, to one exponent vector per family,
 and every closed form is one vectorised Gamma ratio.  The pivots read only
-the leading ``rows`` x ``rows`` corner, so the SO(n) sampler
-orthonormalises only the first ``rows`` columns of each Gaussian draw.
-Gram-Schmidt fixes column j from the first j Gaussian columns alone,
-and the det = -1 sign flip changes column n alone, so the flip is skipped
-and the corner is bit-identical to the full sample's.  The full n x n
-Gaussian is still drawn: drawing only the needed columns would save a
-little more but would change every seeded SO estimate.  Both kernels,
-the Gram-Schmidt sampler and ``corner_pivots``, work with the sample
-axis last, so each elementwise step sweeps a block's 4096 samples.  The
-layout leaves the Gaussian draws as they are and the pivots of a given
-stack bit for bit; only the sampler's sums run in another order, so a
-seeded estimate depends on it at rounding level only.
+the leading ``rows`` x ``rows`` corner, so the SO(n) sampler draws and
+orthonormalises only the first ``rows`` Gaussian columns.  Gram-Schmidt
+fixes column j from the first j Gaussian columns alone, and the det = -1
+sign flip changes column n alone, so the flip is skipped and the corner
+is bit-identical to the full sample's.  Both kernels, the Gram-Schmidt
+sampler and ``corner_pivots``, work with the sample axis last, so each
+elementwise step sweeps a block's 4096 samples: the Gaussian is drawn as
+(columns, d, samples), and the sampler hands back a view of it.
 """
 
 from __future__ import annotations

@@ -101,14 +101,16 @@ def test_criterion_01_corner_reduction_calculus():
 
 def test_criterion_02_haar_pushforward_marginals():
     t0 = time.perf_counter()
-    n_samples = 100_000
+    # KS at N = 1e6 and p > 1e-4: critical D 0.0022, family-wise false
+    # positive rate 4e-4 over the four sizes
+    ks_samples, n_samples = 1_000_000, 100_000
     rng = np.random.default_rng(SEED)
     pvals = {}
     for n in (2, 3, 4, 5):
-        x = haar_sample_batch(REAL, n, n_samples, rng)[:, 0, 0]
+        x = haar_sample_batch(REAL, n, ks_samples, rng)[:, 0, 0]
         cdf = stats.beta((n - 1) / 2.0, (n - 1) / 2.0, loc=-1.0, scale=2.0).cdf
         pvals[n] = float(stats.kstest(x, cdf).pvalue)
-        assert pvals[n] > 0.01, (n, pvals[n])
+        assert pvals[n] > 1e-4, (n, pvals[n])
     coords = cube_coords_batch(5, n_samples, rng=SEED + 1)
     corr = np.corrcoef(coords.T)
     off = np.abs(corr[np.triu_indices(coords.shape[1], 1)])
@@ -117,7 +119,7 @@ def test_criterion_02_haar_pushforward_marginals():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _announce(2, f"KS p-values {{{', '.join(f'{n}: {p:.2f}' for n, p in pvals.items())}}} "
-                 f"all > 0.01 at N=1e5; max |corr| {off.max():.1e} < {bound:.1e}; "
+                 f"all > 1e-4 at N=1e6; max |corr| {off.max():.1e} < {bound:.1e}; "
                  f"{elapsed:.1f}s < 60s")
 
 
@@ -244,14 +246,26 @@ def test_criterion_07_boundary_restriction():
         ranks = np.sum(svals > 1e-9, axis=1)
         rates[(p, q, r)] = float(np.mean(ranks == r))
         assert rates[(p, q, r)] >= 0.99
-    # probe versus the deterministic closed form at N = 1e5
+    # probe versus the deterministic closed form at N = 1e5.  The square of
+    # the integrand is the integrand at 2 alpha, so the variance is finite
+    # only for 2 alpha < threshold; only there does the z-test mean
+    # anything.  At the other points the quadrature of the same SO(q + r)
+    # integral, with -alpha on the first p - r exponents, is the oracle.
     zscores = {}
-    for p, q, r, alpha in [(1, 2, 0, 0.4), (2, 4, 1, 1.0)]:
-        est = restriction_probe(p, q, r, alpha, n_samples=100_000, rng=SEED)
+    worst_quad = 0.0
+    for p, q, r, alpha in [(1, 2, 0, 0.2), (2, 4, 1, 0.5), (1, 2, 0, 0.4), (2, 4, 1, 1.0)]:
         cf = restriction_closed_form(p, q, r, alpha)
-        z = abs(est.mean - cf) / est.stderr
-        zscores[(p, q, r, alpha)] = z
-        assert z <= 3.0, ((p, q, r, alpha), z)
+        if 2 * alpha < restriction_threshold(p, q, r):
+            est = restriction_probe(p, q, r, alpha, n_samples=100_000, rng=SEED)
+            z = abs(est.mean - cf) / est.stderr
+            zscores[(p, q, r, alpha)] = z
+            assert z <= 3.0, ((p, q, r, alpha), z)
+        else:
+            lam = np.zeros(q + r)
+            lam[: p - r] = -alpha
+            rel = abs(so_integral_quadrature(q + r, lam) - cf) / cf
+            worst_quad = max(worst_quad, rel)
+            assert rel <= 1e-8, ((p, q, r, alpha), rel)
     # heavy-tail diagnostic above the threshold: the running maximum keeps
     # growing across N = 1e4, 1e5, 1e6
     for p, q, r in [(1, 2, 0), (2, 4, 1)]:
@@ -265,7 +279,8 @@ def test_criterion_07_boundary_restriction():
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     _announce(7, f"rank rates {list(rates.values())} all >= 0.99; probe z-scores "
-                 f"{[f'{z:.2f}' for z in zscores.values()]} <= 3 at N=1e5; running max "
+                 f"{[f'{z:.2f}' for z in zscores.values()]} <= 3 at N=1e5 where the variance "
+                 f"is finite, quadrature rel {worst_quad:.1e} <= 1e-8 where not; running max "
                  f"grows across 1e4->1e6 above threshold; {elapsed:.0f}s < 300s")
 
 
