@@ -23,10 +23,15 @@ from .errors import InvalidParams, NearSingularCocycle
 from .rngs import as_generator
 
 _COND_BOUND = 1e12
+# Slack of the closure's norm bound, of the g^t J g = J residual and of
+# the rank cut of 1 - z z^t.
+_TOL = 1e-9
+# Largest |rapidity| of a random pseudo-orthogonal element's boost.
+_BOOST_RANGE = 2.0
 
 
-def ball_point(entries: np.ndarray, closure: bool = False, tol: float = 1e-9) -> np.ndarray:
-    """``entries`` as a checked (p, q) point: spectral norm < 1, or <= 1 + tol with ``closure``."""
+def ball_point(entries: np.ndarray, closure: bool = False) -> np.ndarray:
+    """``entries`` as a checked (p, q) point: norm < 1, or <= 1 + 1e-9 with ``closure``."""
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2:
         raise InvalidParams("a ball point is a 2-d real matrix")
@@ -34,7 +39,7 @@ def ball_point(entries: np.ndarray, closure: bool = False, tol: float = 1e-9) ->
     if p > q:
         raise InvalidParams(f"need p <= q, got shape ({p}, {q})")
     norm = float(np.linalg.norm(entries, 2)) if entries.size else 0.0
-    limit_ok = norm <= 1.0 + tol if closure else norm < 1.0
+    limit_ok = norm <= 1.0 + _TOL if closure else norm < 1.0
     if not limit_ok:
         raise InvalidParams(f"spectral norm {norm:.6f} violates the ball constraint")
     return entries
@@ -85,8 +90,8 @@ def signature_matrix(p: int, q: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
 
 
-def validate_pseudo_orthogonal(g: np.ndarray, p: int, tol: float = 1e-9) -> float:
-    """Frobenius residual of g^t J g = J for one element; raises when it exceeds ``tol``.
+def validate_pseudo_orthogonal(g: np.ndarray, p: int) -> float:
+    """Frobenius residual of g^t J g = J for one element; raises when it exceeds 1e-9.
 
     p cannot be read off a square matrix, so here it is an argument.
     """
@@ -95,8 +100,8 @@ def validate_pseudo_orthogonal(g: np.ndarray, p: int, tol: float = 1e-9) -> floa
         raise InvalidParams(f"need a square matrix with at least p = {p} rows, got {g.shape}")
     j = signature_matrix(p, len(g) - p)
     res = float(np.linalg.norm(g.T @ j @ g - j)) / np.sqrt(len(g))
-    if res > tol:
-        raise InvalidParams(f"g^t J g - J residual {res:.3e} exceeds tolerance {tol:.1e}")
+    if res > _TOL:
+        raise InvalidParams(f"g^t J g - J residual {res:.3e} exceeds tolerance {_TOL:.1e}")
     return res
 
 
@@ -130,11 +135,11 @@ def cocycle(g: np.ndarray, z: np.ndarray) -> float | np.ndarray:
     return np.linalg.det(_action_base(g, np.asarray(z, dtype=float)))
 
 
-def orbit_rank(z: np.ndarray, tol: float = 1e-9) -> int:
+def orbit_rank(z: np.ndarray) -> int:
     """Numerical rank h of 1 - z z^t at a closure point; h = p inside, h < p on boundary orbits."""
     z = ball_point(z, closure=True)
     s = np.linalg.svd(np.eye(z.shape[0]) - z @ z.T, compute_uv=False)
-    floor = tol * max(float(s[0]) if s.size else 0.0, 1.0)
+    floor = _TOL * max(float(s[0]) if s.size else 0.0, 1.0)
     return int(np.sum(s > floor))
 
 
@@ -179,10 +184,9 @@ def random_pseudo_orthogonal(
     p: int,
     q: int,
     rng: int | np.random.Generator | None = None,
-    boost_range: float = 2.0,
     size: int | None = None,
 ) -> np.ndarray:
-    """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= boost_range.
+    """KAK sample: k1 B(t) k2 with k_i in O(p) x O(q), |t_j| <= 2.
 
     One (p+q, p+q) element, or with ``size`` a stack of that many.  All
     rapidities are drawn first, then the O(p) and O(q) frames of k1 and of
@@ -191,7 +195,7 @@ def random_pseudo_orthogonal(
     """
     gen = as_generator(rng)
     n = 1 if size is None else size
-    t = gen.uniform(-boost_range, boost_range, size=(n, p))
+    t = gen.uniform(-_BOOST_RANGE, _BOOST_RANGE, size=(n, p))
     frames = np.zeros((2, n, p + q, p + q))
     for frame in frames:
         frame[:, :p, :p] = _haar_orthogonal_batch(p, n, gen)

@@ -8,7 +8,9 @@ action, and probes integrability of the kernel restricted to boundary
 orbits against the closed form of the matching Haar integral.
 
 Points are (p, q) arrays and stacks of them (..., p, q) arrays, as in
-``ball``; a boundary-orbit point is a point of the closure.
+``ball``; a boundary-orbit point is a point of the closure.  The
+admissibility tolerance, the witness search's cloud size and the
+convention table's trials are fixed settings, not parameters.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
 from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
+# Distance within which alpha counts as one of the integer Wallach points.
+_WALLACH_TOL = 1e-12
 
 # Kernel entries K(z_i, z_j) evaluated at once: a stack of Gram matrices
 # runs in chunks of this many entries, so the pair grids take fixed memory
@@ -48,13 +52,13 @@ def berezin_kernel(z: np.ndarray, u: np.ndarray, alpha: float) -> float | np.nda
     return base ** (-alpha)
 
 
-def wallach_admissible(alpha: float, p: int, tol: float = 1e-12) -> bool:
+def wallach_admissible(alpha: float, p: int) -> bool:
     """Membership of alpha in {0, 1, ..., p-1} union (p-1, infinity)."""
     if p < 1:
         raise InvalidParams("need p >= 1")
-    if alpha > p - 1 - tol:
-        return alpha > p - 1 + tol or abs(alpha - (p - 1)) <= tol
-    return any(abs(alpha - k) <= tol for k in range(p))
+    if alpha > p - 1 - _WALLACH_TOL:
+        return alpha > p - 1 + _WALLACH_TOL or abs(alpha - (p - 1)) <= _WALLACH_TOL
+    return any(abs(alpha - k) <= _WALLACH_TOL for k in range(p))
 
 
 def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
@@ -74,8 +78,6 @@ def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
 class GramReport:
     """Extreme eigenvalues of one kernel Gram matrix, or arrays of them over a stack."""
 
-    n_points: int
-    alpha: float
     min_eig: float | np.ndarray
     max_eig: float | np.ndarray
 
@@ -103,7 +105,7 @@ def gram_spectrum(points, alpha: float) -> GramReport:
     lo, hi = np.concatenate(extremes).T
     if pts.ndim == 3:
         lo, hi = float(lo[0]), float(hi[0])
-    return GramReport(pts.shape[-3], alpha, lo, hi)
+    return GramReport(lo, hi)
 
 
 @dataclass
@@ -120,6 +122,8 @@ class WitnessReport:
 
 _WITNESS_RATIO = -1e-6
 _FIRST_TRIALS = 8
+# Most points of a diffuse cloud trial; a cloud holds 3 to this many.
+_CLOUD_POINTS = 8
 # Rotation counts k of the shell trials, drawn from [lo, hi): a shell holds
 # 2k points, so at most 2 (hi - 1).
 _SHELL_K = (3, 9)
@@ -145,26 +149,26 @@ def _shell_configs(k: int, eta: np.ndarray, left: np.ndarray, right: np.ndarray)
     return eta[:, None, None, None] * frames
 
 
-def _witness_trials(p: int, q: int, n_points: int, gen: np.random.Generator):
+def _witness_trials(p: int, q: int, gen: np.random.Generator):
     """Endless stream of search trials, in chunks of 8, 16, 32, ... trials.
 
     Chunks stop doubling where a chunk of the largest configurations would
     hold more than ``_GRAM_ENTRIES`` kernel entries.  Even trials (every
-    trial when p < 2) are diffuse near-boundary clouds of 3 to n_points
-    points, odd ones rotation-reflection shells of 6 to 16 points.  Each
-    chunk is yielded as (start, size, groups), where groups maps a point
-    count m to (trial indices, (G, m, p, q) configurations).
+    trial when p < 2) are diffuse near-boundary clouds of 3 to 8 points,
+    odd ones rotation-reflection shells of 6 to 16 points.  Each chunk is
+    yielded as (start, size, groups), where groups maps a point count m to
+    (trial indices, (G, m, p, q) configurations).
     Trial i's configuration depends only on the generator and i, not on
     how many trials are later evaluated.
     """
-    largest = max(n_points, 2 * (_SHELL_K[1] - 1))
+    largest = max(_CLOUD_POINTS, 2 * (_SHELL_K[1] - 1))
     cap = max(_FIRST_TRIALS, _GRAM_ENTRIES // largest**2)
     start, size = 0, _FIRST_TRIALS
     while True:
         trials = np.arange(start, start + size)
         is_shell = trials % 2 == 1 if p >= 2 else np.zeros(size, dtype=bool)
         clouds, shells = trials[~is_shell], trials[is_shell]
-        counts = 3 + gen.integers(n_points - 2, size=clouds.size)
+        counts = 3 + gen.integers(_CLOUD_POINTS - 2, size=clouds.size)
         ks = gen.integers(*_SHELL_K, size=shells.size)
         etas = gen.uniform(0.5, 0.95, size=shells.size)
         left = np.linalg.qr(gen.standard_normal((shells.size, p, 2)))[0]
@@ -198,7 +202,6 @@ def pd_witness_search(
     alpha: float,
     budget: int = 1000,
     rng=None,
-    n_points: int = 8,
 ) -> WitnessReport:
     """Search point configurations for a negative Gram eigenvalue.
 
@@ -218,7 +221,7 @@ def pd_witness_search(
     seed = derive_root_seed(rng)
     gen = as_generator(seed)
     best_ratio = best_min = np.inf
-    for start, size, groups in _witness_trials(p, q, n_points, gen):
+    for start, size, groups in _witness_trials(p, q, gen):
         n = min(size, budget - start)
         ratios, mins = np.empty(n), np.empty(n)
         for trials, configs in groups.values():
@@ -288,24 +291,21 @@ def covariance_residual(
     return np.where(ok, np.abs(lhs - rhs) / np.abs(lhs), np.inf)[()]
 
 
-def covariance_convention_table(
-    alpha: float = 1.0,
-    n_trials: int = 50,
-    rng=None,
-    boost_range: float = 1.5,
-) -> dict[str, float]:
-    """Max residual of each candidate scalar transformation law (p = q = 1).
+def covariance_convention_table(rng=None) -> dict[str, float]:
+    """Max residual of each candidate scalar transformation law (p = q = 1, alpha = 1).
 
     Enumerates the second multiplier (cocycle at u versus a + z u) against
-    all sign choices of the two exponents; exactly one combination, the
-    (u-cocycle, +, +) one, should sit at roundoff level.
+    all sign choices of the two exponents over 50 trials with boosts of
+    rapidity up to 1.5; exactly one combination, the (u-cocycle, +, +) one,
+    should sit at roundoff level.
     """
     from .ball import boost
 
+    alpha = 1.0
     gen = as_generator(rng)
     table: dict[str, float] = {}
-    for trial in range(n_trials):
-        t = gen.uniform(-boost_range, boost_range, size=1)
+    for _ in range(50):
+        t = gen.uniform(-1.5, 1.5, size=1)
         g = boost(1, 1, t)
         z = random_ball_point(1, 1, gen)
         u = random_ball_point(1, 1, gen)

@@ -117,6 +117,9 @@ def _config(args: argparse.Namespace) -> RunConfig:
             tols[name] = float(val)
         except ValueError:
             raise InvalidParams(f"--tol expects NAME=REAL, got {item!r}") from None
+        if name not in args.tol_names:
+            accepted = ", ".join(args.tol_names) or "none"
+            raise InvalidParams(f"--tol {name!r} is not read here; accepted names: {accepted}")
     samples = getattr(args, "samples", DEFAULT_SAMPLES)
     return RunConfig(seed, samples, tols, args.out, args.format)
 
@@ -461,26 +464,30 @@ _HELP = {
     "catalog": "hermitization dimension table",
     "ledger": "formula adjudication table",
 }
-# (command, subcommand, run, options, default --samples).  Only a command
-# with a default takes --samples, and only one that lists "seed" takes --seed.
+# (command, subcommand, run, options, default --samples, --tol names).  Only
+# a command with a default takes --samples, only one that lists "seed" takes
+# --seed, and a --tol name the command does not read is refused.
+_MC_TOLS = ("z", "rel")
 _COMMANDS = [
-    ("haar", "so", cmd_haar, ("n", "seed"), 5),
-    ("haar", "u", cmd_haar, ("n", "seed"), 5),
-    ("haar", "sp", cmd_haar, ("n", "seed"), 5),
-    ("integral", "so", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES),
-    ("integral", "u", cmd_integral, ("n", "lambda", "mu", "seed"), DEFAULT_SAMPLES),
-    ("integral", "sp", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES),
-    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha", "seed"), 50),
-    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha", "seed"), 1000),
-    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha", "seed"), 200),
-    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha", "seed"), 10_000),
-    ("boundary", "probe", cmd_boundary_probe, ("p", "q", "r", "alpha", "seed"), DEFAULT_SAMPLES),
-    ("plancherel", "blocks", cmd_plancherel_blocks, ("p", "q", "alpha"), None),
-    ("plancherel", "weight", cmd_plancherel_weight, ("p", "q", "alpha"), 101),
-    ("plancherel", "degeneration", cmd_plancherel_degeneration, ("p", "q", "alpha"), None),
-    ("plancherel", "rank1", cmd_plancherel_rank1, ("q", "alpha", "seed"), DEFAULT_SAMPLES),
-    ("catalog", None, cmd_catalog, ("self-test-corrupt",), None),
-    ("ledger", None, cmd_ledger, (), None),
+    ("haar", "so", cmd_haar, ("n", "seed"), 5, ("res",)),
+    ("haar", "u", cmd_haar, ("n", "seed"), 5, ("res",)),
+    ("haar", "sp", cmd_haar, ("n", "seed"), 5, ("res",)),
+    ("integral", "so", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
+    ("integral", "u", cmd_integral, ("n", "lambda", "mu", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
+    ("integral", "sp", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
+    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha", "seed"), 50, ("pd",)),
+    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha", "seed"), 1000, ()),
+    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha", "seed"), 200, ("res",)),
+    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha", "seed"), 10_000, ()),
+    ("boundary", "probe", cmd_boundary_probe, ("p", "q", "r", "alpha", "seed"), DEFAULT_SAMPLES,
+     _MC_TOLS),
+    ("plancherel", "blocks", cmd_plancherel_blocks, ("p", "q", "alpha"), None, ()),
+    ("plancherel", "weight", cmd_plancherel_weight, ("p", "q", "alpha"), 101, ()),
+    ("plancherel", "degeneration", cmd_plancherel_degeneration, ("p", "q", "alpha"), None, ()),
+    ("plancherel", "rank1", cmd_plancherel_rank1, ("q", "alpha", "seed"), DEFAULT_SAMPLES,
+     ("res",)),
+    ("catalog", None, cmd_catalog, ("self-test-corrupt",), None, ()),
+    ("ledger", None, cmd_ledger, (), None, ()),
 ]
 
 
@@ -491,7 +498,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"berezin-lab {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for command, sub, run, options, samples in _COMMANDS:
+    for command, sub, run, options, samples, tol_names in _COMMANDS:
         if command not in groups:
             sp = top.add_parser(command, help=_HELP[command])
             groups[command] = sp.add_subparsers(dest="subcommand", required=True) if sub else sp
@@ -504,7 +511,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--tol", action="append", default=[], metavar="NAME=REAL")
-        sp.set_defaults(run=run)
+        sp.set_defaults(run=run, tol_names=tol_names)
     return parser
 
 

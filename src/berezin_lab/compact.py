@@ -359,6 +359,9 @@ def corner_det_multiplicativity_residual(
 # Quaternionic determinant
 # ---------------------------------------------------------------------------
 
+# Largest quaternionic-structure residual, relative to the largest entry (at least 1).
+_QUATERNIONIC_TOL = 1e-9
+
 
 def _real_realization(mat: np.ndarray) -> np.ndarray:
     """4n x 4n real left-multiplication realization from the complex one."""
@@ -379,7 +382,7 @@ def _real_realization(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def quaternionic_det(a: np.ndarray, tol: float = 1e-9) -> float:
+def quaternionic_det(a: np.ndarray) -> float:
     """Nonnegative quaternionic determinant of a quaternionic matrix.
 
     Computed as sqrt(det) of the 2n x 2n complex realization and
@@ -390,7 +393,7 @@ def quaternionic_det(a: np.ndarray, tol: float = 1e-9) -> float:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise InvalidParams("expected a 2n x 2n complex realization")
     scale = max(float(np.max(np.abs(mat))), 1.0)
-    if quaternionic_structure_residual(mat) > tol * scale:
+    if quaternionic_structure_residual(mat) > _QUATERNIONIC_TOL * scale:
         raise InvalidParams("matrix does not satisfy the quaternionic structure relation")
     sign_c, log_c = np.linalg.slogdet(mat)
     if sign_c == 0:

@@ -10,7 +10,8 @@ up to the direction of approach.
 The fields are arrays: the sign and log magnitude of c and one net order,
 poles minus zeros, which is all a product needs because orders only add.
 A single value is the 0-d case.  Products broadcast like the arrays they
-hold, and every constructor takes a scalar or an array.
+hold, and every constructor takes a scalar or an array.  The Pochhammer
+symbol is the ratio Gamma(a + m) / Gamma(a), in the same convention.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ class GammaValue:
     order: np.ndarray
 
     @property
-    def pole_order(self) -> np.ndarray:
-        return np.maximum(self.order, 0)
-
-    @property
-    def zero_order(self) -> np.ndarray:
-        return np.maximum(-self.order, 0)
-
-    @property
     def is_pole(self) -> np.ndarray:
         return self.order > 0
 
@@ -63,9 +56,6 @@ class GammaValue:
         return GammaValue(
             self.log_abs - other.log_abs, self.sign * other.sign, self.order - other.order
         )
-
-    def reciprocal(self) -> "GammaValue":
-        return GammaValue(-self.log_abs, self.sign, -self.order)
 
     def prod(self, axis: int) -> "GammaValue":
         """The product of the values along ``axis``."""
@@ -119,24 +109,16 @@ def gamma_value(x) -> GammaValue:
 
 
 def pochhammer_value(a, m) -> GammaValue:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1) at every entry, factor by factor.
+    """Rising factorial (a)_m = a (a+1) ... (a+m-1) = Gamma(a+m) / Gamma(a) at every entry.
 
-    Each entry has its own length m: factor i counts only while i < m there.
-    Factors within 1e-9 of zero are unit-rate zeros, so the result composes
-    correctly with Gamma poles.
+    Each entry has its own length m.  A base within 1e-9 of -k is -k
+    itself, and in the unit-rate convention it gives the finite
+    (-1)^m k!/(k-m)! for m <= k and, for m > k, a first-order zero with
+    coefficient (-1)^k k! (m-k-1)!, so the result composes correctly with
+    Gamma poles.
     """
     a, m = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(m))
     if np.any(m < 0):
         raise InvalidParams("Pochhammer length must be nonnegative")
-    log_abs = np.zeros(a.shape)
-    negative = np.zeros(a.shape, dtype=np.int64)
-    zeros = np.zeros(a.shape, dtype=np.int64)
-    for i in range(int(m.max(initial=0))):
-        x = a + i
-        live = i < m
-        zero = live & (np.abs(x) <= _INT_TOL)
-        factor = live & ~zero
-        log_abs += np.log(np.abs(np.where(factor, x, 1.0)))
-        negative += factor & (x < 0)
-        zeros += zero
-    return GammaValue(log_abs, 1 - 2 * (negative % 2), -zeros)
+    base = gamma_value(a)
+    return gamma_value(np.where(base.is_pole, np.rint(a), a) + m) / base

@@ -28,7 +28,6 @@ class SymmetricPair:
     params: tuple[str, ...]
     dim_real: Callable[..., int]  # real dimension of G/K
     dim_cplx: Callable[..., int]  # complex dimension of G°/K°
-    hermitian_g: bool = False  # G itself Hermitian: G° is the product G x G
 
     @property
     def name(self) -> str:
@@ -43,7 +42,7 @@ def catalog() -> list[SymmetricPair]:
         SymmetricPair(2, "O(p,q)", "U(p,q)", ("p", "q"),
                       lambda p, q: p * q, lambda p, q: p * q),
         SymmetricPair(3, "Sp(2n,R)", "Sp(2n,R) x Sp(2n,R)", ("n",),
-                      lambda n: n * (n + 1), lambda n: n * (n + 1), hermitian_g=True),
+                      lambda n: n * (n + 1), lambda n: n * (n + 1)),
         SymmetricPair(4, "GL(n,C)", "U(n,n)", ("n",),
                       lambda n: n * n, lambda n: n * n),
         SymmetricPair(5, "SO(n,C)", "SO*(2n)", ("n",),
@@ -51,15 +50,15 @@ def catalog() -> list[SymmetricPair]:
         SymmetricPair(6, "Sp(2n,C)", "Sp(4n,R)", ("n",),
                       lambda n: n * (2 * n + 1), lambda n: 2 * n * (2 * n + 1) // 2),
         SymmetricPair(7, "U(p,q)", "U(p,q) x U(p,q)", ("p", "q"),
-                      lambda p, q: 2 * p * q, lambda p, q: 2 * p * q, hermitian_g=True),
+                      lambda p, q: 2 * p * q, lambda p, q: 2 * p * q),
         SymmetricPair(8, "GL(n,H)", "SO*(4n)", ("n",),
                       lambda n: n * (2 * n - 1), lambda n: 2 * n * (2 * n - 1) // 2),
         SymmetricPair(9, "Sp(p,q)", "U(2p,2q)", ("p", "q"),
                       lambda p, q: 4 * p * q, lambda p, q: 2 * p * 2 * q),
         SymmetricPair(10, "SO*(2n)", "SO*(2n) x SO*(2n)", ("n",),
-                      lambda n: n * (n - 1), lambda n: n * (n - 1), hermitian_g=True),
+                      lambda n: n * (n - 1), lambda n: n * (n - 1)),
         SymmetricPair(11, "SO(2,n)", "SO(2,n) x SO(2,n)", ("n",),
-                      lambda n: 2 * n, lambda n: 2 * n, hermitian_g=True),
+                      lambda n: 2 * n, lambda n: 2 * n),
         SymmetricPair(12, "SO(1,p) x SO(1,q)", "SO(2,p+q)", ("p", "q"),
                       lambda p, q: p + q, lambda p, q: p + q),
     ]

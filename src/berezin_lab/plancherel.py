@@ -7,7 +7,7 @@ w_j = u_1 + ... + u_j + j/2; each block carries a combinatorial factor C,
 a Gamma-product factor V and a residual continuous density Q over the
 remaining p - r spectral variables.  All Gamma products run through the
 pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
-order bookkeeping.
+order bookkeeping; the Pochhammer factors of C and V are Gamma ratios too.
 
 A block label is a tuple u from ``surviving_blocks``, its rank r being
 len(u) and its w the ``partial_sums`` of u.  C and V work on an (N, r)
@@ -81,12 +81,12 @@ def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
 BLOCK_BUDGET = 100_000
 
 
-def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[tuple[int, ...]]:
+def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
     """The label tuples u of all blocks in the continued expansion at ``params.alpha``.
 
     The rank r of a block is len(u).  The continuous block r = 0, the
     empty label, is always present; a discrete block (r, u) survives when
-    w_r < h - alpha (strict by default, weak inequality on request).  The
+    w_r < h - alpha, strictly: a label on the boundary is left out.  The
     list is finite because w_r >= r/2: for each rank it holds the labels
     with sum(u) <= top, ordered by (sum(u), u).  More than
     ``BLOCK_BUDGET`` blocks raise InvalidParams.
@@ -94,8 +94,7 @@ def surviving_blocks(params: PlancherelParams, strict: bool = True) -> list[tupl
     bound = params.h - params.alpha
     tops = {}
     for r in range(1, params.p + 1):
-        slack = bound - r / 2.0
-        top = int(np.floor(slack - 1e-9)) if strict else int(np.floor(slack + 1e-9))
+        top = int(np.floor(bound - r / 2.0 - 1e-9))
         if top >= 0:
             tops[r] = top
     count = 1 + sum(comb(top + r, r) for r, top in tops.items())
@@ -368,8 +367,6 @@ class Rank1Report:
     on every other grid point; the node witness cannot see that error.
     """
 
-    q: int
-    alpha: float
     t_grid: np.ndarray
     residuals: np.ndarray
     max_residual: float
@@ -379,18 +376,17 @@ class Rank1Report:
     s_step_error: float
 
 
+# The t at which the resynthesis is compared with its target, and the
+# Simpson grid in s: 201 points on [0, 25].
+_RANK1_T_GRID = (0.5, 1.0, 1.5)
+_RANK1_S_MAX = 25.0
+_RANK1_S_POINTS = 201
 _RANK1_MIN_NODES = 32
 _RANK1_MAX_NODES = 1024
 _RANK1_AGREE = 1e-10
 
 
-def rank1_plancherel_probe(
-    q: int,
-    alpha: float,
-    t_grid=None,
-    s_max: float = 25.0,
-    n_quad: int = 201,
-) -> Rank1Report:
+def rank1_plancherel_probe(q: int, alpha: float) -> Rank1Report:
     """Check cosh(t)^(-alpha) against its continuous spectral resynthesis.
 
     At p = 1 the spherical functions have the one-dimensional integral
@@ -401,23 +397,21 @@ def rank1_plancherel_probe(
     doubles from 32 until two successive rules agree to 1e-10 relative at
     every t and at the t = 0 calibration; ``OracleNotConverged`` is raised
     when the 1024-node rule still disagrees with the 512-node one.  phi is
-    paired with the continuous weight, integrated over [0, s_max] by
-    Simpson's rule, calibrated at t = 0 and compared with the target on the
-    grid.
+    paired with the continuous weight, integrated over [0, 25] by Simpson's
+    rule on 201 points, calibrated at t = 0 and compared with the target at
+    t = 0.5, 1 and 1.5.
     """
     if q < 2:
         raise InvalidParams("need q >= 2")
     if alpha <= (1 + q) / 2.0 - 1.0:
         raise InvalidParams("the purely continuous expansion needs alpha > (1+q)/2 - 1")
-    if n_quad < 5 or n_quad % 2 == 0:
-        raise InvalidParams("n_quad must be odd and at least 5")
     from scipy.integrate import simpson
 
-    t_grid = np.asarray([0.5, 1.0, 1.5] if t_grid is None else t_grid, dtype=float)
+    t_grid = np.asarray(_RANK1_T_GRID, dtype=float)
     ts = np.concatenate(([0.0], t_grid))
     rho = (q - 1) / 2.0
     a = (q - 3) / 2.0
-    s = np.linspace(0.0, s_max, n_quad)
+    s = np.linspace(0.0, _RANK1_S_MAX, _RANK1_S_POINTS)
     params = PlancherelParams(1, q, alpha)
     weight = continuous_weight_o(params, s[:, None])
 
@@ -453,8 +447,6 @@ def rank1_plancherel_probe(
     coarse = simpson(integrand[::2], x=s[::2], axis=0)
     s_step = np.abs(coarse[1:] / coarse[0] - norm * integrals[1:]) / target
     return Rank1Report(
-        q=q,
-        alpha=alpha,
         t_grid=t_grid,
         residuals=residuals,
         max_residual=float(residuals.max()),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from berezin_lab import plancherel
 from berezin_lab.ball import ball_point, random_ball_point
 from berezin_lab.berezin import (
     boundary_sample_batch,
@@ -208,14 +209,14 @@ def test_criterion_05_gram_positivity_and_witness_search():
 
 def test_criterion_06_covariance_and_domination():
     t0 = time.perf_counter()
-    table = covariance_convention_table(alpha=1.0, n_trials=50, rng=SEED)
+    table = covariance_convention_table(rng=SEED)
     winner = "u-cocycle,+,+"
     assert table[winner] < 1e-12
     assert min(v for k, v in table.items() if k != winner) > 1e-3
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(100):
-        g = random_pseudo_orthogonal(2, 3, rng, boost_range=1.0)
+        g = random_pseudo_orthogonal(2, 3, rng)
         z = random_ball_point(2, 3, rng, 0.0, 0.9)
         u = random_ball_point(2, 3, rng, 0.0, 0.9)
         res = covariance_residual(g, z, u, 1.5)
@@ -333,12 +334,12 @@ def test_criterion_08_plancherel_block_structure():
                  f"{elapsed:.1f}s < 30s")
 
 
-def test_criterion_09_rank1_spectral_probe():
+def test_criterion_09_rank1_spectral_probe(monkeypatch):
     t0 = time.perf_counter()
-    t_grid = [0.5, 1.0, 1.5, 2.0, 3.0]
+    monkeypatch.setattr(plancherel, "_RANK1_T_GRID", (0.5, 1.0, 1.5, 2.0, 3.0))
     worst = 0.0
     for q, alpha in ((3, 4.0), (3, 2.0), (5, 3.0)):
-        rep = rank1_plancherel_probe(q, alpha, t_grid=t_grid)
+        rep = rank1_plancherel_probe(q, alpha)
         assert rep.max_residual < 1e-8, (q, alpha, rep.max_residual)
         worst = max(worst, rep.max_residual)
     elapsed = time.perf_counter() - t0

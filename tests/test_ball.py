@@ -139,7 +139,7 @@ def test_random_pseudo_orthogonal_stack_elements(p, q):
 
 @pytest.mark.parametrize("p,q", PQ)
 def test_batched_action_and_cocycle_match_the_formulas(p, q):
-    gs = random_pseudo_orthogonal(p, q, 21, boost_range=1.5, size=30)
+    gs = random_pseudo_orthogonal(p, q, 21, size=30)
     zs = random_ball_point(p, q, 22, size=30)
     w = moebius_act(gs, zs)
     c = cocycle(gs, zs)
@@ -280,7 +280,7 @@ def test_orbit_rank_is_action_invariant_on_boundary_points():
     for p, q, r in [(2, 4, 0), (2, 4, 1), (3, 5, 2)]:
         for _ in range(10):
             zp = ball_point(boundary_sample_batch(p, q, r, 1, rng)[0], closure=True)
-            g = random_pseudo_orthogonal(p, q, rng, boost_range=1.0)
+            g = random_pseudo_orthogonal(p, q, rng)
             moved = moebius_act(g, zp)
             assert orbit_rank(zp) == r
             assert orbit_rank(moved) == r

@@ -111,7 +111,7 @@ def test_gram_positive_semidefinite_on_admissible_alphas(p, q):
 def test_gram_spectrum_of_a_stack_matches_each_configuration():
     pts = random_ball_point(2, 3, 34, 0.5, 0.98, size=(40, 7))
     rep = gram_spectrum(pts, 0.7)
-    assert rep.n_points == 7 and rep.min_eig.shape == (40,)
+    assert rep.min_eig.shape == rep.max_eig.shape == (40,)
     for i, config in enumerate(pts):
         gram = np.array([[np.linalg.det(np.eye(2) - z @ u.T) ** -0.7 for u in config]
                          for z in config])
@@ -160,10 +160,10 @@ def test_gram_spectrum_runs_a_large_stack_in_chunks(monkeypatch):
     assert np.array_equal(chunked.max_eig, whole.max_eig)
 
 
-def _trial_ratios(p, q, alpha, seed, n_trials, n_points=8):
+def _trial_ratios(p, q, alpha, seed, n_trials):
     """Each search trial's configuration evaluated on its own, in trial order."""
     ratios, configs = {}, {}
-    for start, size, groups in berezin._witness_trials(p, q, n_points, np.random.default_rng(seed)):
+    for start, size, groups in berezin._witness_trials(p, q, np.random.default_rng(seed)):
         for trials, stack in groups.values():
             for trial, config in zip(trials, stack):
                 rep = gram_spectrum(config, alpha)
@@ -225,7 +225,7 @@ def test_witness_search_input_validation():
 
 
 def test_covariance_convention_enumeration_has_unique_winner():
-    table = covariance_convention_table(alpha=1.0, n_trials=40, rng=11)
+    table = covariance_convention_table(rng=11)
     winner = "u-cocycle,+,+"
     assert table[winner] < 1e-12
     others = [v for k, v in table.items() if k != winner]
@@ -237,7 +237,7 @@ def test_covariance_identity_matrix_case():
     rng = np.random.default_rng(12)
     worst = 0.0
     for _ in range(40):
-        g = random_pseudo_orthogonal(2, 3, rng, boost_range=1.0)
+        g = random_pseudo_orthogonal(2, 3, rng)
         z = random_ball_point(2, 3, rng, 0.0, 0.9)
         u = random_ball_point(2, 3, rng, 0.0, 0.9)
         res = covariance_residual(g, z, u, 1.5)
@@ -256,7 +256,7 @@ def test_covariance_as_printed_variant_needs_square_shape():
 
 
 def test_batched_covariance_matches_a_loop_of_single_triples():
-    gs = random_pseudo_orthogonal(2, 2, 36, boost_range=1.0, size=30)
+    gs = random_pseudo_orthogonal(2, 2, 36, size=30)
     zs = random_ball_point(2, 2, 37, 0.0, 0.9, size=30)
     us = random_ball_point(2, 2, 38, 0.0, 0.9, size=30)
     for variant in ("u-cocycle-corrected", "as-printed"):

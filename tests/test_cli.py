@@ -296,7 +296,7 @@ def _one_nan(n, fill):
 
 def _nan_gram(points, alpha):
     n = len(points)
-    return berezin.GramReport(points.shape[-3], alpha, _one_nan(n, 1.0), np.ones(n))
+    return berezin.GramReport(_one_nan(n, 1.0), np.ones(n))
 
 
 @pytest.mark.parametrize("sub,name,fake", [
@@ -507,17 +507,48 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys,
     seen = []
     config = cli._config
     monkeypatch.setattr(cli, "_config", lambda args: seen.append(args) or config(args))
-    target = tmp_path / "blocks.csv"
-    argv = ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"]
-    code, out = run_cli(capsys, *argv, "--tol", "z=5", "--format", "csv", "--out", str(target))
+    target = tmp_path / "probe.csv"
+    probe = ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1",
+             "--samples", "200", "--seed", "1"]
+    code, out = run_cli(capsys, *probe, "--tol", "z=5", "--format", "csv", "--out", str(target))
     assert code == EXIT_PASS and out == ""
-    assert target.read_text().startswith("r,u,w")
-    code, out = run_cli(capsys, *argv)
+    assert target.read_text().startswith("command,inputs")
+    code, out = run_cli(capsys, "plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4")
     assert code == EXIT_PASS
     assert len(json.loads(out)) == 6
     assert (seen[0].tol, seen[0].format, seen[0].out) == (["z=5"], "csv", str(target))
     assert (seen[1].tol, seen[1].format, seen[1].out) == ([], "json", None)
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv,reads", [
+    (["haar", "sp", "--n", "2", "--samples", "2"], ("res",)),
+    (["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "200"], ("z", "rel")),
+    (["integral", "u", "--n", "2", "--lambda", "1,0", "--samples", "200"], ("z", "rel")),
+    (["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1",
+      "--samples", "200"], ("z", "rel")),
+    (["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "5"], ("pd",)),
+    (["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "5"], ()),
+    (["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "5"],
+     ("res",)),
+    (["kernel", "domination", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "5"], ()),
+    (["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"], ()),
+    (["plancherel", "weight", "--p", "2", "--q", "5", "--alpha", "3", "--samples", "5"], ()),
+    (["plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha", "-2"], ()),
+    (["plancherel", "rank1", "--q", "3", "--alpha", "2"], ("res",)),
+    (["catalog"], ()),
+    (["ledger"], ()),
+])
+def test_a_tol_name_the_command_does_not_read_exits_three(capsys, argv, reads):
+    # a misspelt or misplaced --tol would otherwise leave the default in force
+    for name in ("z", "rel", "res", "pd", "zz"):
+        code = main([*argv, "--tol", f"{name}=0.5"])
+        captured = capsys.readouterr()
+        if name in reads:
+            assert code != EXIT_USAGE, (argv, name)
+        else:
+            assert code == EXIT_USAGE and captured.out == "", (argv, name)
+            assert captured.err.rstrip().endswith(f"accepted names: {', '.join(reads) or 'none'}")
 
 
 def test_usage_errors_exit_three(capsys):

@@ -24,7 +24,7 @@ def test_regular_values():
 
 def test_pole_bookkeeping():
     g = gamma_value(0.0)
-    assert g.is_pole and g.pole_order == 1
+    assert g.is_pole and g.order == 1
     with pytest.raises(UncancelledPole):
         g.to_float()
     # the leading coefficient convention: Gamma(-m + eps) ~ (-1)^m / (m! eps)
@@ -107,9 +107,7 @@ ARGS = st.one_of(
 def test_orders_add_under_multiplication(x, y):
     gx, gy = gamma_value(x), gamma_value(y)
     prod = gx * gy
-    net = (gx.pole_order - gx.zero_order) + (gy.pole_order - gy.zero_order)
-    assert prod.pole_order - prod.zero_order == net
-    assert prod.pole_order == 0 or prod.zero_order == 0
+    assert prod.order == gx.order + gy.order
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,23 +119,33 @@ def test_self_ratio_is_exactly_one(x):
     assert ratio.to_float() == pytest.approx(1.0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(x=ARGS)
-def test_reciprocal_is_involutive(x):
-    g = gamma_value(x)
-    back = g.reciprocal().reciprocal()
-    assert back.pole_order == g.pole_order
-    assert back.zero_order == g.zero_order
-    assert back.sign == g.sign
-    assert back.log_abs == pytest.approx(g.log_abs, abs=1e-12)
+def _ref_poch(a, length):
+    """(a)_length one factor at a time from a base within 1e-9 of -k taken as -k.
+
+    A factor at zero is a unit-rate zero.
+    """
+    if round(a) <= 0 and abs(a - round(a)) <= 1e-9:
+        a = float(round(a))
+    log_abs, sign, order = 0.0, 1, 0
+    for i in range(length):
+        x = a + i
+        if abs(x) <= 1e-9:
+            order -= 1
+        else:
+            log_abs += math.log(abs(x))
+            sign *= 1 if x > 0 else -1
+    return log_abs, sign, order
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    x=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
-    n=st.integers(min_value=0, max_value=6),
-)
-def test_pochhammer_agrees_with_gamma_ratio(x, n):
-    direct = pochhammer_value(x, n).to_float()
-    via_gamma = (gamma_value(x + n) / gamma_value(x)).to_float()
-    assert direct == pytest.approx(via_gamma, rel=1e-10)
+def test_pochhammer_agrees_with_a_factor_by_factor_product():
+    rng = np.random.default_rng(5)
+    near_poles = -np.arange(6.0)[:, None] + rng.uniform(-1e-10, 1e-10, size=(6, 4))
+    generic = rng.uniform(-6.0, 6.0, size=40)
+    bases = np.concatenate([near_poles.ravel(), [0.0, -1.0, -5.0], generic, generic + 0.5])
+    lengths = rng.integers(0, 9, size=bases.size)
+    lengths[:9] = np.arange(9)
+    value = pochhammer_value(bases, lengths)
+    for i, (a, m) in enumerate(zip(bases.tolist(), lengths.tolist())):
+        log_abs, sign, order = _ref_poch(a, m)
+        assert (value.order[i], value.sign[i]) == (order, sign), (a, m)
+        assert abs(value.log_abs[i] - log_abs) <= 1e-12 * max(abs(log_abs), 1.0), (a, m)
