@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compact import _haar_orthogonal_batch
+from .compact import _haar_orthogonal_batch, eliminate
 from .errors import InvalidParams, NearSingularCocycle
 from .rngs import as_generator
 
@@ -73,12 +73,28 @@ def random_ball_point(
     cur = np.linalg.norm(z, 2, axis=(-2, -1))
     target = gen.uniform(norm_min, norm_max, size=shape)
     pts = z * (target / cur)[..., None, None]
-    # the ball constraint, checked on every point through the eigenvalues
-    # of z z^t rather than the SVD that set the scale
-    norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, -1, -2))[..., -1])
-    if not np.all(norms < 1.0):
+    # the ball constraint, checked on every point as "every pivot of
+    # 1 - z z^t is positive" (1 - z z^t positive definite) rather than
+    # through the SVD that set the scale; the norm is computed only to
+    # name the failure
+    if not np.all(one_minus_pivots(pts, pts) > 0):
+        norms = np.sqrt(np.linalg.eigvalsh(pts @ np.swapaxes(pts, -1, -2))[..., -1])
         raise InvalidParams(f"spectral norm {np.max(norms):.6f} violates the ball constraint")
     return pts[0] if size is None else pts
+
+
+def one_minus_pivots(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Pivots of 1 - z u^t for points or stacks (..., p, q), shape (p, ...).
+
+    1 - z u^t is one negating copy of z u^t with the sample axes moved
+    last, reduced by ``compact.eliminate``, which also says why no
+    pivoting is needed inside the ball.  The product of the pivots is
+    det(1 - z u^t).
+    """
+    work = np.negative(np.moveaxis(z @ np.swapaxes(u, -1, -2), (-2, -1), (0, 1)), order="C")
+    for a in range(len(work)):
+        work[a, a] += 1.0
+    return eliminate(work)
 
 
 def ball_scale(z: np.ndarray, c: float | np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ action, and probes integrability of the kernel restricted to boundary
 orbits against the closed form of the matching Haar integral.
 
 Points are (p, q) arrays and stacks of them (..., p, q) arrays, as in
-``ball``; a boundary-orbit point is a point of the closure.  The
+``ball``; a boundary-orbit point is a point of the closure.  Every
+det(1 - z u^t), of a kernel value or of a Gram entry, is the product of
+the pivots of one sample-axis-last elimination, ``compact.eliminate``,
+and a pivot <= 0 refuses the pair as out of domain.  The
 admissibility tolerance, the witness search's cloud size and the
 convention table's trials are fixed settings, not parameters.
 """
@@ -20,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .ball import ball_scale, cocycle, moebius_act, random_ball_point
-from .compact import _haar_so_batch
+from .ball import ball_scale, cocycle, moebius_act, one_minus_pivots, random_ball_point
+from .compact import _haar_so_batch, eliminate
 from .errors import InvalidParams, NonPositiveDeterminant
 from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
 from .rngs import as_generator, derive_root_seed
@@ -39,17 +42,24 @@ _GRAM_ENTRIES = 2**14
 def berezin_kernel(z: np.ndarray, u: np.ndarray, alpha: float) -> float | np.ndarray:
     """K_alpha(z, u) = det(1 - z u^t)^(-alpha); the base is always positive.
 
-    Stacks of points (..., p, q) give one kernel value per pair.
+    Stacks of points (..., p, q) give one kernel value per pair.  The base
+    is the product of the pivots of 1 - z u^t (``ball.one_minus_pivots``).
     """
     zs, us = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
     if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
-    base = np.linalg.det(np.eye(zs.shape[-2]) - zs @ np.swapaxes(us, -1, -2))
-    if np.any(base <= 0):
-        # contractions have eigenvalues of z u^t inside the unit disc, so a
-        # nonpositive value can only mean the inputs were out of domain
-        raise NonPositiveDeterminant(f"det(1 - z u^t) = {np.min(base):.3e}")
-    return base ** (-alpha)
+    return _positive_det(one_minus_pivots(zs, us)) ** (-alpha)
+
+
+def _positive_det(piv: np.ndarray) -> np.ndarray:
+    """det(1 - z u^t) from its (p, ...) pivots; a pivot <= 0 raises, NaN passes through."""
+    if (piv <= 0).any():
+        # for contractions z, u every leading block of z u^t has its
+        # eigenvalues inside the unit disc, so every pivot is positive and
+        # a pivot <= 0 can only mean the inputs were out of domain
+        j = tuple(np.argwhere(piv <= 0)[0])
+        raise NonPositiveDeterminant(f"pivot {j[0] + 1} of 1 - z u^t is {piv[j]:.3e}")
+    return piv.prod(axis=0)
 
 
 def wallach_admissible(alpha: float, p: int) -> bool:
@@ -62,16 +72,19 @@ def wallach_admissible(alpha: float, p: int) -> bool:
 
 
 def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
-    # points: (N, m, p, q); dets of 1 - z_i z_j^t batched over configurations and pairs
+    # points: (N, m, p, q); the pair grid 1 - z_i z_j^t is built sample-last,
+    # (p, p, N, m, m), one batched product per entry (a, b) written in
+    # place, so it is the one array of its size here
     n, m, p, q = points.shape
-    flat = points.reshape(n, m * p, q)
-    mats = (flat @ np.swapaxes(flat, 1, 2)).reshape(n, m, p, m, p).swapaxes(2, 3)
-    mats *= -1.0  # 1 - z_i z_j^t in place: the pair grid is the largest array here
-    mats[..., range(p), range(p)] += 1.0
-    dets = np.linalg.det(mats)
-    if np.any(dets <= 0):
-        raise NonPositiveDeterminant("a pair determinant came out nonpositive")
-    return dets ** (-alpha)
+    work = np.empty((p, p, n, m, m))
+    for a in range(p):
+        neg = np.negative(points[:, :, a])
+        for b in range(p):
+            np.matmul(neg, points[:, :, b].swapaxes(1, 2), out=work[a, b])
+        work[a, a] += 1.0
+    dets = _positive_det(eliminate(work))
+    dets **= -alpha
+    return dets
 
 
 @dataclass
@@ -93,9 +106,13 @@ def gram_spectrum(points, alpha: float) -> GramReport:
     ``points`` is one configuration (a sequence of points or an (m, p, q)
     array), or an (N, m, p, q) stack of N configurations, which gives
     arrays of N extreme eigenvalues.  A large stack is evaluated in chunks
-    of ``_GRAM_ENTRIES`` kernel entries.
+    of ``_GRAM_ENTRIES`` kernel entries.  Any other shape, and an empty
+    stack or configuration, raises ``InvalidParams``.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (3, 4) or 0 in pts.shape[:-2]:
+        raise InvalidParams("need an (m, p, q) configuration or an (N, m, p, q) stack with "
+                            f"N, m >= 1, got shape {pts.shape}")
     stack = pts if pts.ndim == 4 else pts[None]
     per_chunk = max(1, _GRAM_ENTRIES // stack.shape[1] ** 2)
     extremes = [

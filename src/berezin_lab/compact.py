@@ -251,30 +251,48 @@ def cayley(g: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lhs.T, rhs.T).T
 
 
+def eliminate(work: np.ndarray) -> np.ndarray:
+    """Pivots of unpivoted elimination on a (k, k, ...) stack, shape (k, ...).
+
+    The sample axes come last, so each step sweeps every sample's entry
+    at once.  ``work`` is reduced in place (row j ends divided by pivot j)
+    and the pivots are returned as a view of its diagonal: step j leaves
+    entry (j, j) and every earlier row alone.  Pivot j is det(M_j) /
+    det(M_(j-1)) for the leading j x j blocks M_j, so the product of the
+    pivots is det(M).  A zero pivot leaves the later pivots of its sample
+    meaningless.
+
+    Unpivoted elimination is safe on both of the library's domains:
+
+    * 1 + [g]_k for a unitary g (``corner_pivots``): pivot j is 1 plus a
+      unitary matrix entry, so it lies in the disc |p - 1| <= 1 and the
+      reduced entries cannot grow.
+    * 1 - A with A = z u^t and ||A|| = rho < 1 (the Berezin kernel and the
+      ball check): pivot j is 1 / ((1 - A_j)^(-1))_jj, so |pivot| >= 1 - rho
+      and growth is bounded by 1 / (1 - rho).  Every pivot is then
+      positive, and a pivot <= 0 means the input left the domain.
+    """
+    for j in range(len(work) - 1):
+        row, pivot = work[j, j + 1 :], work[j, j]
+        np.divide(row, pivot, out=row, where=pivot != 0)  # a zero pivot divides by 1
+        work[j + 1 :, j + 1 :] -= work[j + 1 :, j : j + 1] * work[j : j + 1, j + 1 :]
+    return np.einsum("ii...->i...", work)
+
+
 def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
     """Pivots of unpivoted elimination on 1 + [g]_k for a stack g, shape (size, k).
 
     ``k`` counts stored rows (two per quaternionic unit).  The j-th pivot
     is det(1+[g]_j) / det(1+[g]_{j-1}), which is 1 plus the (1, 1) entry of
-    g reduced j - 1 times by one row; that entry is a unitary matrix entry,
-    so every pivot lies in the disc |p - 1| <= 1 and elimination cannot
-    grow.  A zero pivot leaves the later pivots of its sample meaningless.
-    The kernel works with the sample axis last, on a (k, k, size) copy,
-    so each step sweeps the contiguous samples.  Every entry sees the
-    same operations in the same order as in a per-sample elimination, so
-    the pivots are bit for bit the same.  It draws nothing: the Gaussian
-    draws behind a seeded estimate are the sampler's, and the estimate
-    differs from a per-sample computation only where Q does, at rounding
-    level.
+    g reduced j - 1 times by one row.  ``eliminate`` runs on a (k, k, size)
+    copy, and every entry sees the same operations in the same order as in
+    a per-sample elimination, so the pivots are bit for bit the same.  It
+    draws nothing: the Gaussian draws behind a seeded estimate are the
+    sampler's, and the estimate differs from a per-sample computation only
+    where Q does, at rounding level.  The result is C-contiguous.
     """
     work = np.add(mats[:, :k, :k].transpose(1, 2, 0), np.eye(k)[:, :, None], order="C")
-    piv = np.empty((work.shape[2], k), dtype=work.dtype)
-    for j in range(k):
-        p = work[j, j]
-        piv[:, j] = p
-        safe = np.where(p != 0, p, 1.0)
-        work[j + 1 :, j + 1 :] -= work[j + 1 :, j : j + 1] * (work[j : j + 1, j + 1 :] / safe)
-    return piv
+    return np.ascontiguousarray(eliminate(work).T)
 
 
 def cube_coords_batch(

@@ -76,6 +76,33 @@ def test_batched_kernel_checks_every_base():
         berezin_kernel(zs, zs[:, :1], 1.0)
 
 
+def test_kernel_refuses_a_pair_whose_pivots_are_all_negative():
+    # 1 - z z^t = -3 * 1 at z = 2 E: its determinant 9 is positive, its pivots are not
+    z = 2.0 * np.eye(2, 3)
+    assert np.linalg.det(np.eye(2) - z @ z.T) == pytest.approx(9.0)
+    with pytest.raises(NonPositiveDeterminant, match=r"pivot 1 of 1 - z u\^t is -3.000e\+00"):
+        berezin_kernel(z, z, 1.5)
+    with pytest.raises(NonPositiveDeterminant, match="pivot 1"):
+        gram_spectrum([np.zeros((2, 3)), z], 1.5)
+
+
+def test_gram_matrix_refuses_an_out_of_domain_pair():
+    pts = random_ball_point(2, 3, 36, size=(3, 4))
+    berezin._gram_matrix(pts, 1.5)
+    pts[1, 2] *= 1.0 / np.linalg.norm(pts[1, 2], 2) + 0.5  # one point past norm 1
+    with pytest.raises(NonPositiveDeterminant, match="pivot"):
+        berezin._gram_matrix(pts, 1.5)
+
+
+def test_gram_spectrum_refuses_inputs_that_are_no_configuration():
+    pts = random_ball_point(2, 3, 37, size=(2, 4))
+    for bad in (pts[0, 0], pts[:0], pts[:, :0], pts[None], np.zeros(3)):
+        with pytest.raises(InvalidParams, match="configuration"):
+            gram_spectrum(bad, 1.5)
+    assert np.shape(gram_spectrum(pts[:1], 1.5).min_eig) == (1,)
+    assert isinstance(gram_spectrum(pts[0, :1], 1.5).min_eig, float)
+
+
 def test_wallach_admissible_set():
     # p = 2: {0, 1} union (1, inf)
     assert wallach_admissible(0.0, 2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from berezin_lab.ball import random_ball_point
 from berezin_lab.compact import (
     COMPLEX,
     QUATERNION,
@@ -12,6 +13,7 @@ from berezin_lab.compact import (
     corner_det_multiplicativity_residual,
     corner_pivots,
     cube_coords_batch,
+    eliminate,
     equivariance_residual,
     haar_sample_batch,
     haar_sample_uncorrected,
@@ -301,9 +303,27 @@ def test_corner_pivots_equal_the_sample_first_elimination_bit_for_bit(field):
     mats[0, 0, 0] = -1.0  # a zero first pivot takes the safe-divisor branch
     for k in (1, 3, d):
         piv = corner_pivots(mats, k)
-        assert piv.shape == (500, k)
+        assert piv.shape == (500, k) and piv.flags.c_contiguous
         assert np.array_equal(piv, _pivots_sample_axis_first(mats, k))
     assert corner_pivots(mats[:0], d).shape == (0, d)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_eliminate_pivots_multiply_to_the_determinant(p):
+    # 1 - z u^t for points up to norm 0.999, the kernel's domain, sample axes last
+    z = random_ball_point(p, p + 2, 51, 0.0, 0.999, size=400)
+    u = random_ball_point(p, p + 2, 52, 0.0, 0.999, size=400)
+    mats = np.eye(p) - z @ np.swapaxes(u, 1, 2)
+    for stack in (mats[:0], mats[:1], mats, mats.reshape(20, 20, p, p)):
+        work = np.moveaxis(stack, (-2, -1), (0, 1)).copy()
+        piv = eliminate(work)
+        assert piv.shape == (p, *stack.shape[:-2])
+        assert np.all(piv > 0)
+        dets = np.linalg.det(stack)
+        assert np.all(np.abs(np.prod(piv, axis=0) - dets) <= 1e-12 * np.abs(dets))
+    # one matrix, with no sample axis, gives the pivots of a stack of one
+    one = np.moveaxis(mats[:1], (-2, -1), (0, 1)).copy()
+    assert np.array_equal(eliminate(mats[0].copy()), eliminate(one)[:, 0])
 
 
 def test_corner_shapes():
