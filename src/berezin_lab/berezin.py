@@ -139,6 +139,8 @@ class WitnessReport:
 
 _WITNESS_RATIO = -1e-6
 _FIRST_TRIALS = 8
+# Chunks double from _FIRST_TRIALS trials up to this many and stay there.
+_LAST_CHUNK = 512
 # Most points of a diffuse cloud trial; a cloud holds 3 to this many.
 _CLOUD_POINTS = 8
 # Rotation counts k of the shell trials, drawn from [lo, hi): a shell holds
@@ -146,71 +148,59 @@ _CLOUD_POINTS = 8
 _SHELL_K = (3, 9)
 
 
-def _shell_configs(k: int, eta: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Rotation and reflection orbits of a planar section, all at norm eta.
+def _shell_points(
+    ks: np.ndarray, eta: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Rotation and reflection orbits of planar sections, shell s at norm eta[s].
 
-    k equally spaced rotations plus the k matching reflections, pushed
-    into two-dimensional frames on both sides: ``left`` (S, p, 2) and
-    ``right`` (S, q, 2) with orthonormal columns, one pair per shell, and
-    ``eta`` (S,), giving (S, 2k, p, q).  The alternating combination over
-    the two families isolates the kernel component whose expansion
-    coefficient turns negative between the integer admissible points, so
-    these configurations expose non-definiteness that diffuse clouds miss.
+    Shell s holds ks[s] equally spaced rotations and then the ks[s]
+    matching reflections, pushed into two-dimensional frames on both
+    sides: ``left`` (S, p, 2) and ``right`` (S, q, 2) with orthonormal
+    columns, one pair per shell.  The shells' points come one after the
+    other, shape (sum 2 ks, p, q).  The alternating combination over the
+    two families isolates the kernel component whose expansion coefficient
+    turns negative between the integer admissible points, so these
+    configurations expose non-definiteness that diffuse clouds miss.
     """
-    thetas = np.arange(k) * (2.0 * np.pi / k)
-    c, s = np.cos(thetas), np.sin(thetas)
-    rotations = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
-    reflections = np.stack([np.stack([c, s], -1), np.stack([s, -c], -1)], -2)
-    planar = np.concatenate([rotations, reflections])
-    frames = left[:, None] @ planar @ np.swapaxes(right, 1, 2)[:, None]
-    return eta[:, None, None, None] * frames
+    sizes = 2 * ks
+    shell = np.repeat(np.arange(ks.size), sizes)
+    j = np.arange(shell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    k = ks[shell]
+    sign = np.where(j < k, 1.0, -1.0)  # rotations, then reflections
+    theta = (j % k) * (2.0 * np.pi / k)
+    c, s = np.cos(theta), np.sin(theta)
+    planar = np.stack([np.stack([c, -sign * s], -1), np.stack([s, sign * c], -1)], -2)
+    frames = left[shell] @ planar @ np.swapaxes(right[shell], 1, 2)
+    return eta[shell, None, None] * frames
 
 
 def _witness_trials(p: int, q: int, gen: np.random.Generator):
-    """Endless stream of search trials, in chunks of 8, 16, 32, ... trials.
+    """Endless stream of search trials, in chunks of 8, 16, ..., 512, 512, ... trials.
 
-    Chunks stop doubling where a chunk of the largest configurations would
-    hold more than ``_GRAM_ENTRIES`` kernel entries.  Even trials (every
-    trial when p < 2) are diffuse near-boundary clouds of 3 to 8 points,
-    odd ones rotation-reflection shells of 6 to 16 points.  Each chunk is
-    yielded as (start, size, groups), where groups maps a point count m to
-    (trial indices, (G, m, p, q) configurations).
-    Trial i's configuration depends only on the generator and i, not on
-    how many trials are later evaluated.
+    Even trials (every trial when p < 2) are diffuse near-boundary clouds
+    of 3 to 8 points, odd ones rotation-reflection shells of 6 to 16
+    points.  Each chunk is yielded as (counts, points): the point count of
+    each trial, and all their points as one (sum counts, p, q) array in
+    trial order.  Trial i's configuration depends only on the generator
+    and i, not on how many trials are later evaluated.
     """
-    largest = max(_CLOUD_POINTS, 2 * (_SHELL_K[1] - 1))
-    cap = max(_FIRST_TRIALS, _GRAM_ENTRIES // largest**2)
     start, size = 0, _FIRST_TRIALS
     while True:
-        trials = np.arange(start, start + size)
-        is_shell = trials % 2 == 1 if p >= 2 else np.zeros(size, dtype=bool)
-        clouds, shells = trials[~is_shell], trials[is_shell]
-        counts = 3 + gen.integers(_CLOUD_POINTS - 2, size=clouds.size)
-        ks = gen.integers(*_SHELL_K, size=shells.size)
-        etas = gen.uniform(0.5, 0.95, size=shells.size)
-        left = np.linalg.qr(gen.standard_normal((shells.size, p, 2)))[0]
-        right = np.linalg.qr(gen.standard_normal((shells.size, q, 2)))[0]
-        # one draw for every cloud point, dealt out in order of point count
-        order = np.argsort(counts, kind="stable")
-        by_count, sorted_counts = clouds[order], counts[order]
-        pts = random_ball_point(p, q, gen, 0.8, 0.999, size=int(counts.sum()))
-        parts: dict[int, list] = {}
-        offset = 0
-        for m in np.unique(counts):
-            sel = by_count[sorted_counts == m]
-            group = pts[offset : offset + sel.size * m].reshape(sel.size, m, p, q)
-            parts.setdefault(int(m), []).append((sel, group))
-            offset += sel.size * m
-        for k in np.unique(ks):
-            sel = ks == k
-            configs = _shell_configs(int(k), etas[sel], left[sel], right[sel])
-            parts.setdefault(2 * int(k), []).append((shells[sel], configs))
-        groups = {
-            m: (np.concatenate([t for t, _ in group]), np.concatenate([c for _, c in group]))
-            for m, group in parts.items()
-        }
-        yield start, size, groups
-        start, size = start + size, min(2 * size, cap)
+        is_shell = (np.arange(start, start + size) % 2 == 1) & (p >= 2)
+        counts = np.empty(size, dtype=int)
+        counts[~is_shell] = 3 + gen.integers(_CLOUD_POINTS - 2, size=size - is_shell.sum())
+        ks = gen.integers(*_SHELL_K, size=is_shell.sum())
+        counts[is_shell] = 2 * ks
+        etas = gen.uniform(0.5, 0.95, size=ks.size)
+        in_shell = np.repeat(is_shell, counts)
+        points = np.empty((in_shell.size, p, q))
+        if ks.size:
+            left = _haar_so_batch(p, ks.size, gen, cols=2)
+            right = _haar_so_batch(q, ks.size, gen, cols=2)
+            points[in_shell] = _shell_points(ks, etas, left, right)
+        points[~in_shell] = random_ball_point(p, q, gen, 0.8, 0.999, size=(~in_shell).sum())
+        yield counts, points
+        start, size = start + size, min(2 * size, _LAST_CHUNK)
 
 
 def pd_witness_search(
@@ -227,9 +217,10 @@ def pd_witness_search(
     alternate between diffuse near-boundary clouds and planar
     rotation-reflection shells; on the admissible set both families must
     come up empty.  Trials are drawn in chunks that double in size and
-    evaluated batched by point count; the report names the first
-    witnessing trial (``n_configs`` is its index plus one) and the best
-    ratio up to it.  A NaN ratio makes ``best_ratio`` NaN.
+    evaluated with one ``gram_spectrum`` call per point count; the report
+    names the first witnessing trial (``n_configs`` is its index plus
+    one) and the best ratio up to it.  A NaN ratio makes ``best_ratio``
+    NaN.
     """
     if not 1 <= p <= q:
         raise InvalidParams(f"need 1 <= p <= q, got ({p}, {q})")
@@ -238,27 +229,26 @@ def pd_witness_search(
     seed = derive_root_seed(rng)
     gen = as_generator(seed)
     best_ratio = best_min = np.inf
-    for start, size, groups in _witness_trials(p, q, gen):
-        n = min(size, budget - start)
-        ratios, mins = np.empty(n), np.empty(n)
-        for trials, configs in groups.values():
-            keep = trials < start + n
-            if keep.any():
-                rep = gram_spectrum(configs[keep], alpha)
-                ratios[trials[keep] - start] = rep.ratio
-                mins[trials[keep] - start] = rep.min_eig
+    start = 0
+    for counts, points in _witness_trials(p, q, gen):
+        counts = counts[: budget - start]
+        ends = np.cumsum(counts)
+        ratios, mins = np.empty(counts.size), np.empty(counts.size)
+        for m in np.unique(counts):
+            sel = np.flatnonzero(counts == m)
+            rep = gram_spectrum(points[(ends[sel] - m)[:, None] + np.arange(m)], alpha)
+            ratios[sel], mins[sel] = rep.ratio, rep.min_eig
         hits = np.flatnonzero(ratios < _WITNESS_RATIO)
-        stop = hits[0] + 1 if hits.size else n
+        stop = int(hits[0]) + 1 if hits.size else counts.size
         i = int(np.argmin(ratios[:stop]))  # the first NaN, if there is one
         if np.isnan(ratios[i]) or ratios[i] < best_ratio:
             best_ratio, best_min = float(ratios[i]), float(mins[i])
         if hits.size:
-            trial = start + int(hits[0])
-            for trials, configs in groups.values():
-                if trial in trials:
-                    points = configs[int(np.flatnonzero(trials == trial)[0])]
-            return WitnessReport(True, trial + 1, best_min, best_ratio, points, seed)
-        if start + n == budget:
+            end = ends[hits[0]]
+            witness = points[end - counts[hits[0]] : end]
+            return WitnessReport(True, start + stop, best_min, best_ratio, witness, seed)
+        start += counts.size
+        if start == budget:
             return WitnessReport(False, budget, best_min, best_ratio, None, seed)
 
 
@@ -320,26 +310,19 @@ def covariance_convention_table(rng=None) -> dict[str, float]:
 
     alpha = 1.0
     gen = as_generator(rng)
+    g = boost(1, 1, gen.uniform(-1.5, 1.5, size=(50, 1)))
+    z = random_ball_point(1, 1, gen, size=50)
+    u = random_ball_point(1, 1, gen, size=50)
+    lhs = berezin_kernel(moebius_act(g, z), moebius_act(g, u), alpha)
+    base = berezin_kernel(z, u, alpha)
+    m1 = cocycle(g, z)
+    cands = {"u-cocycle": cocycle(g, u), "a+zu": g[:, 0, 0] + z[:, 0, 0] * u[:, 0, 0]}
     table: dict[str, float] = {}
-    for _ in range(50):
-        t = gen.uniform(-1.5, 1.5, size=1)
-        g = boost(1, 1, t)
-        z = random_ball_point(1, 1, gen)
-        u = random_ball_point(1, 1, gen)
-        lhs = berezin_kernel(moebius_act(g, z), moebius_act(g, u), alpha)
-        base = berezin_kernel(z, u, alpha)
-        m1 = cocycle(g, z)
-        cands = {
-            "u-cocycle": cocycle(g, u),
-            "a+zu": float(g[0, 0] + z[0, 0] * u[0, 0]),
-        }
-        for name, m2 in cands.items():
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    key = f"{name},{'+' if s1 > 0 else '-'},{'+' if s2 > 0 else '-'}"
-                    rhs = base * m1 ** (s1 * alpha) * m2 ** (s2 * alpha)
-                    res = abs(lhs - rhs) / abs(lhs)
-                    table[key] = max(table.get(key, 0.0), float(res))
+    for name, m2 in cands.items():
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            key = f"{name},{'+' if s1 > 0 else '-'},{'+' if s2 > 0 else '-'}"
+            rhs = base * m1 ** (s1 * alpha) * m2 ** (s2 * alpha)
+            table[key] = float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
     return table
 
 

@@ -1,4 +1,4 @@
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -155,8 +155,7 @@ def test_shell_configs_match_the_planar_formula():
     right = np.linalg.qr(gen.standard_normal((4, 5, 2)))[0]
     etas = gen.uniform(0.5, 0.95, 4)
     for k in (3, 5, 8):
-        shells = berezin._shell_configs(k, etas, left, right)
-        assert shells.shape == (4, 2 * k, 3, 5)
+        shells = berezin._shell_points(np.full(4, k), etas, left, right).reshape(4, 2 * k, 3, 5)
         for s in range(4):
             planar = []
             for t in np.arange(k) * (2.0 * np.pi / k):
@@ -166,6 +165,13 @@ def test_shell_configs_match_the_planar_formula():
             expect = np.stack([etas[s] * left[s] @ m @ right[s].T for m in planar])
             assert np.max(np.abs(shells[s] - expect)) < 1e-12
             assert np.allclose(np.linalg.norm(shells[s], 2, axis=(1, 2)), etas[s])
+    # mixed rotation counts: the shells follow one another, each as if alone
+    ks = np.array([5, 3, 8, 3])
+    mixed = berezin._shell_points(ks, etas, left, right)
+    alone = [berezin._shell_points(ks[s : s + 1], etas[s : s + 1], left[s : s + 1],
+                                   right[s : s + 1]) for s in range(4)]
+    assert mixed.shape == (2 * ks.sum(), 3, 5)
+    assert np.array_equal(mixed, np.concatenate(alone))
 
 
 def test_gram_spectrum_runs_a_large_stack_in_chunks(monkeypatch):
@@ -187,17 +193,17 @@ def test_gram_spectrum_runs_a_large_stack_in_chunks(monkeypatch):
     assert np.array_equal(chunked.max_eig, whole.max_eig)
 
 
+@lru_cache
 def _trial_ratios(p, q, alpha, seed, n_trials):
     """Each search trial's configuration evaluated on its own, in trial order."""
-    ratios, configs = {}, {}
-    for start, size, groups in berezin._witness_trials(p, q, np.random.default_rng(seed)):
-        for trials, stack in groups.values():
-            for trial, config in zip(trials, stack):
-                rep = gram_spectrum(config, alpha)
-                ratios[int(trial)] = rep.min_eig / max(rep.max_eig, 1e-300)
-                configs[int(trial)] = config
-        if start + size >= n_trials:
-            return [ratios[i] for i in range(n_trials)], configs
+    ratios, configs = [], []
+    for counts, points in berezin._witness_trials(p, q, np.random.default_rng(seed)):
+        for end, m in zip(np.cumsum(counts), counts):
+            rep = gram_spectrum(points[end - m : end], alpha)
+            ratios.append(rep.min_eig / max(rep.max_eig, 1e-300))
+            configs.append(points[end - m : end])
+        if len(ratios) >= n_trials:
+            return ratios[:n_trials], configs[:n_trials]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -220,6 +226,21 @@ def test_witness_search_reports_the_best_ratio_over_the_budget():
     ratios, _ = _trial_ratios(2, 3, 1.5, 6, 100)
     assert not rep.found and rep.n_configs == 100
     assert rep.best_ratio == pytest.approx(min(ratios), rel=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 8, 9, 24, 25, 504, 505, 1000])
+def test_witness_search_stops_at_any_budget(budget):
+    # the budget falls inside, at the end of and just past the chunks of 8, 16, ..., 512
+    rep = pd_witness_search(2, 3, 1.5, budget=budget, rng=6)
+    ratios, _ = _trial_ratios(2, 3, 1.5, 6, 1000)
+    assert not rep.found and rep.n_configs == budget
+    assert rep.best_ratio == pytest.approx(min(ratios[:budget]), rel=1e-12)
+
+
+def test_witness_chunks_double_up_to_the_last_chunk_size():
+    trials = berezin._witness_trials(2, 3, np.random.default_rng(0))
+    sizes = [len(next(trials)[0]) for _ in range(8)]
+    assert sizes == [8, 16, 32, 64, 128, 256, 512, 512]
 
 
 def test_witness_found_off_the_admissible_set():

@@ -201,6 +201,19 @@ def test_kernel_gram_pass(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_kernel_gram_is_inconclusive_off_the_wallach_set(capsys):
+    code, out = run_cli(capsys, "kernel", "gram", "--p", "2", "--q", "3",
+                        "--alpha", "0.5", "--seed", "7")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "inconclusive"
+    assert doc["inputs"]["wallach_admissible"] is False
+    code, out = run_cli(capsys, "kernel", "gram", "--p", "2", "--q", "3",
+                        "--alpha", "1.5", "--seed", "7")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+    assert doc["inputs"]["wallach_admissible"] is True
+
+
 def test_kernel_witness_agrees_with_admissibility(capsys):
     code, out = run_cli(capsys, "kernel", "witness", "--p", "2", "--q", "3",
                         "--alpha", "0.5", "--seed", "4")
