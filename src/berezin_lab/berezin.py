@@ -19,14 +19,13 @@ convention table's trials are fixed settings, not parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .ball import ball_scale, cocycle, moebius_act, one_minus_pivots, random_ball_point
 from .compact import _haar_so_batch, eliminate
 from .errors import InvalidParams, NonPositiveDeterminant
-from .integrals import MCEstimate, corner_power_mc, so_integral_closed_form
+from .integrals import MCEstimate, so_integral_closed_form, so_integral_mc, so_integral_quadrature
 from .rngs import as_generator, derive_root_seed
 
 _TINY = 1e-300
@@ -375,17 +374,26 @@ def restriction_threshold(p: int, q: int, r: int) -> float:
     return (q - p + 2 * r) / 2.0
 
 
+def _restriction_exponents(p: int, q: int, r: int, alpha: float) -> np.ndarray:
+    """The SO(q + r) exponents of the restricted integral: -alpha on the first p - r."""
+    _check_boundary_params(p, q, r)
+    lam = np.zeros(q + r)
+    lam[: p - r] = -alpha
+    return lam
+
+
 def restriction_closed_form(p: int, q: int, r: int, alpha: float) -> float:
     """Closed form of the restricted-kernel integral over the rank-r orbit.
 
     Equals the Haar integral over SO(q + r) with the first p - r exponents
     set to -alpha; finiteness is exactly alpha < (q - p + 2r)/2.
     """
-    _check_boundary_params(p, q, r)
-    n = q + r
-    lam = np.zeros(n)
-    lam[: p - r] = -alpha
-    return so_integral_closed_form(n, lam)
+    return so_integral_closed_form(q + r, _restriction_exponents(p, q, r, alpha))
+
+
+def restriction_quadrature(p: int, q: int, r: int, alpha: float) -> float:
+    """The restricted integral by the SO(q + r) quadrature oracle at the same exponents."""
+    return so_integral_quadrature(q + r, _restriction_exponents(p, q, r, alpha))
 
 
 def restriction_probe(p: int, q: int, r: int, alpha: float, n_samples: int, rng=None) -> MCEstimate:
@@ -393,9 +401,8 @@ def restriction_probe(p: int, q: int, r: int, alpha: float, n_samples: int, rng=
 
     Below the integrability threshold this converges to the closed form;
     above it the mean is infinite and the sample maximum grows without
-    bound, which ``max_abs`` makes visible.
+    bound, which ``max_abs`` makes visible.  It is the SO(q + r) estimate
+    at the closed form's exponents, so only the first p - r columns of
+    each sample are drawn.
     """
-    _check_boundary_params(p, q, r)
-    m = p - r
-    sample = partial(_haar_so_batch, q + r, cols=m)
-    return corner_power_mc(sample, m, np.full(m, -alpha), n_samples, rng)
+    return so_integral_mc(q + r, _restriction_exponents(p, q, r, alpha), n_samples, rng)

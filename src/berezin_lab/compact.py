@@ -96,8 +96,6 @@ def _haar_so_batch(
     those are the leading columns of the full sample's draw and the
     result is the full sample's first columns, bit for bit; only the
     stream position afterwards differs, by (n - cols) n size normals.
-    A caller that reads a leading corner sets ``cols`` to the columns it
-    reads.
     """
     if cols is not None and cols < n:
         return _gram_schmidt(gen.standard_normal((cols, n, size)))
@@ -106,13 +104,30 @@ def _haar_so_batch(
     return q
 
 
-def _haar_u_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    return _gram_schmidt(_complex_normal(gen, (n, n, size)))
+def _haar_u_batch(
+    n: int, size: int, gen: np.random.Generator, cols: int | None = None
+) -> np.ndarray:
+    """Haar U(n), or with ``cols`` < n its first ``cols`` columns, shape (size, n, cols).
+
+    As for SO(n), the draw is column-major and column j reads the first j
+    Gaussian columns only, so a cut is the full sample's leading columns,
+    bit for bit, and leaves (n - cols) n size complex normals undrawn.
+    """
+    return _gram_schmidt(_complex_normal(gen, (n if cols is None else min(n, cols), n, size)))
 
 
-def _haar_sp_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar Sp(n) in the complex realization: n drawn columns, each with its S-partner."""
-    return _gram_schmidt(_complex_normal(gen, (n, 2 * n, size)), step=2)
+def _haar_sp_batch(
+    n: int, size: int, gen: np.random.Generator, cols: int | None = None
+) -> np.ndarray:
+    """Haar Sp(n) in the complex realization: n drawn columns, each with its S-partner.
+
+    ``cols`` counts stored columns: ceil(cols / 2) columns are drawn, each
+    followed by its partner, shape (size, 2n, 2 ceil(cols / 2)).  They are
+    the full sample's leading columns, bit for bit, since a drawn column
+    is projected off the finished pairs only.
+    """
+    m = n if cols is None else min(n, -(-cols // 2))
+    return _gram_schmidt(_complex_normal(gen, (m, 2 * n, size)), step=2)
 
 
 def _structure_map(u: np.ndarray) -> np.ndarray:
@@ -147,8 +162,10 @@ def haar_sample_batch(
 ) -> np.ndarray:
     """Stack of ``size`` Haar samples, shape (size, d, d) with d = matrix_dim.
 
-    The stack is a view of a sample-axis-last array, so its samples are
-    not contiguous in memory.
+    Every column is drawn: the column cut ``cols`` of the per-field
+    samplers is for callers that read a leading corner only.  The stack
+    is a view of a sample-axis-last array, so its samples are not
+    contiguous in memory.
     """
     if field not in FIELDS:
         raise InvalidParams(f"unknown field {field!r}; expected one of {FIELDS}")

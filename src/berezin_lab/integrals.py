@@ -12,10 +12,11 @@ own seeded substream and merges block partials in block order, so a fixed
 seed gives a bit-identical result.  Every estimate is one call to
 ``corner_power_mc``, which raises the corner pivots of one batched
 elimination, ``compact.corner_pivots``, to one exponent vector per family,
-and every closed form is one vectorised Gamma ratio.  The pivots read only
-the leading ``rows`` x ``rows`` corner, so the SO(n) sampler draws and
-orthonormalises only the first ``rows`` Gaussian columns.  Gram-Schmidt
-fixes column j from the first j Gaussian columns alone, and the det = -1
+and every closed form is one vectorised Gamma ratio.  A pivot raised to
+the power 0 is exactly 1, so only the pivots up to the last nonzero
+exponent are read, and the sampler of every field draws and
+orthonormalises only those ``rows`` leading columns.  Gram-Schmidt fixes
+column j from the first j Gaussian columns alone, and the SO(n) det = -1
 sign flip changes column n alone, so the flip is skipped and the corner
 is bit-identical to the full sample's.  Both kernels, the Gram-Schmidt
 sampler and ``corner_pivots``, work with the sample axis last, so each
@@ -138,6 +139,19 @@ def u_integral_closed_form(n: int, lam, mu) -> float:
     )
 
 
+def so_second_moment(n: int, lam) -> float:
+    """E f^2 of the SO(n) integrand f, inf where the variance diverges.
+
+    f^2 is the same integrand at the doubled exponents, so E f^2 is the
+    closed form at 2 lambda, and it is infinite exactly where that closed
+    form refuses its arguments.
+    """
+    try:
+        return so_integral_closed_form(n, 2.0 * np.asarray(lam, dtype=float))
+    except DomainError:
+        return float("inf")
+
+
 def sp_integral_closed_form(n: int, lam) -> float:
     """Gamma product for the Sp(n) quaternionic corner-determinant integral."""
     lam = _exponents(lam, n)
@@ -200,21 +214,31 @@ def _mc_reduce(block_values, n_samples: int, rng) -> MCEstimate:
 _LOG_TINY = log(1e-300)
 
 
-def corner_power_mc(sample, rows: int, a, n_samples: int, rng=None, b=None) -> MCEstimate:
+def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
     """Monte Carlo mean of prod_j p_j^a_j (times conj(p_j)^b_j when ``b`` is given).
 
-    p_j = det(1+[g]_j) / det(1+[g]_{j-1}), j = 1..``rows`` stored rows, are
-    the corner pivots of g = ``sample(count, gen)``.  They telescope:
-    prod_k det(1+[g]_k)^c_k = prod_j p_j^(sum_{k>=j} c_k), so every
-    corner-determinant integrand is one exponent vector.  Without ``b``
-    the powers are taken of |p_j|; with it, of p_j on the principal
+    p_j = det(1+[g]_j) / det(1+[g]_{j-1}) are the corner pivots of the
+    samples g = ``sample(count, gen, cols=rows)``, j counting stored rows.
+    They telescope: prod_k det(1+[g]_k)^c_k = prod_j p_j^(sum_{k>=j} c_k),
+    so every corner-determinant integrand is one exponent vector.  Without
+    ``b`` the powers are taken of |p_j|; with it, of p_j on the principal
     branch, which is safe because every pivot lies in |p - 1| <= 1.
-    A sample is redrawn, and counted in ``n_resamples``, when a real pivot
-    is <= 0 or a log corner determinant falls below log 1e-300.
-    ``sample`` must return at least the leading ``rows`` x ``rows`` block
-    of each matrix; nothing outside it is read.
+
+    A pivot raised to the power 0 is exactly 1, so ``rows`` is the last
+    j with a_j or b_j nonzero (at least 1) and only pivots 1..rows are
+    computed.  ``sample`` must return at least the leading rows x rows
+    block of each matrix, and nothing outside it is read; the samplers of
+    ``compact`` then draw and orthonormalise only those columns.  A
+    sample is redrawn, and counted in ``n_resamples``, when one of those
+    real pivots is <= 0 or a log corner determinant among them falls
+    below log 1e-300.
     """
     a = np.asarray(a, dtype=float)
+    used = a != 0 if b is None else (a != 0) | (np.asarray(b) != 0)
+    rows = int(np.flatnonzero(used)[-1]) + 1 if used.any() else 1
+    a = a[:rows]
+    if b is not None:
+        b = np.asarray(b, dtype=float)[:rows]
 
     def evaluate(mats):
         piv = corner_pivots(mats, rows)
@@ -229,12 +253,12 @@ def corner_power_mc(sample, rows: int, a, n_samples: int, rng=None, b=None) -> M
         return np.exp(lg @ a + np.conj(lg) @ b), ok
 
     def block(gen, count):
-        vals, ok = evaluate(sample(count, gen))
+        vals, ok = evaluate(sample(count, gen, cols=rows))
         n_res = 0
         while not ok.all():
             idx = np.flatnonzero(~ok)
             n_res += idx.size
-            vals[idx], ok[idx] = evaluate(sample(idx.size, gen))
+            vals[idx], ok[idx] = evaluate(sample(idx.size, gen, cols=rows))
         return vals, n_res
 
     return _mc_reduce(block, n_samples, rng)
@@ -248,15 +272,14 @@ def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     closed form.
     """
     lam = _exponents(lam, n, n_min=2)
-    sample = partial(_haar_so_batch, n, cols=n - 1)
-    return corner_power_mc(sample, n - 1, lam[:-1] - lam[-1], n_samples, rng)
+    return corner_power_mc(partial(_haar_so_batch, n), lam[:-1] - lam[-1], n_samples, rng)
 
 
 def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the U(n) integral, powers of the complex pivots."""
     lam = _exponents(lam, n, "lambda")
     mu = _exponents(mu, n, "mu")
-    return corner_power_mc(partial(_haar_u_batch, n), n, lam, n_samples, rng, b=mu)
+    return corner_power_mc(partial(_haar_u_batch, n), lam, n_samples, rng, b=mu)
 
 
 def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
@@ -267,7 +290,7 @@ def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     """
     lam = _exponents(lam, n)
     a = np.repeat(lam, 2) / 2.0
-    return corner_power_mc(partial(_haar_sp_batch, n), 2 * n, a, n_samples, rng)
+    return corner_power_mc(partial(_haar_sp_batch, n), a, n_samples, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from berezin_lab import berezin
+from berezin_lab import berezin, integrals
 from berezin_lab.ball import random_ball_point, random_pseudo_orthogonal
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
 
@@ -348,6 +348,8 @@ def test_boundary_probe_below_threshold(capsys):
     assert doc["verdict"] == "pass"
     assert doc["inputs"]["threshold"] == pytest.approx(2.0)
     assert doc["expected"] == pytest.approx(1.5)
+    # on the edge 2 alpha = threshold the variance diverges logarithmically
+    assert doc["inputs"]["diagnostics"]["variance"] == "infinite"
 
 
 def test_boundary_probe_above_threshold_is_inconclusive(capsys):
@@ -358,6 +360,51 @@ def test_boundary_probe_above_threshold_is_inconclusive(capsys):
     assert doc["verdict"] == "inconclusive"
     assert doc["expected"] is None
     assert set(doc["inputs"]["diagnostics"]) == {"max_abs", "n_resamples"}
+
+
+# The square of an SO integrand is the integrand at doubled exponents, so the
+# variance is infinite where the closed form refuses them (2 alpha >= threshold
+# for a probe).  The observed stderr is then biased low, z reads -12.9 and -6.0
+# at these seeds, and the quadrature decides instead.
+_INFINITE_VARIANCE = {
+    "boundary": (("boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.8",
+                  "--samples", "20000", "--seed", "4"), berezin, "restriction_quadrature"),
+    "integral": (("integral", "so", "--n", "3", "--lambda", "-0.8,0.3,0",
+                  "--samples", "20000", "--seed", "7"), integrals, "so_integral_quadrature"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INFINITE_VARIANCE))
+def test_infinite_variance_is_decided_by_the_quadrature(capsys, name):
+    argv, _, _ = _INFINITE_VARIANCE[name]
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+    assert doc["inputs"]["diagnostics"]["variance"] == "infinite"
+    assert abs(doc["z_score"]) > 3  # still computed and reported
+
+
+@pytest.mark.parametrize("name", sorted(_INFINITE_VARIANCE))
+def test_a_wrong_quadrature_fails_where_the_variance_is_infinite(capsys, monkeypatch, name):
+    argv, module, attr = _INFINITE_VARIANCE[name]
+    right = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: 1.01 * right(*args))
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_FAIL and json.loads(out)["verdict"] == "fail"
+
+
+def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
+    # 2 alpha = 2 < threshold 2.5: no quadrature, and the seeded report is as before
+    code, out = run_cli(capsys, "boundary", "probe", "--p", "3", "--q", "6", "--r", "1",
+                        "--alpha", "1.0", "--samples", "20000", "--seed", "7")
+    doc = json.loads(out)
+    assert code == EXIT_PASS
+    assert doc["inputs"] == {
+        "p": 3, "q": 6, "r": 1, "alpha": 1.0, "samples": 20000, "threshold": 2.5,
+        "diagnostics": {"max_abs": 59.768396555528376, "n_resamples": 0},
+    }
+    assert (doc["expected"], doc["observed"], doc["stderr"], doc["z_score"], doc["verdict"]) == (
+        1.6666666666666667, 1.658416690799243, 0.014306829746072856, -0.5766459805456398, "pass")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from berezin_lab.compact import (
     upsilon,
     _gram_schmidt,
     _haar_so_batch,
+    _haar_sp_batch,
+    _haar_u_batch,
     _structure_map,
 )
 from berezin_lab.errors import InvalidParams, SingularCayley, SingularUpsilon
@@ -158,6 +160,24 @@ def test_so_sampler_columns_are_the_full_samples_leading_columns(n):
         assert part.shape == (size, n, k)
         assert (part == _haar_so_batch(n, size, gen2)[:, :, :k]).all()
         gen3.standard_normal(k * n * size)
+        assert (gen.standard_normal(3) == gen3.standard_normal(3)).all()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_u_and_sp_sampler_columns_are_the_full_samples_leading_columns(n):
+    # U(n) draws its first k Gaussian columns, Sp(n) the first ceil(k / 2)
+    # with their S-partners, both column-major; each complex normal takes
+    # two real normals off the stream
+    size = 200
+    cuts = [(_haar_u_batch, k, k, 2 * k * n) for k in range(1, n)]
+    cuts += [(_haar_sp_batch, k, 2 * (-(-k // 2)), 4 * (-(-k // 2)) * n) for k in range(1, 2 * n)]
+    for sampler, k, kept, normals in cuts:
+        gen, gen2, gen3 = (np.random.default_rng(43) for _ in range(3))
+        part = sampler(n, size, gen, cols=k)
+        full = sampler(n, size, gen2)
+        assert part.shape == (size, full.shape[1], kept)
+        assert (part == full[:, :, :kept]).all()
+        gen3.standard_normal(normals * size)
         assert (gen.standard_normal(3) == gen3.standard_normal(3)).all()
 
 

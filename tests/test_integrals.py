@@ -1,10 +1,18 @@
-from functools import partial
 from math import lgamma, log
 
 import numpy as np
 import pytest
 
-from berezin_lab.compact import COMPLEX, QUATERNION, REAL, _haar_so_batch, haar_sample_batch
+from berezin_lab import integrals
+from berezin_lab.compact import (
+    COMPLEX,
+    QUATERNION,
+    REAL,
+    _haar_so_batch,
+    _haar_sp_batch,
+    _haar_u_batch,
+    haar_sample_batch,
+)
 from berezin_lab.errors import DomainError, InvalidParams
 from berezin_lab.integrals import (
     VARIANT_AS_PRINTED,
@@ -15,6 +23,7 @@ from berezin_lab.integrals import (
     so_integral_closed_form,
     so_integral_mc,
     so_integral_quadrature,
+    so_second_moment,
     sp_integral_closed_form,
     sp_integral_mc,
     u_integral_closed_form,
@@ -229,14 +238,64 @@ def test_mc_seed_reproducibility_and_one_pass_agreement():
     assert_matches_one_pass(est, one_pass_draws(draw, 30_000, 9))
 
 
+def test_so_second_moment_gives_the_variance():
+    # f^2 is the integrand at 2 lambda, so E f^2 - (E f)^2 is the variance;
+    # at -0.8 the doubled exponent -1.6 leaves the domain lambda_1 > -1
+    lam = np.array([1.0, 0.5, 0.0])
+    est = so_integral_mc(3, lam, 200_000, rng=17)
+    var = so_second_moment(3, lam) - so_integral_closed_form(3, lam) ** 2
+    assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
+    assert so_second_moment(3, [-0.8, 0.3, 0.0]) == np.inf
+    assert np.isfinite(so_second_moment(3, [-0.4, 0.3, 0.0]))
+
+
+def whole(sampler, n):
+    """``sampler`` of size n that ignores ``cols`` and returns every column."""
+    return lambda count, gen, cols=None: sampler(n, count, gen)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_so_mc_equals_the_estimator_over_full_samples(n):
-    # the sampler orthonormalises only the n - 1 columns the pivots read;
-    # two blocks, the second short, over the full sampler give the same estimate
-    lam = np.linspace(0.9, 0.0, n)
-    est = so_integral_mc(n, lam, 6000, rng=7)
-    full = corner_power_mc(partial(_haar_so_batch, n), n - 1, lam[:-1] - lam[-1], 6000, rng=7)
-    assert est == full
+    # the sampler orthonormalises only the columns up to the last nonzero
+    # exponent; two blocks, the second short, over full samples give the
+    # same estimate, with every exponent nonzero and with trailing zeros
+    for lam in (np.linspace(0.9, 0.0, n), np.r_[1.0, 0.5, np.zeros(n)][:n]):
+        est = so_integral_mc(n, lam, 6000, rng=7)
+        full = corner_power_mc(whole(_haar_so_batch, n), lam[:-1] - lam[-1], 6000, rng=7)
+        assert est == full
+
+
+def test_u_and_sp_mc_equal_the_estimator_over_full_samples():
+    # U(3) reads 2 of 3 columns, Sp(3) 2 of 3 drawn columns (4 of 6 stored)
+    lam, mu = np.array([1.0, 0.5, 0.0]), np.array([0.5, 0.0, 0.0])
+    est = u_integral_mc(3, lam, mu, 6000, rng=7)
+    assert est == corner_power_mc(whole(_haar_u_batch, 3), lam, 6000, rng=7, b=mu)
+    est = sp_integral_mc(3, lam, 6000, rng=7)
+    assert est == corner_power_mc(whole(_haar_sp_batch, 3), np.repeat(lam, 2) / 2, 6000, rng=7)
+
+
+def _spy(monkeypatch, name):
+    """Wrap the sampler ``integrals.<name>`` and record the ``cols`` of every call."""
+    asked, sampler = [], getattr(integrals, name)
+
+    def spy(n, count, gen, cols=None):
+        asked.append(cols)
+        return sampler(n, count, gen, cols=cols)
+
+    monkeypatch.setattr(integrals, name, spy)
+    return asked
+
+
+def test_corner_power_mc_draws_columns_up_to_the_last_nonzero_exponent(monkeypatch):
+    so_cols, u_cols = _spy(monkeypatch, "_haar_so_batch"), _spy(monkeypatch, "_haar_u_batch")
+    so_integral_mc(8, [1.0, 0.5, 0, 0, 0, 0, 0, 0], 5000, rng=3)
+    assert so_cols == [2, 2]  # two blocks, no redraw
+    u_integral_mc(3, [1.0, 0.0, 0.0], [0.0, 0.0, 0.5], 5000, rng=3)
+    assert u_cols == [3, 3]  # a conjugate exponent counts as well
+    so_cols.clear()
+    est = so_integral_mc(4, np.zeros(4), 5000, rng=3)
+    assert so_cols == [1, 1]
+    assert (est.mean, est.stderr, est.n_resamples) == (1.0, 0.0, 0)
 
 
 def test_u_mc_matches_one_pass_over_lapack_determinants():
@@ -272,16 +331,29 @@ def test_corner_power_mc_redraws_degenerate_samples():
     # the first draw is redrawn once, from the block's own stream
     draws = []
 
-    def sample(count, gen):
+    def sample(count, gen, cols=None):
         mats = haar_sample_batch(REAL, 3, count, gen)
         if not draws:
             mats[::2] = -np.eye(3)
         draws.append(count)
         return mats
 
-    est = corner_power_mc(sample, 2, [1.0, 0.5], 4096, rng=5)
+    est = corner_power_mc(sample, [1.0, 0.5], 4096, rng=5)
     assert draws == [4096, 2048] and est.n_resamples == 2048
     assert np.isfinite(est.mean) and 0 < est.max_abs <= 2.0**1.5
+
+
+def test_corner_power_mc_does_not_redraw_for_a_pivot_it_does_not_read():
+    # diag(1, 1, -1) has pivots (2, 2, 0); pivot 3 is raised to the power 0,
+    # which is exactly 1, so the redraw rule does not look at it
+    def sample(count, gen, cols=None):
+        mats = haar_sample_batch(REAL, 3, count, gen)
+        mats[::2] = np.diag([1.0, 1.0, -1.0])
+        return mats
+
+    est = corner_power_mc(sample, [1.0, 0.5, 0.0], 4096, rng=5)
+    assert est.n_resamples == 0
+    assert est.max_abs == pytest.approx(2.0**1.5, rel=1e-15)
 
 
 def test_mc_stderr_survives_a_large_mean():
