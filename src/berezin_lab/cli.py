@@ -3,6 +3,11 @@
 Exit codes: 0 for pass or inconclusive, 2 for a verification failure, 3
 for usage or domain errors.  Commands are deterministic under a fixed
 seed; ``BEREZIN_SEED`` supplies the seed when ``--seed`` is absent.
+
+A command only computes: it returns its report's fields and its table
+rows.  ``main`` stamps the report with the command's name, the seed and
+the call's duration, and judges a verdict the command left open by one
+rule: pass iff ``observed`` lies in the ``expected`` interval.
 """
 
 from __future__ import annotations
@@ -22,13 +27,10 @@ from . import __version__, compact
 from .ball import random_ball_point, random_pseudo_orthogonal
 from .errors import BerezinLabError, InvalidParams
 from .reporting import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     FAIL,
     FORMATS,
     INCONCLUSIVE,
     PASS,
-    RunConfig,
     VerificationReport,
     in_interval,
     render_report,
@@ -39,6 +41,9 @@ from .rngs import as_generator
 EXIT_PASS = 0
 EXIT_FAIL = 2
 EXIT_USAGE = 3
+
+DEFAULT_SEED = 1729
+DEFAULT_SAMPLES = 200_000
 
 _FIELD_BY_GROUP = {"so": compact.REAL, "u": compact.COMPLEX, "sp": compact.QUATERNION}
 _REALIZATION = {"so": "real", "u": "complex", "sp": "complex2n"}
@@ -71,7 +76,14 @@ def _number(cast, ok, what: str):
     return parse
 
 
+def _name_value(text: str) -> tuple[str, float]:
+    name, _, value = text.partition("=")
+    return name, float(value)
+
+
 _POSITIVE_INT = _number(int, lambda v: v > 0, "a positive integer")
+# NaN and inf would let every observation pass
+_TOLERANCE = _number(_name_value, lambda v: 0 < v[1] < math.inf, "NAME=REAL, REAL finite and > 0")
 _VECTOR = _number(lambda text: [float(x) for x in text.split(",")],
                   lambda v: all(map(math.isfinite, v)), "a CSV of finite reals")
 _OPTIONS = {
@@ -106,91 +118,95 @@ def _join_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get("BEREZIN_SEED", DEFAULT_SEED))
-    tols = {}
-    for item in args.tol:
-        name, _, val = item.partition("=")
-        try:
-            tols[name] = float(val)
-        except ValueError:
-            raise InvalidParams(f"--tol expects NAME=REAL, got {item!r}") from None
-        if name not in args.tol_names:
-            accepted = ", ".join(args.tol_names) or "none"
-            raise InvalidParams(f"--tol {name!r} is not read here; accepted names: {accepted}")
-    samples = getattr(args, "samples", DEFAULT_SAMPLES)
-    return RunConfig(seed, samples, tols, args.out, args.format)
+def _resolve(args: argparse.Namespace) -> None:
+    """Settle what parsing leaves open, once, before the command runs.
 
-
-def _report(cfg: RunConfig, command: str, inputs: dict, expected, observed,
-            stderr, z_score, verdict, t0: float) -> VerificationReport:
-    return VerificationReport(command, inputs, expected, observed, stderr, z_score, verdict,
-                              time.perf_counter() - t0, cfg.seed)
-
-
-def _mc_agreement(cfg: RunConfig, mc, expected: float) -> tuple[float | None, bool]:
-    """(z-score, agrees) of a Monte Carlo mean against its closed form.
-
-    A zero standard error (every draw equal) carries no scale for a
-    z-score, so the mean must then match to the relative tolerance
-    ``rel`` and the z-score is reported as None.
+    The seed falls back to ``BEREZIN_SEED`` and then ``DEFAULT_SEED``.
+    ``args.tol`` becomes the row's {name: default} with every ``--tol``
+    applied; a name the row does not list is refused.
     """
+    if getattr(args, "seed", None) is None:
+        args.seed = int(os.environ.get("BEREZIN_SEED", DEFAULT_SEED))
+    tol = dict(args.tols)
+    for name, value in args.tol:
+        if name not in tol:
+            accepted = ", ".join(tol) or "none"
+            raise InvalidParams(f"--tol {name!r} is not read here; accepted names: {accepted}")
+        tol[name] = value
+    args.tol = tol
+
+
+def _mc_verdict(args, mc, expected: float, finite_variance: bool,
+                oracle_rel: float | None = None) -> tuple[float | None, str]:
+    """(z-score, verdict) of a Monte Carlo mean against its closed form.
+
+    Where the variance is finite, z decides: |z| <= ``z``.  A zero
+    standard error (every draw equal) carries no scale for a z-score, so
+    the mean must then match to ``rel`` and the z-score is None.  The
+    relative difference ``oracle_rel`` of a deterministic oracle, when one
+    was computed, must also be <= ``rel``.  Where the variance is infinite
+    the observed standard error is biased low, so z is only reported: the
+    oracle decides alone, and without one the verdict is inconclusive.
+    """
+    rel = args.tol["rel"]
     if mc.stderr > 0:
         z = (mc.mean - expected) / mc.stderr
-        return z, abs(z) <= cfg.tol("z", 3.0)
-    return None, abs(mc.mean - expected) <= cfg.tol("rel", 1e-8) * abs(expected)
+        mc_ok = abs(z) <= args.tol["z"]
+    else:
+        z, mc_ok = None, abs(mc.mean - expected) <= rel * abs(expected)
+    if not finite_variance:
+        if oracle_rel is None:
+            return z, INCONCLUSIVE
+        mc_ok = True
+    ok = mc_ok and (oracle_rel is None or oracle_rel <= rel)
+    return z, PASS if ok else FAIL
 
 
 # ---------------------------------------------------------------------------
-# Commands: each takes (cfg, args) and returns (report or None, rows or None)
+# Commands: each takes args and returns (report fields or None, rows or None)
 # ---------------------------------------------------------------------------
 
 
-def cmd_haar(cfg: RunConfig, args):
-    """``cfg.n_samples`` Haar matrices and their worst unitarity residual.
+def cmd_haar(args):
+    """``--samples`` Haar matrices and their worst unitarity residual.
 
     The report carries no duration so equal seeds reproduce it byte for
     byte.  Only what the format emits is built: the matrices as the
     report's ``samples`` for JSON, one row per matrix entry for CSV.
     """
-    group, n = args.subcommand, args.n
-    field = _FIELD_BY_GROUP[group]
-    mats = compact.haar_sample_batch(field, n, cfg.n_samples, cfg.seed)
+    group, n, seed = args.subcommand, args.n, args.seed
+    mats = compact.haar_sample_batch(_FIELD_BY_GROUP[group], n, args.samples, seed)
     gram = np.conj(np.swapaxes(mats, 1, 2)) @ mats
     worst = float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
-    tol = cfg.tol("res", 1e-12)
     rows = samples = None
-    if cfg.format == "csv":
+    if args.format == "csv":
         re, im = mats.real.tolist(), mats.imag.tolist()
         rows = [
-            {"realization": _REALIZATION[group], "n": n, "seed": cfg.seed, "sample": k,
+            {"realization": _REALIZATION[group], "n": n, "seed": seed, "sample": k,
              "row": i, "col": j, "re": re[k][i][j], "im": im[k][i][j]}
             for k, i, j in np.ndindex(mats.shape)
         ]
     else:  # complex entries as [re, im] pairs
         entries = np.stack((mats.real, mats.imag), -1) if np.iscomplexobj(mats) else mats
         samples = entries.tolist()
-    inputs = {"n": n, "count": cfg.n_samples, "realization": _REALIZATION[group]}
-    verdict = PASS if worst <= tol else FAIL
-    return VerificationReport(f"haar {group}", inputs, [0.0, tol], worst, None, None, verdict,
-                              duration=None, seed=cfg.seed, samples=samples), rows
+    inputs = {"n": n, "count": args.samples, "realization": _REALIZATION[group]}
+    return {"inputs": inputs, "expected": [0.0, args.tol["res"]], "observed": worst,
+            "duration": None, "samples": samples}, rows
 
 
-def cmd_integral(cfg: RunConfig, args):
+def cmd_integral(args):
     """Closed form(s) against Monte Carlo, and quadrature where available.
 
-    Where an SO integrand's variance is infinite the z-score is reported
-    but the quadrature alone decides.
+    Where the integrand's variance is infinite the z-score is reported but
+    does not decide: the SO quadrature does, and U and Sp, which have no
+    quadrature, read inconclusive.
     """
     from . import integrals
 
-    t0 = time.perf_counter()
-    group, n, lam = args.subcommand, args.n, args.lam
-    inputs: dict = {"group": group, "n": n, "lambda": list(lam), "samples": cfg.n_samples}
+    group, n, lam, count, seed = args.subcommand, args.n, args.lam, args.samples, args.seed
+    inputs: dict = {"group": group, "n": n, "lambda": list(lam), "samples": count}
     evaluations: dict = {}
-    deterministic_ok = finite_variance = True
+    rel = None
     if group == "so":
         lam = np.asarray(lam, dtype=float)
         shifted = lam - lam[-1]  # the identity normalizes the last exponent to zero
@@ -200,53 +216,54 @@ def cmd_integral(cfg: RunConfig, args):
             n, shifted, integrals.VARIANT_AS_PRINTED
         )
         evaluations["quadrature"] = integrals.so_integral_quadrature(n, shifted)
-        mc = integrals.so_integral_mc(n, shifted, cfg.n_samples, cfg.seed)
+        mc = integrals.so_integral_mc(n, shifted, count, seed)
         rel = abs(evaluations["quadrature"] - expected) / abs(expected)
-        deterministic_ok = rel <= cfg.tol("rel", 1e-8)
         evaluations["quadrature_rel_diff"] = rel
-        finite_variance = math.isfinite(integrals.so_second_moment(n, shifted))
+        second_moment = integrals.so_second_moment(n, shifted)
     elif group == "u":
         mu = [0.0] * n if args.mu is None else args.mu
         inputs["mu"] = list(mu)
         expected = integrals.u_integral_closed_form(n, lam, mu)
-        mc = integrals.u_integral_mc(n, lam, mu, cfg.n_samples, cfg.seed)
+        mc = integrals.u_integral_mc(n, lam, mu, count, seed)
+        second_moment = integrals.u_second_moment(n, lam, mu)
     else:
         expected = integrals.sp_integral_closed_form(n, lam)
-        mc = integrals.sp_integral_mc(n, lam, cfg.n_samples, cfg.seed)
+        mc = integrals.sp_integral_mc(n, lam, count, seed)
+        second_moment = integrals.sp_second_moment(n, lam)
     inputs["evaluations"] = evaluations
     inputs["diagnostics"] = {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples}
-    z, mc_ok = _mc_agreement(cfg, mc, expected)
+    finite_variance = math.isfinite(second_moment)
     if not finite_variance:
-        # the observed stderr is biased low, so z cannot decide: the quadrature does
         inputs["diagnostics"]["variance"] = "infinite"
-        mc_ok = True
-    verdict = PASS if mc_ok and deterministic_ok else FAIL
-    return _report(cfg, f"integral {group}", inputs, expected, mc.mean, mc.stderr, z, verdict,
-                   t0), None
+    z, verdict = _mc_verdict(args, mc, expected, finite_variance, rel)
+    return {"inputs": inputs, "expected": expected, "observed": mc.mean, "stderr": mc.stderr,
+            "z_score": z, "verdict": verdict}, None
 
 
-def cmd_kernel(cfg: RunConfig, args):
-    """One kernel check over ``cfg.n_samples`` samples drawn as stacks; NaN evidence fails."""
+def cmd_kernel(args):
+    """One kernel check over ``--samples`` samples drawn as stacks; NaN evidence fails."""
     from . import berezin
 
-    t0 = time.perf_counter()
-    sub, p, q, alpha = args.subcommand, args.p, args.q, args.alpha
-    inputs = {"p": p, "q": q, "alpha": alpha, "samples": cfg.n_samples}
-    gen = as_generator(cfg.seed)
-    n = cfg.n_samples
+    sub, p, q, alpha, n = args.subcommand, args.p, args.q, args.alpha, args.samples
+    inputs = {"p": p, "q": q, "alpha": alpha, "samples": n}
+    gen = as_generator(args.seed)
+    verdict = None
     if sub in ("gram", "witness"):
         inputs["wallach_admissible"] = admissible = berezin.wallach_admissible(alpha, p)
     if sub == "gram":
-        expected = [-cfg.tol("pd", 1e-8), None]
+        expected = [-args.tol["pd"], None]
         configs = random_ball_point(p, q, gen, size=(n, _GRAM_POINTS))
         observed = float(np.min(berezin.gram_spectrum(configs, alpha).ratio))
+        if not admissible and not np.isnan(observed):
+            # off the Wallach set positivity is not expected: nothing to confirm
+            verdict = INCONCLUSIVE
     elif sub == "witness":
-        rep = berezin.pd_witness_search(p, q, alpha, budget=n, rng=cfg.seed)
+        rep = berezin.pd_witness_search(p, q, alpha, budget=n, rng=args.seed)
         inputs["best_ratio"] = rep.best_ratio
         expected = [0.0, 0.0] if admissible else [1.0, 1.0]
         observed = float("nan") if np.isnan(rep.best_ratio) else float(rep.found)
     elif sub == "covariance":
-        expected = [0.0, cfg.tol("res", 1e-10)]
+        expected = [0.0, args.tol["res"]]
         g = random_pseudo_orthogonal(p, q, gen, size=n)
         z = random_ball_point(p, q, gen, size=n)
         u = random_ball_point(p, q, gen, size=n)
@@ -258,49 +275,35 @@ def cmd_kernel(cfg: RunConfig, args):
         c = gen.uniform(0.0, 1.0, size=n)
         c[: len(_FIRST_SHRINKS)] = _FIRST_SHRINKS[:n]
         observed = float(np.max(berezin.domination_residual(z, u, c, alpha)))
-    verdict = PASS if in_interval(observed, expected) else FAIL
-    if sub == "gram" and not admissible and not np.isnan(observed):
-        # off the Wallach set positivity is not expected: nothing to confirm
-        verdict = INCONCLUSIVE
-    return _report(cfg, f"kernel {sub}", inputs, expected, observed, None, None, verdict,
-                   t0), None
+    return {"inputs": inputs, "expected": expected, "observed": observed,
+            "verdict": verdict}, None
 
 
-def cmd_boundary_probe(cfg: RunConfig, args):
+def cmd_boundary_probe(args):
     """The probe against its closed form: by z where 2 alpha < threshold, else by quadrature."""
     from . import berezin
 
-    t0 = time.perf_counter()
     p, q, r, alpha = args.p, args.q, args.r, args.alpha
     threshold = berezin.restriction_threshold(p, q, r)
-    mc = berezin.restriction_probe(p, q, r, alpha, cfg.n_samples, cfg.seed)
-    inputs = {
-        "p": p,
-        "q": q,
-        "r": r,
-        "alpha": alpha,
-        "samples": cfg.n_samples,
-        "threshold": threshold,
-        "diagnostics": {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples},
-    }
-    if alpha < threshold:
-        expected = berezin.restriction_closed_form(p, q, r, alpha)
-        z, mc_ok = _mc_agreement(cfg, mc, expected)
-        if 2 * alpha >= threshold:
-            # E f^2 is the closed form at 2 alpha, which diverges: the
-            # observed stderr is biased low, so the quadrature decides
-            rel = abs(berezin.restriction_quadrature(p, q, r, alpha) - expected) / abs(expected)
-            inputs["diagnostics"].update(variance="infinite", quadrature_rel_diff=rel)
-            mc_ok = rel <= cfg.tol("rel", 1e-8)
-        verdict = PASS if mc_ok else FAIL
-    else:
+    mc = berezin.restriction_probe(p, q, r, alpha, args.samples, args.seed)
+    inputs = {"p": p, "q": q, "r": r, "alpha": alpha, "samples": args.samples,
+              "threshold": threshold,
+              "diagnostics": {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples}}
+    fields = {"inputs": inputs, "observed": mc.mean, "stderr": mc.stderr}
+    if alpha >= threshold:
         # above the integrability threshold there is nothing to converge to
-        expected, z, verdict = None, None, INCONCLUSIVE
-    return _report(cfg, "boundary probe", inputs, expected, mc.mean, mc.stderr, z, verdict,
-                   t0), None
+        return {**fields, "expected": None, "verdict": INCONCLUSIVE}, None
+    expected = berezin.restriction_closed_form(p, q, r, alpha)
+    finite_variance = 2 * alpha < threshold  # E f^2 is the closed form at 2 alpha
+    rel = None
+    if not finite_variance:
+        rel = abs(berezin.restriction_quadrature(p, q, r, alpha) - expected) / abs(expected)
+        inputs["diagnostics"].update(variance="infinite", quadrature_rel_diff=rel)
+    z, verdict = _mc_verdict(args, mc, expected, finite_variance, rel)
+    return {**fields, "expected": expected, "z_score": z, "verdict": verdict}, None
 
 
-def cmd_plancherel_blocks(cfg: RunConfig, args):
+def cmd_plancherel_blocks(args):
     from . import plancherel
 
     blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(args.p, args.q, args.alpha))
@@ -308,113 +311,92 @@ def cmd_plancherel_blocks(cfg: RunConfig, args):
                   for u in blocks]
 
 
-def cmd_plancherel_weight(cfg: RunConfig, args):
-    """The continuous weight on ``cfg.n_samples`` points of s_1; each must be finite and >= 0."""
+def cmd_plancherel_weight(args):
+    """The continuous weight on ``--samples`` points of s_1; each must be finite and >= 0."""
     from . import plancherel
 
-    t0 = time.perf_counter()
-    p, q, alpha = args.p, args.q, args.alpha
+    p, q, alpha, count = args.p, args.q, args.alpha, args.samples
     params = plancherel.PlancherelParams(p, q, alpha)
-    grid = np.linspace(0.0, 10.0, cfg.n_samples)
+    grid = np.linspace(0.0, 10.0, count)
     rest = [float(j) for j in range(2, p + 1)]
     points = np.column_stack([grid, np.broadcast_to(rest, (grid.size, p - 1))])
     weights = plancherel.continuous_weight_o(params, points)
     rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
     worst = min(0.0, float(np.min(weights))) if np.all(np.isfinite(weights)) else float("nan")
-    verdict = PASS if worst >= -1e-12 else FAIL
-    inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": cfg.n_samples, "s_rest": rest}
-    return _report(cfg, "plancherel weight", inputs, [0.0, None], worst, None, None, verdict,
-                   t0), rows
+    inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": count, "s_rest": rest}
+    return {"inputs": inputs, "expected": [-1e-12, None], "observed": worst}, rows
 
 
-def cmd_plancherel_degeneration(cfg: RunConfig, args):
-    """Zero-flag bookkeeping over the surviving blocks, one stack per rank."""
+def cmd_plancherel_degeneration(args):
+    """Zero-flag bookkeeping over the surviving blocks, one stack per rank.
+
+    At a negative integer alpha every block of rank < p must vanish and
+    some full-rank block must stay finite: ``observed`` counts the live
+    low-rank blocks, NaN when no full-rank block is finite.  At any other
+    alpha no block may be a pole: ``observed`` counts the pole blocks.
+    """
     from . import plancherel
 
-    t0 = time.perf_counter()
     p, q, alpha = args.p, args.q, args.alpha
     params = plancherel.PlancherelParams(p, q, alpha)
     statuses = []
-    low_rank_alive = 0
-    full_rank_finite = 0
-    any_pole = False
+    low_rank_alive = full_rank_finite = poles = 0
     for r, labels in plancherel.label_stacks(plancherel.surviving_blocks(params)):
         value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
         status = np.where(value.is_pole, "pole", np.where(value.is_zero, "zero", "finite"))
         statuses += [
             {"r": r, "u": u, "status": st} for u, st in zip(labels.tolist(), status.tolist())
         ]
-        any_pole |= bool(value.is_pole.any())
+        poles += int(np.count_nonzero(value.is_pole))
         if r < p:
             low_rank_alive += int(np.count_nonzero(~value.is_zero))
         else:
             full_rank_finite += int(np.count_nonzero(status == "finite"))
-    negative_integer = alpha <= -0.5 and abs(alpha - round(alpha)) < 1e-9
-    if negative_integer:
-        ok = low_rank_alive == 0 and full_rank_finite > 0
+    if alpha <= -0.5 and abs(alpha - round(alpha)) < 1e-9:
+        observed = float(low_rank_alive) if full_rank_finite else math.nan
     else:
-        ok = not any_pole
+        observed = float(poles)
     inputs = {"p": p, "q": q, "alpha": alpha, "blocks": statuses}
-    return _report(cfg, "plancherel degeneration", inputs, [0.0, 0.0], float(low_rank_alive),
-                   None, None, PASS if ok else FAIL, t0), None
+    return {"inputs": inputs, "expected": [0.0, 0.0], "observed": observed}, None
 
 
-def cmd_plancherel_rank1(cfg: RunConfig, args):
+def cmd_plancherel_rank1(args):
     """Rank-1 resynthesis by deterministic quadrature: --samples and --seed do not enter."""
     from . import plancherel
 
-    t0 = time.perf_counter()
-    q, alpha = args.q, args.alpha
-    rep = plancherel.rank1_plancherel_probe(q, alpha)
-    tol = cfg.tol("res", 1e-3)
-    expected = [0.0, tol]
-    if rep.s_step_error > tol:  # no residual can be judged below the s-grid's own step error
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if in_interval(rep.max_residual, expected) else FAIL
-    inputs = {
-        "q": q,
-        "alpha": alpha,
-        "t_grid": rep.t_grid,
-        "nodes": rep.nodes,
-        "oracle_error": rep.oracle_error,
-        "s_step_error": rep.s_step_error,
-    }
-    return _report(cfg, "plancherel rank1", inputs, expected, rep.max_residual, None, None,
-                   verdict, t0), None
+    rep = plancherel.rank1_plancherel_probe(args.q, args.alpha)
+    tol = args.tol["res"]
+    inputs = {"q": args.q, "alpha": args.alpha, "t_grid": rep.t_grid, "nodes": rep.nodes,
+              "oracle_error": rep.oracle_error, "s_step_error": rep.s_step_error}
+    # no residual can be judged below the s-grid's own step error
+    verdict = INCONCLUSIVE if rep.s_step_error > tol else None
+    return {"inputs": inputs, "expected": [0.0, tol], "observed": rep.max_residual,
+            "verdict": verdict}, None
 
 
-def cmd_catalog(cfg: RunConfig, args):
+def cmd_catalog(args):
     from . import hermitization
 
-    t0 = time.perf_counter()
     corrupt = args.self_test_corrupt
-    rows = []
     pairs = hermitization.catalog()
     if corrupt:
         pairs = pairs[:7] + [hermitization.corrupted_pair()] + pairs[8:]
+    rows = []
     for pair in pairs:
-        example = {name: 2 for name in pair.params}
-        rows.append(
-            {
-                "index": pair.index,
-                "pair": pair.name,
-                "params": ",".join(pair.params),
-                "dim_real_at_2": pair.dim_real(**example),
-                "dim_cplx_at_2": pair.dim_cplx(**example),
-                "sweep_ok": hermitization.sweep_ok(pair, upto=8),
-            }
-        )
+        at_2 = dict.fromkeys(pair.params, 2)
+        rows.append({"index": pair.index, "pair": pair.name, "params": ",".join(pair.params),
+                     "dim_real_at_2": pair.dim_real(**at_2),
+                     "dim_cplx_at_2": pair.dim_cplx(**at_2),
+                     "sweep_ok": hermitization.sweep_ok(pair)})
     mismatches = sum(not row["sweep_ok"] for row in rows)
+    inputs = {"sweep": f"1..{hermitization.SWEEP_MAX}", "self_test_corrupt": corrupt,
+              "rows": rows}
     # the negative control passes exactly when the corruption is caught
-    ok = mismatches >= 1 if corrupt else mismatches == 0
-    verdict = PASS if ok else FAIL
-    inputs = {"sweep": "1..8", "self_test_corrupt": corrupt, "rows": rows}
-    return _report(cfg, "catalog", inputs, [1.0, None] if corrupt else [0.0, 0.0],
-                   float(mismatches), None, None, verdict, t0), rows
+    expected = [1.0, None] if corrupt else [0.0, 0.0]
+    return {"inputs": inputs, "expected": expected, "observed": float(mismatches)}, rows
 
 
-def cmd_ledger(cfg: RunConfig, args):
+def cmd_ledger(args):
     return None, ledger_rows()
 
 
@@ -482,30 +464,30 @@ _HELP = {
     "catalog": "hermitization dimension table",
     "ledger": "formula adjudication table",
 }
-# (command, subcommand, run, options, default --samples, --tol names).  Only
-# a command with a default takes --samples, only one that lists "seed" takes
-# --seed, and a --tol name the command does not read is refused.
-_MC_TOLS = ("z", "rel")
+# (command, subcommand, run, options, default --samples, {--tol name: default}).
+# Only a command with a default takes --samples, only one that lists "seed"
+# takes --seed, and a --tol name the command does not read is refused.
+_MC_TOLS = {"z": 3.0, "rel": 1e-8}
 _COMMANDS = [
-    ("haar", "so", cmd_haar, ("n", "seed"), 5, ("res",)),
-    ("haar", "u", cmd_haar, ("n", "seed"), 5, ("res",)),
-    ("haar", "sp", cmd_haar, ("n", "seed"), 5, ("res",)),
+    ("haar", "so", cmd_haar, ("n", "seed"), 5, {"res": 1e-12}),
+    ("haar", "u", cmd_haar, ("n", "seed"), 5, {"res": 1e-12}),
+    ("haar", "sp", cmd_haar, ("n", "seed"), 5, {"res": 1e-12}),
     ("integral", "so", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
     ("integral", "u", cmd_integral, ("n", "lambda", "mu", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
     ("integral", "sp", cmd_integral, ("n", "lambda", "seed"), DEFAULT_SAMPLES, _MC_TOLS),
-    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha", "seed"), 50, ("pd",)),
-    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha", "seed"), 1000, ()),
-    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha", "seed"), 200, ("res",)),
-    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha", "seed"), 10_000, ()),
+    ("kernel", "gram", cmd_kernel, ("p", "q", "alpha", "seed"), 50, {"pd": 1e-8}),
+    ("kernel", "witness", cmd_kernel, ("p", "q", "alpha", "seed"), 1000, {}),
+    ("kernel", "covariance", cmd_kernel, ("p", "q", "alpha", "seed"), 200, {"res": 1e-10}),
+    ("kernel", "domination", cmd_kernel, ("p", "q", "alpha", "seed"), 10_000, {}),
     ("boundary", "probe", cmd_boundary_probe, ("p", "q", "r", "alpha", "seed"), DEFAULT_SAMPLES,
      _MC_TOLS),
-    ("plancherel", "blocks", cmd_plancherel_blocks, ("p", "q", "alpha"), None, ()),
-    ("plancherel", "weight", cmd_plancherel_weight, ("p", "q", "alpha"), 101, ()),
-    ("plancherel", "degeneration", cmd_plancherel_degeneration, ("p", "q", "alpha"), None, ()),
+    ("plancherel", "blocks", cmd_plancherel_blocks, ("p", "q", "alpha"), None, {}),
+    ("plancherel", "weight", cmd_plancherel_weight, ("p", "q", "alpha"), 101, {}),
+    ("plancherel", "degeneration", cmd_plancherel_degeneration, ("p", "q", "alpha"), None, {}),
     ("plancherel", "rank1", cmd_plancherel_rank1, ("q", "alpha", "seed"), DEFAULT_SAMPLES,
-     ("res",)),
-    ("catalog", None, cmd_catalog, ("self-test-corrupt",), None, ()),
-    ("ledger", None, cmd_ledger, (), None, ()),
+     {"res": 1e-3}),
+    ("catalog", None, cmd_catalog, ("self-test-corrupt",), None, {}),
+    ("ledger", None, cmd_ledger, (), None, {}),
 ]
 
 
@@ -516,7 +498,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"berezin-lab {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for command, sub, run, options, samples, tol_names in _COMMANDS:
+    for command, sub, run, options, samples, tols in _COMMANDS:
         if command not in groups:
             sp = top.add_parser(command, help=_HELP[command])
             groups[command] = sp.add_subparsers(dest="subcommand", required=True) if sub else sp
@@ -525,20 +507,22 @@ def _build_parser() -> _Parser:
         for name in options:
             sp.add_argument(f"--{name}", **_OPTIONS[name])
         if samples is not None:
-            sp.add_argument("--samples", type=int, default=samples)
+            sp.add_argument("--samples", type=_POSITIVE_INT, default=samples)
         sp.add_argument("--format", choices=FORMATS, default="json")
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--tol", action="append", default=[], metavar="NAME=REAL")
-        sp.set_defaults(run=run, tol_names=tol_names)
+        sp.add_argument("--tol", action="append", type=_TOLERANCE, default=[], metavar="NAME=REAL")
+        sp.set_defaults(run=run, name=" ".join(filter(None, (command, sub))), tols=tols)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command, write what it returns and give the exit code.
+    """Run one command, judge and write what it returns and give the exit code.
 
-    Rows go out as CSV under ``--format csv`` or, without a report, as a
-    JSON array; otherwise the report does.  Exit 2 on a failed verdict, 3
-    on a usage or domain error, and 0 otherwise.
+    A report whose verdict the command left as None passes iff its
+    observation lies in its expected interval.  Rows go out as CSV under
+    ``--format csv`` or, without a report, as a JSON array; otherwise the
+    report does.  Exit 2 on a failed verdict, 3 on a usage or domain
+    error, and 0 otherwise.
     """
     parser = _build_parser()
     try:
@@ -546,17 +530,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        report, rows = args.run(cfg, args)
+        _resolve(args)
+        t0 = time.perf_counter()
+        fields, rows = args.run(args)
+        duration = time.perf_counter() - t0
     except BerezinLabError as exc:
         print(f"berezin-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if rows is not None and (cfg.format == "csv" or report is None):
-        text = render_table(rows, cfg.format)
+    report = None
+    if fields is not None:
+        report = VerificationReport(args.name, seed=args.seed, **{"duration": duration, **fields})
+        if report.verdict is None:
+            report.verdict = PASS if in_interval(report.observed, report.expected) else FAIL
+    if rows is not None and (args.format == "csv" or report is None):
+        text = render_table(rows, args.format)
     else:
-        text = render_report(report, cfg.format)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        text = render_report(report, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

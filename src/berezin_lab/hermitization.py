@@ -17,6 +17,9 @@ from typing import Callable
 
 from .errors import InvalidParams
 
+# Every parameter of a sweep runs over 1..SWEEP_MAX.
+SWEEP_MAX = 8
+
 
 @dataclass(frozen=True)
 class SymmetricPair:
@@ -76,13 +79,13 @@ def dims_match(pair: SymmetricPair, params: dict[str, int]) -> bool:
     return pair.dim_real(**args) == pair.dim_cplx(**args)
 
 
-def sweep_ok(pair: SymmetricPair, *, upto: int) -> bool:
-    """Whether the dimensions agree at every parameter tuple in 1..upto.
+def sweep_ok(pair: SymmetricPair) -> bool:
+    """Whether the dimensions agree at every parameter tuple in 1..SWEEP_MAX.
 
     The whole grid is checked with no early exit, so a sweep always makes
-    upto ** len(pair.params) calls of ``dims_match``.
+    SWEEP_MAX ** len(pair.params) calls of ``dims_match``.
     """
-    grid = product(range(1, upto + 1), repeat=len(pair.params))
+    grid = product(range(1, SWEEP_MAX + 1), repeat=len(pair.params))
     return all([dims_match(pair, dict(zip(pair.params, values))) for values in grid])
 
 

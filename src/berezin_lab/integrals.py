@@ -139,19 +139,6 @@ def u_integral_closed_form(n: int, lam, mu) -> float:
     )
 
 
-def so_second_moment(n: int, lam) -> float:
-    """E f^2 of the SO(n) integrand f, inf where the variance diverges.
-
-    f^2 is the same integrand at the doubled exponents, so E f^2 is the
-    closed form at 2 lambda, and it is infinite exactly where that closed
-    form refuses its arguments.
-    """
-    try:
-        return so_integral_closed_form(n, 2.0 * np.asarray(lam, dtype=float))
-    except DomainError:
-        return float("inf")
-
-
 def sp_integral_closed_form(n: int, lam) -> float:
     """Gamma product for the Sp(n) quaternionic corner-determinant integral."""
     lam = _exponents(lam, n)
@@ -161,6 +148,40 @@ def sp_integral_closed_form(n: int, lam) -> float:
         np.column_stack([a + lam / 2.0, a + lam / 2.0 + 1.0]),
         "2(n-k+1)+lambda_k/2 and 2(n-k+1)+lambda_k+1 positive",
     )
+
+
+def _or_inf(closed_form, *args) -> float:
+    """``closed_form(*args)``, or inf where it refuses its arguments.
+
+    The square of an integrand is the same family's integrand at doubled
+    exponents, so each second moment is a closed form, and the variance is
+    infinite exactly where that form refuses them.
+    """
+    try:
+        return closed_form(*args)
+    except DomainError:
+        return float("inf")
+
+
+def so_second_moment(n: int, lam) -> float:
+    """E f^2 of the SO(n) integrand f: the closed form at 2 lambda."""
+    return _or_inf(so_integral_closed_form, n, 2.0 * _exponents(lam, n, n_min=2))
+
+
+def sp_second_moment(n: int, lam) -> float:
+    """E f^2 of the Sp(n) integrand f: the closed form at 2 lambda."""
+    return _or_inf(sp_integral_closed_form, n, 2.0 * _exponents(lam, n))
+
+
+def u_second_moment(n: int, lam, mu) -> float:
+    """E (Re f)^2 of the U(n) integrand f = prod p^lambda conj(p)^mu.
+
+    (Re f)^2 = (|f|^2 + Re f^2)/2, |f|^2 is the integrand at (lambda + mu,
+    lambda + mu) and f^2 the one at (2 lambda, 2 mu).
+    """
+    lam, mu = _exponents(lam, n, "lambda"), _exponents(mu, n, "mu")
+    return (_or_inf(u_integral_closed_form, n, lam + mu, lam + mu)
+            + _or_inf(u_integral_closed_form, n, 2.0 * lam, 2.0 * mu)) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Run configuration and verification-report serialization.
+"""Verification-report serialization.
 
 Reports carry a fixed top-level field set (command, inputs, expected,
 observed, stderr, z_score, verdict, duration, seed, version, then samples
@@ -14,46 +14,19 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from math import inf, isinf
+from dataclasses import dataclass
+from math import isinf
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .errors import InvalidParams
 
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 FORMATS = ("json", "csv")
-
-DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = 200_000
-
-
-@dataclass
-class RunConfig:
-    """Shared command plumbing: seed, sample budget, tolerances, output."""
-
-    seed: int = DEFAULT_SEED
-    n_samples: int = DEFAULT_SAMPLES
-    tolerances: dict[str, float] = field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise InvalidParams(f"format must be one of {FORMATS}")
-        if self.n_samples < 1:
-            raise InvalidParams(f"need at least 1 sample, got {self.n_samples}")
-        for name, value in self.tolerances.items():
-            if not 0 < value < inf:  # NaN and inf would make every check pass
-                raise InvalidParams(f"tolerance {name!r} must be finite and positive, got {value}")
-
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
 
 
 @dataclass
@@ -64,11 +37,11 @@ class VerificationReport:
     inputs: dict[str, Any]
     expected: Any
     observed: Any
-    stderr: float | None
-    z_score: float | None
-    verdict: str
-    duration: float | None
     seed: int
+    stderr: float | None = None
+    z_score: float | None = None
+    verdict: str | None = None
+    duration: float | None = None
     version: str = __version__
     samples: Any = None  # the drawn samples themselves, when a command emits them
 

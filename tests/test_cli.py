@@ -14,6 +14,7 @@ import pytest
 from berezin_lab import berezin, integrals
 from berezin_lab.ball import random_ball_point, random_pseudo_orthogonal
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
+from berezin_lab.reporting import in_interval
 
 
 def run_cli(capsys, *argv):
@@ -393,6 +394,21 @@ def test_a_wrong_quadrature_fails_where_the_variance_is_infinite(capsys, monkeyp
     assert code == EXIT_FAIL and json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("argv", [
+    ("integral", "sp", "--n", "1", "--lambda", "-2", "--samples", "20000", "--seed", "6"),
+    ("integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0", "--samples", "20000",
+     "--seed", "6"),
+], ids=lambda argv: argv[1])
+def test_infinite_variance_without_a_quadrature_is_inconclusive(capsys, argv):
+    # U and Sp have no quadrature: where the closed form refuses the doubled
+    # exponents, z (-3.24 and -6.57 at these seeds) is reported and nothing judged
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "inconclusive"
+    assert doc["inputs"]["diagnostics"]["variance"] == "infinite"
+    assert abs(doc["z_score"]) > 3
+
+
 def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
     # 2 alpha = 2 < threshold 2.5: no quadrature, and the seeded report is as before
     code, out = run_cli(capsys, "boundary", "probe", "--p", "3", "--q", "6", "--r", "1",
@@ -564,9 +580,10 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     from berezin_lab import cli
 
+    monkeypatch.delenv("BEREZIN_SEED", raising=False)
     seen = []
-    config = cli._config
-    monkeypatch.setattr(cli, "_config", lambda args: seen.append(args) or config(args))
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda args: seen.append(args) or resolve(args))
     target = tmp_path / "probe.csv"
     probe = ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1",
              "--samples", "200", "--seed", "1"]
@@ -576,8 +593,11 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys,
     code, out = run_cli(capsys, "plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4")
     assert code == EXIT_PASS
     assert len(json.loads(out)) == 6
-    assert (seen[0].tol, seen[0].format, seen[0].out) == (["z=5"], "csv", str(target))
-    assert (seen[1].tol, seen[1].format, seen[1].out) == ([], "json", None)
+    assert (seen[0].tol, seen[0].format, seen[0].out) == (
+        {"z": 5.0, "rel": 1e-8}, "csv", str(target))
+    assert (seen[1].tol, seen[1].format, seen[1].out) == ({}, "json", None)
+    # the seed is resolved for every command, from the default without --seed
+    assert (seen[0].seed, seen[1].seed) == (1, cli.DEFAULT_SEED)
     assert cli._build_parser() is cli._build_parser()
 
 
@@ -644,6 +664,10 @@ def test_usage_errors_exit_three(capsys):
         ["plancherel", "rank1", "--q", "3", "--alpha", "nan"],
         ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "nan"],
         ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=abc"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=0"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--tol", "z=nan"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--samples", "0"],
+        ["integral", "so", "--n", "2", "--lambda", "1,0", "--format", "xml"],
         ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "nan"],
         ["boundary", "probe", "--p", "2", "--q", "4", "--r", "-1", "--alpha", "1"],
         ["integral", "so", "--n", "2", "--lambda", "nan,0"],
@@ -729,6 +753,35 @@ def test_runner_renders_every_command_in_both_formats(capsys, path):
     else:  # the report, flattened to one row
         assert list(rows[0]) == list(doc) and len(rows) == 1
         assert rows[0]["verdict"] == doc["verdict"]
+
+
+def test_an_open_verdict_is_judged_by_the_interval_rule(capsys):
+    # every report whose command leaves the verdict open passes exactly
+    # when its observation lies in its expected interval
+    from berezin_lab import cli
+
+    degeneration = ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-2.5"]
+    cases = [(path, [*path, *argv]) for path, argv in _RUNNER_CASES.items()]
+    cases.append((("plancherel", "degeneration"), degeneration))
+    judged = set()
+    for path, argv in cases:
+        args = cli._build_parser().parse_args(argv)
+        cli._resolve(args)
+        fields, _ = args.run(args)
+        if fields is None or fields.get("verdict") is not None:
+            continue
+        judged.add(path)
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        inside = in_interval(float(doc["observed"]), doc["expected"])
+        assert (doc["verdict"] == "pass") == inside, argv
+        assert code == (EXIT_PASS if inside else EXIT_FAIL), argv
+        if argv == degeneration:  # at a non-integer alpha it counts the pole blocks
+            assert doc["observed"] == 0.0 and doc["verdict"] == "pass"
+    # the Monte Carlo commands judge themselves, and tables carry no report
+    assert judged == set(_RUNNER_CASES) - {("integral", "so"), ("integral", "u"),
+                                           ("integral", "sp"), ("boundary", "probe"),
+                                           ("plancherel", "blocks"), ("ledger",)}
 
 
 def test_console_script_entry_point():

@@ -39,13 +39,13 @@ def test_sweep_checks_the_whole_grid_without_stopping_at_a_mismatch(monkeypatch)
     original = hermitization.dims_match
     monkeypatch.setattr(hermitization, "dims_match",
                         lambda pair, params: calls.append(params) or original(pair, params))
-    assert not sweep_ok(corrupted_pair(), upto=8)
+    assert not sweep_ok(corrupted_pair())
     assert calls == [{"n": n} for n in range(1, 9)]  # every n, although n = 1 already fails
     calls.clear()
     row2 = catalog()[1]
-    assert row2.params == ("p", "q") and sweep_ok(row2, upto=8)
+    assert row2.params == ("p", "q") and sweep_ok(row2)
     assert calls == [{"p": p, "q": q} for p in range(1, 9) for q in range(1, 9)]
-    assert all(sweep_ok(row, upto=8) for row in catalog())
+    assert all(sweep_ok(row) for row in catalog())
 
 
 def test_quaternionic_row_doubles_to_the_four_n_form():

@@ -26,8 +26,10 @@ from berezin_lab.integrals import (
     so_second_moment,
     sp_integral_closed_form,
     sp_integral_mc,
+    sp_second_moment,
     u_integral_closed_form,
     u_integral_mc,
+    u_second_moment,
 )
 
 from conftest import assert_matches_one_pass, one_pass_draws
@@ -247,6 +249,28 @@ def test_so_second_moment_gives_the_variance():
     assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
     assert so_second_moment(3, [-0.8, 0.3, 0.0]) == np.inf
     assert np.isfinite(so_second_moment(3, [-0.4, 0.3, 0.0]))
+
+
+def test_sp_second_moment_gives_the_variance():
+    # f^2 is the integrand at 2 lambda; at n = 1 the doubled exponent needs
+    # 3 + 2 lambda > 0, so the variance is infinite from lambda = -1.5 down
+    lam = np.array([1.0, 0.5, 0.0])
+    est = sp_integral_mc(3, lam, 200_000, rng=17)
+    var = sp_second_moment(3, lam) - sp_integral_closed_form(3, lam) ** 2
+    assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
+    assert sp_second_moment(1, [-2.0]) == np.inf
+    assert np.isfinite(sp_second_moment(1, [-1.4]))
+
+
+def test_u_second_moment_gives_the_variance_of_the_real_part():
+    # (Re f)^2 = (|f|^2 + Re f^2)/2: the integrand at (lambda + mu, lambda + mu)
+    # and at (2 lambda, 2 mu); at n = 1, (-0.8, 0) the first leaves the domain
+    lam, mu = np.array([1.0, 0.5, 0.0]), np.array([0.5, 0.0, 0.0])
+    est = u_integral_mc(3, lam, mu, 200_000, rng=17)
+    var = u_second_moment(3, lam, mu) - u_integral_closed_form(3, lam, mu) ** 2
+    assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
+    assert u_second_moment(1, [-0.8], [0.0]) == np.inf
+    assert np.isfinite(u_second_moment(1, [-0.4], [0.0]))
 
 
 def whole(sampler, n):

@@ -537,10 +537,11 @@ def test_degeneration_report_matches_the_reference(capsys, p, q, alpha):
     assert [row["status"] for row in rows] == statuses
     low_rank_alive = sum(s != "zero" for u, s in zip(blocks, statuses) if len(u) < p)
     full_rank_finite = sum(s == "finite" for u, s in zip(blocks, statuses) if len(u) == p)
-    assert doc["observed"] == low_rank_alive
-    if alpha == round(alpha):
-        ok = low_rank_alive == 0 and full_rank_finite > 0
-    else:
+    if alpha == round(alpha):  # the rule: low-rank blocks vanish, some full-rank one is finite
+        assert full_rank_finite > 0 and doc["observed"] == low_rank_alive
+        ok = low_rank_alive == 0
+    else:  # no block is a pole
+        assert doc["observed"] == statuses.count("pole")
         ok = "pole" not in statuses
     # at q = p some low-rank blocks survive a negative integer alpha: the check fails there
     assert ok == ((p, q) != (3, 3) and (p, q) != (2, 2))

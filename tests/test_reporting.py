@@ -6,14 +6,9 @@ import json
 import re
 
 import numpy as np
-import pytest
 
 from berezin_lab import berezin, cli, reporting
-from berezin_lab.errors import InvalidParams
 from berezin_lab.reporting import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    RunConfig,
     VerificationReport,
     in_interval,
     jsonable,
@@ -36,24 +31,6 @@ def _report(**overrides):
     )
     base.update(overrides)
     return VerificationReport(**base)
-
-
-def test_defaults():
-    cfg = RunConfig()
-    assert cfg.seed == DEFAULT_SEED == 1729
-    assert cfg.n_samples == DEFAULT_SAMPLES == 200_000
-    assert cfg.tol("z", 3.0) == 3.0
-    cfg = RunConfig(tolerances={"z": 2.0})
-    assert cfg.tol("z", 3.0) == 2.0
-
-
-def test_runconfig_validation():
-    with pytest.raises(InvalidParams):
-        RunConfig(format="xml")
-    with pytest.raises(InvalidParams):
-        RunConfig(tolerances={"z": 0.0})
-    with pytest.raises(InvalidParams):
-        RunConfig(tolerances={"z": -1.0})
 
 
 def test_report_key_order_is_fixed():
