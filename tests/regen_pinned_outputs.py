@@ -1,0 +1,73 @@
+"""Regenerate tests/data/pinned_outputs.json: the CLI's stdout for a fixed set of argvs.
+
+Each report is pinned as its list of lines, without the ``duration``
+line, so a diff of the file shows the lines a change moved.  The file
+also records the Python, numpy and SciPy versions that printed it, and
+tests/test_pinned_outputs.py compares the CLI's output with it byte for
+byte.  Run from the repository root after a change that moves a pinned
+number on purpose, and list each moved entry in CHANGES.md:
+
+    PYTHONPATH=src python tests/regen_pinned_outputs.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import platform
+
+import numpy as np
+import scipy
+
+from berezin_lab.cli import main
+
+PINS = pathlib.Path(__file__).resolve().parent / "data" / "pinned_outputs.json"
+
+PINNED_ARGVS = [
+    ["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "20000", "--seed", "7"],
+    ["integral", "so", "--n", "8", "--lambda", "1,0.5,0,0,0,0,0,0", "--samples", "20000",
+     "--seed", "7"],
+    ["integral", "so", "--n", "3", "--lambda", "-0.8,0.3,0", "--samples", "20000", "--seed", "7"],
+    ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0",
+     "--samples", "20000", "--seed", "7"],
+    ["boundary", "probe", "--p", "3", "--q", "6", "--r", "1", "--alpha", "1.0",
+     "--samples", "20000", "--seed", "7"],
+    ["plancherel", "rank1", "--q", "3", "--alpha", "2"],
+    ["plancherel", "rank1", "--q", "20", "--alpha", "12"],
+    ["integral", "u", "--n", "3", "--lambda", "1,0.5,0", "--mu", "0.5,0,0",
+     "--samples", "20000", "--seed", "7"],
+    ["integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0.8",
+     "--samples", "20000", "--seed", "6"],
+]
+
+
+def versions() -> dict[str, str]:
+    """The versions whose arithmetic a pinned byte depends on."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout without the report's ``duration`` line) of one CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    lines = out.getvalue().splitlines(keepends=True)
+    return code, "".join(line for line in lines if not line.startswith('  "duration": '))
+
+
+def regenerate() -> None:
+    entries = []
+    for argv in PINNED_ARGVS:
+        code, stdout = run(argv)
+        entries.append({"argv": " ".join(argv), "exit": code, "stdout": stdout.splitlines()})
+    PINS.write_text(json.dumps({**versions(), "outputs": entries}, indent=1) + "\n",
+                    encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.environ.pop("BEREZIN_SEED", None)  # the seedless commands report the default seed
+    regenerate()
