@@ -11,7 +11,6 @@ from .errors import (
     NonPositiveDeterminant,
     OracleNotConverged,
     PoleOnContour,
-    QuadratureFailure,
     SingularCayley,
     SingularUpsilon,
     UncancelledPole,
@@ -27,7 +26,6 @@ __all__ = [
     "NonPositiveDeterminant",
     "OracleNotConverged",
     "PoleOnContour",
-    "QuadratureFailure",
     "SingularCayley",
     "SingularUpsilon",
     "UncancelledPole",

@@ -392,7 +392,7 @@ def restriction_closed_form(p: int, q: int, r: int, alpha: float) -> float:
 
 
 def restriction_quadrature(p: int, q: int, r: int, alpha: float) -> float:
-    """The restricted integral by the SO(q + r) quadrature oracle at the same exponents."""
+    """The restricted integral by the SO(q + r) corner-law oracle at the same exponents."""
     return so_integral_quadrature(q + r, _restriction_exponents(p, q, r, alpha))
 
 

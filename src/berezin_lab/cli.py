@@ -195,11 +195,11 @@ def cmd_haar(args):
 
 
 def cmd_integral(args):
-    """Closed form(s) against Monte Carlo, and quadrature where available.
+    """Closed form(s) against Monte Carlo, and against the corner-law oracle for SO.
 
     Where the integrand's variance is infinite the z-score is reported but
-    does not decide: the SO quadrature does, and U and Sp, which have no
-    quadrature, read inconclusive.
+    does not decide: the SO oracle does, and U and Sp, which have no
+    oracle, read inconclusive.
     """
     from . import integrals
 
@@ -280,7 +280,7 @@ def cmd_kernel(args):
 
 
 def cmd_boundary_probe(args):
-    """The probe against its closed form: by z where 2 alpha < threshold, else by quadrature."""
+    """The probe against its closed form: by z where 2 alpha < threshold, else by the SO oracle."""
     from . import berezin
 
     p, q, r, alpha = args.p, args.q, args.r, args.alpha
@@ -440,9 +440,10 @@ _LEDGER = [
      "n(2n-1) = 2n(2n-1)/2 fails for SO*(2n); "
      "tests/test_cli.py::test_catalog_corrupt_self_test"),
     ("quadrature oracle weights", "convention",
-     "endpoint singularities handled by the algebraic-weight rule "
-     "with exponents (e+lambda, e), valid on the whole convergence domain; "
-     "tests/test_integrals.py::test_quadrature_near_domain_edge"),
+     "corner-law Beta moments: Haar pivot k has density proportional to "
+     "(1-x^2)^e with e=(n-k-2)/2, so factor k is 2^lambda_k B(e+lambda_k+1, e+1) "
+     "/ B(e+1, e+1), its Gamma arguments written from e; "
+     "tests/test_integrals.py::test_quadrature_matches_corrected_closed_form"),
 ]
 
 

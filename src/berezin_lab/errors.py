@@ -25,10 +25,6 @@ class SingularCayley(BerezinLabError):
     """det(g + 1) is below threshold; the Cayley transform is undefined."""
 
 
-class QuadratureFailure(BerezinLabError):
-    """Adaptive quadrature did not reach the requested accuracy."""
-
-
 class NonPositiveDeterminant(BerezinLabError):
     """det(1 - z u^t) was expected to be positive but is not."""
 

@@ -5,7 +5,9 @@ Three independent evaluation routes are kept deliberately separate:
 * closed forms as Gamma-function products (with variants where two
   candidate constants are in circulation for the real case),
 * Monte Carlo over explicit Haar samples,
-* for the real case, adaptive quadrature on the factorized density.
+* for the real case, the corner law's own moments: the Haar pivots of
+  SO(n) are independent, pivot k with density proportional to
+  (1 - x^2)^((n-k-2)/2) on [-1, 1], so each factor is a Beta moment.
 
 The Monte Carlo engine draws each logical block of 4096 samples from its
 own seeded substream and merges block partials in block order, so a fixed
@@ -34,7 +36,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch, corner_pivots
-from .errors import DomainError, InvalidParams, QuadratureFailure
+from .errors import DomainError, InvalidParams
+from .gammaval import gamma_value
 from .rngs import block_rng, derive_root_seed
 
 BLOCK = 4096
@@ -45,7 +48,7 @@ SO_VARIANTS = (VARIANT_AS_PRINTED, VARIANT_CORRECTED)
 
 # Adjudicated winner for the real-case constant: the discriminating n = 2
 # evaluation (exponents (1, 0)) has exact value 1, which only the
-# two-power-corrected form reproduces; Monte Carlo and quadrature agree.
+# two-power-corrected form reproduces; Monte Carlo and the corner law agree.
 WINNING_SO_VARIANT = VARIANT_CORRECTED
 
 
@@ -97,8 +100,8 @@ def _gamma_ratio(num, den, what: str) -> float:
 _SO_DOMAIN = "lambda_k > -(n-k)/2"
 
 
-def _so_gamma_args(n: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked SO(n) exponents and the Gamma arguments of their n - 1 factors.
+def _so_exponents(n: int, lam) -> np.ndarray:
+    """Checked SO(n) exponents.
 
     The real-case identity normalizes the last exponent to zero; the
     integrand only sees differences, so a vector is shifted first.
@@ -109,6 +112,12 @@ def _so_gamma_args(n: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             "the last exponent must be 0; subtract lambda[n-1] from every entry "
             "(the integrand depends only on the differences)"
         )
+    return lam
+
+
+def _so_gamma_args(n: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked SO(n) exponents and the Gamma arguments of their n - 1 factors."""
+    lam = _so_exponents(n, lam)
     a = n - np.arange(1.0, n)
     return lam, np.column_stack([a, lam[:-1] + a / 2.0]), np.column_stack([a / 2.0, lam[:-1] + a])
 
@@ -177,11 +186,19 @@ def u_second_moment(n: int, lam, mu) -> float:
     """E (Re f)^2 of the U(n) integrand f = prod p^lambda conj(p)^mu.
 
     (Re f)^2 = (|f|^2 + Re f^2)/2, |f|^2 is the integrand at (lambda + mu,
-    lambda + mu) and f^2 the one at (2 lambda, 2 mu).
+    lambda + mu) and f^2 the one at (2 lambda, 2 mu).  The variance is
+    finite exactly where E |f|^2 is.  E f^2 then converges absolutely, also
+    where the closed form refuses (2 lambda, 2 mu), and is its Gamma ratio
+    continued: a signed value, 0 where a denominator Gamma has a pole.
     """
     lam, mu = _exponents(lam, n, "lambda"), _exponents(mu, n, "mu")
-    return (_or_inf(u_integral_closed_form, n, lam + mu, lam + mu)
-            + _or_inf(u_integral_closed_form, n, 2.0 * lam, 2.0 * mu)) / 2.0
+    abs_sq = _or_inf(u_integral_closed_form, n, lam + mu, lam + mu)
+    if abs_sq == float("inf"):
+        return abs_sq
+    a = n - np.arange(0.0, n)
+    sq = (gamma_value(a) * gamma_value(a + 2.0 * lam + 2.0 * mu)
+          / (gamma_value(a + 2.0 * lam) * gamma_value(a + 2.0 * mu)))
+    return (abs_sq + sq.prod(axis=0).to_float()) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,44 +332,24 @@ def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracle (real case)
+# Corner-law oracle (real case)
 # ---------------------------------------------------------------------------
 
 
 def so_integral_quadrature(n: int, lam) -> float:
     """Independent oracle: product of normalized 1-d moments of the corner law.
 
-    Factor k is the mean of (1 + x)^lambda_k under the weight
-    (1 - x^2)^((n-k-2)/2) on [-1, 1], evaluated with the algebraic-weight
-    quadrature rule so the endpoint singularities are handled exactly.
+    Haar pivot k of SO(n), k = 1..n-1, has density proportional to
+    (1 - x^2)^e on [-1, 1] with e = (n-k-2)/2, and the pivots are
+    independent, so factor k is the mean of (1 + x)^lambda_k under that
+    law, the Beta moment 2^lambda_k B(e+lambda_k+1, e+1) / B(e+1, e+1).
+    The Gamma arguments are written from e, not taken from the closed
+    form, so a mistyped closed form shows as a disagreement; the moment
+    exists exactly where e + lambda_k + 1 > 0, which is the closed form's
+    domain and names the same k.
     """
-    lam, num, den = _so_gamma_args(n, lam)
-    _gamma_ratio(num, den, _SO_DOMAIN)  # the closed form's domain rule, value unused
-    total = 1.0
-    for k in range(1, n):
-        e = (n - k - 2) / 2.0
-        num = _alg_weight_integral(e + lam[k - 1], e)
-        den = _alg_weight_integral(e, e)
-        total *= num / den
-    return total
-
-
-def _alg_weight_integral(alpha: float, beta: float) -> float:
-    # int_{-1}^{1} (1+x)^alpha (1-x)^beta dx via the QAWS algorithm.
-    # scipy.integrate is imported here, the only place that needs it,
-    # because importing it costs several times the rest of the library.
-    from scipy.integrate import quad
-
-    val, err = quad(
-        lambda _x: 1.0,
-        -1.0,
-        1.0,
-        weight="alg",
-        wvar=(alpha, beta),
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if err > max(1e-10 * abs(val), 1e-13):
-        raise QuadratureFailure(f"estimated error {err:.2e} too large for value {val:.6e}")
-    return val
+    lam = _so_exponents(n, lam)[:-1]
+    e = (n - np.arange(1.0, n) - 2.0) / 2.0
+    num = np.column_stack([e + lam + 1.0, 2.0 * e + 2.0])
+    den = np.column_stack([2.0 * e + lam + 2.0, e + 1.0])
+    return _gamma_ratio(num, den, _SO_DOMAIN) * 2.0 ** float(lam.sum())

@@ -816,14 +816,19 @@ def test_commands_import_only_the_library_modules_they_run():
         ["catalog"],
         ["ledger"],
     ]
-    no_quadrature = [
+    # the first command that needs a Gamma function, so the positive control
+    gamma = [["integral", "so", "--n", "2", "--lambda", "1,0", "--samples", "100"]]
+    more = [
         ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--samples", "50"],
         ["boundary", "probe", "--p", "2", "--q", "3", "--r", "1", "--alpha", "0.5",
          "--samples", "100"],
+        # 2 alpha = threshold 2: infinite variance, so the SO oracle runs as well
+        ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0",
+         "--samples", "100"],
         ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
+        ["plancherel", "rank1", "--q", "3", "--alpha", "2"],
     ]
-    quadrature = [["integral", "so", "--n", "2", "--lambda", "1,0", "--samples", "100"]]
-    argvs = no_scipy + no_quadrature + quadrature
+    argvs = no_scipy + gamma + more
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
@@ -835,7 +840,6 @@ def test_commands_import_only_the_library_modules_they_run():
     for argv, loaded in zip(argvs, json.loads(proc.stdout), strict=True):
         if argv in no_scipy:
             assert loaded == [], argv
-        elif argv in no_quadrature:
-            assert "scipy.integrate" not in loaded, argv
-        else:  # the positive control: the probe does see what a command loads
-            assert "scipy.integrate" in loaded, argv
+        elif argv in gamma:  # the positive control: the probe does see what a command loads
+            assert "scipy.special" in loaded, argv
+        assert not any(m.split(".")[:2] == ["scipy", "integrate"] for m in loaded), argv

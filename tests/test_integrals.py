@@ -46,6 +46,7 @@ def test_so_variant_discriminator():
     lam = [1.0, 0.0]
     assert so_integral_closed_form(2, lam, VARIANT_CORRECTED) == pytest.approx(1.0)
     assert so_integral_closed_form(2, lam, VARIANT_AS_PRINTED) == pytest.approx(0.5)
+    assert so_integral_quadrature(2, lam) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     assert WINNING_SO_VARIANT == VARIANT_CORRECTED
 
 
@@ -167,12 +168,14 @@ def test_domain_error_names_the_first_divergent_factor(evaluate, args, k):
         (3, [-0.4, 0.3, 0.0]),
         (4, [2.0, 1.0, 0.5, 0.0]),
         (4, [0.6, -0.3, 0.2, 0.0]),
+        (12, [1.0, 0.5] + [0.0] * 10),
+        (30, [0.7] * 29 + [0.0]),
     ],
 )
 def test_quadrature_matches_corrected_closed_form(n, lam):
     quad = so_integral_quadrature(n, lam)
     cf = so_integral_closed_form(n, lam)
-    assert quad == pytest.approx(cf, rel=1e-10)
+    assert quad == pytest.approx(cf, rel=1e-14, abs=0.0)
 
 
 def test_quadrature_near_domain_edge():
@@ -264,11 +267,16 @@ def test_sp_second_moment_gives_the_variance():
 
 def test_u_second_moment_gives_the_variance_of_the_real_part():
     # (Re f)^2 = (|f|^2 + Re f^2)/2: the integrand at (lambda + mu, lambda + mu)
-    # and at (2 lambda, 2 mu); at n = 1, (-0.8, 0) the first leaves the domain
-    lam, mu = np.array([1.0, 0.5, 0.0]), np.array([0.5, 0.0, 0.0])
-    est = u_integral_mc(3, lam, mu, 200_000, rng=17)
-    var = u_second_moment(3, lam, mu) - u_integral_closed_form(3, lam, mu) ** 2
-    assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
+    # and at (2 lambda, 2 mu); at n = 1, (-0.8, 0) the first leaves the domain.
+    # At (-0.8, 0.8) |f| = 1, and E f^2 is the Gamma ratio continued past the
+    # domain the closed form accepts, sin(1.6 pi)/(1.6 pi)
+    for n, lam, mu in [(3, [1.0, 0.5, 0.0], [0.5, 0.0, 0.0]), (1, [-0.8], [0.8])]:
+        est = u_integral_mc(n, lam, mu, 200_000, rng=17)
+        var = u_second_moment(n, lam, mu) - u_integral_closed_form(n, lam, mu) ** 2
+        assert est.stderr**2 * est.n_samples == pytest.approx(var, rel=0.03)
+    assert 2.0 * u_second_moment(1, [-0.8], [0.8]) - 1.0 == pytest.approx(
+        np.sin(1.6 * np.pi) / (1.6 * np.pi), rel=1e-14, abs=0.0)
+    assert u_second_moment(1, [-0.5], [0.5]) == 0.5  # E f^2 = 1/Gamma(0) = 0
     assert u_second_moment(1, [-0.8], [0.0]) == np.inf
     assert np.isfinite(u_second_moment(1, [-0.4], [0.0]))
 
