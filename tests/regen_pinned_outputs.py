@@ -41,6 +41,23 @@ PINNED_ARGVS = [
      "--samples", "20000", "--seed", "7"],
     ["integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0.8",
      "--samples", "20000", "--seed", "6"],
+    # reports and tables that are mostly rendering: samples, blocks, rows
+    ["haar", "so", "--n", "4", "--samples", "20", "--seed", "7"],
+    ["haar", "u", "--n", "2", "--samples", "3", "--seed", "7"],
+    ["haar", "sp", "--n", "3", "--samples", "5", "--seed", "7", "--format", "csv"],
+    ["plancherel", "degeneration", "--p", "3", "--q", "7", "--alpha", "-2"],
+    ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
+    ["plancherel", "blocks", "--p", "3", "--q", "9", "--alpha", "-1.5", "--format", "csv"],
+    ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "20"],
+    ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "20",
+     "--format", "csv"],
+    ["catalog"],
+    ["catalog", "--format", "csv"],
+    ["ledger"],
+    ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    ["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    ["kernel", "domination", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--seed", "7"],
 ]
 
 
