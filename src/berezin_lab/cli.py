@@ -187,8 +187,7 @@ def cmd_haar(args):
             for k, i, j in np.ndindex(mats.shape)
         ]
     else:  # complex entries as [re, im] pairs
-        entries = np.stack((mats.real, mats.imag), -1) if np.iscomplexobj(mats) else mats
-        samples = entries.tolist()
+        samples = np.stack((mats.real, mats.imag), -1) if np.iscomplexobj(mats) else mats
     inputs = {"n": n, "count": args.samples, "realization": _REALIZATION[group]}
     return {"inputs": inputs, "expected": [0.0, args.tol["res"]], "observed": worst,
             "duration": None, "samples": samples}, rows
@@ -312,7 +311,10 @@ def cmd_plancherel_blocks(args):
 
 
 def cmd_plancherel_weight(args):
-    """The continuous weight on ``--samples`` points of s_1; each must be finite and >= 0."""
+    """The continuous weight on ``--samples`` points of s_1; each must be finite and >= 0.
+
+    The grid's rows are built only for CSV, the one format that emits them.
+    """
     from . import plancherel
 
     p, q, alpha, count = args.p, args.q, args.alpha, args.samples
@@ -321,7 +323,9 @@ def cmd_plancherel_weight(args):
     rest = [float(j) for j in range(2, p + 1)]
     points = np.column_stack([grid, np.broadcast_to(rest, (grid.size, p - 1))])
     weights = plancherel.continuous_weight_o(params, points)
-    rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
+    rows = None
+    if args.format == "csv":
+        rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
     worst = min(0.0, float(np.min(weights))) if np.all(np.isfinite(weights)) else float("nan")
     inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": count, "s_rest": rest}
     return {"inputs": inputs, "expected": [-1e-12, None], "observed": worst}, rows

@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import json.encoder
 from dataclasses import dataclass
-from math import isinf
+from math import isfinite, isinf
 from typing import Any
 
 import numpy as np
@@ -46,13 +47,17 @@ class VerificationReport:
     samples: Any = None  # the drawn samples themselves, when a command emits them
 
     def to_dict(self) -> dict[str, Any]:
+        return jsonable(self._fields())
+
+    def _fields(self) -> dict[str, Any]:
+        """The report's fields in their fixed order, values not yet coerced."""
         out = {
             "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "expected": jsonable(self.expected),
-            "observed": jsonable(self.observed),
-            "stderr": jsonable(self.stderr),
-            "z_score": jsonable(self.z_score),
+            "inputs": self.inputs,
+            "expected": self.expected,
+            "observed": self.observed,
+            "stderr": self.stderr,
+            "z_score": self.z_score,
             "verdict": self.verdict,
             "duration": None if self.duration is None else round(float(self.duration), 6),
             "seed": int(self.seed),
@@ -61,7 +66,7 @@ class VerificationReport:
         if out["duration"] is None:
             del out["duration"]
         if self.samples is not None:
-            out["samples"] = jsonable(self.samples)
+            out["samples"] = self.samples
         return out
 
 
@@ -82,7 +87,7 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+        return jsonable(value.tolist())  # a 0-d array's tolist() is its scalar
     if isinstance(value, (np.floating, float)):
         return _json_float(float(value))
     if isinstance(value, (np.integer,)):
@@ -115,23 +120,27 @@ def in_interval(value: float, interval) -> bool:
 
 def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2) + "\n"
-    return render_table([report.to_dict()])
+        return _json(report._fields(), "") + "\n"
+    return render_table([report._fields()])
 
 
 def render_table(rows: list[dict[str, Any]], fmt: str = "csv") -> str:
     """Rows as CSV with a header, or as a JSON array when asked."""
     if fmt == "json":
-        return json.dumps([jsonable(r) for r in rows], indent=2) + "\n"
+        return _json(rows, "") + "\n"
     buf = io.StringIO()
     if not rows:
         return ""
     header = list(rows[0].keys())
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(jsonable(row.get(k))) for k in header])
+    # csv writes a plain cell with the str() that _cell gives its jsonable form
+    writer.writerows([v if type(v) in _PLAIN else _cell(jsonable(v)) for v in map(row.get, header)]
+                     for row in rows)
     return buf.getvalue()
+
+
+_PLAIN = {str, int, float, bool, type(None)}
 
 
 def _cell(value: Any) -> str:
@@ -140,3 +149,69 @@ def _cell(value: Any) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float(value: float) -> str:
+    return float.__repr__(value) if isfinite(value) else _quote(_json_float(value))
+
+
+# the writer of each plain type, dispatched on the exact type as in ``jsonable``
+_PLAIN_JSON = {str: _quote, int: int.__repr__, float: _float,
+               bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
+_STR = {str}
+
+
+def _json(value: Any, pad: str) -> str:
+    """``json.dumps(jsonable(value), indent=2)`` nested at ``pad``, in one walk.
+
+    After the plain types, the isinstance chain coerces numpy values,
+    tuples, non-str keys and subclasses as ``jsonable`` does, and writes
+    int subclasses with ``int.__repr__`` as ``json`` does.  A finite float
+    array is checked once and its rows joined without a call per entry.
+    """
+    write = _PLAIN_JSON.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not _STR.issuperset(map(type, value)):
+            value = {str(k): v for k, v in value.items()}
+        return _wrap("{}", [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], pad)
+    if isinstance(value, (list, tuple)):
+        return _wrap("[]", [_json(v, inner) for v in value], pad)
+    if isinstance(value, np.ndarray):
+        if value.ndim and value.dtype.kind == "f" and value.itemsize <= 8 \
+                and np.isfinite(value).all():
+            return _float_rows(value.tolist(), pad)
+        return _json(value.tolist(), pad)  # a 0-d array's tolist() is its scalar
+    if isinstance(value, (np.floating, float)):
+        return _float(float(value))
+    if isinstance(value, np.integer):
+        return int.__repr__(int(value))
+    if isinstance(value, np.bool_):
+        return _CONSTANTS[bool(value)]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_rows(rows: list, pad: str) -> str:
+    """A nested list of finite floats, as ``_json`` writes it."""
+    if rows and type(rows[0]) is list:
+        inner = pad + "  "
+        return _wrap("[]", [_float_rows(row, inner) for row in rows], pad)
+    return _wrap("[]", list(map(float.__repr__, rows)), pad)
+
+
+def _wrap(brackets: str, items: list[str], pad: str) -> str:
+    """Rendered items one per line at ``pad`` plus two spaces, between ``brackets``."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]

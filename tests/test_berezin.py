@@ -63,7 +63,8 @@ def test_batched_kernel_matches_the_formula():
     values = berezin_kernel(zs, us, 1.3)
     assert values.shape == (50,)
     for z, u, value in zip(zs, us, values):
-        assert value == pytest.approx(np.linalg.det(np.eye(2) - z @ u.T) ** -1.3, rel=1e-12)
+        want = np.linalg.det(np.eye(2) - z @ u.T) ** -1.3
+        assert value == pytest.approx(want, rel=1e-12, abs=0)
     assert isinstance(berezin_kernel(ball_point(zs[0]), ball_point(us[0]), 1.3), float)
 
 
@@ -212,20 +213,20 @@ def test_witness_search_names_the_first_witnessing_trial(seed):
     ratios, configs = _trial_ratios(2, 3, 0.5, seed, rep.n_configs)
     first = next(i for i, r in enumerate(ratios) if r < -1e-6)
     assert rep.found and rep.n_configs == first + 1
-    assert rep.best_ratio == pytest.approx(ratios[first], rel=1e-12)
+    assert rep.best_ratio == pytest.approx(ratios[first], rel=1e-12, abs=0)
     assert np.array_equal(rep.points, configs[first])
     # the trial stream does not depend on the budget
     if first:
         before = pd_witness_search(2, 3, 0.5, budget=first, rng=seed)
         assert not before.found and before.n_configs == first
-        assert before.best_ratio == pytest.approx(min(ratios[:first]), rel=1e-12)
+        assert before.best_ratio == pytest.approx(min(ratios[:first]), rel=1e-12, abs=0)
 
 
 def test_witness_search_reports_the_best_ratio_over_the_budget():
     rep = pd_witness_search(2, 3, 1.5, budget=100, rng=6)
     ratios, _ = _trial_ratios(2, 3, 1.5, 6, 100)
     assert not rep.found and rep.n_configs == 100
-    assert rep.best_ratio == pytest.approx(min(ratios), rel=1e-12)
+    assert rep.best_ratio == pytest.approx(min(ratios), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("budget", [1, 7, 8, 9, 24, 25, 504, 505, 1000])
@@ -234,7 +235,7 @@ def test_witness_search_stops_at_any_budget(budget):
     rep = pd_witness_search(2, 3, 1.5, budget=budget, rng=6)
     ratios, _ = _trial_ratios(2, 3, 1.5, 6, 1000)
     assert not rep.found and rep.n_configs == budget
-    assert rep.best_ratio == pytest.approx(min(ratios[:budget]), rel=1e-12)
+    assert rep.best_ratio == pytest.approx(min(ratios[:budget]), rel=1e-12, abs=0)
 
 
 def test_witness_chunks_double_up_to_the_last_chunk_size():

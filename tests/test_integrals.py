@@ -128,12 +128,13 @@ def test_closed_forms_match_a_factor_by_factor_reference(n):
         (u_integral_closed_form(n, lam, mu), _factor_by_factor(n, lam, mu, "u")),
         (sp_integral_closed_form(n, lam), _factor_by_factor(n, lam, family="sp")),
     ]:
-        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
     if n >= 2:
         lam[-1] = 0.0
         for variant, corrected in [(VARIANT_CORRECTED, True), (VARIANT_AS_PRINTED, False)]:
             got = so_integral_closed_form(n, lam, variant)
-            assert got == pytest.approx(_factor_by_factor(n, lam, corrected=corrected), rel=1e-13)
+            want = _factor_by_factor(n, lam, corrected=corrected)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -385,7 +386,7 @@ def test_corner_power_mc_does_not_redraw_for_a_pivot_it_does_not_read():
 
     est = corner_power_mc(sample, [1.0, 0.5, 0.0], 4096, rng=5)
     assert est.n_resamples == 0
-    assert est.max_abs == pytest.approx(2.0**1.5, rel=1e-15)
+    assert est.max_abs == pytest.approx(2.0**1.5, rel=1e-15, abs=0)
 
 
 def test_mc_stderr_survives_a_large_mean():
@@ -396,7 +397,7 @@ def test_mc_stderr_survives_a_large_mean():
 
     n = 50_000
     est = _mc_reduce(block, n, rng=3)
-    assert est.stderr == pytest.approx(1e-9 / np.sqrt(n), rel=0.05)
+    assert est.stderr == pytest.approx(1e-9 / np.sqrt(n), rel=0.05, abs=0)
     assert abs(est.mean - 1.0) <= 5 * est.stderr
     again = _mc_reduce(block, n, rng=3)
     assert (again.mean, again.stderr) == (est.mean, est.stderr)

@@ -6,6 +6,9 @@ import json
 import re
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from berezin_lab import berezin, cli, reporting
 from berezin_lab.reporting import (
@@ -99,7 +102,7 @@ def _jsonable_reference(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable_reference(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable_reference(v) for v in value.tolist()]
+        return _jsonable_reference(value.tolist())
     if isinstance(value, (np.floating, float)):
         value = float(value)
         if value != value:
@@ -139,30 +142,103 @@ def _without_duration(text):
     return re.sub(r'"duration": [-+.e0-9]+', '"duration": 0', text)
 
 
+def _reference_render(value, fmt):
+    """The two-pass renderer: the isinstance chain, then json.dumps(indent=2) or a CSV of _cell."""
+    if isinstance(value, VerificationReport):
+        value = value._fields()
+    if fmt == "json":
+        return json.dumps(_jsonable_reference(value), indent=2) + "\n"
+    rows = value if isinstance(value, list) else [value]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    for row in rows:
+        writer.writerow([reporting._cell(_jsonable_reference(row.get(k))) for k in rows[0]])
+    return buf.getvalue()
+
+
 def test_reports_render_byte_identical_through_the_isinstance_chain(capsys, monkeypatch):
     monkeypatch.setattr(berezin, "covariance_residual",
                         lambda g, z, u, alpha: np.array([0.0, np.nan, 0.0]))
+    rendered = []
+
+    def spy(render):
+        def wrapped(value, fmt="csv"):
+            text = render(value, fmt)
+            rendered.append((text, _reference_render(value, fmt)))
+            return text
+        return wrapped
+
+    monkeypatch.setattr(cli, "render_report", spy(reporting.render_report))
+    monkeypatch.setattr(cli, "render_table", spy(reporting.render_table))
     cases = [
         ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3"],
         ["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "3"],
+        ["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "3",
+         "--format", "csv"],
         ["haar", "u", "--n", "2", "--samples", "2", "--seed", "5", "--format", "csv"],
+        ["haar", "sp", "--n", "2", "--samples", "2", "--seed", "5"],
+        ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "5",
+         "--format", "csv"],
+        ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
+        ["catalog"],
     ]
+    outs = []
+    for argv in cases:
+        cli.main(argv)
+        outs.append(capsys.readouterr().out)
+    assert len(json.loads(outs[0])["inputs"]["blocks"]) == 551
+    assert json.loads(outs[1])["observed"] == "nan"
+    assert outs[3].count("\n") == 1 + 2 * 4  # header and one row per entry
+    assert np.array(json.loads(outs[4])["samples"]).shape == (2, 4, 4, 2)
+    assert next(csv.DictReader(io.StringIO(outs[2])))["observed"] == "nan"
+    assert len(rendered) == len(cases)
+    for argv, out, (text, reference) in zip(cases, outs, rendered):
+        assert out == text == reference, argv
 
-    def render_all():
-        outs = []
-        for argv in cases:
-            cli.main(argv)
-            outs.append(_without_duration(capsys.readouterr().out))
-        return outs
 
-    dispatched = render_all()
-    monkeypatch.setattr(reporting, "jsonable", _jsonable_reference)
-    reference = render_all()
-    assert len(json.loads(dispatched[0])["inputs"]["blocks"]) == 551
-    assert json.loads(dispatched[1])["observed"] == "nan"
-    assert dispatched[2].count("\n") == 1 + 2 * 4  # header and one row per entry
-    for argv, a, b in zip(cases, dispatched, reference):
-        assert a == b, argv
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+_LEAVES = st.one_of(
+    st.text(),  # non-ASCII and control characters included
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.floats(),  # +-0.0, nan and +-inf included
+    st.booleans(),
+    st.none(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.just(_Level.LOW),
+    st.floats().map(_Real),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+               elements=st.floats(width=64)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_VALUES)
+def test_emitter_writes_what_json_dumps_writes_of_the_isinstance_chain(value):
+    assert reporting._json(value, "") == json.dumps(_jsonable_reference(value), indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.dictionaries(st.sampled_from("abc"), _VALUES, min_size=1), min_size=1,
+                     max_size=4))
+def test_csv_cells_are_written_as_the_isinstance_chain_writes_them(rows):
+    assert render_table(rows) == _reference_render(rows, "csv")
+
+
+def test_emitter_writes_int_subclasses_and_0d_arrays_as_json_does():
+    for value in (_Level.LOW, [_Level.LOW], np.array(2.5), np.array(np.nan), np.array(3),
+                  np.zeros((2, 0)), np.ones((0, 3)), {1: "int key", "1": "str key"}):
+        assert reporting._json(value, "") == json.dumps(_jsonable_reference(value), indent=2)
 
 
 def test_in_interval_with_open_sides():
