@@ -135,12 +135,9 @@ def render_table(rows: list[dict[str, Any]], fmt: str = "csv") -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     # csv writes a plain cell with the str() that _cell gives its jsonable form
-    writer.writerows([v if type(v) in _PLAIN else _cell(jsonable(v)) for v in map(row.get, header)]
-                     for row in rows)
+    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(jsonable(v))
+                      for v in map(row.get, header)] for row in rows)
     return buf.getvalue()
-
-
-_PLAIN = {str, int, float, bool, type(None)}
 
 
 def _cell(value: Any) -> str:
@@ -184,8 +181,7 @@ def _json(value: Any, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         return _wrap("[]", [_json(v, inner) for v in value], pad)
     if isinstance(value, np.ndarray):
-        if value.ndim and value.dtype.kind == "f" and value.itemsize <= 8 \
-                and np.isfinite(value).all():
+        if value.dtype == float and value.ndim and np.isfinite(value).all():
             return _float_rows(value.tolist(), pad)
         return _json(value.tolist(), pad)  # a 0-d array's tolist() is its scalar
     if isinstance(value, (np.floating, float)):
