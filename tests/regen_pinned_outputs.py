@@ -58,6 +58,18 @@ PINNED_ARGVS = [
     ["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
     ["kernel", "domination", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
     ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--seed", "7"],
+    # the geometry_io workload's kernel checks, the remaining CI kernel lines
+    # and the README's witness example
+    ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "500",
+     "--seed", "1"],
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "1"],
+    ["kernel", "domination", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "1000",
+     "--seed", "1"],
+    ["kernel", "gram", "--p", "3", "--q", "5", "--alpha", "2", "--seed", "7"],
+    ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "0.5", "--seed", "7"],
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    ["kernel", "witness", "--p", "2", "--q", "5", "--alpha", "0.5", "--seed", "7"],
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--seed", "1"],
 ]
 
 
