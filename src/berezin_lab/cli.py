@@ -31,6 +31,7 @@ from .reporting import (
     FORMATS,
     INCONCLUSIVE,
     PASS,
+    Table,
     VerificationReport,
     in_interval,
     render_report,
@@ -180,12 +181,10 @@ def cmd_haar(args):
     worst = float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
     rows = samples = None
     if args.format == "csv":
-        re, im = mats.real.tolist(), mats.imag.tolist()
-        rows = [
-            {"realization": _REALIZATION[group], "n": n, "seed": seed, "sample": k,
-             "row": i, "col": j, "re": re[k][i][j], "im": im[k][i][j]}
-            for k, i, j in np.ndindex(mats.shape)
-        ]
+        head = [_REALIZATION[group], n, seed]
+        cells = zip(*(a.ravel().tolist() for a in (*np.indices(mats.shape), mats.real, mats.imag)))
+        rows = Table(["realization", "n", "seed", "sample", "row", "col", "re", "im"],
+                     [[*head, *cell] for cell in cells])
     else:  # complex entries as [re, im] pairs
         samples = np.stack((mats.real, mats.imag), -1) if np.iscomplexobj(mats) else mats
     inputs = {"n": n, "count": args.samples, "realization": _REALIZATION[group]}

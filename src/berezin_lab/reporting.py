@@ -17,7 +17,7 @@ import json
 import json.encoder
 from dataclasses import dataclass
 from math import isfinite, isinf
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -124,19 +124,36 @@ def render_report(report: VerificationReport, fmt: str) -> str:
     return render_table([report._fields()])
 
 
-def render_table(rows: list[dict[str, Any]], fmt: str = "csv") -> str:
-    """Rows as CSV with a header, or as a JSON array when asked."""
-    if fmt == "json":
+class Table(NamedTuple):
+    """Rows as cell sequences under one header, for tables too long to build a dict per row."""
+
+    header: list[str]
+    rows: list
+
+
+def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
+    """Rows as CSV with a header, or as a JSON array when asked.
+
+    ``rows`` is a list of dicts, whose first one gives the CSV header, or
+    a ``Table``.
+    """
+    if isinstance(rows, Table):
+        header, cells = rows
+        if fmt == "json":
+            return _json([dict(zip(header, row)) for row in cells], "") + "\n"
+    elif fmt == "json":
         return _json(rows, "") + "\n"
-    buf = io.StringIO()
-    if not rows:
+    elif not rows:
         return ""
-    header = list(rows[0].keys())
+    else:
+        header = list(rows[0].keys())
+        cells = (map(row.get, header) for row in rows)
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     # csv writes a plain cell with the str() that _cell gives its jsonable form
-    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(jsonable(v))
-                      for v in map(row.get, header)] for row in rows)
+    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(jsonable(v)) for v in row]
+                     for row in cells)
     return buf.getvalue()
 
 

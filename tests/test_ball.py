@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from berezin_lab.ball import (
+    _spectral_norm,
     ball_point,
     boost,
     cocycle,
@@ -60,10 +61,43 @@ def test_random_ball_point_stack_norm_window(p, q):
             random_ball_point(p, q, 1, lo, hi, size=3)
     with pytest.raises(InvalidParams):
         random_ball_point(q + 1, q, 1, size=3)
+    # a window of one norm: the eigenvalue scale hits it up to rounding
+    pts = random_ball_point(p, q, 2, 0.5, 0.5, size=200)
+    norms = np.array([np.linalg.norm(z, 2) for z in pts])
+    assert np.max(np.abs(norms - 0.5)) <= 8 * np.finfo(float).eps
     # a shape gives an array of that shape of points, drawn as one flat stack
     grid = random_ball_point(p, q, 4, size=(6, 5))
     assert grid.shape == (6, 5, p, q)
     assert np.array_equal(grid.reshape(30, p, q), random_ball_point(p, q, 4, size=30))
+
+
+def test_random_ball_point_rejects_empty_rows_and_negative_sizes():
+    for p, size in [(0, None), (0, 4), (-1, None)]:
+        with pytest.raises(InvalidParams, match="need 1 <= p <= q"):
+            random_ball_point(p, 3, 1, size=size)
+    for size in (-1, (3, -1)):
+        with pytest.raises(InvalidParams, match="nonnegative"):
+            random_ball_point(2, 3, 1, size=size)
+    assert random_ball_point(2, 3, 1, size=0).shape == (0, 2, 3)
+
+
+def _spectral_norm_cases():
+    rng = np.random.default_rng(3)
+    for shape in [(1, 1), (1, 5), (2, 3), (3, 5), (4, 7)]:
+        z = rng.standard_normal((20, *shape))
+        yield z
+        yield rng.standard_normal((20, shape[0], 1)) * rng.standard_normal((20, 1, shape[1]))
+        yield np.zeros((3, *shape))
+        for norm in (0.999, 1 - 1e-12):
+            yield z * (norm / np.linalg.norm(z, 2, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("stack", _spectral_norm_cases(),
+                         ids=lambda z: "x".join(map(str, z.shape)))
+def test_spectral_norm_matches_the_svd(stack):
+    expect = np.linalg.norm(stack, 2, axis=(-2, -1))
+    assert _spectral_norm(stack) == pytest.approx(expect, rel=1e-15, abs=0)
+    assert [float(_spectral_norm(z)) for z in stack] == pytest.approx(expect, rel=1e-15, abs=0)
 
 
 def test_random_ball_point_stack_checks_every_norm():
@@ -80,10 +114,11 @@ def test_random_ball_point_stack_checks_every_norm():
 
 
 def test_seeded_random_ball_point_is_unchanged():
-    # the single-point sampler as it stood before points came in stacks
+    # the single-point sampler as it stood before points came in stacks,
+    # scaled by the top eigenvalue of z z^t as the sampler now is
     def reference(gen, p, q, lo, hi):
         z = gen.standard_normal((p, q))
-        cur = np.linalg.norm(z, 2)
+        cur = np.sqrt(np.linalg.eigvalsh(z @ z.T)[-1])
         target = gen.uniform(lo, hi)
         return z * (target / cur)
 

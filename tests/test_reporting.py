@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from berezin_lab import berezin, cli, reporting
 from berezin_lab.reporting import (
+    Table,
     VerificationReport,
     in_interval,
     jsonable,
@@ -78,6 +79,9 @@ def test_render_table_multiple_rows():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert [r["a"] for r in rows] == ["1", "2"]
     assert json.loads(rows[0]["b"]) == [1, 2]
+    table = Table(["a", "b"], [[1, [1, 2]], [2, []]])
+    assert render_table(table) == text
+    assert json.loads(render_table(table, "json")) == [{"a": 1, "b": [1, 2]}, {"a": 2, "b": []}]
 
 
 def test_jsonable_handles_numpy_and_nonfinite():
@@ -141,6 +145,8 @@ def _reference_render(value, fmt):
     """The two-pass renderer: the isinstance chain, then json.dumps(indent=2) or a CSV of _cell."""
     if isinstance(value, VerificationReport):
         value = value._fields()
+    if isinstance(value, Table):
+        value = [dict(zip(value.header, row)) for row in value.rows]
     if fmt == "json":
         return json.dumps(_jsonable_reference(value), indent=2) + "\n"
     rows = value if isinstance(value, list) else [value]
@@ -227,7 +233,10 @@ def test_emitter_writes_what_json_dumps_writes_of_the_isinstance_chain(value):
 @given(rows=st.lists(st.dictionaries(st.sampled_from("abc"), _VALUES, min_size=1), min_size=1,
                      max_size=4))
 def test_csv_cells_are_written_as_the_isinstance_chain_writes_them(rows):
-    assert render_table(rows) == _reference_render(rows, "csv")
+    reference = _reference_render(rows, "csv")
+    assert render_table(rows) == reference
+    header = list(rows[0])
+    assert render_table(Table(header, [[row.get(k) for k in header] for row in rows])) == reference
 
 
 def test_emitter_writes_int_subclasses_and_0d_arrays_as_json_does():
