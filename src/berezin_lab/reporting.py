@@ -137,17 +137,17 @@ def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
     ``rows`` is a list of dicts, whose first one gives the CSV header, or
     a ``Table``.
     """
+    if fmt == "json":
+        if isinstance(rows, Table):
+            rows = [dict(zip(rows.header, row)) for row in rows.rows]
+        return _json(rows, "") + "\n"
     if isinstance(rows, Table):
         header, cells = rows
-        if fmt == "json":
-            return _json([dict(zip(header, row)) for row in cells], "") + "\n"
-    elif fmt == "json":
-        return _json(rows, "") + "\n"
-    elif not rows:
-        return ""
-    else:
+    elif rows:
         header = list(rows[0].keys())
         cells = (map(row.get, header) for row in rows)
+    else:
+        return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

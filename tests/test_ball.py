@@ -83,17 +83,18 @@ def test_random_ball_point_rejects_empty_rows_and_negative_sizes():
 
 def _spectral_norm_cases():
     rng = np.random.default_rng(3)
-    for shape in [(1, 1), (1, 5), (2, 3), (3, 5), (4, 7)]:
-        z = rng.standard_normal((20, *shape))
-        yield z
-        yield rng.standard_normal((20, shape[0], 1)) * rng.standard_normal((20, 1, shape[1]))
-        yield np.zeros((3, *shape))
+    for p, q in [(1, 1), (1, 5), (2, 3), (3, 5), (4, 7)]:
+        z = rng.standard_normal((20, p, q))
+        yield pytest.param(z, id=f"gaussian-{p}x{q}")
+        rank1 = rng.standard_normal((20, p, 1)) * rng.standard_normal((20, 1, q))
+        yield pytest.param(rank1, id=f"rank1-{p}x{q}")
+        yield pytest.param(np.zeros((3, p, q)), id=f"zero-{p}x{q}")
         for norm in (0.999, 1 - 1e-12):
-            yield z * (norm / np.linalg.norm(z, 2, axis=(-2, -1)))[:, None, None]
+            scaled = z * (norm / np.linalg.norm(z, 2, axis=(-2, -1)))[:, None, None]
+            yield pytest.param(scaled, id=f"norm{norm!r}-{p}x{q}")
 
 
-@pytest.mark.parametrize("stack", _spectral_norm_cases(),
-                         ids=lambda z: "x".join(map(str, z.shape)))
+@pytest.mark.parametrize("stack", _spectral_norm_cases())
 def test_spectral_norm_matches_the_svd(stack):
     expect = np.linalg.norm(stack, 2, axis=(-2, -1))
     assert _spectral_norm(stack) == pytest.approx(expect, rel=1e-15, abs=0)
