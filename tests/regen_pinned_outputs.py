@@ -1,7 +1,8 @@
 """Regenerate tests/data/pinned_outputs.json: the CLI's stdout for a fixed set of argvs.
 
 Each report is pinned as its list of lines, without the ``duration``
-line, so a diff of the file shows the lines a change moved.  The file
+line of a JSON report or the ``duration`` column of a CSV report, so a
+diff of the file shows the lines a change moved.  The file
 also records the Python, numpy and SciPy versions that printed it, and
 tests/test_pinned_outputs.py compares the CLI's output with it byte for
 byte.  Run from the repository root after a change that moves a pinned
@@ -13,6 +14,7 @@ number on purpose, and list each moved entry in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -70,6 +72,12 @@ PINNED_ARGVS = [
     ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7"],
     ["kernel", "witness", "--p", "2", "--q", "5", "--alpha", "0.5", "--seed", "7"],
     ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--seed", "1"],
+    # CSV reports, whose structured cells are compact JSON
+    ["kernel", "covariance", "--p", "2", "--q", "3", "--alpha", "1.5", "--seed", "7",
+     "--format", "csv"],
+    ["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "20000", "--seed", "7",
+     "--format", "csv"],
+    ["plancherel", "degeneration", "--p", "3", "--q", "7", "--alpha", "-2", "--format", "csv"],
 ]
 
 
@@ -80,11 +88,20 @@ def versions() -> dict[str, str]:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """(exit code, stdout without the report's ``duration`` line) of one CLI call."""
+    """(exit code, stdout without the report's ``duration``) of one CLI call."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    lines = out.getvalue().splitlines(keepends=True)
+    text = out.getvalue()
+    if text.startswith("command,"):  # a CSV report: drop the duration column
+        rows = list(csv.reader(io.StringIO(text)))
+        if "duration" in rows[0]:
+            at = rows[0].index("duration")
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(row[:at] + row[at + 1:] for row in rows)
+            return code, buf.getvalue()
+        return code, text
+    lines = text.splitlines(keepends=True)
     return code, "".join(line for line in lines if not line.startswith('  "duration": '))
 
 
