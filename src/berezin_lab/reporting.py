@@ -16,7 +16,7 @@ import io
 import json
 import json.encoder
 from dataclasses import dataclass
-from math import isfinite, isinf
+from math import isfinite
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -46,9 +46,6 @@ class VerificationReport:
     version: str = __version__
     samples: Any = None  # the drawn samples themselves, when a command emits them
 
-    def to_dict(self) -> dict[str, Any]:
-        return jsonable(self._fields())
-
     def _fields(self) -> dict[str, Any]:
         """The report's fields in their fixed order, values not yet coerced."""
         out = {
@@ -68,42 +65,6 @@ class VerificationReport:
         if self.samples is not None:
             out["samples"] = self.samples
         return out
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays and non-finite floats.
-
-    Plain str, int, bool, None and float, which make up most report rows,
-    are dispatched on their exact type before the isinstance chain that
-    numpy types and subclasses of the builtins go through.
-    """
-    kind = type(value)
-    if kind is str or kind is int or kind is bool or value is None:
-        return value
-    if kind is float:
-        return _json_float(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return jsonable(value.tolist())  # a 0-d array's tolist() is its scalar
-    if isinstance(value, (np.floating, float)):
-        return _json_float(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
-
-
-def _json_float(value: float) -> float | str:
-    """A finite float as is; NaN and the infinities by name, which JSON lacks."""
-    if value != value:
-        return "nan"
-    if isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
 
 
 def in_interval(value: float, interval) -> bool:
@@ -151,9 +112,10 @@ def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    # csv writes a plain cell with the str() that _cell gives its jsonable form
-    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(jsonable(v)) for v in row]
-                     for row in cells)
+    # csv writes a plain cell with the str() that _cell gives it; any other
+    # cell is first read back from what _json writes of it
+    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(json.loads(_json(v, "")))
+                      for v in row] for row in cells)
     return buf.getvalue()
 
 
@@ -170,22 +132,28 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _float(value: float) -> str:
-    return float.__repr__(value) if isfinite(value) else _quote(_json_float(value))
+    """A finite float as ``json`` writes it; NaN and the infinities by name, which JSON lacks."""
+    if isfinite(value):
+        return float.__repr__(value)
+    return '"nan"' if value != value else '"inf"' if value > 0 else '"-inf"'
 
 
-# the writer of each plain type, dispatched on the exact type as in ``jsonable``
+# the writer of each plain type, dispatched on its exact type
 _PLAIN_JSON = {str: _quote, int: int.__repr__, float: _float,
                bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
 _STR = {str}
 
 
 def _json(value: Any, pad: str) -> str:
-    """``json.dumps(jsonable(value), indent=2)`` nested at ``pad``, in one walk.
+    """``value`` as ``json.dumps(indent=2)`` writes its JSON form, nested at ``pad``, in one walk.
 
-    After the plain types, the isinstance chain coerces numpy values,
-    tuples, non-str keys and subclasses as ``jsonable`` does, and writes
-    int subclasses with ``int.__repr__`` as ``json`` does.  A finite float
-    array is checked once and its rows joined without a call per entry.
+    This is the report's one coercion: numpy values become Python ones,
+    tuples lists and keys str, and ``_float`` names NaN and the
+    infinities.  Plain types are dispatched on their exact type; the
+    isinstance chain after them takes numpy types, tuples and subclasses,
+    and writes int subclasses with ``int.__repr__`` as ``json`` does.  A
+    finite float array is checked once and its rows joined without a call
+    per entry.
     """
     write = _PLAIN_JSON.get(type(value))
     if write is not None:

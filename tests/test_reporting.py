@@ -14,7 +14,6 @@ from berezin_lab.reporting import (
     Table,
     VerificationReport,
     in_interval,
-    jsonable,
     render_report,
     render_table,
 )
@@ -37,7 +36,7 @@ def _report(**overrides):
 
 
 def test_report_key_order_is_fixed():
-    d = _report().to_dict()
+    d = json.loads(render_report(_report(), "json"))
     assert list(d.keys()) == [
         "command",
         "inputs",
@@ -61,7 +60,7 @@ def test_json_rendering_round_trips():
 
 
 def test_reports_without_duration_omit_the_key():
-    d = _report(duration=None).to_dict()
+    d = json.loads(render_report(_report(duration=None), "json"))
     assert "duration" not in d
 
 
@@ -84,8 +83,13 @@ def test_render_table_multiple_rows():
     assert json.loads(render_table(table, "json")) == [{"a": 1, "b": [1, 2]}, {"a": 2, "b": []}]
 
 
-def test_jsonable_handles_numpy_and_nonfinite():
-    out = jsonable(
+def _read_back(value):
+    """What the emitter writes of ``value``, parsed: its JSON form."""
+    return json.loads(reporting._json(value, ""))
+
+
+def test_emitter_handles_numpy_and_nonfinite():
+    out = _read_back(
         {
             "a": np.float64(1.5),
             "b": np.array([1, 2]),
@@ -95,11 +99,10 @@ def test_jsonable_handles_numpy_and_nonfinite():
         }
     )
     assert out == {"a": 1.5, "b": [1, 2], "c": "inf", "d": "nan", "e": "-inf"}
-    json.dumps(out)  # must be serializable as-is
 
 
 def _jsonable_reference(value):
-    """``jsonable`` as a plain isinstance chain, the reference for its exact-type dispatch."""
+    """A report value's JSON form as a plain isinstance chain, the reference for the emitter."""
     if isinstance(value, dict):
         return {str(k): _jsonable_reference(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -128,7 +131,7 @@ class _Real(float):
     pass
 
 
-def test_jsonable_matches_the_isinstance_chain_on_every_kind():
+def test_emitter_matches_the_isinstance_chain_on_every_kind():
     value = {
         "plain": ["s", 3, True, None, 2.5, float("nan"), float("inf"), -float("inf")],
         "numpy": (np.float64("nan"), np.float32(1.5), np.int64(3), np.bool_(True),
@@ -136,7 +139,7 @@ def test_jsonable_matches_the_isinstance_chain_on_every_kind():
         "subclasses": [_Level.LOW, _Real("inf"), collections.OrderedDict(b=_Real(2.0))],
         7: {"nested": [(np.int32(1), [np.float64(-0.0)])]},
     }
-    out = jsonable(value)
+    out = _read_back(value)
     assert out == _jsonable_reference(value)
     assert json.dumps(out) == json.dumps(_jsonable_reference(value))
 
