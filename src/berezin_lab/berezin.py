@@ -11,7 +11,8 @@ Points are (p, q) arrays and stacks of them (..., p, q) arrays, as in
 ``ball``; a boundary-orbit point is a point of the closure.  Every
 det(1 - z u^t), of a kernel value or of a Gram entry, is the product of
 the pivots of one sample-axis-last elimination, ``compact.eliminate``,
-and a pivot <= 0 refuses the pair as out of domain.  The
+and a pivot <= 0 refuses the pair as out of domain; a kernel value past
+the float range is refused with ``DomainError``, not passed on as inf.  The
 admissibility tolerance, the witness search's cloud size and the
 convention table's trials are fixed settings, not parameters.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .ball import ball_scale, cocycle, moebius_act, one_minus_pivots, random_ball_point
 from .compact import _haar_so_batch, eliminate
-from .errors import InvalidParams, NonPositiveDeterminant
+from .errors import DomainError, InvalidParams, NonPositiveDeterminant
 from .integrals import MCEstimate, so_integral_closed_form, so_integral_mc, so_integral_quadrature
 from .rngs import as_generator, derive_root_seed
 
@@ -47,18 +48,27 @@ def berezin_kernel(z: np.ndarray, u: np.ndarray, alpha: float) -> float | np.nda
     zs, us = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
     if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
-    return _positive_det(one_minus_pivots(zs, us)) ** (-alpha)
+    return _kernel_values(one_minus_pivots(zs, us), alpha)
 
 
-def _positive_det(piv: np.ndarray) -> np.ndarray:
-    """det(1 - z u^t) from its (p, ...) pivots; a pivot <= 0 raises, NaN passes through."""
+def _kernel_values(piv: np.ndarray, alpha: float) -> np.ndarray:
+    """det(1 - z u^t)^(-alpha) from the (p, ...) pivots of 1 - z u^t.
+
+    A pivot <= 0 raises ``NonPositiveDeterminant`` and a value past the
+    float range ``DomainError``; NaN passes through, so it fails as evidence.
+    """
     if (piv <= 0).any():
         # for contractions z, u every leading block of z u^t has its
         # eigenvalues inside the unit disc, so every pivot is positive and
         # a pivot <= 0 can only mean the inputs were out of domain
         j = tuple(np.argwhere(piv <= 0)[0])
         raise NonPositiveDeterminant(f"pivot {j[0] + 1} of 1 - z u^t is {piv[j]:.3e}")
-    return piv.prod(axis=0)
+    dets = piv.prod(axis=0)
+    with np.errstate(over="ignore", divide="ignore"):
+        dets **= -alpha
+    if np.isinf(dets).any():
+        raise DomainError(f"det(1 - z u^t)^-alpha overflows the float range at alpha = {alpha}")
+    return dets
 
 
 def wallach_admissible(alpha: float, p: int) -> bool:
@@ -81,9 +91,7 @@ def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
         for b in range(p):
             np.matmul(neg, points[:, :, b].swapaxes(1, 2), out=work[a, b])
         work[a, a] += 1.0
-    dets = _positive_det(eliminate(work))
-    dets **= -alpha
-    return dets
+    return _kernel_values(eliminate(work), alpha)
 
 
 @dataclass
@@ -332,7 +340,9 @@ def domination_residual(
 
     Zero for every valid input: shrinking both arguments by c in [0, 1]
     can inflate the kernel by at most 2^(p alpha).  Stacks of pairs take
-    one shrink factor each and give one residual per pair.
+    one shrink factor each and give one residual per pair.  A bound past
+    the float range, which any residual would lie under, raises
+    ``DomainError``.
     """
     c = np.asarray(c, dtype=float)
     if not np.all((0.0 <= c) & (c <= 1.0)):
@@ -340,7 +350,11 @@ def domination_residual(
     if alpha < 0:
         raise InvalidParams("domination is stated for alpha >= 0")
     lhs = berezin_kernel(ball_scale(z, c), ball_scale(u, c), alpha)
-    rhs = 2.0 ** (np.shape(z)[-2] * alpha) * berezin_kernel(z, u, alpha)
+    rhs = berezin_kernel(z, u, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs *= np.float64(2.0) ** (np.shape(z)[-2] * alpha)  # np.float64: inf, not OverflowError
+    if np.isinf(rhs).any():
+        raise DomainError(f"the domination bound 2^(p alpha) K overflows at alpha = {alpha}")
     return np.maximum(0.0, lhs - rhs)
 
 

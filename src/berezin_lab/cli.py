@@ -2,7 +2,8 @@
 
 Exit codes: 0 for pass or inconclusive, 2 for a verification failure, 3
 for usage or domain errors.  Commands are deterministic under a fixed
-seed; ``BEREZIN_SEED`` supplies the seed when ``--seed`` is absent.
+seed, an integer in [0, 2**63); ``BEREZIN_SEED`` supplies the seed when
+``--seed`` is absent and is checked as ``--seed`` is.
 
 A command only computes: it returns its report's fields and its table
 rows.  ``main`` stamps the report with the command's name, the seed and
@@ -37,7 +38,7 @@ from .reporting import (
     render_report,
     render_table,
 )
-from .rngs import as_generator
+from .rngs import _SEED_BOUND, as_generator
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -83,6 +84,8 @@ def _name_value(text: str) -> tuple[str, float]:
 
 
 _POSITIVE_INT = _number(int, lambda v: v > 0, "a positive integer")
+# a seed is recorded as the draws' root seed, which rngs keeps below 2**63
+_SEED = _number(int, lambda v: 0 <= v < _SEED_BOUND, "an integer in [0, 2**63)")
 # NaN and inf would let every observation pass
 _TOLERANCE = _number(_name_value, lambda v: 0 < v[1] < math.inf, "NAME=REAL, REAL finite and > 0")
 _VECTOR = _number(lambda text: [float(x) for x in text.split(",")],
@@ -95,7 +98,7 @@ _OPTIONS = {
     "alpha": {"type": _number(float, math.isfinite, "a finite real"), "required": True},
     "lambda": {"dest": "lam", "type": _VECTOR, "required": True, "help": "exponent vector, CSV"},
     "mu": {"type": _VECTOR, "default": None, "help": "conjugate exponents, CSV"},
-    "seed": {"type": int, "default": None},
+    "seed": {"type": _SEED, "default": None},
     "self-test-corrupt": {"action": "store_true",
                           "help": "sweep a deliberately corrupted row; must detect the mismatch"},
 }
@@ -122,12 +125,16 @@ def _join_vector_values(argv: list[str]) -> list[str]:
 def _resolve(args: argparse.Namespace) -> None:
     """Settle what parsing leaves open, once, before the command runs.
 
-    The seed falls back to ``BEREZIN_SEED`` and then ``DEFAULT_SEED``.
-    ``args.tol`` becomes the row's {name: default} with every ``--tol``
-    applied; a name the row does not list is refused.
+    The seed falls back to ``BEREZIN_SEED``, refused as ``--seed`` would
+    refuse it, and then ``DEFAULT_SEED``.  ``args.tol`` becomes the row's
+    {name: default} with every ``--tol`` applied; a name the row does not
+    list is refused.
     """
     if getattr(args, "seed", None) is None:
-        args.seed = int(os.environ.get("BEREZIN_SEED", DEFAULT_SEED))
+        try:
+            args.seed = _SEED(os.environ.get("BEREZIN_SEED", str(DEFAULT_SEED)))
+        except argparse.ArgumentTypeError as exc:
+            raise InvalidParams(f"BEREZIN_SEED {exc}") from None
     tol = dict(args.tols)
     for name, value in args.tol:
         if name not in tol:
@@ -526,7 +533,7 @@ def main(argv=None) -> int:
     observation lies in its expected interval.  Rows go out as CSV under
     ``--format csv`` or, without a report, as a JSON array; otherwise the
     report does.  Exit 2 on a failed verdict, 3 on a usage or domain
-    error, and 0 otherwise.
+    error or an ``--out`` that cannot be written, and 0 otherwise.
     """
     parser = _build_parser()
     try:
@@ -551,8 +558,13 @@ def main(argv=None) -> int:
     else:
         text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"berezin-lab: cannot write --out {args.out!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_FAIL if report is not None and report.verdict == FAIL else EXIT_PASS

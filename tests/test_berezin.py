@@ -7,6 +7,7 @@ from berezin_lab import berezin
 from berezin_lab.ball import (
     ball_point,
     moebius_act,
+    one_minus_pivots,
     random_ball_point,
     random_pseudo_orthogonal,
 )
@@ -85,6 +86,18 @@ def test_kernel_refuses_a_pair_whose_pivots_are_all_negative():
         berezin_kernel(z, z, 1.5)
     with pytest.raises(NonPositiveDeterminant, match="pivot 1"):
         gram_spectrum([np.zeros((2, 3)), z], 1.5)
+
+
+def test_a_kernel_value_past_the_float_range_is_refused_naming_alpha():
+    z = 0.9 * np.eye(2, 3)  # det(1 - z z^t) = 0.19^2, so K(z, z) = 10^(1.44 alpha)
+    assert np.isfinite(berezin_kernel(z, z, 200.0))
+    for alpha in (400.0, 1e6):
+        with pytest.raises(DomainError, match=f"alpha = {alpha}"):
+            berezin_kernel(z, z, alpha)
+        with pytest.raises(DomainError, match=f"alpha = {alpha}"):
+            gram_spectrum([np.zeros((2, 3)), z], alpha)
+    # a NaN point is evidence, not an overflow: it passes through to fail
+    assert np.isnan(berezin_kernel(np.full((2, 3), np.nan), z, 400.0))
 
 
 def test_gram_matrix_refuses_an_out_of_domain_pair():
@@ -365,6 +378,29 @@ def test_domination_near_boundary_closure_pairs():
         z = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
         u = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
         assert domination_residual(z, u, 1.0 - 1e-3, 0.8) == 0.0
+
+
+def test_a_domination_bound_past_the_float_range_is_refused_naming_alpha():
+    z = 0.5 * np.eye(2, 3)  # K(z, z) = 0.75^(-2 alpha) = 10^(0.25 alpha) stays finite
+    assert domination_residual(z, z, 0.5, 300.0) == 0.0  # 2^600 K is 10^255
+    # 2^800 K is 10^341; at alpha = 1000, 2^2000 alone is past the range
+    for alpha in (400.0, 1000.0):
+        assert np.isfinite(berezin_kernel(z, z, alpha))
+        with pytest.raises(DomainError, match=rf"2\^\(p alpha\) K overflows at alpha = {alpha}"):
+            domination_residual(z, z, 0.5, alpha)
+
+
+def test_kernel_values_and_the_domination_bound_in_range_are_the_plain_expressions():
+    # the overflow checks leave every value in the float range as it was
+    zs = random_ball_point(2, 3, 44, 0.0, 0.9, size=50)
+    us = random_ball_point(2, 3, 45, 0.0, 0.9, size=50)
+    cs = np.random.default_rng(46).uniform(0.0, 1.0, 50)
+    for alpha in (1.5, 50.0):
+        values = berezin_kernel(zs, us, alpha)
+        assert np.array_equal(values, one_minus_pivots(zs, us).prod(axis=0) ** -alpha)
+        lhs = berezin_kernel(cs[:, None, None] * zs, cs[:, None, None] * us, alpha)
+        plain = np.maximum(0.0, lhs - 2.0 ** (2 * alpha) * values)
+        assert np.array_equal(domination_residual(zs, us, cs, alpha), plain)
 
 
 def test_domination_rejects_bad_parameters():

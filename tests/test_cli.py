@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -78,6 +79,44 @@ def test_seed_environment_fallback(capsys, monkeypatch):
     monkeypatch.setenv("BEREZIN_SEED", "1234")
     _, forced = run_cli(capsys, "haar", "so", "--n", "4", "--samples", "3", "--seed", "9")
     assert forced == flag_out
+
+
+def _refused(capsys, *argv):
+    """The one-line message of a call that must exit 3 and print nothing to stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == "", argv
+    assert captured.err.startswith("berezin-lab") and captured.err.count("\n") == 1, argv
+    return captured.err
+
+
+_SEEDED = [
+    ["haar", "so", "--n", "2", "--samples", "1"],
+    ["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "200"],
+    ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _SEEDED, ids=lambda argv: " ".join(argv[:2]))
+def test_a_seed_outside_zero_to_two_to_the_63_exits_three(capsys, argv):
+    # numpy refuses a negative seed, and the Monte Carlo streams would take
+    # -1 as 2**63 - 1 while the report recorded -1
+    for seed in ("-1", str(2**63), "1.5", "abc"):
+        assert "--seed" in _refused(capsys, *argv, "--seed", seed)
+    code, out = run_cli(capsys, *argv, "--seed", str(2**63 - 1))
+    assert code != EXIT_USAGE and json.loads(out)["seed"] == 2**63 - 1
+
+
+def test_a_bad_seed_environment_variable_exits_three(capsys, monkeypatch):
+    argv = ["haar", "so", "--n", "2", "--samples", "1"]
+    for value in ("abc", "-1", str(2**63), ""):
+        monkeypatch.setenv("BEREZIN_SEED", value)
+        assert "InvalidParams: BEREZIN_SEED expects" in _refused(capsys, *argv)
+    # a seedless command reports the seed too, so it reads the variable as well
+    assert "BEREZIN_SEED" in _refused(capsys, "ledger")
+    # --seed is checked instead, and the variable is not read
+    code, out = run_cli(capsys, *argv, "--seed", "3")
+    assert code == EXIT_PASS and json.loads(out)["seed"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +364,31 @@ def test_nan_kernel_evidence_fails(capsys, monkeypatch, sub, name, fake):
     doc = json.loads(out)
     assert doc["observed"] == "nan"
     assert code == EXIT_FAIL and doc["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("sub,alpha,samples,what", [
+    ("gram", "400", "50", "det(1 - z u^t)^-alpha overflows the float range"),
+    ("witness", "200", "50", "det(1 - z u^t)^-alpha overflows the float range"),
+    # inf - inf read as a NaN residual, a false fail
+    ("covariance", "200", "200", "det(1 - z u^t)^-alpha overflows the float range"),
+    # an infinite bound read as a vacuous pass
+    ("domination", "400", "10000", "the domination bound 2^(p alpha) K overflows"),
+    ("domination", "1000", "10000", "det(1 - z u^t)^-alpha overflows the float range"),
+])
+def test_a_kernel_check_past_the_float_range_exits_three_naming_alpha(capsys, sub, alpha,
+                                                                         samples, what):
+    err = _refused(capsys, "kernel", sub, "--p", "2", "--q", "3", "--alpha", alpha,
+                   "--samples", samples, "--seed", "7")
+    assert err == f"berezin-lab: DomainError: {what} at alpha = {float(alpha)}\n"
+
+
+@pytest.mark.parametrize("sub", sorted(KERNEL_ARGV))
+def test_kernel_checks_at_alpha_50_stay_in_range_and_pass(capsys, sub):
+    code, out = run_cli(capsys, "kernel", sub, "--p", "2", "--q", "3", "--alpha", "50",
+                        "--seed", "7")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+    assert math.isfinite(doc["observed"])
 
 
 def test_nan_witness_ratio_fails(capsys, monkeypatch):
@@ -575,6 +639,13 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == EXIT_PASS
     assert out == ""
     assert json.loads(target.read_text())["verdict"] == "pass"
+
+
+def test_out_to_a_missing_directory_exits_three(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    err = _refused(capsys, "haar", "so", "--n", "2", "--samples", "1", "--out", str(target))
+    assert f"cannot write --out {str(target)!r}: No such file or directory" in err
+    assert not target.parent.exists()
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
