@@ -43,6 +43,16 @@ PINNED_ARGVS = [
      "--samples", "20000", "--seed", "7"],
     ["integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0.8",
      "--samples", "20000", "--seed", "6"],
+    # Sp, a larger SO, a one-sided U at infinite variance and a probe above 2 alpha
+    ["integral", "sp", "--n", "3", "--lambda", "1,0.5,0", "--samples", "20000", "--seed", "7"],
+    ["integral", "sp", "--n", "8", "--lambda", "1,0.5,0,0,0,0,0,0", "--samples", "20000",
+     "--seed", "7"],
+    ["integral", "so", "--n", "12", "--lambda", "1,0.5,0,0,0,0,0,0,0,0,0,0", "--samples",
+     "20000", "--seed", "7"],
+    ["integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0", "--samples", "20000",
+     "--seed", "6"],
+    ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.8",
+     "--samples", "20000", "--seed", "4"],
     # reports and tables that are mostly rendering: samples, blocks, rows
     ["haar", "so", "--n", "4", "--samples", "20", "--seed", "7"],
     ["haar", "u", "--n", "2", "--samples", "3", "--seed", "7"],
