@@ -71,7 +71,7 @@ def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
         col /= np.linalg.norm(col, axis=0)
         if step == 2:
             q[j] = col
-            q[j + 1] = _structure_map(col)
+            _structure_map(col, out=q[j + 1])
     return q.transpose(2, 1, 0)
 
 
@@ -130,11 +130,16 @@ def _haar_sp_batch(
     return _gram_schmidt(_complex_normal(gen, (m, 2 * n, size)), step=2)
 
 
-def _structure_map(u: np.ndarray) -> np.ndarray:
-    """S(u) = Jhat conj(u) along the first axis; S pairs quaternionic columns."""
-    out = np.empty_like(u)
-    out[0::2] = -np.conj(u[1::2])
-    out[1::2] = np.conj(u[0::2])
+def _structure_map(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """S(u) = Jhat conj(u) along the first axis; S pairs quaternionic columns.
+
+    Written into ``out`` (a fresh array by default) with no temporaries,
+    which on a block of samples is several times faster than assigning
+    the negated conjugate.
+    """
+    out = np.empty_like(u) if out is None else out
+    np.negative(np.conj(u[1::2], out=out[0::2]), out=out[0::2])
+    np.conj(u[0::2], out=out[1::2])
     return out
 
 
@@ -297,7 +302,7 @@ def eliminate(work: np.ndarray) -> np.ndarray:
 
 
 def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
-    """Pivots of unpivoted elimination on 1 + [g]_k for a stack g, shape (size, k).
+    """Pivots of unpivoted elimination on 1 + [g]_k for a stack g, shape (k, size).
 
     ``k`` counts stored rows (two per quaternionic unit).  The j-th pivot
     is det(1+[g]_j) / det(1+[g]_{j-1}), which is 1 plus the (1, 1) entry of
@@ -306,10 +311,12 @@ def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
     a per-sample elimination, so the pivots are bit for bit the same.  It
     draws nothing: the Gaussian draws behind a seeded estimate are the
     sampler's, and the estimate differs from a per-sample computation only
-    where Q does, at rounding level.  The result is C-contiguous.
+    where Q does, at rounding level.  The result keeps the sample axis
+    last: it is ``eliminate``'s view of that copy's diagonal, whose row j
+    holds pivot j of every sample contiguously.
     """
     work = np.add(mats[:, :k, :k].transpose(1, 2, 0), np.eye(k)[:, :, None], order="C")
-    return np.ascontiguousarray(eliminate(work).T)
+    return eliminate(work)
 
 
 def cube_coords_batch(
@@ -330,8 +337,8 @@ def cube_coords_batch(
     todo = np.arange(size)
     while todo.size:
         piv = corner_pivots(_haar_so_batch(n, todo.size, gen, cols=n - 1), n - 1)
-        ok = np.all(np.abs(piv[:, :-1]) > _SINGULAR_TOL, axis=1)
-        out[todo[ok]] = piv[ok, ::-1] - 1.0
+        ok = np.all(np.abs(piv[:-1]) > _SINGULAR_TOL, axis=0)
+        out[todo[ok]] = piv[::-1, ok].T - 1.0
         todo = todo[~ok]
     return out
 

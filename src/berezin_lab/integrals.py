@@ -23,7 +23,12 @@ sign flip changes column n alone, so the flip is skipped and the corner
 is bit-identical to the full sample's.  Both kernels, the Gram-Schmidt
 sampler and ``corner_pivots``, work with the sample axis last, so each
 elementwise step sweeps a block's 4096 samples: the Gaussian is drawn as
-(columns, d, samples), and the sampler hands back a view of it.
+(columns, d, samples), the sampler hands back a view of it, and the
+pivots come back as (rows, samples).  The evaluation keeps that layout:
+the running log corner determinant and the positivity test go row by
+row, and only the contraction with the exponent vector takes one
+transposed copy.  The U(n) integrand p^a conj(p)^b is formed from log|p|,
+which the redraw test needs anyway, and arg p, with no complex logarithm.
 """
 
 from __future__ import annotations
@@ -259,8 +264,11 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
     samples g = ``sample(count, gen, cols=rows)``, j counting stored rows.
     They telescope: prod_k det(1+[g]_k)^c_k = prod_j p_j^(sum_{k>=j} c_k),
     so every corner-determinant integrand is one exponent vector.  Without
-    ``b`` the powers are taken of |p_j|; with it, of p_j on the principal
-    branch, which is safe because every pivot lies in |p - 1| <= 1.
+    ``b`` the powers are taken of |p_j|; with it, p_j^a conj(p_j)^b is
+    exp((a + b) log|p_j| + i (a - b) arg p_j).  Every pivot lies in the disc
+    |p - 1| <= 1, so arg p_j is in [-pi/2, pi/2] and that is the principal
+    branch.  The pivots are read as ``corner_pivots`` returns them, one row
+    per j with the samples along it.
 
     A pivot raised to the power 0 is exactly 1, so ``rows`` is the last
     j with a_j or b_j nonzero (at least 1) and only pivots 1..rows are
@@ -279,16 +287,30 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
         b = np.asarray(b, dtype=float)[:rows]
 
     def evaluate(mats):
-        piv = corner_pivots(mats, rows)
+        piv = corner_pivots(mats, rows)  # (rows, count), sample axis last
         with np.errstate(divide="ignore"):
             logabs = np.log(np.abs(piv))
-        ok = np.all(np.cumsum(logabs, axis=1) > _LOG_TINY, axis=1)
+        # the running log corner determinant, one row at a time: the same
+        # additions, in the same order, as a cumulative sum per sample
+        total = logabs[0]
+        ok = total > _LOG_TINY
+        for row in logabs[1:]:
+            total = total + row
+            ok &= total > _LOG_TINY
         if not np.iscomplexobj(piv):
-            ok &= np.all(piv > 0, axis=1)
+            ok &= np.all(piv > 0, axis=0)
+
+        def contract(x, c):
+            # (count, rows) @ c, rows of refused samples zeroed: one
+            # transposed copy keeps the matrix-vector product's summation order
+            x = x.T.copy()
+            x[~ok] = 0.0
+            return x @ c
+
         if b is None:
-            return np.exp(np.where(ok[:, None], logabs, 0.0) @ a), ok
-        lg = np.log(np.where(ok[:, None], piv, 1.0))
-        return np.exp(lg @ a + np.conj(lg) @ b), ok
+            return np.exp(contract(logabs, a)), ok
+        # p^a conj(p)^b = exp((a + b) log|p| + i (a - b) arg p)
+        return np.exp(contract(logabs, a + b) + 1j * contract(np.angle(piv), a - b)), ok
 
     def block(gen, count):
         vals, ok = evaluate(sample(count, gen, cols=rows))

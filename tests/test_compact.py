@@ -282,7 +282,7 @@ def test_corner_pivots_are_ratios_of_corner_determinants(field):
     n = 8 if field != QUATERNION else 4
     d = matrix_dim(field, n)
     mats = haar_sample_batch(field, n, 1000, rng)
-    piv = corner_pivots(mats, d)
+    piv = corner_pivots(mats, d).T
     # every pivot is 1 plus a unitary matrix entry; the last one sits on the
     # circle |p - 1| = 1, and rounding grows like 1 / (smallest earlier pivot)
     earlier = np.hstack([np.ones((len(piv), 1)), np.abs(piv[:, :-1])])
@@ -323,9 +323,9 @@ def test_corner_pivots_equal_the_sample_first_elimination_bit_for_bit(field):
     mats[0, 0, 0] = -1.0  # a zero first pivot takes the safe-divisor branch
     for k in (1, 3, d):
         piv = corner_pivots(mats, k)
-        assert piv.shape == (500, k) and piv.flags.c_contiguous
-        assert np.array_equal(piv, _pivots_sample_axis_first(mats, k))
-    assert corner_pivots(mats[:0], d).shape == (0, d)
+        assert piv.shape == (k, 500)
+        assert np.array_equal(piv, _pivots_sample_axis_first(mats, k).T)
+    assert corner_pivots(mats[:0], d).shape == (d, 0)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

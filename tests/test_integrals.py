@@ -331,6 +331,30 @@ def test_corner_power_mc_draws_columns_up_to_the_last_nonzero_exponent(monkeypat
     assert (est.mean, est.stderr, est.n_resamples) == (1.0, 0.0, 0)
 
 
+def _disc_pivots(gen) -> np.ndarray:
+    """Seeded points of the pivot disc |p - 1| <= 1: inside, on the circle and near p = 0."""
+    inside = 1.0 + np.sqrt(gen.uniform(size=100)) * np.exp(1j * gen.uniform(-np.pi, np.pi, 100))
+    circle = 1.0 + np.exp(1j * gen.uniform(-np.pi, np.pi, 30))
+    # |s e^(i phi) - 1| <= 1 iff s <= 2 cos(phi); phi = arccos(s / 2) puts p on the circle
+    s = 10.0 ** gen.uniform(-8.0, -1.0, 30)
+    phi = np.concatenate([gen.uniform(-1.0, 1.0, 20), [1.0] * 5, [-1.0] * 5]) * np.arccos(s / 2)
+    return np.concatenate([inside, circle, s * np.exp(1j * phi)])
+
+
+def test_u_integrand_is_the_principal_power_of_each_pivot():
+    # corner_power_mc forms p^a conj(p)^b as exp((a + b) log|p| + i (a - b) arg p);
+    # two equal samples make the estimate that one value, real and imaginary part
+    pivots = _disc_pivots(np.random.default_rng(41))
+    for a, b in [(1.0, 0.5), (-0.8, 0.3), (0.25, -0.6), (2.5, 1.5), (-0.4, -0.45)]:
+        for p in pivots:
+            g = p - 1.0
+            p = g + 1.0  # the pivot as the elimination forms it
+            est = corner_power_mc(lambda count, gen, cols=None: np.full((count, 1, 1), g), [a],
+                                  2, rng=0, b=[b])
+            want = p**a * np.conj(p) ** b
+            assert abs(complex(est.mean, est.imag_mean) - want) <= 1e-14 * abs(want), (p, a, b)
+
+
 def test_u_mc_matches_one_pass_over_lapack_determinants():
     # integer exponents make every power single-valued: the integrand is
     # det(1+[g]_1) conj(det(1+[g]_2)) det(1+[g]_3)
