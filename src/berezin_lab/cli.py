@@ -170,6 +170,25 @@ def _mc_verdict(args, mc, expected: float, finite_variance: bool,
     return z, PASS if ok else FAIL
 
 
+def _mc_diagnostics(mc, expected: float | None, second_moment: float) -> dict:
+    """A Monte Carlo report's diagnostics: max |value|, redraws and the predicted stderr.
+
+    ``stderr_expected`` is sqrt((E f^2 - expected^2) / N), the standard
+    error the estimate should show, from the second moment ``E f^2``; it
+    is None where nothing is expected or the variance is infinite, which
+    ``variance`` then says.
+    """
+    diagnostics = {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples, "stderr_expected": None}
+    if expected is None:
+        return diagnostics
+    if math.isfinite(second_moment):
+        var = max(0.0, second_moment - expected * expected)
+        diagnostics["stderr_expected"] = math.sqrt(var / mc.n_samples)
+    else:
+        diagnostics["variance"] = "infinite"
+    return diagnostics
+
+
 # ---------------------------------------------------------------------------
 # Commands: each takes args and returns (report fields or None, rows or None)
 # ---------------------------------------------------------------------------
@@ -236,11 +255,8 @@ def cmd_integral(args):
         mc = integrals.sp_integral_mc(n, lam, count, seed)
         second_moment = integrals.sp_second_moment(n, lam)
     inputs["evaluations"] = evaluations
-    inputs["diagnostics"] = {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples}
-    finite_variance = math.isfinite(second_moment)
-    if not finite_variance:
-        inputs["diagnostics"]["variance"] = "infinite"
-    z, verdict = _mc_verdict(args, mc, expected, finite_variance, rel)
+    inputs["diagnostics"] = _mc_diagnostics(mc, expected, second_moment)
+    z, verdict = _mc_verdict(args, mc, expected, math.isfinite(second_moment), rel)
     return {"inputs": inputs, "expected": expected, "observed": mc.mean, "stderr": mc.stderr,
             "z_score": z, "verdict": verdict}, None
 
@@ -291,19 +307,21 @@ def cmd_boundary_probe(args):
     p, q, r, alpha = args.p, args.q, args.r, args.alpha
     threshold = berezin.restriction_threshold(p, q, r)
     mc = berezin.restriction_probe(p, q, r, alpha, args.samples, args.seed)
+    # above the integrability threshold there is nothing to converge to
+    expected = berezin.restriction_closed_form(p, q, r, alpha) if alpha < threshold else None
+    finite_variance = 2 * alpha < threshold  # E f^2 is the closed form at 2 alpha
+    second_moment = (berezin.restriction_closed_form(p, q, r, 2 * alpha) if finite_variance
+                     else math.inf)
     inputs = {"p": p, "q": q, "r": r, "alpha": alpha, "samples": args.samples,
               "threshold": threshold,
-              "diagnostics": {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples}}
+              "diagnostics": _mc_diagnostics(mc, expected, second_moment)}
     fields = {"inputs": inputs, "observed": mc.mean, "stderr": mc.stderr}
-    if alpha >= threshold:
-        # above the integrability threshold there is nothing to converge to
+    if expected is None:
         return {**fields, "expected": None, "verdict": INCONCLUSIVE}, None
-    expected = berezin.restriction_closed_form(p, q, r, alpha)
-    finite_variance = 2 * alpha < threshold  # E f^2 is the closed form at 2 alpha
     rel = None
     if not finite_variance:
         rel = abs(berezin.restriction_quadrature(p, q, r, alpha) - expected) / abs(expected)
-        inputs["diagnostics"].update(variance="infinite", quadrature_rel_diff=rel)
+        inputs["diagnostics"]["quadrature_rel_diff"] = rel
     z, verdict = _mc_verdict(args, mc, expected, finite_variance, rel)
     return {**fields, "expected": expected, "z_score": z, "verdict": verdict}, None
 

@@ -154,13 +154,15 @@ def test_integral_u_and_sp(capsys):
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["expected"] == pytest.approx(2.0)
-    assert doc["inputs"]["diagnostics"] == {"max_abs": pytest.approx(4.0), "n_resamples": 0}
+    # E f^2 = E |p|^4 = 6, so the variance is 6 - 2^2
+    assert doc["inputs"]["diagnostics"] == {"max_abs": pytest.approx(4.0), "n_resamples": 0,
+                                            "stderr_expected": pytest.approx((2 / 40000) ** 0.5)}
     code, out = run_cli(capsys, "integral", "sp", "--n", "1", "--lambda", "2",
                         "--samples", "40000", "--seed", "2")
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["expected"] == pytest.approx(2.0)
-    assert set(doc["inputs"]["diagnostics"]) == {"max_abs", "n_resamples"}
+    assert set(doc["inputs"]["diagnostics"]) == {"max_abs", "n_resamples", "stderr_expected"}
     assert 0 < doc["inputs"]["diagnostics"]["max_abs"] <= 4.0 + 1e-12
 
 
@@ -424,7 +426,8 @@ def test_boundary_probe_above_threshold_is_inconclusive(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "inconclusive"
     assert doc["expected"] is None
-    assert set(doc["inputs"]["diagnostics"]) == {"max_abs", "n_resamples"}
+    assert doc["inputs"]["diagnostics"] == {"max_abs": doc["inputs"]["diagnostics"]["max_abs"],
+                                            "n_resamples": 0, "stderr_expected": None}
 
 
 # The square of an SO integrand is the integrand at doubled exponents, so the
@@ -473,6 +476,42 @@ def test_infinite_variance_without_a_quadrature_is_inconclusive(capsys, argv):
     assert abs(doc["z_score"]) > 3
 
 
+_MC = {
+    "so": ("integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "200000",
+           "--seed", "7"),
+    "so-infinite": ("integral", "so", "--n", "3", "--lambda", "-0.5,0.3,0",
+                    "--samples", "200000", "--seed", "7"),
+    "probe-edge": ("boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0",
+                   "--samples", "100000"),
+    "u-bounded": ("integral", "u", "--n", "1", "--lambda", "-0.8", "--mu", "0.8",
+                  "--samples", "20000", "--seed", "6"),
+    "u": ("integral", "u", "--n", "3", "--lambda", "1,0.5,0", "--mu", "0.5,0,0",
+          "--samples", "20000", "--seed", "7"),
+    "sp": ("integral", "sp", "--n", "3", "--lambda", "1,0.5,0", "--samples", "20000",
+           "--seed", "7"),
+    "sp-infinite": ("integral", "sp", "--n", "1", "--lambda", "-2", "--samples", "20000",
+                    "--seed", "6"),
+}
+
+
+@pytest.mark.parametrize("name", ["so", "u-bounded", "u", "sp"])
+def test_the_observed_stderr_matches_the_one_the_second_moment_predicts(capsys, name):
+    # the README's finite-variance integral, and a bounded U integrand, per field
+    code, out = run_cli(capsys, *_MC[name])
+    doc = json.loads(out)
+    assert code == EXIT_PASS
+    assert doc["stderr"] == pytest.approx(doc["inputs"]["diagnostics"]["stderr_expected"],
+                                          rel=0.1)
+
+
+@pytest.mark.parametrize("name", ["so-infinite", "probe-edge", "sp-infinite"])
+def test_no_stderr_is_predicted_at_infinite_variance(capsys, monkeypatch, name):
+    monkeypatch.delenv("BEREZIN_SEED", raising=False)
+    _, out = run_cli(capsys, *_MC[name])
+    diagnostics = json.loads(out)["inputs"]["diagnostics"]
+    assert diagnostics["variance"] == "infinite" and diagnostics["stderr_expected"] is None
+
+
 def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
     # 2 alpha = 2 < threshold 2.5: no quadrature, and the seeded report is as before
     code, out = run_cli(capsys, "boundary", "probe", "--p", "3", "--q", "6", "--r", "1",
@@ -481,7 +520,8 @@ def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
     assert code == EXIT_PASS
     assert doc["inputs"] == {
         "p": 3, "q": 6, "r": 1, "alpha": 1.0, "samples": 20000, "threshold": 2.5,
-        "diagnostics": {"max_abs": 59.768396555528376, "n_resamples": 0},
+        "diagnostics": {"max_abs": 59.768396555528376, "n_resamples": 0,
+                        "stderr_expected": 0.019002923751652294},
     }
     assert (doc["expected"], doc["observed"], doc["stderr"], doc["z_score"], doc["verdict"]) == (
         1.6666666666666667, 1.658416690799243, 0.014306829746072856, -0.5766459805456398, "pass")
