@@ -2,12 +2,13 @@
 
 Exit codes: 0 for pass or inconclusive, 2 for a verification failure, 3
 for usage or domain errors.  Commands are deterministic under a fixed
-seed, an integer in [0, 2**63); ``BEREZIN_SEED`` supplies the seed when
-``--seed`` is absent and is checked as ``--seed`` is.
+seed, an integer in [0, 2**63); for a command that takes ``--seed``,
+``BEREZIN_SEED`` supplies the seed when the flag is absent and is checked
+as ``--seed`` is.  A command that draws nothing reads neither.
 
 A command only computes: it returns its report's fields and its table
-rows.  ``main`` stamps the report with the command's name, the seed and
-the call's duration, and judges a verdict the command left open by one
+rows.  ``main`` stamps the report with the command's name, the seed (None
+for a seedless command) and the call's duration, and judges a verdict the command left open by one
 rule: pass iff ``observed`` lies in the ``expected`` interval.
 """
 
@@ -125,12 +126,13 @@ def _join_vector_values(argv: list[str]) -> list[str]:
 def _resolve(args: argparse.Namespace) -> None:
     """Settle what parsing leaves open, once, before the command runs.
 
-    The seed falls back to ``BEREZIN_SEED``, refused as ``--seed`` would
-    refuse it, and then ``DEFAULT_SEED``.  ``args.tol`` becomes the row's
+    A command that takes ``--seed`` falls back to ``BEREZIN_SEED``,
+    refused as ``--seed`` would refuse it, and then ``DEFAULT_SEED``; a
+    seedless one has no seed to settle.  ``args.tol`` becomes the row's
     {name: default} with every ``--tol`` applied; a name the row does not
     list is refused.
     """
-    if getattr(args, "seed", None) is None:
+    if "seed" in args and args.seed is None:
         try:
             args.seed = _SEED(os.environ.get("BEREZIN_SEED", str(DEFAULT_SEED)))
         except argparse.ArgumentTypeError as exc:
@@ -568,7 +570,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     report = None
     if fields is not None:
-        report = VerificationReport(args.name, seed=args.seed, **{"duration": duration, **fields})
+        report = VerificationReport(args.name, seed=getattr(args, "seed", None),
+                                    **{"duration": duration, **fields})
         if report.verdict is None:
             report.verdict = PASS if in_interval(report.observed, report.expected) else FAIL
     if rows is not None and (args.format == "csv" or report is None):

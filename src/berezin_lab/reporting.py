@@ -38,7 +38,7 @@ class VerificationReport:
     inputs: dict[str, Any]
     expected: Any
     observed: Any
-    seed: int
+    seed: int | None  # None for a command that draws nothing
     stderr: float | None = None
     z_score: float | None = None
     verdict: str | None = None
@@ -57,7 +57,7 @@ class VerificationReport:
             "z_score": self.z_score,
             "verdict": self.verdict,
             "duration": None if self.duration is None else round(float(self.duration), 6),
-            "seed": int(self.seed),
+            "seed": None if self.seed is None else int(self.seed),
             "version": self.version,
         }
         if out["duration"] is None:

@@ -123,5 +123,5 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    os.environ.pop("BEREZIN_SEED", None)  # the seedless commands report the default seed
+    os.environ.pop("BEREZIN_SEED", None)  # plancherel rank1 reports the default seed
     regenerate()

@@ -112,8 +112,11 @@ def test_a_bad_seed_environment_variable_exits_three(capsys, monkeypatch):
     for value in ("abc", "-1", str(2**63), ""):
         monkeypatch.setenv("BEREZIN_SEED", value)
         assert "InvalidParams: BEREZIN_SEED expects" in _refused(capsys, *argv)
-    # a seedless command reports the seed too, so it reads the variable as well
-    assert "BEREZIN_SEED" in _refused(capsys, "ledger")
+    # a seedless command does not read the variable, and its report records no seed
+    assert main(["ledger"]) == EXIT_PASS and capsys.readouterr().err == ""
+    code, out = run_cli(capsys, "plancherel", "degeneration", "--p", "3", "--q", "7",
+                        "--alpha", "-2")
+    assert code == EXIT_PASS and json.loads(out)["seed"] is None
     # --seed is checked instead, and the variable is not read
     code, out = run_cli(capsys, *argv, "--seed", "3")
     assert code == EXIT_PASS and json.loads(out)["seed"] == 3
@@ -707,8 +710,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys,
     assert (seen[0].tol, seen[0].format, seen[0].out) == (
         {"z": 5.0, "rel": 1e-8}, "csv", str(target))
     assert (seen[1].tol, seen[1].format, seen[1].out) == ({}, "json", None)
-    # the seed is resolved for every command, from the default without --seed
-    assert (seen[0].seed, seen[1].seed) == (1, cli.DEFAULT_SEED)
+    # the seed is resolved only for a command that takes --seed
+    assert seen[0].seed == 1 and "seed" not in seen[1]
+    code, _ = run_cli(capsys, *probe[:-2])
+    assert code == EXIT_PASS and seen[2].seed == cli.DEFAULT_SEED
     assert cli._build_parser() is cli._build_parser()
 
 
