@@ -71,7 +71,7 @@ def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
         col /= np.linalg.norm(col, axis=0)
         if step == 2:
             q[j] = col
-            _structure_map(col, out=q[j + 1])
+            _structure_map(col, q[j + 1])
     return q.transpose(2, 1, 0)
 
 
@@ -130,14 +130,12 @@ def _haar_sp_batch(
     return _gram_schmidt(_complex_normal(gen, (m, 2 * n, size)), step=2)
 
 
-def _structure_map(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """S(u) = Jhat conj(u) along the first axis; S pairs quaternionic columns.
+def _structure_map(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """S(u) = Jhat conj(u) along the first axis, into ``out``; S pairs quaternionic columns.
 
-    Written into ``out`` (a fresh array by default) with no temporaries,
-    which on a block of samples is several times faster than assigning
-    the negated conjugate.
+    Writing in place makes no temporaries, which on a block of samples is
+    several times faster than assigning the negated conjugate.
     """
-    out = np.empty_like(u) if out is None else out
     np.negative(np.conj(u[1::2], out=out[0::2]), out=out[0::2])
     np.conj(u[0::2], out=out[1::2])
     return out

@@ -98,7 +98,8 @@ def _paired(drawn):
     size, d, m = drawn.shape
     full = np.empty((size, d, d), dtype=complex)
     full[:, :, 0::2] = drawn
-    full[:, :, 1::2] = np.moveaxis(_structure_map(np.moveaxis(drawn, 1, 0)), 0, 1)
+    rows_first = np.moveaxis(drawn, 1, 0)
+    full[:, :, 1::2] = np.moveaxis(_structure_map(rows_first, np.empty_like(rows_first)), 0, 1)
     return full
 
 
