@@ -8,8 +8,9 @@ as ``--seed`` is.  A command that draws nothing reads neither.
 
 A command only computes: it returns its report's fields and its table
 rows.  ``main`` stamps the report with the command's name, the seed (None
-for a seedless command) and the call's duration, and judges a verdict the command left open by one
-rule: pass iff ``observed`` lies in the ``expected`` interval.
+for a seedless command) and the call's duration, and judges a verdict the
+command left open by one rule: pass iff ``observed`` lies in the
+``expected`` interval.
 """
 
 from __future__ import annotations

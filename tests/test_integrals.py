@@ -400,6 +400,25 @@ def test_corner_power_mc_redraws_degenerate_samples():
     assert np.isfinite(est.mean) and 0 < est.max_abs <= 2.0**1.5
 
 
+@pytest.mark.parametrize("field,bad", [
+    # pivots (1, 0, 1): only the running log corner determinant through
+    # pivot 2 sees it, since complex pivots have no sign test
+    (COMPLEX, np.diag([0.0, -1.0, 0.0])),
+    # pivots (1, -0.5, 1): every log is finite, only the sign test sees it
+    (REAL, np.diag([0.0, -1.5, 0.0])),
+], ids=["zero-complex", "negative-real"])
+def test_corner_power_mc_redraws_what_only_a_later_pivot_shows(field, bad):
+    def sample(count, gen, cols=None):
+        mats = haar_sample_batch(field, 3, count, gen)
+        if count == 4096:
+            mats[::2] = bad
+        return mats
+
+    est = corner_power_mc(sample, [1.0, 0.5], 4096, rng=5)
+    assert est.n_resamples == 2048
+    assert np.isfinite(est.mean) and 0 < est.max_abs <= 2.0**1.5
+
+
 def test_corner_power_mc_does_not_redraw_for_a_pivot_it_does_not_read():
     # diag(1, 1, -1) has pivots (2, 2, 0); pivot 3 is raised to the power 0,
     # which is exactly 1, so the redraw rule does not look at it
