@@ -88,6 +88,9 @@ PINNED_ARGVS = [
     ["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "20000", "--seed", "7",
      "--format", "csv"],
     ["plancherel", "degeneration", "--p", "3", "--q", "7", "--alpha", "-2", "--format", "csv"],
+    # the spectral workload's remaining plancherel argvs
+    ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3"],
+    ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "2000"],
 ]
 
 
