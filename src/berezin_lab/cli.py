@@ -338,9 +338,11 @@ def cmd_plancherel_blocks(args):
 
 
 def cmd_plancherel_weight(args):
-    """The continuous weight on ``--samples`` points of s_1; each must be finite and >= 0.
+    """The continuous weight on ``--samples`` points of s_1; each must be >= 0.
 
-    The grid's rows are built only for CSV, the one format that emits them.
+    A weight past the float range is +-inf with W's sign, and judged by it;
+    a NaN weight makes ``observed`` NaN, which fails.  The grid's rows are
+    built only for CSV, the one format that emits them.
     """
     from . import plancherel
 
@@ -353,7 +355,7 @@ def cmd_plancherel_weight(args):
     rows = None
     if args.format == "csv":
         rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
-    worst = min(0.0, float(np.min(weights))) if np.all(np.isfinite(weights)) else float("nan")
+    worst = float("nan") if np.isnan(weights).any() else min(0.0, float(np.min(weights)))
     inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": count, "s_rest": rest}
     return {"inputs": inputs, "expected": [-1e-12, None], "observed": worst}, rows
 

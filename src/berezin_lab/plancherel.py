@@ -15,19 +15,27 @@ array of same-rank labels and Q_o on one label, a (1, r) row; W works on
 an (N, p) array of points, each factor one array operation.  W, Q_o and
 the unitary Q are products of one primitive, |Gamma(x0 + i rate s)|^2,
 which takes the s = 0 limit itself, so a coordinate at s = 0 runs the
-same code as any other; a net pole raises PoleOnContour.  Q stays one
-block at a time, assembled factor by factor as the independent side of
-the r = 0 check against W, and comes back as a 0-d GammaValue, so a Q
-past the float range keeps its logarithm.
+same code as any other; a net pole raises PoleOnContour.  The primitive
+is numpy: the recurrence shifts x0 up until Re >= 8, where Stirling's
+series takes over.  W's c-function ratio |Gamma((q-p)/2 + i s)|^2 /
+|Gamma(i s)|^2 is elementary, since q - p is an integer: a polynomial in
+s^2, times s tanh(pi s) for odd q - p.  Q_o keeps that ratio's Gamma form,
+so the r = 0 check compares two routes to it.  Q stays one block at a
+time, assembled factor by factor as the independent side of that check.
+W, like Q, multiplies its pair factors into the GammaValue before leaving
+it, so a W or a Q past the float range keeps its sign and logarithm: W
+comes back as +-inf, Q as a 0-d GammaValue.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import comb, log, pi
+from functools import reduce
+from math import ceil, comb, log, pi
 
 import numpy as np
-from scipy.special import gammaln, loggamma, roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from .errors import InvalidParams, OracleNotConverged, PoleOnContour
 from .gammaval import (  # perfbench/layers.py counts calls through every one of these names
@@ -120,8 +128,68 @@ def _compositions(total: int, parts: int):
 
 
 # ---------------------------------------------------------------------------
-# Squared Gamma moduli (the one primitive of W and Q)
+# Squared Gamma moduli (the one primitive of W and Q) and W's c-function ratio
 # ---------------------------------------------------------------------------
+
+
+# Stirling's series for log Gamma(z) holds to below 1e-16 once Re z >= 8:
+# its terms are B_2k / (2k (2k - 1) z^(2k-1)) for k = 1..8, through B_16.
+_STIRLING_MIN_X = 8.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+_HALF_LOG_2PI = 0.5 * log(2.0 * pi)
+# Factors (x + k)^2 + y^2 multiplied before one log is taken of their product
+_LOG_GROUP = 8
+# Below this x the reflection formula replaces the shift, whose cost grows with -x
+_REFLECT_BELOW = -100.0
+
+
+def _log_rising_sq(x, y, n: int):
+    """log |(x + i y)_n|^2 = sum over k < n of log((x + k)^2 + y^2), one log per 8 factors."""
+    y2 = y * y
+    total = 0.0
+    for start in range(0, n, _LOG_GROUP):
+        prod = 1.0
+        for k in range(start, min(start + _LOG_GROUP, n)):
+            prod = prod * ((x + k) ** 2 + y2)
+        total = total + np.log(prod)
+    return total
+
+
+def _log_abs_gamma(x, y) -> np.ndarray:
+    """log |Gamma(x + i y)| at every broadcast entry, for y off 0.
+
+    The recurrence shifts x up by n, the count the smallest x needs to
+    reach Re >= 8, and Stirling's series through B_16 takes over there.
+    An x below -100 is reflected first, so n stays below 109.  At one x it
+    agrees with SciPy's loggamma to 1e-14 max(1, |value|) for y in
+    [1e-8, 60], apart from about one ulp of |z| log|z| where the value
+    crosses 0 at large |z|; an entry above the smallest x adds one rounded
+    factor per extra shift.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.min(x, initial=0.0) < _REFLECT_BELOW:
+        # |Gamma(z)| = pi / (|sin(pi z)| |Gamma(1 - z)|), and |Gamma(1 - z)| = |Gamma(1 - x + i y)|
+        reflect = x < _REFLECT_BELOW
+        far = _log_abs_gamma(np.where(reflect, 1.0 - x, x), y)
+        return np.where(reflect, log(pi) - _log_abs_sin_pi(x, y) - far, far)
+    n = ceil(_STIRLING_MIN_X - np.min(x, initial=_STIRLING_MIN_X))
+    xn = x + n
+    inv = 1.0 / (xn + 1j * y)
+    inv2 = inv * inv
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * inv2 + c
+    stirling = ((xn - 0.5) * (0.5 * np.log(xn * xn + y * y)) - y * np.arctan2(y, xn) - xn
+                + _HALF_LOG_2PI + np.real(series * inv))
+    return stirling - 0.5 * _log_rising_sq(x, y, n)
+
+
+def _log_abs_sin_pi(x, y):
+    """log |sin(pi (x + i y))| for y off 0, from sin^2(pi x) + sinh^2(pi y) scaled by e^(-2 pi |y|)."""
+    a = 2.0 * pi * np.abs(y)
+    sin = np.sin(pi * (x - np.rint(x)))
+    return 0.5 * a - log(2.0) + 0.5 * np.log(4.0 * sin * sin * np.exp(-a) + np.expm1(-a) ** 2)
 
 
 def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
@@ -136,7 +204,7 @@ def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
     s = np.asarray(s, dtype=float)
     at_zero = np.abs(s) <= _ZERO_TOL
     z = np.where(at_zero, 1.0, s)  # placeholder at s = 0, where the limit takes over
-    off = 2.0 * np.real(loggamma(x0 + 1j * rate * z))
+    off = 2.0 * _log_abs_gamma(x0, rate * z)
     limit = gamma_value(x0)
     limit_log = 2.0 * limit.log_abs - 2.0 * np.log(abs(rate)) * limit.is_pole
     return GammaValue(
@@ -144,6 +212,38 @@ def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
         np.ones(off.shape, dtype=np.int64),
         np.where(at_zero, 2 * limit.order, 0),
     )
+
+
+def _c_ratio(d: int, s) -> GammaValue:
+    """|Gamma(d/2 + i s)|^2 / |Gamma(i s)|^2 at every s for an integer d >= 1, as a GammaValue.
+
+    By the reflection formulas it is elementary: prod_{k < d/2} (k^2 + s^2)
+    for even d and s tanh(pi s) prod_{k < (d-1)/2} ((k + 1/2)^2 + s^2) for
+    odd d.  At s = 0 both have the second-order zero s^2 Gamma(d/2)^2, that
+    is s^2 (d/2 - 1)!^2 and s^2 pi prod (k + 1/2)^2, the limit
+    ``_abs_gamma_sq`` gives the Gamma form.
+    """
+    s = np.asarray(s, dtype=float)
+    at_zero = np.abs(s) <= _ZERO_TOL
+    z = np.where(at_zero, 1.0, s)  # placeholder at s = 0, where the limit takes over
+    if d % 2:
+        off = np.log(z * np.tanh(pi * z)) + _log_rising_sq(0.5, z, (d - 1) // 2)
+    else:
+        off = np.log(z * z) + _log_rising_sq(1.0, z, d // 2 - 1)
+    return GammaValue(
+        np.where(at_zero, 2.0 * gammaln(d / 2.0), off),
+        np.ones(s.shape, dtype=np.int64),
+        np.where(at_zero, -2, 0),
+    )
+
+
+def _row_product(value: GammaValue) -> GammaValue:
+    """The product along the last axis, one column after another.
+
+    A row's product then takes the same additions whether it is one row or
+    one of a stack, which a pairwise ``sum`` over more than 8 columns does not.
+    """
+    return reduce(operator.mul, (value[..., j] for j in range(value.log_abs.shape[-1])))
 
 
 def _pole_checked(value: GammaValue) -> GammaValue:
@@ -156,8 +256,8 @@ def _pole_checked(value: GammaValue) -> GammaValue:
 def _pair_factors(s: np.ndarray) -> np.ndarray:
     """One factor per pair k < l of the last axis.
 
-    (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2): W takes
-    their float product, Q their product as a GammaValue.
+    (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2): W and Q
+    take their product as a GammaValue.
     """
     k, l = np.triu_indices(s.shape[-1], 1)
     sk, sl = s[..., k], s[..., l]
@@ -173,12 +273,15 @@ def continuous_weight_o(params: PlancherelParams, s):
     """The spectral weight W(s) over p real parameters, orthogonal case.
 
     Per coordinate: |Gamma((alpha - (p+q)/2 + 1 + i s)/2)|^2 times, when
-    q > p, the ratio |Gamma((q-p)/2 + i s)|^2 / |Gamma(i s)|^2 (for q = p
-    the ratio cancels identically); pairs contribute
-    (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2).
+    q > p, the ratio |Gamma((q-p)/2 + i s)|^2 / |Gamma(i s)|^2 in its
+    elementary form (for q = p the ratio cancels identically); pairs
+    contribute (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2).
     ``s`` is one point of shape (p,), giving a float, or an (N, p) stack,
-    giving an array of N weights.  Coordinates at s = 0 are evaluated as
-    limits: net zeros give an exact zero, net poles raise PoleOnContour.
+    giving an array of N weights, each a point's value bit for bit.
+    Coordinates at s = 0 are evaluated as limits: net zeros give an exact
+    zero, net poles of the Gamma factors raise PoleOnContour.  The product
+    is exponentiated last, so a W past the float range is inf and a zero
+    pair factor still gives 0.0.
     """
     p, q, alpha = params.p, params.q, params.alpha
     s = np.asarray(s, dtype=float)
@@ -187,9 +290,12 @@ def continuous_weight_o(params: PlancherelParams, s):
     points = s.reshape(-1, p)
     factors = _abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
     if q > p:
-        ratio = _abs_gamma_sq((q - p) / 2.0, 1.0, points) / _abs_gamma_sq(0.0, 1.0, points)
-        factors = factors * ratio
-    weights = _pole_checked(factors.prod(axis=1)).to_float() * _pair_factors(points).prod(axis=1)
+        factors = factors * _c_ratio(q - p, points)
+    value = _pole_checked(_row_product(factors))
+    if p > 1:
+        value = value * _row_product(from_real(_pair_factors(points)))
+    with np.errstate(over="ignore"):  # past the float range W is +-inf, its sign kept
+        weights = value.to_float()
     return weights if s.ndim == 2 else float(weights[0])
 
 

@@ -91,6 +91,9 @@ PINNED_ARGVS = [
     # the spectral workload's remaining plancherel argvs
     ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3"],
     ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "2000"],
+    # a weight past the float range, kept as +inf, and two exact zeros
+    ["plancherel", "weight", "--p", "20", "--q", "20", "--alpha", "400", "--samples", "3",
+     "--format", "csv"],
 ]
 
 

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -560,18 +561,36 @@ def test_plancherel_weight_grid(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
-def test_plancherel_weight_fails_on_non_finite_weights(capsys):
-    # W overflows at (20, 20, 400): the grid reads inf, nan, nan, which is no evidence
+def test_plancherel_weight_judges_overflowed_weights_by_their_sign(capsys):
+    # W overflows at (20, 20, 400) where s_1 = 0, and s_1 = 5, 10 meet a fixed coordinate,
+    # whose zero pair factor makes W an exact zero however large the Gamma factors are
     argv = ("plancherel", "weight", "--p", "20", "--q", "20", "--alpha", "400", "--samples", "3")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code, out = run_cli(capsys, *argv, "--format", "csv")
-    assert code == EXIT_FAIL
-    assert out.splitlines() == ["s,weight", "0.0,inf", "5.0,nan", "10.0,nan"]
-    with pytest.warns(RuntimeWarning):
+        assert code == EXIT_PASS
+        assert out.splitlines() == ["s,weight", "0.0,inf", "5.0,0.0", "10.0,0.0"]
         code, out = run_cli(capsys, *argv)
     doc = json.loads(out)
-    assert code == EXIT_FAIL
-    assert (doc["verdict"], doc["observed"]) == ("fail", "nan")
+    assert code == EXIT_PASS
+    assert (doc["verdict"], doc["observed"]) == ("pass", 0.0)
+
+
+@pytest.mark.parametrize("weights,observed,verdict", [
+    ([np.inf, 0.0, 2.0], 0.0, "pass"),
+    ([np.inf, -np.inf, 2.0], "-inf", "fail"),
+    ([np.inf, np.nan, 2.0], "nan", "fail"),
+])
+def test_plancherel_weight_judges_infinities_by_sign_and_fails_nan(
+        capsys, monkeypatch, weights, observed, verdict):
+    from berezin_lab import plancherel
+
+    monkeypatch.setattr(plancherel, "continuous_weight_o", lambda params, s: np.array(weights))
+    code, out = run_cli(capsys, "plancherel", "weight", "--p", "2", "--q", "5", "--alpha", "2.5",
+                        "--samples", "3")
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["observed"]) == (verdict, observed)
+    assert code == (EXIT_PASS if verdict == "pass" else EXIT_FAIL)
 
 
 def test_plancherel_degeneration(capsys):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -156,6 +157,123 @@ def test_weight_equal_rank_case_runs():
     # q = p drops the Gamma-ratio factor entirely
     params = PlancherelParams(2, 2, 2.0)
     assert continuous_weight_o(params, [0.9, 0.4]) > 0.0
+
+
+def test_weight_keeps_its_logarithm_through_the_pair_factors():
+    # (2, 2, 119): the Gamma factors alone pass the float range, W does not
+    s = np.array([1.0, 1.001])
+    log_gamma = 2 * loggamma(59.0 + 0.5j * s).real.sum()
+    pair = (s[0] ** 2 - s[1] ** 2) * math.tanh(math.pi * (s[0] - s[1]) / 2) * math.tanh(
+        math.pi * (s[0] + s[1]) / 2
+    )
+    assert log_gamma > math.log(np.finfo(float).max)
+    w = continuous_weight_o(PlancherelParams(2, 2, 119.0), s)
+    assert math.log(w) == pytest.approx(log_gamma + math.log(pair), rel=1e-14)
+    # (20, 20, 400): an overflowing W is +inf, and a zero pair factor still gives 0.0
+    grid = np.column_stack([[0.0, 5.0, 10.0], np.tile(np.arange(2.0, 21.0), (3, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        weights = continuous_weight_o(PlancherelParams(20, 20, 400.0), grid)
+    assert weights.tolist() == [math.inf, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# The two primitives of W against SciPy
+# ---------------------------------------------------------------------------
+
+
+def _near_poles(rng, size):
+    """x within 1e-9 of a nonpositive integer down to -110, exactly on it included."""
+    n = rng.integers(0, 111, size).astype(float)
+    return -n + rng.choice([0.0, 1e-9, -1e-9, 3e-10], size)
+
+
+def test_log_abs_gamma_matches_scipy_at_each_x():
+    # one x per call, as W's coordinates take it, and 25 y on a log scale per x
+    rng = np.random.default_rng(26)
+    xs = np.concatenate([rng.uniform(-110.0, 210.0, 400), _near_poles(rng, 200)])
+    worst = 0.0
+    for x in xs:
+        y = 10.0 ** rng.uniform(-8.0, np.log10(60.0), 25)
+        ref = loggamma(x + 1j * y).real
+        err = np.abs(plancherel._log_abs_gamma(x, y) - ref) / np.maximum(1.0, np.abs(ref))
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-14
+
+
+def test_log_abs_gamma_reflects_far_below_zero():
+    # below x = -100 the reflection formula replaces the shift, whose count would grow with -x
+    rng = np.random.default_rng(27)
+    for lo in (-130.0, -1e4, -1e6, -1e12):
+        xs = rng.uniform(lo, -100.0, 100)
+        xs = np.concatenate([xs, np.round(xs[:40]) + rng.choice([0.0, 1e-9, -1e-9], 40)])
+        for x in xs:
+            y = 10.0 ** rng.uniform(-8.0, np.log10(60.0), 25)
+            ref = loggamma(x + 1j * y).real
+            assert np.all(np.abs(plancherel._log_abs_gamma(x, y) - ref)
+                          <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    # an array across the cut: each side by its own route
+    x = np.array([-1e9 + 0.25, -100.5, -99.5, -90.25])
+    y = np.array([[1e-8], [0.7], [60.0]])
+    ref = loggamma(x + 1j * y).real
+    assert np.all(np.abs(plancherel._log_abs_gamma(x, y) - ref)
+                  <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+def _terms_gate(z, ref):
+    """1e-14 relative, plus one ulp of Stirling's largest term, |z| log|z|.
+
+    Where log|Gamma| crosses 0 at large |z| those terms cancel, and both
+    SciPy and the numpy series are off the exact value by about that ulp:
+    at z = 23.3 + 60i, where log|Gamma| = 0.548, by 1.3e-14 and 1.5e-14.
+    """
+    size = np.abs(z)
+    return 1e-14 * np.maximum(1.0, np.abs(ref)) + np.finfo(float).eps * size * np.log1p(size)
+
+
+def test_log_abs_gamma_matches_scipy_on_a_grid_and_on_label_columns():
+    y = np.geomspace(1e-8, 60.0, 40)[:, None]
+    x = np.concatenate([np.linspace(-110.0, 210.0, 641), -np.arange(111.0) + 1e-9])
+    for xk in x:
+        z = xk + 1j * y
+        ref = loggamma(z).real
+        assert np.all(np.abs(plancherel._log_abs_gamma(xk, y) - ref) <= _terms_gate(z, ref))
+    # an array of x, as Q's per-label columns: every entry is shifted by the smallest x's
+    # count, so an entry up to 11 above it sums up to 11 more rounded logs, 2e-14 at most
+    for c in np.linspace(-30.0, 30.0, 61):
+        cols = c + np.arange(12.0)
+        z = cols + 1j * y
+        ref = loggamma(z).real
+        got = plancherel._log_abs_gamma(cols, y)
+        assert got.shape == (40, 12)
+        assert np.all(np.abs(got - ref) <= _terms_gate(z, ref) + 2e-14)
+
+
+def test_c_ratio_matches_scipy_for_every_d():
+    # |Gamma(i s)| through Gamma(1 + i s) = i s Gamma(i s): SciPy's loggamma at i s itself
+    # is off by up to 2e-14 near s = 1, which the elementary form is not
+    rng = np.random.default_rng(26)
+    for d in range(1, 41):
+        s = np.concatenate([10.0 ** rng.uniform(-6.0, np.log10(50.0), 500),
+                            np.geomspace(1e-6, 50.0, 200)])
+        ref = 2 * loggamma(d / 2 + 1j * s).real - 2 * loggamma(1 + 1j * s).real + 2 * np.log(s)
+        value = plancherel._c_ratio(d, s)
+        assert np.all(value.order == 0) and np.all(value.sign == 1)
+        assert np.all(np.abs(value.log_abs - ref) <= 2e-14 * np.maximum(1.0, np.abs(ref))), d
+
+
+def test_c_ratio_has_the_gamma_form_limit_at_zero():
+    s = np.array([0.0, 1e-13, -1e-12, 0.5])
+    for d in range(1, 41):
+        value = plancherel._c_ratio(d, s)
+        gamma_form = plancherel._abs_gamma_sq(d / 2, 1.0, s) / plancherel._abs_gamma_sq(0.0, 1.0, s)
+        assert value.order.tolist() == [-2, -2, -2, 0]
+        assert np.array_equal(value.order, gamma_form.order)
+        assert np.array_equal(value.log_abs[:3], gamma_form.log_abs[:3])
+        # the coefficient of s^2: (d/2 - 1)!^2 for even d, pi prod_{k < (d-1)/2} (k + 1/2)^2 for odd d
+        coeff = math.factorial(d // 2 - 1) ** 2 if d % 2 == 0 else math.pi * math.prod(
+            (k + 0.5) ** 2 for k in range((d - 1) // 2))
+        assert value.log_abs[0] == pytest.approx(math.log(coeff), rel=1e-14, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
