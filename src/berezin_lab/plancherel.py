@@ -186,7 +186,11 @@ def _log_abs_gamma(x, y) -> np.ndarray:
 
 
 def _log_abs_sin_pi(x, y):
-    """log |sin(pi (x + i y))| for y off 0, from sin^2(pi x) + sinh^2(pi y) scaled by e^(-2 pi |y|)."""
+    """log |sin(pi (x + i y))| for y off 0.
+
+    |sin|^2 = sin^2(pi x) + sinh^2(pi y), scaled by e^(-2 pi |y|) so that a
+    large |y| does not overflow; x is first reduced to [-1/2, 1/2].
+    """
     a = 2.0 * pi * np.abs(y)
     sin = np.sin(pi * (x - np.rint(x)))
     return 0.5 * a - log(2.0) + 0.5 * np.log(4.0 * sin * sin * np.exp(-a) + np.expm1(-a) ** 2)
@@ -287,6 +291,8 @@ def continuous_weight_o(params: PlancherelParams, s):
     s = np.asarray(s, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] != p:
         raise InvalidParams(f"need {p} spectral parameters per point, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise InvalidParams("spectral parameters must be finite")
     points = s.reshape(-1, p)
     factors = _abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
     if q > p:

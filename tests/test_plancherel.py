@@ -266,11 +266,13 @@ def test_c_ratio_has_the_gamma_form_limit_at_zero():
     s = np.array([0.0, 1e-13, -1e-12, 0.5])
     for d in range(1, 41):
         value = plancherel._c_ratio(d, s)
-        gamma_form = plancherel._abs_gamma_sq(d / 2, 1.0, s) / plancherel._abs_gamma_sq(0.0, 1.0, s)
+        gamma_form = (plancherel._abs_gamma_sq(d / 2, 1.0, s)
+                      / plancherel._abs_gamma_sq(0.0, 1.0, s))
         assert value.order.tolist() == [-2, -2, -2, 0]
         assert np.array_equal(value.order, gamma_form.order)
         assert np.array_equal(value.log_abs[:3], gamma_form.log_abs[:3])
-        # the coefficient of s^2: (d/2 - 1)!^2 for even d, pi prod_{k < (d-1)/2} (k + 1/2)^2 for odd d
+        # the coefficient of s^2: (d/2 - 1)!^2 for even d,
+        # pi prod_{k < (d-1)/2} (k + 1/2)^2 for odd d
         coeff = math.factorial(d // 2 - 1) ** 2 if d % 2 == 0 else math.pi * math.prod(
             (k + 0.5) ** 2 for k in range((d - 1) // 2))
         assert value.log_abs[0] == pytest.approx(math.log(coeff), rel=1e-14, abs=1e-15)
@@ -641,6 +643,12 @@ def test_stacked_weight_exact_zero_and_pole_rows():
         _reference_weight(params, [0.0, 1.1])
     with pytest.raises(InvalidParams):
         continuous_weight_o(params, np.zeros((3, 3)))
+    # a non-finite coordinate is refused at every p, not turned into NaN
+    for bad in ([[np.inf, 1.0]], [[0.5, np.nan]]):
+        with pytest.raises(InvalidParams, match="finite"):
+            continuous_weight_o(params, bad)
+    with pytest.raises(InvalidParams, match="finite"):
+        continuous_weight_o(PlancherelParams(1, 3, 2.0), [np.inf])
 
 
 @pytest.mark.parametrize("p,q,alpha", _CV_SWEEP + [(3, 3, -4.0), (2, 2, -2.0)])
