@@ -162,7 +162,7 @@ def _log_abs_gamma(x, y) -> np.ndarray:
     The recurrence shifts x up by n, the count the smallest x needs to
     reach Re >= 8, and Stirling's series through B_16 takes over there.
     An x below -100 is reflected first, so n stays below 109.  At one x it
-    agrees with SciPy's loggamma to 1e-14 max(1, |value|) for y in
+    agrees with SciPy's complex log Gamma to 1e-14 max(1, |value|) for y in
     [1e-8, 60], apart from about one ulp of |z| log|z| where the value
     crosses 0 at large |z|; an entry above the smallest x adds one rounded
     factor per extra shift.
