@@ -94,6 +94,10 @@ PINNED_ARGVS = [
     # a weight past the float range, kept as +inf, and two exact zeros
     ["plancherel", "weight", "--p", "20", "--q", "20", "--alpha", "400", "--samples", "3",
      "--format", "csv"],
+    # the spectral workload's half-integer degeneration, and two q = p degenerations that fail
+    ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-2.5"],
+    ["plancherel", "degeneration", "--p", "3", "--q", "3", "--alpha", "-4"],
+    ["plancherel", "degeneration", "--p", "2", "--q", "2", "--alpha", "-2"],
 ]
 
 
