@@ -7,7 +7,9 @@ w_j = u_1 + ... + u_j + j/2; each block carries a combinatorial factor C,
 a Gamma-product factor V and a residual continuous density Q over the
 remaining p - r spectral variables.  All Gamma products run through the
 pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
-order bookkeeping; the Pochhammer factors of C and V are Gamma ratios too.
+order bookkeeping.  Every Gamma argument of C and V is a half-integer
+step from 0, alpha or -alpha, so a stack of labels reads them from one
+Gamma table per lattice, a Pochhammer symbol (a)_u as Gamma(a + u)/Gamma(a).
 
 A block label is a tuple u from ``surviving_blocks``, its rank r being
 len(u) and its w the ``partial_sums`` of u.  C and V work on an (N, r)
@@ -32,7 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil, comb, log, pi
+from math import comb, log, pi
 
 import numpy as np
 from scipy.special import gammaln, roots_jacobi
@@ -144,14 +146,22 @@ _LOG_GROUP = 8
 _REFLECT_BELOW = -100.0
 
 
-def _log_rising_sq(x, y, n: int):
-    """log |(x + i y)_n|^2 = sum over k < n of log((x + k)^2 + y^2), one log per 8 factors."""
+def _log_rising_sq(x, y, n):
+    """log |(x + i y)_n|^2 = sum over k < n of log((x + k)^2 + y^2), one log per 8 factors.
+
+    n is one count or one per entry of x.  The factors below the smallest
+    count apply to every entry, the others only where k < n, so each entry
+    takes the same operations as it would alone.
+    """
     y2 = y * y
+    top = int(np.max(n, initial=0))
+    common = int(np.min(n, initial=top))
     total = 0.0
-    for start in range(0, n, _LOG_GROUP):
+    for start in range(0, top, _LOG_GROUP):
         prod = 1.0
-        for k in range(start, min(start + _LOG_GROUP, n)):
-            prod = prod * ((x + k) ** 2 + y2)
+        for k in range(start, min(start + _LOG_GROUP, top)):
+            factor = (x + k) ** 2 + y2
+            prod = prod * (factor if k < common else np.where(k < n, factor, 1.0))
         total = total + np.log(prod)
     return total
 
@@ -159,13 +169,12 @@ def _log_rising_sq(x, y, n: int):
 def _log_abs_gamma(x, y) -> np.ndarray:
     """log |Gamma(x + i y)| at every broadcast entry, for y off 0.
 
-    The recurrence shifts x up by n, the count the smallest x needs to
-    reach Re >= 8, and Stirling's series through B_16 takes over there.
-    An x below -100 is reflected first, so n stays below 109.  At one x it
-    agrees with SciPy's complex log Gamma to 1e-14 max(1, |value|) for y in
-    [1e-8, 60], apart from about one ulp of |z| log|z| where the value
-    crosses 0 at large |z|; an entry above the smallest x adds one rounded
-    factor per extra shift.
+    The recurrence shifts each x up by n, the count it needs to reach
+    Re >= 8, and Stirling's series through B_16 takes over there.  An x
+    below -100 is reflected first, so n stays below 109.  Each entry of an
+    array of x gets the bits it gets alone.  It agrees with SciPy's complex
+    log Gamma to 1e-14 max(1, |value|) for y in [1e-8, 60], apart from
+    about one ulp of |z| log|z| where the value crosses 0 at large |z|.
     """
     x = np.asarray(x, dtype=float)
     if np.min(x, initial=0.0) < _REFLECT_BELOW:
@@ -173,7 +182,7 @@ def _log_abs_gamma(x, y) -> np.ndarray:
         reflect = x < _REFLECT_BELOW
         far = _log_abs_gamma(np.where(reflect, 1.0 - x, x), y)
         return np.where(reflect, log(pi) - _log_abs_sin_pi(x, y) - far, far)
-    n = ceil(_STIRLING_MIN_X - np.min(x, initial=_STIRLING_MIN_X))
+    n = np.maximum(np.ceil(_STIRLING_MIN_X - x), 0.0)
     xn = x + n
     inv = 1.0 / (xn + 1j * y)
     inv2 = inv * inv
@@ -310,12 +319,8 @@ def continuous_weight_o(params: PlancherelParams, s):
 # ---------------------------------------------------------------------------
 
 
-def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, w, w_prev) of an (N, r) label stack, checked.
-
-    w holds the partial sums w_k and w_prev the shifted sums w_{k-1}, with
-    w_0 = 0.
-    """
+def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, 2w) of an (N, r) label stack, checked: 2w holds the doubled partial sums, integers."""
     u = np.asarray(labels)
     if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
         raise InvalidParams(f"block labels must be an (N, r) integer array, got {u.shape}")
@@ -324,8 +329,8 @@ def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = u.shape[1]
     if r > p:
         raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    w = partial_sums(u)
-    return u, w, w - u - 0.5
+    u = u.astype(np.int64, copy=False)
+    return u, 2 * np.cumsum(u, axis=1) + np.arange(1, r + 1)
 
 
 def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
@@ -343,18 +348,38 @@ def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
     )
 
 
+def _gamma_steps(base: float, up, down) -> GammaValue:
+    """prod_j Gamma(base + up_j/2) / prod_j Gamma(base + down_j/2) over each row.
+
+    ``up`` and ``down`` are lists of (N, *) integer arrays of half-steps
+    from ``base``.  One ``gamma_value`` call covers every step from the
+    lowest to the highest, and each row adds its looked-up logs in column
+    order, so a row gets the same bits alone as in a stack.
+    """
+    steps = np.concatenate(up + down, axis=1)
+    lo, hi = (steps.min(), steps.max()) if steps.size else (0, -1)
+    table = gamma_value(base + np.arange(lo, hi + 1) / 2.0)
+    at = steps - lo
+    power = np.repeat((1, -1), [sum(step.shape[1] for step in side) for side in (up, down)])
+    log_abs = np.zeros(steps.shape[0])
+    if steps.shape[1]:
+        log_abs = np.cumsum(table.log_abs[at] * power, axis=1)[:, -1]
+    return GammaValue(log_abs, table.sign[at].prod(axis=1), table.order[at] @ power)
+
+
 def coeff_C(labels, p: int) -> GammaValue:
     """Combinatorial block factor C over labels (r, u).
 
     ``labels`` is an (N, r) integer array of same-rank labels, giving N
-    values; one label is a (1, r) row.
+    values; one label is a (1, r) row.  Past the prefix, each pair k < m
+    gives Gamma(1/2 + w_m - w_k) / Gamma(w_m - w_k) / (a)_(u_k) with
+    a = 1/2 + w_(k-1) - w_m.  Every argument is a half-integer step from 0,
+    so one Gamma table serves the stack, and (a)_u is Gamma(a + u) / Gamma(a).
     """
-    u, w, w_prev = _label_stack(labels, p)
+    u, tw = _label_stack(labels, p)
     k, m = np.triu_indices(u.shape[1], 1)
-    gap = w[:, m] - w[:, k]
-    pairs = gamma_value(0.5 + gap) / gamma_value(gap)
-    pairs = pairs / pochhammer_value(0.5 + w_prev[:, k] - w[:, m], u[:, k])
-    return _c_prefix(u, p) * pairs.prod(axis=1)
+    gap = tw[:, m] - tw[:, k]  # 2 (w_m - w_k), and a + u_k = w_k - w_m
+    return _c_prefix(u, p) * _gamma_steps(0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap])
 
 
 def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
@@ -363,19 +388,30 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     Includes the 1/Gamma(alpha - m + 1) prefactor over m = 1..p, so the
     r = 0 block reproduces the continuous expansion's prefactor exactly
     and negative-integer alpha degenerations appear as net zero orders.
-    ``labels`` is an (N, r) stack, as for ``coeff_C``.
+    ``labels`` is an (N, r) stack, as for ``coeff_C``.  Per label k it
+    takes Gamma(alpha - p + 1 + 2 w_k) Gamma(q - 1 - alpha - 2 w_k) /
+    Gamma(half - alpha - 2 w_k) / (a_kk)_(u_k), and per pair k < m
+    Gamma(1/2 + half - alpha - w_k - w_m) / Gamma(half - alpha - w_k - w_m)
+    / (a_km)_(u_k), where half = (p + q)/2 and a_km = alpha - half + w_m +
+    w_(k-1) + 1/2.  Every argument is a half-integer step from alpha or
+    from -alpha, so one Gamma table serves each, and (a)_u is
+    Gamma(a + u) / Gamma(a).
     """
-    u, w, w_prev = _label_stack(labels, p)
-    half = (p + q) / 2.0
-    prefactor = gamma_value(alpha - np.arange(p)).prod(axis=0)
-    singles = gamma_value(alpha - p + 1.0 + 2.0 * w) * gamma_value(-alpha + q - 1.0 - 2.0 * w)
-    singles = singles / gamma_value(-alpha + half - 2.0 * w)
-    singles = singles / pochhammer_value(alpha - half + w + w_prev + 0.5, u)
+    u, tw = _label_stack(labels, p)
+    pq = p + q
     k, m = np.triu_indices(u.shape[1], 1)
-    both = w[:, k] + w[:, m]
-    pairs = gamma_value(0.5 - alpha + half - both) / gamma_value(-alpha + half - both)
-    pairs = pairs / pochhammer_value(alpha - half + w[:, m] + w_prev[:, k] + 0.5, u[:, k])
-    return singles.prod(axis=1) * pairs.prod(axis=1) / prefactor
+    both = tw[:, k] + tw[:, m]
+    prefactor = np.broadcast_to(-2 * np.arange(p), (len(u), p))
+    # 2 (a_km + u_k - alpha) = 2 w_k + 2 w_m - p - q, the diagonal k = m included
+    with_alpha = _gamma_steps(
+        alpha,
+        [2 + 2 * tw - 2 * p, 2 * tw - pq - 2 * u, both - pq - 2 * u[:, k]],
+        [prefactor, 2 * tw - pq, both - pq],
+    )
+    minus_alpha = _gamma_steps(
+        -alpha, [2 * q - 2 - 2 * tw, 1 + pq - both], [pq - 2 * tw, pq - both]
+    )
+    return with_alpha * minus_alpha
 
 
 def _spectral_args(s, n: int) -> np.ndarray:
@@ -393,10 +429,10 @@ def coeff_Q_o(alpha: float, label, s, p: int, q: int) -> GammaValue:
     factor, independently of ``continuous_weight_o``; at r = 0 the two must
     agree, which is what the consistency check in the test-suite exercises.
     """
-    labels, w, _ = _label_stack(label, p)
+    labels, tw = _label_stack(label, p)
     if labels.shape[0] != 1:
         raise InvalidParams(f"Q takes one (1, r) label row, got shape {labels.shape}")
-    labels, w = labels[0], w[0]
+    labels, w = labels[0], tw[0] / 2.0
     r = labels.size
     s = _spectral_args(s, p - r)
     half = (p + q) / 2.0
@@ -430,7 +466,7 @@ def coeff_CVQ_u(
     1/Gamma(alpha/2 - m + 1)^2 confines degeneration to even negative
     integers alpha.  C, V and Q are 0-d GammaValues.
     """
-    w = _label_stack(np.asarray(w)[None], p)[0][0].astype(np.int64)
+    w = _label_stack(np.asarray(w)[None], p)[0][0]
     r = w.size
     s = _spectral_args(s, p - r)
     k, l = np.triu_indices(r, 1)
