@@ -249,7 +249,7 @@ def test_log_abs_gamma_matches_scipy_on_a_grid_and_on_label_columns():
         assert np.all(np.abs(got - ref) <= _terms_gate(z, ref))
         for j, x1 in enumerate(cols):
             assert np.array_equal(got[:, j], plancherel._log_abs_gamma(x1, y)[:, 0])
-    # entries far apart: with one shift count for both, 3.5 at y = 0.7 was 2.7e-14 off
+    # entries 103 apart: the 3.5 entry takes 5 shifts, not -99.5's 108, so it stays at 1e-14
     x = np.array([-99.5, 3.5])
     for y1 in np.concatenate([[0.7], y[:, 0]]):
         ref = loggamma(x + 1j * y1).real
@@ -497,7 +497,7 @@ def test_cv_near_a_degeneration_matches_the_reference(p, q, alpha):
     # orders and signs are exact; logs differ from the factor-by-factor reference by about
     # the offset, up to 1.4e-10 relative
     blocks = surviving_blocks(PlancherelParams(p, q, alpha))
-    for r, labels in label_stacks(blocks):
+    for _, labels in label_stacks(blocks):
         cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
         for i, u in enumerate(labels.tolist()):
             order, sign, log_abs = _reference_cv(alpha, tuple(u), p, q)
@@ -507,7 +507,7 @@ def test_cv_near_a_degeneration_matches_the_reference(p, q, alpha):
 
 def test_cv_takes_one_gamma_table_per_lattice(monkeypatch):
     # per rank, C reads one table of Gamma at half-integers and V one each from alpha and
-    # -alpha; one Gamma call per factor and Pochhammer symbol took 70 calls, 29,755 values
+    # -alpha: a few hundred Gamma values for all 551 blocks
     entries = []
 
     def spy(x):
