@@ -98,6 +98,16 @@ PINNED_ARGVS = [
     ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-2.5"],
     ["plancherel", "degeneration", "--p", "3", "--q", "3", "--alpha", "-4"],
     ["plancherel", "degeneration", "--p", "2", "--q", "2", "--alpha", "-2"],
+    # real and complex sample tables as CSV
+    ["haar", "so", "--n", "3", "--samples", "4", "--seed", "7", "--format", "csv"],
+    ["haar", "u", "--n", "2", "--samples", "3", "--seed", "7", "--format", "csv"],
+    # the README and CI lines that run at the default seed
+    ["haar", "so", "--n", "2", "--seed", "1729"],
+    ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "1.0",
+     "--seed", "1729"],
+    # kernel checks on 1 x q points
+    ["kernel", "gram", "--p", "1", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    ["kernel", "covariance", "--p", "1", "--q", "3", "--alpha", "1.5", "--seed", "7"],
 ]
 
 
