@@ -202,7 +202,8 @@ def cmd_haar(args):
 
     The report carries no duration so equal seeds reproduce it byte for
     byte.  Only what the format emits is built: the matrices as the
-    report's ``samples`` for JSON, one row per matrix entry for CSV.
+    report's ``samples`` for JSON, a table of one row per matrix entry,
+    built as columns, for CSV.
     """
     group, n, seed = args.subcommand, args.n, args.seed
     mats = compact.haar_sample_batch(_FIELD_BY_GROUP[group], n, args.samples, seed)
@@ -210,10 +211,10 @@ def cmd_haar(args):
     worst = float(np.max(np.abs(gram - np.eye(mats.shape[1]))))
     rows = samples = None
     if args.format == "csv":
-        head = [_REALIZATION[group], n, seed]
-        cells = zip(*(a.ravel().tolist() for a in (*np.indices(mats.shape), mats.real, mats.imag)))
+        head = [[value] * mats.size for value in (_REALIZATION[group], n, seed)]
+        entries = [a.ravel() for a in (*np.indices(mats.shape), mats.real, mats.imag)]
         rows = Table(["realization", "n", "seed", "sample", "row", "col", "re", "im"],
-                     [[*head, *cell] for cell in cells])
+                     head + entries)
     else:  # complex entries as [re, im] pairs
         samples = np.stack((mats.real, mats.imag), -1) if np.iscomplexobj(mats) else mats
     inputs = {"n": n, "count": args.samples, "realization": _REALIZATION[group]}

@@ -86,37 +86,50 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 
 
 class Table(NamedTuple):
-    """Rows as cell sequences under one header, for tables too long to build a dict per row."""
+    """Columns under one header, one per header name, for tables too long to build a row each.
+
+    A column is a sequence of cells; a 1-d numpy array of bool, int or
+    float dtype is turned into strings in one pass.
+    """
 
     header: list[str]
-    rows: list
+    columns: list
 
 
 def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
     """Rows as CSV with a header, or as a JSON array when asked.
 
-    ``rows`` is a list of dicts, whose first one gives the CSV header, or
-    a ``Table``.
+    ``rows`` is a list of dicts, whose first one gives the CSV header, or,
+    for CSV only, a ``Table``.
     """
     if fmt == "json":
-        if isinstance(rows, Table):
-            rows = [dict(zip(rows.header, row)) for row in rows.rows]
         return _json(rows, "") + "\n"
     if isinstance(rows, Table):
-        header, cells = rows
+        header, columns = rows
     elif rows:
         header = list(rows[0].keys())
-        cells = (map(row.get, header) for row in rows)
+        columns = [[row.get(k) for row in rows] for k in header]
     else:
         return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    # csv writes a plain cell with the str() that _cell gives it; any other
-    # cell is first read back from what _json writes of it
-    writer.writerows([v if type(v) in _PLAIN_JSON else _cell(json.loads(_json(v, "")))
-                      for v in row] for row in cells)
+    writer.writerows(zip(*map(_csv_column, columns)))
     return buf.getvalue()
+
+
+def _csv_column(column) -> list[str]:
+    """A column's cells as the strings csv writes of them.
+
+    csv writes a str, int, float or bool cell as its str(), and a numeric
+    numpy column's ``tolist()`` holds only such cells; any other cell is
+    written as ``_cell`` writes what ``_json`` writes of it, read back.
+    """
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
+        column = column.tolist()
+    if _STR_CELLS.issuperset(map(type, column)):
+        return list(map(str, column))
+    return [_cell(v if type(v) in _PLAIN_JSON else json.loads(_json(v, ""))) for v in column]
 
 
 def _cell(value: Any) -> str:
@@ -142,6 +155,7 @@ def _float(value: float) -> str:
 _PLAIN_JSON = {str: _quote, int: int.__repr__, float: _float,
                bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
 _STR = {str}
+_STR_CELLS = {str, int, float, bool}
 
 
 def _json(value: Any, pad: str) -> str:
@@ -152,8 +166,8 @@ def _json(value: Any, pad: str) -> str:
     infinities.  Plain types are dispatched on their exact type; the
     isinstance chain after them takes numpy types, tuples and subclasses,
     and writes int subclasses with ``int.__repr__`` as ``json`` does.  A
-    finite float array is checked once and its rows joined without a call
-    per entry.
+    finite float array is checked once and written by one ``%`` into the
+    layout of its shape.
     """
     write = _PLAIN_JSON.get(type(value))
     if write is not None:
@@ -167,7 +181,7 @@ def _json(value: Any, pad: str) -> str:
         return _wrap("[]", [_json(v, inner) for v in value], pad)
     if isinstance(value, np.ndarray):
         if value.dtype == float and value.ndim and np.isfinite(value).all():
-            return _float_rows(value.tolist(), pad)
+            return _float_layout(value.shape, pad) % tuple(value.ravel().tolist())
         return _json(value.tolist(), pad)  # a 0-d array's tolist() is its scalar
     if isinstance(value, (np.floating, float)):
         return _float(float(value))
@@ -182,12 +196,11 @@ def _json(value: Any, pad: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _float_rows(rows: list, pad: str) -> str:
-    """A nested list of finite floats, as ``_json`` writes it."""
-    if rows and type(rows[0]) is list:
-        inner = pad + "  "
-        return _wrap("[]", [_float_rows(row, inner) for row in rows], pad)
-    return _wrap("[]", list(map(float.__repr__, rows)), pad)
+def _float_layout(shape: tuple[int, ...], pad: str) -> str:
+    """The text ``_json`` writes of a float array of ``shape``, a ``%s`` slot per entry."""
+    if not shape:
+        return "%s"
+    return _wrap("[]", [_float_layout(shape[1:], pad + "  ")] * shape[0], pad)
 
 
 def _wrap(brackets: str, items: list[str], pad: str) -> str:

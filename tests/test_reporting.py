@@ -78,9 +78,45 @@ def test_render_table_multiple_rows():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert [r["a"] for r in rows] == ["1", "2"]
     assert json.loads(rows[0]["b"]) == [1, 2]
-    table = Table(["a", "b"], [[1, [1, 2]], [2, []]])
-    assert render_table(table) == text
-    assert json.loads(render_table(table, "json")) == [{"a": 1, "b": [1, 2]}, {"a": 2, "b": []}]
+    assert render_table(Table(["a", "b"], [[1, 2], [[1, 2], []]])) == text
+
+
+def _csv_of(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_numeric_numpy_columns_are_written_as_csv_writes_their_cells():
+    columns = [
+        np.array([-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, -np.inf]),
+        np.array([0, -1, 7, 2**62, -(2**63), 2**63 - 1, 10**16], dtype=np.int64),
+        np.arange(7, dtype=np.uint8),
+        np.array([-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, -np.inf], dtype=np.float32),
+        ["s", None, 2.5, True, [1.0, np.nan], np.float64(-0.0), ""],
+    ]
+    header = ["f8", "i8", "u1", "f4", "mixed"]
+    text = render_table(Table(header, columns))
+    plain = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    plain[-1] = ["s", None, 2.5, True, '[1.0,"nan"]', -0.0, ""]
+    assert text == _csv_of([header, *zip(*plain)])
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == [
+        "-0.0", "1e-05", "1e+16", "5e-324", "nan", "inf", "-inf"]
+    # the same cells as numpy scalars in dict rows take the per-cell route
+    assert render_table([dict(zip(header, row)) for row in zip(*columns)]) == text
+
+
+def test_float_arrays_are_written_into_the_layout_of_their_shape():
+    rng = np.random.default_rng(5)
+    special = [-0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5e300]
+    for shape in [(0,), (3,), (2, 0), (2, 3, 2), (1, 1, 1, 2)]:
+        size = int(np.prod(shape))
+        value = np.resize(np.concatenate([special, rng.standard_normal(size)]), shape)
+        for pad in ("  ", "      "):
+            reference = json.dumps(value.tolist(), indent=2).replace("\n", "\n" + pad)
+            assert reporting._json(value, pad) == reference, (shape, pad)
+        nested = {"samples": [value]}
+        assert reporting._json(nested, "") == json.dumps({"samples": [value.tolist()]}, indent=2)
 
 
 def _read_back(value):
@@ -149,7 +185,7 @@ def _reference_render(value, fmt):
     if isinstance(value, VerificationReport):
         value = value._fields()
     if isinstance(value, Table):
-        value = [dict(zip(value.header, row)) for row in value.rows]
+        value = [dict(zip(value.header, row)) for row in zip(*value.columns)]
     if fmt == "json":
         return json.dumps(_jsonable_reference(value), indent=2) + "\n"
     rows = value if isinstance(value, list) else [value]
@@ -239,7 +275,7 @@ def test_csv_cells_are_written_as_the_isinstance_chain_writes_them(rows):
     reference = _reference_render(rows, "csv")
     assert render_table(rows) == reference
     header = list(rows[0])
-    assert render_table(Table(header, [[row.get(k) for k in header] for row in rows])) == reference
+    assert render_table(Table(header, [[row.get(k) for row in rows] for k in header])) == reference
 
 
 def test_emitter_writes_int_subclasses_and_0d_arrays_as_json_does():
