@@ -48,10 +48,20 @@ def ball_point(entries: np.ndarray, closure: bool = False) -> np.ndarray:
 def _spectral_norm(z: np.ndarray) -> np.ndarray:
     """Largest singular value of each (p, q) point, p >= 1, as sqrt of z z^t's top eigenvalue.
 
-    The (p, p) Gram stack is no larger than the point because p <= q, and
-    its symmetric eigenvalues cost about a third of a batched SVD.
+    For p <= 2 the eigenvalue is closed-form: with z z^t = [[a, b], [b, c]]
+    formed from the rows of z it is (a + c)/2 + hypot((a - c)/2, b), a sum
+    of two nonnegative terms, and for p = 1 (b = c = 0) it is a.  For
+    p >= 3 LAPACK's symmetric eigenvalues of the (p, p) Gram stack give
+    it; that stack is no larger than the point because p <= q.
     """
-    return np.sqrt(np.linalg.eigvalsh(z @ np.swapaxes(z, -1, -2))[..., -1])
+    if z.shape[-2] > 2:
+        return np.sqrt(np.linalg.eigvalsh(z @ np.swapaxes(z, -1, -2))[..., -1])
+    rows = np.einsum("...ij,...ij->...i", z, z)
+    if z.shape[-2] == 1:
+        return np.sqrt(rows[..., 0])
+    a, c = rows[..., 0], rows[..., 1]
+    b = np.einsum("...j,...j->...", z[..., 0, :], z[..., 1, :])
+    return np.sqrt((a + c) / 2 + np.hypot((a - c) / 2, b))
 
 
 def origin(p: int, q: int) -> np.ndarray:
@@ -70,7 +80,9 @@ def random_ball_point(
 
     One (p, q) point, or with ``size`` (an int or a shape) a stack of shape
     size + (p, q).  All Gaussians are drawn before all norms, so a single
-    point consumes the generator as a stack of one does.
+    point consumes the generator as a stack of one does.  Each direction's
+    norm comes from ``_spectral_norm``: closed-form for p <= 2, LAPACK's
+    ``eigvalsh`` for p >= 3.
     """
     if not 0.0 <= norm_min <= norm_max < 1.0:
         raise InvalidParams("need 0 <= norm_min <= norm_max < 1")

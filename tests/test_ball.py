@@ -83,10 +83,12 @@ def test_random_ball_point_rejects_empty_rows_and_negative_sizes():
 
 def _spectral_norm_cases():
     rng = np.random.default_rng(3)
-    for p, q in [(1, 1), (1, 5), (2, 3), (3, 5), (4, 7)]:
-        z = rng.standard_normal((20, p, q))
+    # the closed form's shapes (p <= 2) at 20000 points, the eigvalsh route's at 20
+    for p, q, count in [(1, 1, 20), (1, 4, 20_000), (1, 5, 20), (2, 2, 20_000), (2, 3, 20_000),
+                        (2, 9, 20_000), (3, 5, 20), (4, 7, 20)]:
+        z = rng.standard_normal((count, p, q))
         yield pytest.param(z, id=f"gaussian-{p}x{q}")
-        rank1 = rng.standard_normal((20, p, 1)) * rng.standard_normal((20, 1, q))
+        rank1 = rng.standard_normal((count, p, 1)) * rng.standard_normal((count, 1, q))
         yield pytest.param(rank1, id=f"rank1-{p}x{q}")
         yield pytest.param(np.zeros((3, p, q)), id=f"zero-{p}x{q}")
         for norm in (0.999, 1 - 1e-12):
@@ -98,7 +100,16 @@ def _spectral_norm_cases():
 def test_spectral_norm_matches_the_svd(stack):
     expect = np.linalg.norm(stack, 2, axis=(-2, -1))
     assert _spectral_norm(stack) == pytest.approx(expect, rel=1e-15, abs=0)
-    assert [float(_spectral_norm(z)) for z in stack] == pytest.approx(expect, rel=1e-15, abs=0)
+    # one point at a time, as ball_point takes it
+    assert [float(_spectral_norm(z)) for z in stack[:20]] == pytest.approx(expect[:20], rel=1e-15,
+                                                                          abs=0)
+
+
+def test_spectral_norm_of_the_zero_point_and_of_parallel_rows():
+    assert _spectral_norm(np.zeros((1, 4))) == 0.0
+    assert _spectral_norm(np.zeros((2, 3))) == 0.0
+    # rows 1 and -2 times (1, 2, 2): z z^t = [[9, -18], [-18, 36]], top eigenvalue 45
+    assert _spectral_norm(np.array([[1.0, 2.0, 2.0], [-2.0, -4.0, -4.0]])) == np.sqrt(45.0)
 
 
 def test_random_ball_point_stack_checks_every_norm():
@@ -116,10 +127,21 @@ def test_random_ball_point_stack_checks_every_norm():
 
 def test_seeded_random_ball_point_is_unchanged():
     # the single-point sampler as it stood before points came in stacks,
-    # scaled by the top eigenvalue of z z^t as the sampler now is
+    # scaled by the top eigenvalue of z z^t as the sampler now is: for p <= 2
+    # the closed form over the rows' dot products, for p >= 3 eigvalsh
+    def top_eigenvalue(z):
+        if len(z) > 2:
+            return np.linalg.eigvalsh(z @ z.T)[-1]
+        rows = np.einsum("ij,ij->i", z, z)
+        if len(z) == 1:
+            return rows[0]
+        a, c = rows
+        b = np.einsum("j,j->", z[0], z[1])
+        return (a + c) / 2 + np.hypot((a - c) / 2, b)
+
     def reference(gen, p, q, lo, hi):
         z = gen.standard_normal((p, q))
-        cur = np.sqrt(np.linalg.eigvalsh(z @ z.T)[-1])
+        cur = np.sqrt(top_eigenvalue(z))
         target = gen.uniform(lo, hi)
         return z * (target / cur)
 
