@@ -227,7 +227,9 @@ def cmd_integral(args):
 
     Where the integrand's variance is infinite the z-score is reported but
     does not decide: the SO oracle does, and U and Sp, which have no
-    oracle, read inconclusive.
+    oracle, read inconclusive.  The closed forms, the second moment
+    included, come before the draws, so a Gamma product past the float
+    range is refused (exit 3) before any sample is drawn.
     """
     from . import integrals
 
@@ -244,20 +246,20 @@ def cmd_integral(args):
             n, shifted, integrals.VARIANT_AS_PRINTED
         )
         evaluations["quadrature"] = integrals.so_integral_quadrature(n, shifted)
-        mc = integrals.so_integral_mc(n, shifted, count, seed)
         rel = abs(evaluations["quadrature"] - expected) / abs(expected)
         evaluations["quadrature_rel_diff"] = rel
         second_moment = integrals.so_second_moment(n, shifted)
+        mc = integrals.so_integral_mc(n, shifted, count, seed)
     elif group == "u":
         mu = [0.0] * n if args.mu is None else args.mu
         inputs["mu"] = list(mu)
         expected = integrals.u_integral_closed_form(n, lam, mu)
-        mc = integrals.u_integral_mc(n, lam, mu, count, seed)
         second_moment = integrals.u_second_moment(n, lam, mu)
+        mc = integrals.u_integral_mc(n, lam, mu, count, seed)
     else:
         expected = integrals.sp_integral_closed_form(n, lam)
-        mc = integrals.sp_integral_mc(n, lam, count, seed)
         second_moment = integrals.sp_second_moment(n, lam)
+        mc = integrals.sp_integral_mc(n, lam, count, seed)
     inputs["evaluations"] = evaluations
     inputs["diagnostics"] = _mc_diagnostics(mc, expected, second_moment)
     z, verdict = _mc_verdict(args, mc, expected, math.isfinite(second_moment), rel)
@@ -305,17 +307,20 @@ def cmd_kernel(args):
 
 
 def cmd_boundary_probe(args):
-    """The probe against its closed form: by z where 2 alpha < threshold, else by the SO oracle."""
+    """The probe against its closed form: by z where 2 alpha < threshold, else by the SO oracle.
+
+    As in ``cmd_integral``, the closed forms come before the draws.
+    """
     from . import berezin
 
     p, q, r, alpha = args.p, args.q, args.r, args.alpha
     threshold = berezin.restriction_threshold(p, q, r)
-    mc = berezin.restriction_probe(p, q, r, alpha, args.samples, args.seed)
     # above the integrability threshold there is nothing to converge to
     expected = berezin.restriction_closed_form(p, q, r, alpha) if alpha < threshold else None
     finite_variance = 2 * alpha < threshold  # E f^2 is the closed form at 2 alpha
     second_moment = (berezin.restriction_closed_form(p, q, r, 2 * alpha) if finite_variance
                      else math.inf)
+    mc = berezin.restriction_probe(p, q, r, alpha, args.samples, args.seed)
     inputs = {"p": p, "q": q, "r": r, "alpha": alpha, "samples": args.samples,
               "threshold": threshold,
               "diagnostics": _mc_diagnostics(mc, expected, second_moment)}

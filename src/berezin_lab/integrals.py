@@ -33,16 +33,16 @@ which the redraw test needs anyway, and arg p, with no complex logarithm.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, log, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch, corner_pivots
 from .errors import DomainError, InvalidParams
-from .gammaval import gamma_value
+from .gammaval import gamma_value, lgamma
 from .rngs import block_rng, derive_root_seed
 
 BLOCK = 4096
@@ -89,17 +89,25 @@ def _exponents(lam, n: int, name: str = "lambda", n_min: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_ratio(num, den, what: str) -> float:
-    """prod Gamma(num) / prod Gamma(den) over (factors, args) arrays.
+_LOG_FLOAT_MAX = log(sys.float_info.max)
+
+
+def _gamma_ratio(num, den, what: str, two_power: float = 0.0) -> float:
+    """2^two_power prod Gamma(num) / prod Gamma(den) over (factors, args) arrays.
 
     Row k - 1 holds the arguments of factor k.  Each integral converges
     exactly where every argument is positive; elsewhere the DomainError
-    names the first divergent k and states the condition ``what``.
+    names the first divergent k and states the condition ``what``.  The
+    power of 2 joins the log sum before its one exp, so only a value that
+    is itself past the float range is refused, with InvalidParams.
     """
     bad = ~(np.all(num > 0, axis=1) & np.all(den > 0, axis=1))
     if bad.any():
         raise DomainError(f"convergence needs {what}; violated at k = {np.argmax(bad) + 1}")
-    return float(np.exp(gammaln(num).sum() - gammaln(den).sum()))
+    log_value = float(lgamma(num).sum() - lgamma(den).sum()) + two_power * log(2.0)
+    if log_value > _LOG_FLOAT_MAX:
+        raise InvalidParams(f"the Gamma product is e^{log_value:.6g}, past the float range")
+    return float(np.exp(log_value))
 
 
 _SO_DOMAIN = "lambda_k > -(n-k)/2"
@@ -137,8 +145,8 @@ def so_integral_closed_form(n: int, lam, variant: str = WINNING_SO_VARIANT) -> f
     if variant not in SO_VARIANTS:
         raise InvalidParams(f"variant must be one of {SO_VARIANTS}")
     lam, num, den = _so_gamma_args(n, lam)
-    value = _gamma_ratio(num, den, _SO_DOMAIN)
-    return value * 2.0 ** float(lam.sum()) if variant == VARIANT_CORRECTED else value
+    two_power = float(lam.sum()) if variant == VARIANT_CORRECTED else 0.0
+    return _gamma_ratio(num, den, _SO_DOMAIN, two_power)
 
 
 def u_integral_closed_form(n: int, lam, mu) -> float:
@@ -169,7 +177,8 @@ def _or_inf(closed_form, *args) -> float:
 
     The square of an integrand is the same family's integrand at doubled
     exponents, so each second moment is a closed form, and the variance is
-    infinite exactly where that form refuses them.
+    infinite exactly where that form diverges.  A finite value past the
+    float range is not infinite variance: its InvalidParams passes through.
     """
     try:
         return closed_form(*args)
@@ -374,4 +383,4 @@ def so_integral_quadrature(n: int, lam) -> float:
     e = (n - np.arange(1.0, n) - 2.0) / 2.0
     num = np.column_stack([e + lam + 1.0, 2.0 * e + 2.0])
     den = np.column_stack([2.0 * e + lam + 2.0, e + 1.0])
-    return _gamma_ratio(num, den, _SO_DOMAIN) * 2.0 ** float(lam.sum())
+    return _gamma_ratio(num, den, _SO_DOMAIN, float(lam.sum()))

@@ -18,10 +18,11 @@ an (N, p) array of points, each factor one array operation.  W, Q_o and
 the unitary Q are products of one primitive, |Gamma(x0 + i rate s)|^2,
 which takes the s = 0 limit itself, so a coordinate at s = 0 runs the
 same code as any other; a net pole raises PoleOnContour.  The primitive
-is numpy: the recurrence shifts x0 up until Re >= 8, where Stirling's
-series takes over.  W's c-function ratio |Gamma((q-p)/2 + i s)|^2 /
-|Gamma(i s)|^2 is elementary, since q - p is an integer: a polynomial in
-s^2, times s tanh(pi s) for odd q - p.  Q_o keeps that ratio's Gamma form,
+reads log|Gamma| from ``gammaval``, the one module that evaluates it:
+``log_abs_gamma`` off the real axis and ``gamma_value`` on it.  W's
+c-function ratio |Gamma((q-p)/2 + i s)|^2 / |Gamma(i s)|^2 is
+elementary, since q - p is an integer: a polynomial in s^2, times
+s tanh(pi s) for odd q - p.  Q_o keeps that ratio's Gamma form,
 so the r = 0 check compares two routes to it.  Q stays one block at a
 time, assembled factor by factor as the independent side of that check.
 W, like Q, multiplies its pair factors into the GammaValue before leaving
@@ -34,10 +35,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, log, pi
+from math import comb, log, perm, pi
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import InvalidParams, OracleNotConverged, PoleOnContour
 from .gammaval import (  # perfbench/layers.py counts calls through every one of these names
@@ -48,6 +48,7 @@ from .gammaval import (  # perfbench/layers.py counts calls through every one of
     one,  # not called here: bound as plancherel.one
     pochhammer_value,
 )
+from .gammaval import lgamma, log_abs_gamma, log_rising_sq
 
 _ZERO_TOL = 1e-12
 
@@ -134,77 +135,6 @@ def _compositions(total: int, parts: int):
 # ---------------------------------------------------------------------------
 
 
-# Stirling's series for log Gamma(z) holds to below 1e-16 once Re z >= 8:
-# its terms are B_2k / (2k (2k - 1) z^(2k-1)) for k = 1..8, through B_16.
-_STIRLING_MIN_X = 8.0
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
-             -3617 / 122400)
-_HALF_LOG_2PI = 0.5 * log(2.0 * pi)
-# Factors (x + k)^2 + y^2 multiplied before one log is taken of their product
-_LOG_GROUP = 8
-# Below this x the reflection formula replaces the shift, whose cost grows with -x
-_REFLECT_BELOW = -100.0
-
-
-def _log_rising_sq(x, y, n):
-    """log |(x + i y)_n|^2 = sum over k < n of log((x + k)^2 + y^2), one log per 8 factors.
-
-    n is one count or one per entry of x.  The factors below the smallest
-    count apply to every entry, the others only where k < n, so each entry
-    takes the same operations as it would alone.
-    """
-    y2 = y * y
-    top = int(np.max(n, initial=0))
-    common = int(np.min(n, initial=top))
-    total = 0.0
-    for start in range(0, top, _LOG_GROUP):
-        prod = 1.0
-        for k in range(start, min(start + _LOG_GROUP, top)):
-            factor = (x + k) ** 2 + y2
-            prod = prod * (factor if k < common else np.where(k < n, factor, 1.0))
-        total = total + np.log(prod)
-    return total
-
-
-def _log_abs_gamma(x, y) -> np.ndarray:
-    """log |Gamma(x + i y)| at every broadcast entry, for y off 0.
-
-    The recurrence shifts each x up by n, the count it needs to reach
-    Re >= 8, and Stirling's series through B_16 takes over there.  An x
-    below -100 is reflected first, so n stays below 109.  Each entry of an
-    array of x gets the bits it gets alone.  It agrees with SciPy's complex
-    log Gamma to 1e-14 max(1, |value|) for y in [1e-8, 60], apart from
-    about one ulp of |z| log|z| where the value crosses 0 at large |z|.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.min(x, initial=0.0) < _REFLECT_BELOW:
-        # |Gamma(z)| = pi / (|sin(pi z)| |Gamma(1 - z)|), and |Gamma(1 - z)| = |Gamma(1 - x + i y)|
-        reflect = x < _REFLECT_BELOW
-        far = _log_abs_gamma(np.where(reflect, 1.0 - x, x), y)
-        return np.where(reflect, log(pi) - _log_abs_sin_pi(x, y) - far, far)
-    n = np.maximum(np.ceil(_STIRLING_MIN_X - x), 0.0)
-    xn = x + n
-    inv = 1.0 / (xn + 1j * y)
-    inv2 = inv * inv
-    series = _STIRLING[-1]
-    for c in _STIRLING[-2::-1]:
-        series = series * inv2 + c
-    stirling = ((xn - 0.5) * (0.5 * np.log(xn * xn + y * y)) - y * np.arctan2(y, xn) - xn
-                + _HALF_LOG_2PI + np.real(series * inv))
-    return stirling - 0.5 * _log_rising_sq(x, y, n)
-
-
-def _log_abs_sin_pi(x, y):
-    """log |sin(pi (x + i y))| for y off 0.
-
-    |sin|^2 = sin^2(pi x) + sinh^2(pi y), scaled by e^(-2 pi |y|) so that a
-    large |y| does not overflow; x is first reduced to [-1/2, 1/2].
-    """
-    a = 2.0 * pi * np.abs(y)
-    sin = np.sin(pi * (x - np.rint(x)))
-    return 0.5 * a - log(2.0) + 0.5 * np.log(4.0 * sin * sin * np.exp(-a) + np.expm1(-a) ** 2)
-
-
 def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
     """|Gamma(x0 + i rate s)|^2 at every s, as a GammaValue.
 
@@ -217,7 +147,7 @@ def _abs_gamma_sq(x0, rate: float, s) -> GammaValue:
     s = np.asarray(s, dtype=float)
     at_zero = np.abs(s) <= _ZERO_TOL
     z = np.where(at_zero, 1.0, s)  # placeholder at s = 0, where the limit takes over
-    off = 2.0 * _log_abs_gamma(x0, rate * z)
+    off = 2.0 * log_abs_gamma(x0, rate * z)
     limit = gamma_value(x0)
     limit_log = 2.0 * limit.log_abs - 2.0 * np.log(abs(rate)) * limit.is_pole
     return GammaValue(
@@ -240,11 +170,11 @@ def _c_ratio(d: int, s) -> GammaValue:
     at_zero = np.abs(s) <= _ZERO_TOL
     z = np.where(at_zero, 1.0, s)  # placeholder at s = 0, where the limit takes over
     if d % 2:
-        off = np.log(z * np.tanh(pi * z)) + _log_rising_sq(0.5, z, (d - 1) // 2)
+        off = np.log(z * np.tanh(pi * z)) + log_rising_sq(0.5, z, (d - 1) // 2)
     else:
-        off = np.log(z * z) + _log_rising_sq(1.0, z, d // 2 - 1)
+        off = np.log(z * z) + log_rising_sq(1.0, z, d // 2 - 1)
     return GammaValue(
-        np.where(at_zero, 2.0 * gammaln(d / 2.0), off),
+        np.where(at_zero, 2.0 * lgamma(d / 2.0), off),
         np.ones(s.shape, dtype=np.int64),
         np.where(at_zero, -2, 0),
     )
@@ -334,15 +264,16 @@ def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
-    """2^(p-r) (2 pi)^r p!/(p-r)! prod_k (-1)^u_k / u_k! over the last axis of labels u.
+    """2^(p-r) (2 pi)^r p!/(p-r)! prod_k (-1)^u_k over the last axis of labels u.
 
-    Built in logs, with log u_k! from gammaln, so neither large p nor large
-    labels overflow a float.
+    Built in logs, so a large p does not overflow a float; p!/(p-r)! is an
+    exact integer before its log.  The prefix's 1/u_k! = 1/Gamma(1 + u_k)
+    is left to the caller: ``coeff_C`` reads it from its Gamma table.
     """
     r = u.shape[-1]
-    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + gammaln(p + 1) - gammaln(p - r + 1)
+    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + log(perm(p, r))
     return GammaValue(
-        log_const - gammaln(u + 1.0).sum(axis=-1),
+        np.full(u.shape[:-1], log_const),
         1 - 2 * (u.sum(axis=-1) % 2),
         np.zeros(u.shape[:-1], dtype=np.int64),
     )
@@ -374,12 +305,15 @@ def coeff_C(labels, p: int) -> GammaValue:
     values; one label is a (1, r) row.  Past the prefix, each pair k < m
     gives Gamma(1/2 + w_m - w_k) / Gamma(w_m - w_k) / (a)_(u_k) with
     a = 1/2 + w_(k-1) - w_m.  Every argument is a half-integer step from 0,
-    so one Gamma table serves the stack, and (a)_u is Gamma(a + u) / Gamma(a).
+    the prefix's 1/u_k! = 1/Gamma(1 + u_k) included, so one Gamma table
+    serves the stack, and (a)_u is Gamma(a + u) / Gamma(a).
     """
     u, tw = _label_stack(labels, p)
     k, m = np.triu_indices(u.shape[1], 1)
     gap = tw[:, m] - tw[:, k]  # 2 (w_m - w_k), and a + u_k = w_k - w_m
-    return _c_prefix(u, p) * _gamma_steps(0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap])
+    return _c_prefix(u, p) * _gamma_steps(
+        0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap, 2 + 2 * u]
+    )
 
 
 def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
@@ -471,7 +405,8 @@ def coeff_CVQ_u(
     s = _spectral_args(s, p - r)
     k, l = np.triu_indices(r, 1)
 
-    c_val = _c_prefix(w, p) * from_real_snapped((w[k] - w[l]) ** 2.0).prod(axis=0)
+    c_val = _c_prefix(w, p) / gamma_value(1.0 + w).prod(axis=0)
+    c_val = c_val * from_real_snapped((w[k] - w[l]) ** 2.0).prod(axis=0)
 
     shift = alpha - (p + q) + 1.0
     prefactor = gamma_value(alpha / 2.0 - np.arange(p))
@@ -542,6 +477,24 @@ def _simpson(y: np.ndarray, h: float) -> np.ndarray:
     return h / 3.0 * (weights @ y)
 
 
+def _gauss_jacobi(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss rule for the weight (1 - x^2)^a on [-1, 1], m >= 2: nodes, weights.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric Jacobi matrix of the weight, and the weights are the
+    squared first components of its eigenvectors, scaled here to sum to 1.
+    The weight is even, so the diagonal is 0; the off-diagonal entries are
+    sqrt(b_k), b_k = k (k + 2a) / ((2k + 2a)^2 - 1) for k = 1..m-1.  At
+    k = 1 that is 1/(3 + 2a), written out because the quotient is 0/0 at
+    a = -1/2.
+    """
+    k = np.arange(2.0, m)
+    b = np.concatenate(([1.0 / (3.0 + 2.0 * a)], k * (k + 2 * a) / ((2 * k + 2 * a) ** 2 - 1)))
+    x, v = np.linalg.eigh(np.diag(np.sqrt(b), -1))
+    w = v[0] ** 2
+    return x, w / w.sum()
+
+
 def rank1_plancherel_probe(q: int, alpha: float) -> Rank1Report:
     """Check cosh(t)^(-alpha) against its continuous spectral resynthesis.
 
@@ -571,8 +524,7 @@ def rank1_plancherel_probe(q: int, alpha: float) -> Rank1Report:
 
     def phi(m: int) -> np.ndarray:
         """phi_s(t) on the s-grid (rows) at every t in ``ts`` (columns)."""
-        x, w = roots_jacobi(m, a, a)
-        w = w / w.sum()
+        x, w = _gauss_jacobi(m, a)
         out = np.empty((s.size, ts.size))
         for j, t in enumerate(ts):
             base = np.cosh(t) - x * np.sinh(t)

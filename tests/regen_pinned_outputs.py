@@ -3,7 +3,7 @@
 Each report is pinned as its list of lines, without the ``duration``
 line of a JSON report or the ``duration`` column of a CSV report, so a
 diff of the file shows the lines a change moved.  The file
-also records the Python, numpy and SciPy versions that printed it, and
+also records the Python and numpy versions that printed it, and
 tests/test_pinned_outputs.py compares the CLI's output with it byte for
 byte.  Run from the repository root after a change that moves a pinned
 number on purpose, and list each moved entry in CHANGES.md:
@@ -22,7 +22,6 @@ import pathlib
 import platform
 
 import numpy as np
-import scipy
 
 from berezin_lab.cli import main
 
@@ -113,8 +112,7 @@ PINNED_ARGVS = [
 
 def versions() -> dict[str, str]:
     """The versions whose arithmetic a pinned byte depends on."""
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def run(argv: list[str]) -> tuple[int, str]:

@@ -235,6 +235,24 @@ def test_forced_failure_exit_code(capsys):
     assert json.loads(out)["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("argv, log_value", [
+    # the closed form at lambda = 600 is e^409.5, the second moment at 1200 is not
+    (["integral", "so", "--n", "3", "--lambda", "600,0,0"], "824.686"),
+    (["integral", "so", "--n", "3", "--lambda", "1100,0,0"], "755.458"),
+    (["integral", "so", "--n", "3", "--lambda", "1,0.5,-600"], "822.645"),
+    (["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "-600"], "819.384"),
+])
+def test_a_gamma_product_past_the_float_range_exits_three_naming_its_log(capsys, argv,
+                                                                          log_value):
+    # refused before any draw: the Monte Carlo squares would overflow as well
+    err = _refused(capsys, *argv, "--samples", "100")
+    assert err == (f"berezin-lab: InvalidParams: the Gamma product is e^{log_value}, "
+                   "past the float range\n")
+    # inside the range the 2^lambda power joins the log sum: 2^600 / 601
+    value = integrals.so_integral_closed_form(3, [600.0, 0.0, 0.0])
+    assert math.log(value) == pytest.approx(600 * math.log(2.0) - math.log(601.0), rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
@@ -525,10 +543,10 @@ def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
     assert doc["inputs"] == {
         "p": 3, "q": 6, "r": 1, "alpha": 1.0, "samples": 20000, "threshold": 2.5,
         "diagnostics": {"max_abs": 59.768396555528376, "n_resamples": 0,
-                        "stderr_expected": 0.019002923751652294},
+                        "stderr_expected": 0.019002923751652297},
     }
     assert (doc["expected"], doc["observed"], doc["stderr"], doc["z_score"], doc["verdict"]) == (
-        1.6666666666666667, 1.658416690799243, 0.014306829746072856, -0.5766459805456398, "pass")
+        1.6666666666666696, 1.658416690799243, 0.014306829746072856, -0.5766459805458416, "pass")
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +617,13 @@ def test_plancherel_degeneration(capsys):
                             "--alpha", alpha)
         assert code == EXIT_PASS
         assert json.loads(out)["verdict"] == "pass"
+
+
+def test_plancherel_degeneration_past_the_lgamma_range_passes(capsys):
+    # Gamma arguments near 1e306, past the ~2.5e305 where math.lgamma overflows
+    code, out = run_cli(capsys, "plancherel", "degeneration", "--p", "2", "--q", "3",
+                        "--alpha", "1e306")
+    assert code == EXIT_PASS and json.loads(out)["verdict"] == "pass"
 
 
 def test_plancherel_rank1(capsys):
@@ -930,8 +955,9 @@ def test_console_script_entry_point():
 
 
 # Runs each argv through main in order in one fresh interpreter and prints,
-# after each, the scipy modules loaded so far.  Modules only accumulate, so a
-# module absent after a command was loaded by none of the commands before it.
+# after each, the scipy modules and the Gamma module loaded so far.  Modules
+# only accumulate, so a module absent after a command was loaded by none of
+# the commands before it.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from berezin_lab.cli import main
@@ -939,19 +965,21 @@ loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         main(argv)
-    loaded.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    loaded.append(sorted(m for m in sys.modules
+                         if m.partition(".")[0] == "scipy" or m == "berezin_lab.gammaval"))
 print(json.dumps(loaded))
 """
 
 
 def test_commands_import_only_the_library_modules_they_run():
-    no_scipy = [
+    no_gamma = [
         ["--version"],
         ["haar", "so", "--n", "2", "--samples", "1"],
         ["catalog"],
         ["ledger"],
     ]
-    # the first command that needs a Gamma function, so the positive control
+    # the first command that needs a Gamma function, so the positive control:
+    # it loads berezin_lab.gammaval, which the commands before it do not
     gamma = [["integral", "so", "--n", "2", "--lambda", "1,0", "--samples", "100"]]
     more = [
         ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.5", "--samples", "50"],
@@ -963,7 +991,7 @@ def test_commands_import_only_the_library_modules_they_run():
         ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
         ["plancherel", "rank1", "--q", "3", "--alpha", "2"],
     ]
-    argvs = no_scipy + gamma + more
+    argvs = no_gamma + gamma + more
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
@@ -973,8 +1001,7 @@ def test_commands_import_only_the_library_modules_they_run():
     )
     assert proc.returncode == 0, proc.stderr
     for argv, loaded in zip(argvs, json.loads(proc.stdout), strict=True):
-        if argv in no_scipy:
+        if argv in no_gamma:
             assert loaded == [], argv
-        elif argv in gamma:  # the positive control: the probe does see what a command loads
-            assert "scipy.special" in loaded, argv
-        assert not any(m.split(".")[:2] == ["scipy", "integrate"] for m in loaded), argv
+        else:  # the positive control: the probe does see what a command loads
+            assert loaded == ["berezin_lab.gammaval"], argv

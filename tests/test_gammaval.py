@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, gammasgn
 
 from berezin_lab.errors import UncancelledPole
 from berezin_lab.gammaval import (
     from_real,
     from_real_snapped,
     gamma_value,
+    lgamma,
     one,
     pochhammer_value,
 )
@@ -55,6 +57,37 @@ def test_arrays_hold_the_0d_values():
     assert h[1].to_float() == pytest.approx(2.5 * 3.5 * 4.5)
     z = from_real_snapped([0.0, 1e-12, -2.0])
     assert np.array_equal(z.order, [-1, -1, 0]) and z.to_float()[2] == -2.0
+
+
+def test_lgamma_and_the_sign_match_scipy_off_the_poles():
+    # x over [-1e12, 2e305]: log-uniform magnitudes of either sign, a grid over
+    # [-150, 250] and points 1e-6 either side of the poles down to -149
+    rng = np.random.default_rng(29)
+    x = np.concatenate([
+        10.0 ** rng.uniform(-8.0, 12.0, 4000) * rng.choice([-1.0, 1.0], 4000),
+        10.0 ** rng.uniform(12.0, np.log10(2e305), 1000),
+        np.linspace(-150.0, 250.0, 8001),
+        -np.arange(150.0) + 1e-6,
+        -np.arange(150.0) - 1e-6,
+    ])
+    x = x[np.abs(x - np.rint(x)) > 1e-6]
+    ref = gammaln(x)
+    assert np.all(np.abs(lgamma(x) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+    value = gamma_value(x)
+    assert np.array_equal(value.log_abs, lgamma(x)) and not value.order.any()
+    # gammasgn reads +1 below -2^31; there the reference is (-1)^ceil(-x), in integers
+    low = x < -2.0**31
+    assert 0 < low.sum() < x.size
+    assert np.array_equal(value.sign[~low], gammasgn(x[~low]))
+    assert value.sign[low].tolist() == [(-1) ** math.ceil(-v) for v in x[low].tolist()]
+
+
+def test_lgamma_is_exact_at_1_and_2_and_inf_where_math_lgamma_raises():
+    assert lgamma([1.0, 2.0]).tolist() == [0.0, 0.0]
+    assert lgamma(2.5).shape == () and lgamma(np.ones((2, 3))).shape == (2, 3)
+    # at the poles and past ~2.5e305 math.lgamma raises, where gammaln returns inf
+    edge = [0.0, -3.0, 2.6e305, 1e308, math.inf]
+    assert lgamma(edge).tolist() == gammaln(edge).tolist() == [math.inf] * 5
 
 
 def test_pole_ratio_classic_value():

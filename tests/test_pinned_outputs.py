@@ -1,6 +1,6 @@
 """The CLI's stdout at fixed argvs against tests/data/pinned_outputs.json.
 
-On the Python, numpy and SciPy versions that wrote the pins the output
+On the Python and numpy versions that wrote the pins the output
 must match byte for byte; elsewhere the last digits may differ, so only
 the exit code and, for a JSON report, the verdict are compared, and a
 warning says so.

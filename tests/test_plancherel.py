@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import loggamma
+from scipy.special import loggamma, roots_jacobi
 
 from berezin_lab import cli, gammaval, plancherel
 from berezin_lab.errors import InvalidParams, OracleNotConverged, PoleOnContour
@@ -196,7 +196,7 @@ def test_log_abs_gamma_matches_scipy_at_each_x():
     for x in xs:
         y = 10.0 ** rng.uniform(-8.0, np.log10(60.0), 25)
         ref = loggamma(x + 1j * y).real
-        err = np.abs(plancherel._log_abs_gamma(x, y) - ref) / np.maximum(1.0, np.abs(ref))
+        err = np.abs(gammaval.log_abs_gamma(x, y) - ref) / np.maximum(1.0, np.abs(ref))
         worst = max(worst, float(err.max()))
     assert worst <= 1e-14
 
@@ -210,13 +210,13 @@ def test_log_abs_gamma_reflects_far_below_zero():
         for x in xs:
             y = 10.0 ** rng.uniform(-8.0, np.log10(60.0), 25)
             ref = loggamma(x + 1j * y).real
-            assert np.all(np.abs(plancherel._log_abs_gamma(x, y) - ref)
+            assert np.all(np.abs(gammaval.log_abs_gamma(x, y) - ref)
                           <= 1e-14 * np.maximum(1.0, np.abs(ref)))
     # an array across the cut: each side by its own route
     x = np.array([-1e9 + 0.25, -100.5, -99.5, -90.25])
     y = np.array([[1e-8], [0.7], [60.0]])
     ref = loggamma(x + 1j * y).real
-    assert np.all(np.abs(plancherel._log_abs_gamma(x, y) - ref)
+    assert np.all(np.abs(gammaval.log_abs_gamma(x, y) - ref)
                   <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -237,23 +237,23 @@ def test_log_abs_gamma_matches_scipy_on_a_grid_and_on_label_columns():
     for xk in x:
         z = xk + 1j * y
         ref = loggamma(z).real
-        assert np.all(np.abs(plancherel._log_abs_gamma(xk, y) - ref) <= _terms_gate(z, ref))
+        assert np.all(np.abs(gammaval.log_abs_gamma(xk, y) - ref) <= _terms_gate(z, ref))
     # an array of x, as Q's per-label columns: each entry is shifted by its own count,
     # so it gets the bits it gets alone
     for c in np.linspace(-30.0, 30.0, 61):
         cols = c + np.arange(12.0)
         z = cols + 1j * y
         ref = loggamma(z).real
-        got = plancherel._log_abs_gamma(cols, y)
+        got = gammaval.log_abs_gamma(cols, y)
         assert got.shape == (40, 12)
         assert np.all(np.abs(got - ref) <= _terms_gate(z, ref))
         for j, x1 in enumerate(cols):
-            assert np.array_equal(got[:, j], plancherel._log_abs_gamma(x1, y)[:, 0])
+            assert np.array_equal(got[:, j], gammaval.log_abs_gamma(x1, y)[:, 0])
     # entries 103 apart: the 3.5 entry takes 5 shifts, not -99.5's 108, so it stays at 1e-14
     x = np.array([-99.5, 3.5])
     for y1 in np.concatenate([[0.7], y[:, 0]]):
         ref = loggamma(x + 1j * y1).real
-        got = plancherel._log_abs_gamma(x, y1)
+        got = gammaval.log_abs_gamma(x, y1)
         assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -806,6 +806,18 @@ def test_rank1_probe_parameter_validation():
         rank1_plancherel_probe(1, 4.0)
     with pytest.raises(InvalidParams):
         rank1_plancherel_probe(3, 0.5)  # needs alpha > (1+q)/2 - 1
+
+
+def test_gauss_jacobi_rule_matches_scipy():
+    # a = (q - 3)/2 at q = 2, 3, 4 and 30, up to the probe's 1024 nodes
+    for a in (-0.5, 0.0, 0.5, 13.5):
+        for m in (32, 64, 128, 512, 1024):
+            x, w = plancherel._gauss_jacobi(m, a)
+            ref_x, ref_w = roots_jacobi(m, a, a)
+            ref_w = ref_w / ref_w.sum()
+            assert np.max(np.abs(x - ref_x)) <= 2e-15, (a, m)
+            # far inside the 1e-10 to which the probe asks successive rules to agree
+            assert np.max(np.abs(w - ref_w)) <= 5e-11 * ref_w.max(), (a, m)
 
 
 def test_rank1_probe_flags_starved_oracle(monkeypatch):
