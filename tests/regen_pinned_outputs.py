@@ -107,6 +107,15 @@ PINNED_ARGVS = [
     # kernel checks on 1 x q points
     ["kernel", "gram", "--p", "1", "--q", "3", "--alpha", "1.5", "--seed", "7"],
     ["kernel", "covariance", "--p", "1", "--q", "3", "--alpha", "1.5", "--seed", "7"],
+    # the README's integral examples, the remaining seeded CI integral lines and a
+    # refused --tol name, which exits 3 with nothing on stdout
+    ["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "200000", "--seed", "7"],
+    ["integral", "so", "--n", "3", "--lambda", "-0.5,0.3,0", "--samples", "200000",
+     "--seed", "7"],
+    ["integral", "so", "--n", "3", "--lambda", "-0.5,0.3,0", "--samples", "2000", "--seed", "7"],
+    ["integral", "so", "--n", "4", "--lambda", "0,0,0,0", "--samples", "2000", "--seed", "7"],
+    ["integral", "sp", "--n", "1", "--lambda", "-2", "--samples", "20000", "--seed", "6"],
+    ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4", "--tol", "z=5"],
 ]
 
 
