@@ -7,12 +7,9 @@ from .errors import (
     DomainError,
     InvalidParams,
     NearSingularCocycle,
-    NegativeRealDeterminant,
     NonPositiveDeterminant,
     OracleNotConverged,
     PoleOnContour,
-    SingularCayley,
-    SingularUpsilon,
     UncancelledPole,
 )
 
@@ -22,11 +19,8 @@ __all__ = [
     "DomainError",
     "InvalidParams",
     "NearSingularCocycle",
-    "NegativeRealDeterminant",
     "NonPositiveDeterminant",
     "OracleNotConverged",
     "PoleOnContour",
-    "SingularCayley",
-    "SingularUpsilon",
     "UncancelledPole",
 ]

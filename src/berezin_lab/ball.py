@@ -1,4 +1,4 @@
-"""The matrix ball, its Moebius action and pseudo-orthogonal transport.
+"""The matrix ball and the Moebius action of O(p, q) on it.
 
 Points are real p x q matrices of spectral norm below one (p <= q).  The
 group O(p, q) acts by z |-> (a + z c)^(-1) (b + z d), where g = (a b; c d)
@@ -10,8 +10,7 @@ leading axes, (..., p, q).  An element is its (p+q, p+q) matrix and a stack
 of elements a (..., p+q, p+q) array; composition is ``g @ h`` and the
 identity ``np.eye(p + q)``.  The action and the cocycle read p and q off
 the point and take the blocks a, b, c, d as views of g.  The action, the
-cocycle and ``ball_scale`` take stacks; ``orbit_rank`` and
-``transport_to_origin`` take one point.
+cocycle, ``boost`` and ``ball_scale`` take stacks.
 """
 
 from __future__ import annotations
@@ -23,26 +22,8 @@ from .errors import InvalidParams, NearSingularCocycle
 from .rngs import as_generator
 
 _COND_BOUND = 1e12
-# Slack of the closure's norm bound, of the g^t J g = J residual and of
-# the rank cut of 1 - z z^t.
-_TOL = 1e-9
 # Largest |rapidity| of a random pseudo-orthogonal element's boost.
 _BOOST_RANGE = 2.0
-
-
-def ball_point(entries: np.ndarray, closure: bool = False) -> np.ndarray:
-    """``entries`` as a checked (p, q) point: norm < 1, or <= 1 + 1e-9 with ``closure``."""
-    entries = np.asarray(entries, dtype=float)
-    if entries.ndim != 2:
-        raise InvalidParams("a ball point is a 2-d real matrix")
-    p, q = entries.shape
-    if p > q:
-        raise InvalidParams(f"need p <= q, got shape ({p}, {q})")
-    norm = float(_spectral_norm(entries)) if entries.size else 0.0
-    limit_ok = norm <= 1.0 + _TOL if closure else norm < 1.0
-    if not limit_ok:
-        raise InvalidParams(f"spectral norm {norm:.6f} violates the ball constraint")
-    return entries
 
 
 def _spectral_norm(z: np.ndarray) -> np.ndarray:
@@ -62,10 +43,6 @@ def _spectral_norm(z: np.ndarray) -> np.ndarray:
     a, c = rows[..., 0], rows[..., 1]
     b = np.einsum("...j,...j->...", z[..., 0, :], z[..., 1, :])
     return np.sqrt((a + c) / 2 + np.hypot((a - c) / 2, b))
-
-
-def origin(p: int, q: int) -> np.ndarray:
-    return ball_point(np.zeros((p, q)))
 
 
 def random_ball_point(
@@ -124,25 +101,6 @@ def ball_scale(z: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     return np.asarray(c, dtype=float)[..., None, None] * np.asarray(z, dtype=float)
 
 
-def signature_matrix(p: int, q: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(p), -np.ones(q)]))
-
-
-def validate_pseudo_orthogonal(g: np.ndarray, p: int) -> float:
-    """Frobenius residual of g^t J g = J for one element; raises when it exceeds 1e-9.
-
-    p cannot be read off a square matrix, so here it is an argument.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or not 0 <= p <= g.shape[0]:
-        raise InvalidParams(f"need a square matrix with at least p = {p} rows, got {g.shape}")
-    j = signature_matrix(p, len(g) - p)
-    res = float(np.linalg.norm(g.T @ j @ g - j)) / np.sqrt(len(g))
-    if res > _TOL:
-        raise InvalidParams(f"g^t J g - J residual {res:.3e} exceeds tolerance {_TOL:.1e}")
-    return res
-
-
 def _action_base(g: np.ndarray, z: np.ndarray) -> np.ndarray:
     """a + z c; refuses an element whose last two axes are not (p+q, p+q) for (p, q) points."""
     d = sum(z.shape[-2:])
@@ -173,14 +131,6 @@ def cocycle(g: np.ndarray, z: np.ndarray) -> float | np.ndarray:
     return np.linalg.det(_action_base(g, np.asarray(z, dtype=float)))
 
 
-def orbit_rank(z: np.ndarray) -> int:
-    """Numerical rank h of 1 - z z^t at a closure point; h = p inside, h < p on boundary orbits."""
-    z = ball_point(z, closure=True)
-    s = np.linalg.svd(np.eye(z.shape[0]) - z @ z.T, compute_uv=False)
-    floor = _TOL * max(float(s[0]) if s.size else 0.0, 1.0)
-    return int(np.sum(s > floor))
-
-
 def boost(p: int, q: int, t: np.ndarray) -> np.ndarray:
     """The diagonal boost B(t): cosh/sinh in p planes, identity elsewhere.
 
@@ -196,26 +146,6 @@ def boost(p: int, q: int, t: np.ndarray) -> np.ndarray:
     g[..., a, a] = g[..., b, b] = np.cosh(t)
     g[..., a, b] = g[..., b, a] = np.sinh(t)
     return g
-
-
-def transport_to_origin(z: np.ndarray) -> np.ndarray:
-    """An element g with z^[g] = 0 for an interior point z, built from the SVD of z.
-
-    With z = U diag(sigma) V^t, the product diag(U, V) B(-atanh sigma)
-    moves z to the origin; its cocycle at z is prod(1 / cosh(atanh sigma)).
-    """
-    z = ball_point(z)
-    p, q = z.shape
-    u, sig, vt = np.linalg.svd(z)
-    if np.linalg.det(u) < 0:
-        # flip one singular pair jointly: z is unchanged and the cocycle
-        # at z comes out positive, as advertised
-        u[:, -1] *= -1.0
-        vt[p - 1, :] *= -1.0
-    frame = np.zeros((p + q, p + q))
-    frame[:p, :p] = u
-    frame[p:, p:] = vt.T
-    return frame @ boost(p, q, -np.arctanh(sig))
 
 
 def random_pseudo_orthogonal(

@@ -370,18 +370,6 @@ def _check_boundary_params(p: int, q: int, r: int) -> None:
         raise InvalidParams(f"need 0 <= r < p, got r = {r}")
 
 
-def boundary_sample_batch(p: int, q: int, r: int, size: int, rng=None) -> np.ndarray:
-    """``size`` uniform points of the rank-r boundary orbit, shape (size, p, q).
-
-    The upper-left p x q block of a Haar SO(q + r) matrix lands on the
-    orbit where 1 - z z^t has rank r (its complement block supplies a rank
-    r factorization almost surely).
-    """
-    _check_boundary_params(p, q, r)
-    g = _haar_so_batch(q + r, size, as_generator(rng), cols=q)
-    return g[:, :p]
-
-
 def restriction_threshold(p: int, q: int, r: int) -> float:
     """Largest alpha with finite restricted integral: (q - p + 2r)/2."""
     _check_boundary_params(p, q, r)

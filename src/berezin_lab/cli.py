@@ -24,8 +24,9 @@ import time
 
 import numpy as np
 
-# Each command imports the library module it runs inside its own body, so
-# start-up and the commands that need no Gamma function load no SciPy.
+# Each command imports the library module it runs inside its own body:
+# `berezin`, `plancherel` and `hermitization` each take milliseconds to
+# import, and start-up and the commands that do not run them skip that cost.
 from . import __version__, compact
 from .ball import random_ball_point, random_pseudo_orthogonal
 from .errors import BerezinLabError, InvalidParams

@@ -1,4 +1,4 @@
-"""Haar sampling on SO(n), U(n), Sp(n) and the corner reduction calculus.
+"""Haar sampling on SO(n), U(n), Sp(n) and the elimination behind every corner determinant.
 
 Quaternionic matrices are stored in the interleaved 2n x 2n complex
 realization: the quaternion a + b i + c j + d k occupies a 2 x 2 block
@@ -12,28 +12,21 @@ odd-indexed ones through the antilinear map S(u) = Jhat conj(u).
 
 A group element is its stored matrix, (n, n) for the real and complex
 fields and (2n, 2n) complex for the quaternion field, and a stack of them
-is a (size, d, d) array.  The corner calculus takes the field as an
-argument, REAL by default, and reads n off the matrix.
+is a (size, d, d) array.  ``corner_pivots`` reads the leading corners of
+a stack, counting stored rows, two per quaternionic unit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParams, NegativeRealDeterminant, SingularCayley, SingularUpsilon
+from .errors import InvalidParams
 from .rngs import as_generator
 
 REAL = "real"
 COMPLEX = "complex"
 QUATERNION = "quaternion"
 FIELDS = (REAL, COMPLEX, QUATERNION)
-
-_SINGULAR_TOL = 1e-12
-
-
-def matrix_dim(field: str, n: int) -> int:
-    """Side length of the stored matrix: n, except 2n for quaternions."""
-    return _unit(field) * n
 
 
 # ---------------------------------------------------------------------------
@@ -141,29 +134,13 @@ def _structure_map(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_j(n: int) -> np.ndarray:
-    """The antisymmetric structure matrix Jhat = diag([[0,-1],[1,0]], ...)."""
-    j2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = j2
-    return out
-
-
-def quaternionic_structure_residual(mat: np.ndarray) -> float:
-    """How far a 2n x 2n complex matrix is from M Jhat = Jhat conj(M)."""
-    n2 = mat.shape[0]
-    jh = block_j(n2 // 2)
-    return float(np.max(np.abs(mat @ jh - jh @ np.conj(mat))))
-
-
 _BATCH_SAMPLERS = {REAL: _haar_so_batch, COMPLEX: _haar_u_batch, QUATERNION: _haar_sp_batch}
 
 
 def haar_sample_batch(
     field: str, n: int, size: int, rng: int | np.random.Generator | None = None
 ) -> np.ndarray:
-    """Stack of ``size`` Haar samples, shape (size, d, d) with d = matrix_dim.
+    """Stack of ``size`` Haar samples, shape (size, d, d) with d = n, or 2n for Sp(n).
 
     Every column is drawn: the column cut ``cols`` of the per-field
     samplers is for callers that read a leading corner only.  The stack
@@ -199,76 +176,8 @@ def haar_sample_uncorrected(
 
 
 # ---------------------------------------------------------------------------
-# Corner reduction calculus
+# Corner pivots
 # ---------------------------------------------------------------------------
-
-
-def _unit(field: str) -> int:
-    """Stored rows per group unit of size: 2 for quaternions else 1."""
-    if field not in FIELDS:
-        raise InvalidParams(f"unknown field {field!r}; expected one of {FIELDS}")
-    return 2 if field == QUATERNION else 1
-
-
-def _size(g: np.ndarray, field: str) -> int:
-    """The group size n of a stored element: a square matrix of n whole units of ``field``."""
-    unit, shape = _unit(field), np.shape(g)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % unit:
-        raise InvalidParams(f"a {field} group element is a square matrix of {unit} x {unit} "
-                            f"units, got shape {shape}")
-    return shape[0] // unit
-
-
-def corner(g: np.ndarray, k: int, field: str = REAL) -> np.ndarray:
-    """Leading principal k x k corner [g]_k (2k x 2k for quaternions)."""
-    g = np.asarray(g)
-    n = _size(g, field)
-    if not 1 <= k <= n:
-        raise InvalidParams(f"corner index must satisfy 1 <= k <= {n}, got {k}")
-    s = _unit(field) * k
-    return g[:s, :s]
-
-
-def _upsilon_matrix(mat: np.ndarray, m_rows: int) -> np.ndarray:
-    """T - R (1 + P)^(-1) Q for the (m_rows + rest) block split of ``mat``."""
-    p_blk = mat[:m_rows, :m_rows]
-    q_blk = mat[:m_rows, m_rows:]
-    r_blk = mat[m_rows:, :m_rows]
-    t_blk = mat[m_rows:, m_rows:]
-    lhs = np.eye(m_rows, dtype=mat.dtype) + p_blk
-    sign, logdet = np.linalg.slogdet(lhs)
-    if sign == 0 or logdet < np.log(_SINGULAR_TOL):
-        raise SingularUpsilon(
-            f"det(1 + corner) ~ {np.exp(logdet) if sign != 0 else 0.0:.3e} is below threshold"
-        )
-    return t_blk - r_blk @ np.linalg.solve(lhs, q_blk)
-
-
-def upsilon(g: np.ndarray, m: int, field: str = REAL) -> np.ndarray:
-    """Corner reduction by m units: blocks (P Q; R T) |-> T - R (1+P)^(-1) Q.
-
-    Maps the group of size n onto the group of size n - m and sends Haar
-    measure to Haar measure.  Composes additively: upsilon(k) o upsilon(m)
-    equals upsilon(k + m).
-    """
-    g = np.asarray(g)
-    n = _size(g, field)
-    if not 1 <= m < n:
-        raise InvalidParams(f"reduction step must satisfy 1 <= m < {n}, got {m}")
-    return _upsilon_matrix(g, _unit(field) * m)
-
-
-def cayley(g: np.ndarray) -> np.ndarray:
-    """Cayley transform (g - 1)(g + 1)^(-1); defined when det(g + 1) != 0."""
-    mat = np.asarray(g)
-    d = _size(mat, REAL)
-    lhs = mat + np.eye(d, dtype=mat.dtype)
-    sign, logdet = np.linalg.slogdet(lhs)
-    if sign == 0 or logdet < np.log(_SINGULAR_TOL):
-        raise SingularCayley("det(g + 1) is below threshold")
-    # solve X (g+1) = (g-1) through the plain-transposed system
-    rhs = mat - np.eye(d, dtype=mat.dtype)
-    return np.linalg.solve(lhs.T, rhs.T).T
 
 
 def eliminate(work: np.ndarray) -> np.ndarray:
@@ -315,134 +224,3 @@ def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
     """
     work = np.add(mats[:, :k, :k].transpose(1, 2, 0), np.eye(k)[:, :, None], order="C")
     return eliminate(work)
-
-
-def cube_coords_batch(
-    n: int, size: int, rng: int | np.random.Generator | None = None
-) -> np.ndarray:
-    """Cube coordinates of ``size`` fresh Haar SO(n) samples, shape (size, n-1).
-
-    x_j is the (1, 1) entry after n - 1 - j corner reduction steps, so the
-    coordinates are the corner pivots minus 1 in reverse order; under Haar
-    measure they are independent with density c (1 - x^2)^((j-2)/2).
-    Samples whose reduction chain comes within 1e-12 of the singular set
-    are redrawn; the event has probability zero and only guards roundoff.
-    """
-    if n < 2:
-        raise InvalidParams("cube coordinates need n >= 2")
-    gen = as_generator(rng)
-    out = np.empty((size, n - 1))
-    todo = np.arange(size)
-    while todo.size:
-        piv = corner_pivots(_haar_so_batch(n, todo.size, gen, cols=n - 1), n - 1)
-        ok = np.all(np.abs(piv[:-1]) > _SINGULAR_TOL, axis=0)
-        out[todo[ok]] = piv[::-1, ok].T - 1.0
-        todo = todo[~ok]
-    return out
-
-
-def equivariance_residual(
-    g: np.ndarray, a: np.ndarray, b: np.ndarray, m: int, field: str = REAL
-) -> float:
-    """Residual of upsilon_m(diag(1, A) g diag(1, B)) = A upsilon_m(g) B.
-
-    A and B are group elements of size n - m; the reduction only sees the
-    left-upper corner, so framing the complement acts by outer translation.
-    """
-    n = _size(g, field)
-    if _size(a, field) != n - m or _size(b, field) != n - m:
-        raise InvalidParams("A and B must live in the size n - m group")
-    u = _unit(field)
-    left = np.eye(u * n, dtype=complex if field != REAL else float)
-    right = left.copy()
-    left[u * m :, u * m :] = a
-    right[u * m :, u * m :] = b
-    lhs = upsilon(left @ g @ right, m, field)
-    rhs = a @ upsilon(g, m, field) @ b
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def cayley_corner_residual(g: np.ndarray, p: int, field: str = REAL) -> float:
-    """Scale-aware residual of {cayley(g)}_p = cayley(upsilon(g, n-p)).
-
-    The braces take the lower-right p x p corner (2p x 2p for
-    quaternions).  Cayley entries grow like the reciprocal distance to the
-    singular set, so the comparison is normalized by the corner magnitude.
-    """
-    n = _size(g, field)
-    if not 1 <= p < n:
-        raise InvalidParams(f"corner size must satisfy 1 <= p < {n}, got {p}")
-    u = _unit(field)
-    m = n - p
-    lhs = cayley(g)[u * m :, u * m :]
-    rhs = cayley(upsilon(g, m, field))
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
-
-
-def corner_det_multiplicativity_residual(
-    g: np.ndarray, m: int, p: int, field: str = REAL
-) -> float:
-    """Residual of det(1+[g]_p) = det(1+[g]_m) det(1+[upsilon_m(g)]_{p-m})."""
-    n = _size(g, field)
-    if not 1 <= m < p <= n:
-        raise InvalidParams(f"need 1 <= m < p <= {n}, got m={m}, p={p}")
-    u = _unit(field)
-    full = np.linalg.det(np.eye(u * p) + corner(g, p, field))
-    part = np.linalg.det(np.eye(u * m) + corner(g, m, field))
-    red = upsilon(g, m, field)
-    rest = np.linalg.det(np.eye(u * (p - m)) + corner(red, p - m, field))
-    return float(abs(full - part * rest) / max(abs(full), 1e-30))
-
-
-# ---------------------------------------------------------------------------
-# Quaternionic determinant
-# ---------------------------------------------------------------------------
-
-# Largest quaternionic-structure residual, relative to the largest entry (at least 1).
-_QUATERNIONIC_TOL = 1e-9
-
-
-def _real_realization(mat: np.ndarray) -> np.ndarray:
-    """4n x 4n real left-multiplication realization from the complex one."""
-    n = mat.shape[0] // 2
-    out = np.zeros((4 * n, 4 * n))
-    for i in range(n):
-        for j in range(n):
-            alpha = mat[2 * i, 2 * j]
-            beta = mat[2 * i, 2 * j + 1]
-            a, b = float(np.real(alpha)), float(np.imag(alpha))
-            c, d = float(np.real(beta)), float(np.imag(beta))
-            out[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = [
-                [a, -b, -c, -d],
-                [b, a, -d, c],
-                [c, d, a, -b],
-                [d, -c, b, a],
-            ]
-    return out
-
-
-def quaternionic_det(a: np.ndarray) -> float:
-    """Nonnegative quaternionic determinant of a quaternionic matrix.
-
-    Computed as sqrt(det) of the 2n x 2n complex realization and
-    cross-checked against det^(1/4) of the 4n x 4n real realization,
-    which must come out nonnegative.
-    """
-    mat = np.asarray(a, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-        raise InvalidParams("expected a 2n x 2n complex realization")
-    scale = max(float(np.max(np.abs(mat))), 1.0)
-    if quaternionic_structure_residual(mat) > _QUATERNIONIC_TOL * scale:
-        raise InvalidParams("matrix does not satisfy the quaternionic structure relation")
-    sign_c, log_c = np.linalg.slogdet(mat)
-    if sign_c == 0:
-        return 0.0
-    if abs(np.imag(sign_c)) > 1e-6 or np.real(sign_c) < 0:
-        raise NegativeRealDeterminant(f"complex-realization determinant has sign {sign_c:.6f}")
-    sign_r, log_r = np.linalg.slogdet(_real_realization(mat))
-    if sign_r < 0:
-        raise NegativeRealDeterminant("real-realization determinant is negative")
-    if sign_r != 0 and abs(log_r / 4.0 - log_c / 2.0) > 1e-6 * max(1.0, abs(log_c)):
-        raise InvalidParams("complex and real realizations disagree on the determinant")
-    return float(np.exp(log_c / 2.0))

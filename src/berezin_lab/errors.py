@@ -17,20 +17,8 @@ class NearSingularCocycle(BerezinLabError):
     """The matrix a + z c is too ill conditioned to act with."""
 
 
-class SingularUpsilon(BerezinLabError):
-    """det(1 + corner) is below threshold; the corner reduction map is undefined."""
-
-
-class SingularCayley(BerezinLabError):
-    """det(g + 1) is below threshold; the Cayley transform is undefined."""
-
-
 class NonPositiveDeterminant(BerezinLabError):
     """det(1 - z u^t) was expected to be positive but is not."""
-
-
-class NegativeRealDeterminant(BerezinLabError):
-    """The 4n x 4n real realization returned a negative determinant."""
 
 
 class UncancelledPole(BerezinLabError):

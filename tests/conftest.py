@@ -3,6 +3,7 @@
 import numpy as np
 from scipy import stats
 
+from berezin_lab.compact import _haar_so_batch
 from berezin_lab.integrals import BLOCK
 from berezin_lab.rngs import block_rng
 
@@ -18,6 +19,16 @@ def corner_entry_cdf(n: int):
 
 def ks_pvalue(samples: np.ndarray, cdf) -> float:
     return float(stats.kstest(samples, cdf).pvalue)
+
+
+def boundary_points(p: int, q: int, r: int, size: int, rng) -> np.ndarray:
+    """``size`` uniform points of the rank-r boundary orbit of the p x q ball, shape (size, p, q).
+
+    The upper-left p x q block of a Haar SO(q + r) matrix lands on the
+    orbit where 1 - z z^t has rank r (its complement block supplies a rank
+    r factorization almost surely); only the first q columns are drawn.
+    """
+    return _haar_so_batch(q + r, size, np.random.default_rng(rng), cols=q)[:, :p]
 
 
 def one_pass_draws(draw, n_samples: int, root: int) -> np.ndarray:

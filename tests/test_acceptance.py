@@ -14,9 +14,8 @@ import pytest
 from scipy import stats
 
 from berezin_lab import plancherel
-from berezin_lab.ball import ball_point, random_ball_point
+from berezin_lab.ball import random_ball_point
 from berezin_lab.berezin import (
-    boundary_sample_batch,
     covariance_convention_table,
     covariance_residual,
     domination_residual,
@@ -27,17 +26,7 @@ from berezin_lab.berezin import (
     restriction_threshold,
     wallach_admissible,
 )
-from berezin_lab.compact import (
-    COMPLEX,
-    QUATERNION,
-    REAL,
-    cayley_corner_residual,
-    corner_det_multiplicativity_residual,
-    cube_coords_batch,
-    equivariance_residual,
-    haar_sample_batch,
-    upsilon,
-)
+from berezin_lab.compact import COMPLEX, QUATERNION, REAL, haar_sample_batch
 from berezin_lab.gammaval import gamma_value
 from berezin_lab.hermitization import catalog, corrupted_pair, dims_match
 from berezin_lab.integrals import (
@@ -62,7 +51,14 @@ from berezin_lab.plancherel import (
 )
 from berezin_lab.ball import random_pseudo_orthogonal
 
-from conftest import assert_matches_one_pass, one_pass_draws
+from conftest import assert_matches_one_pass, boundary_points, one_pass_draws
+from corner_calculus import (
+    cayley_corner_residual,
+    corner_det_multiplicativity_residual,
+    cube_coords,
+    equivariance_residual,
+    upsilon,
+)
 
 SEED = 1729
 FIELDS = (REAL, COMPLEX, QUATERNION)
@@ -112,7 +108,7 @@ def test_criterion_02_haar_pushforward_marginals():
         cdf = stats.beta((n - 1) / 2.0, (n - 1) / 2.0, loc=-1.0, scale=2.0).cdf
         pvals[n] = float(stats.kstest(x, cdf).pvalue)
         assert pvals[n] > 1e-4, (n, pvals[n])
-    coords = cube_coords_batch(5, n_samples, rng=SEED + 1)
+    coords = cube_coords(5, n_samples, SEED + 1)
     corr = np.corrcoef(coords.T)
     off = np.abs(corr[np.triu_indices(coords.shape[1], 1)])
     bound = 3.0 / np.sqrt(n_samples)
@@ -241,7 +237,7 @@ def test_criterion_07_boundary_restriction():
     # rank correctness on >= 99% of samples
     rates = {}
     for p, q, r in [(2, 4, 0), (2, 4, 1), (3, 5, 2)]:
-        batch = boundary_sample_batch(p, q, r, 1000, rng=SEED)
+        batch = boundary_points(p, q, r, 1000, SEED)
         gram = np.eye(p) - batch @ np.transpose(batch, (0, 2, 1))
         svals = np.linalg.svd(gram, compute_uv=False)
         ranks = np.sum(svals > 1e-9, axis=1)

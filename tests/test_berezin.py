@@ -5,7 +5,6 @@ import pytest
 
 from berezin_lab import berezin
 from berezin_lab.ball import (
-    ball_point,
     moebius_act,
     one_minus_pivots,
     random_ball_point,
@@ -15,7 +14,6 @@ from berezin_lab.berezin import (
     WINNING_COVARIANCE_VARIANT,
     ball_scale,
     berezin_kernel,
-    boundary_sample_batch,
     covariance_convention_table,
     covariance_residual,
     domination_residual,
@@ -30,7 +28,7 @@ from berezin_lab.compact import REAL, _haar_so_batch, haar_sample_batch
 from berezin_lab.errors import DomainError, InvalidParams, NonPositiveDeterminant
 from berezin_lab.integrals import corner_power_mc
 
-from conftest import assert_matches_one_pass, one_pass_draws
+from conftest import assert_matches_one_pass, boundary_points, one_pass_draws
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +41,7 @@ def test_kernel_symmetry_and_normalization():
     z = random_ball_point(2, 3, rng)
     u = random_ball_point(2, 3, rng)
     assert berezin_kernel(z, u, 1.3) == pytest.approx(berezin_kernel(u, z, 1.3))
-    o = ball_point(np.zeros((2, 3)))
+    o = np.zeros((2, 3))
     assert berezin_kernel(o, u, 1.3) == pytest.approx(1.0)
     assert berezin_kernel(z, u, 0.0) == pytest.approx(1.0)
 
@@ -53,7 +51,7 @@ def test_kernel_rejects_shape_mismatch_and_degenerate_base():
     u = random_ball_point(1, 3, rng=1)
     with pytest.raises(InvalidParams):
         berezin_kernel(z, u, 1.0)
-    w = ball_point(np.eye(2, 4), closure=True)  # orthonormal rows
+    w = np.eye(2, 4)  # orthonormal rows
     with pytest.raises(NonPositiveDeterminant):
         berezin_kernel(w, w, 1.0)
 
@@ -66,7 +64,7 @@ def test_batched_kernel_matches_the_formula():
     for z, u, value in zip(zs, us, values):
         want = np.linalg.det(np.eye(2) - z @ u.T) ** -1.3
         assert value == pytest.approx(want, rel=1e-12, abs=0)
-    assert isinstance(berezin_kernel(ball_point(zs[0]), ball_point(us[0]), 1.3), float)
+    assert isinstance(berezin_kernel(zs[0], us[0], 1.3), float)
 
 
 def test_batched_kernel_checks_every_base():
@@ -324,7 +322,7 @@ def test_batched_covariance_matches_a_loop_of_single_triples():
     for variant in ("u-cocycle-corrected", "as-printed"):
         batched = covariance_residual(gs, zs, us, 1.5, variant)
         for i in range(30):
-            single = covariance_residual(gs[i], ball_point(zs[i]), ball_point(us[i]), 1.5, variant)
+            single = covariance_residual(gs[i], zs[i], us[i], 1.5, variant)
             assert batched[i] == pytest.approx(single, rel=1e-12, abs=1e-12)
     # the as-printed law is off by O(1), so the comparison above is not vacuous
     assert np.max(covariance_residual(gs, zs, us, 1.5, "as-printed")) > 1e-3
@@ -348,7 +346,7 @@ def test_batched_domination_matches_a_loop_and_propagates_nan():
     us = random_ball_point(2, 3, 41, 0.0, 0.999, size=40)
     cs = np.random.default_rng(42).uniform(0.0, 1.0, 40)
     batched = domination_residual(zs, us, cs, 1.7)
-    loop = [domination_residual(ball_point(z), ball_point(u), c, 1.7) for z, u, c in zip(zs, us, cs)]
+    loop = [domination_residual(z, u, c, 1.7) for z, u, c in zip(zs, us, cs)]
     assert np.array_equal(batched, loop)
     # the unclipped difference the residual is taken from, pair by pair
     diff = berezin_kernel(cs[:, None, None] * zs, cs[:, None, None] * us, 1.7) \
@@ -375,8 +373,8 @@ def test_domination_residual_is_exactly_zero():
 def test_domination_near_boundary_closure_pairs():
     rng = np.random.default_rng(15)
     for _ in range(50):
-        z = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
-        u = ball_point(boundary_sample_batch(2, 4, 1, 1, rng)[0], closure=True)
+        z = boundary_points(2, 4, 1, 1, rng)[0]
+        u = boundary_points(2, 4, 1, 1, rng)[0]
         assert domination_residual(z, u, 1.0 - 1e-3, 0.8) == 0.0
 
 
@@ -413,7 +411,7 @@ def test_domination_rejects_bad_parameters():
 
 def test_ball_scale_preserves_metadata():
     # a point stays a (p, q) point and a stack keeps its shape, one factor per point
-    z = ball_point(np.eye(2, 3), closure=True)
+    z = np.eye(2, 3)
     w = ball_scale(z, 0.5)
     assert w.shape == (2, 3) and np.allclose(w, 0.5 * np.eye(2, 3))
     zs = random_ball_point(2, 3, 46, size=(4, 5))
@@ -428,17 +426,8 @@ def test_ball_scale_preserves_metadata():
 # ---------------------------------------------------------------------------
 
 
-def test_boundary_sample_parameter_validation():
-    with pytest.raises(InvalidParams):
-        boundary_sample_batch(2, 2, 0, 1)  # needs p < q
-    with pytest.raises(InvalidParams):
-        boundary_sample_batch(2, 4, 2, 1)  # needs r < p
-    with pytest.raises(InvalidParams):
-        boundary_sample_batch(2, 4, -1, 1)
-
-
 def test_boundary_sample_shapes_and_rank():
-    batch = boundary_sample_batch(2, 4, 1, 300, rng=17)
+    batch = boundary_points(2, 4, 1, 300, 17)
     assert batch.shape == (300, 2, 4)
     gram = np.eye(2) - batch @ np.transpose(batch, (0, 2, 1))
     svals = np.linalg.svd(gram, compute_uv=False)
@@ -493,13 +482,10 @@ def test_restriction_probe_matches_a_one_pass_reduction():
 
 @pytest.mark.parametrize("p,q,r", [(1, 2, 0), (2, 4, 1), (3, 6, 1), (3, 5, 2), (2, 3, 0)])
 def test_boundary_draws_equal_the_full_samples_corner(p, q, r):
-    # the samplers orthonormalise only the p - r (probe) or q (orbit point)
-    # columns they read; the results equal those of the full SO(q + r) sampler
+    # the probe orthonormalises only the p - r columns it reads; its
+    # estimate equals that of the full SO(q + r) sampler
     def whole(count, gen, cols=None):
         return _haar_so_batch(q + r, count, gen)
 
     est = restriction_probe(p, q, r, 0.3, n_samples=6000, rng=11)
     assert est == corner_power_mc(whole, np.full(p - r, -0.3), 6000, rng=11)
-    z = boundary_sample_batch(p, q, r, 200, rng=12)
-    assert z.shape == (200, p, q)
-    assert (z == _haar_so_batch(q + r, 200, np.random.default_rng(12))[:, :p, :q]).all()
