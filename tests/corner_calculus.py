@@ -13,18 +13,19 @@ import numpy as np
 from berezin_lab.compact import QUATERNION, REAL, _haar_so_batch, corner_pivots
 
 
-def _rows(units, field):
+def stored_rows(units, field):
+    """Rows of a stored element of ``units`` units: 2 per unit for quaternions, else 1."""
     return 2 * units if field == QUATERNION else units
 
 
 def _det_one_plus_corner(g, units, field):
-    k = _rows(units, field)
+    k = stored_rows(units, field)
     return np.linalg.det(np.eye(k) + g[:k, :k])
 
 
 def upsilon(g, m, field=REAL):
     """Corner reduction by m units: (P Q; R T) |-> T - R (1 + P)^(-1) Q."""
-    k = _rows(m, field)
+    k = stored_rows(m, field)
     return g[k:, k:] - g[k:, :k] @ np.linalg.solve(np.eye(k) + g[:k, :k], g[:k, k:])
 
 
@@ -36,7 +37,7 @@ def cayley(g):
 
 def equivariance_residual(g, a, b, m, field=REAL):
     """Residual of Upsilon_m(diag(1, A) g diag(1, B)) = A Upsilon_m(g) B, A and B of size n - m."""
-    k = _rows(m, field)
+    k = stored_rows(m, field)
     left, right = np.eye(len(g), dtype=g.dtype), np.eye(len(g), dtype=g.dtype)
     left[k:, k:], right[k:, k:] = a, b
     lhs = upsilon(left @ g @ right, m, field)
@@ -56,9 +57,9 @@ def cayley_corner_residual(g, p, field=REAL):
     Cayley entries grow like the reciprocal distance to the singular set,
     so the residual is relative to the corner's largest entry, if above 1.
     """
-    k = len(g) - _rows(p, field)
+    k = len(g) - stored_rows(p, field)
     lhs = cayley(g)[k:, k:]
-    rhs = cayley(upsilon(g, len(g) // _rows(1, field) - p, field))
+    rhs = cayley(upsilon(g, len(g) // stored_rows(1, field) - p, field))
     return float(np.max(np.abs(lhs - rhs))) / max(1.0, float(np.max(np.abs(lhs))))
 
 

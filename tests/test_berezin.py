@@ -5,7 +5,6 @@ import pytest
 
 from berezin_lab import berezin
 from berezin_lab.ball import (
-    moebius_act,
     one_minus_pivots,
     random_ball_point,
     random_pseudo_orthogonal,

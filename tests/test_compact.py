@@ -25,15 +25,11 @@ from corner_calculus import (
     corner_det_multiplicativity_residual,
     cube_coords,
     equivariance_residual,
+    stored_rows,
     upsilon,
 )
 
 FIELDS = [REAL, COMPLEX, QUATERNION]
-
-
-def _dim(field, n):
-    """Side of a stored group element: n, or 2n for Sp(n)."""
-    return 2 * n if field == QUATERNION else n
 
 
 def _structure_residual(mats):
@@ -51,7 +47,7 @@ def _structure_residual(mats):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_haar_samples_are_unitary(field, n):
     batch = haar_sample_batch(field, n, 40, rng=3)
-    d = _dim(field, n)
+    d = stored_rows(n, field)
     assert batch.shape == (40, d, d)
     eye = np.eye(d)
     worst = max(float(np.max(np.abs(m.conj().T @ m - eye))) for m in batch)
@@ -145,7 +141,7 @@ def test_gram_schmidt_stays_orthonormal_on_nearly_dependent_columns(field, n):
     # Gaussian column 2 is column 1 plus 1e-9 noise: one projection pass
     # would leave an orthogonality error near 1e-7, the second removes it
     rng = np.random.default_rng(32)
-    size, d = 50, _dim(field, n)
+    size, d = 50, stored_rows(n, field)
     drawn = _columns(rng, field, n, d, size)
     noise = _columns(rng, field, 1, d, size)[0]
     drawn[1] = drawn[0] + 1e-9 * noise
@@ -266,7 +262,7 @@ def test_cayley_of_rotation_is_skew():
 def test_corner_pivots_are_ratios_of_corner_determinants(field):
     rng = np.random.default_rng(31)
     n = 8 if field != QUATERNION else 4
-    d = _dim(field, n)
+    d = stored_rows(n, field)
     mats = haar_sample_batch(field, n, 1000, rng)
     piv = corner_pivots(mats, d).T
     # every pivot is 1 plus a unitary matrix entry; the last one sits on the
@@ -304,7 +300,7 @@ def _pivots_sample_axis_first(mats, k):
 def test_corner_pivots_equal_the_sample_first_elimination_bit_for_bit(field):
     # the same operations on every entry in the same order: only the memory layout differs
     n = 8 if field != QUATERNION else 4
-    d = _dim(field, n)
+    d = stored_rows(n, field)
     mats = haar_sample_batch(field, n, 500, rng=33)
     mats[0, 0, 0] = -1.0  # a zero first pivot takes the safe-divisor branch
     for k in (1, 3, d):
