@@ -9,16 +9,49 @@ from berezin_lab.ball import (
     random_ball_point,
     random_pseudo_orthogonal,
 )
-from berezin_lab.errors import InvalidParams, NearSingularCocycle
+from berezin_lab.berezin import berezin_kernel
+from berezin_lab.errors import InvalidParams, NearSingularCocycle, NonPositiveDeterminant
 
 from conftest import boundary_points
 
 PQ = [(1, 2), (2, 2), (2, 3), (3, 5)]
 
 
+def _j_residual(g, p):
+    """Frobenius residual of g^t J g = J, J = diag(1_p, -1_q), per element of a stack."""
+    q = g.shape[-1] - p
+    j = np.diag(np.r_[np.ones(p), -np.ones(q)])
+    return np.linalg.norm(np.swapaxes(g, -1, -2) @ j @ g - j, axis=(-2, -1)) / np.sqrt(p + q)
+
+
+def _orbit_rank(z):
+    """Rank of 1 - z z^t at a closure point, singular values below 1e-9 counted as zero."""
+    svals = np.linalg.svd(np.eye(len(z)) - z @ z.T, compute_uv=False)
+    return int(np.sum(svals > 1e-9))
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------
+
+
+def test_ball_point_validation():
+    # a point enters the library through the action and the kernel: both
+    # refuse a point that is not a matrix
+    g = boost(2, 2, np.array([0.4, -0.3]))
+    with pytest.raises(InvalidParams):
+        moebius_act(g, np.zeros(4))
+    with pytest.raises(InvalidParams):
+        berezin_kernel(np.zeros(3), np.zeros((1, 3)), 1.0)
+    # p > q is refused where points are drawn
+    with pytest.raises(InvalidParams):
+        random_ball_point(3, 2, rng=0)
+    # norm 1 is not interior: the kernel has no value on the diagonal there
+    with pytest.raises(NonPositiveDeterminant):
+        berezin_kernel(np.eye(2), np.eye(2), 1.0)
+    # but it is admissible on the closure, which the action preserves
+    w = moebius_act(g, np.eye(2))
+    assert np.linalg.norm(w, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_ball_point_norm_window():
@@ -148,14 +181,24 @@ def test_origin_is_fixed_by_boosts_only_when_trivial():
 # ---------------------------------------------------------------------------
 
 
+def test_signature_matrix_and_validation():
+    # boosts and sampled elements keep J = diag(1_p, -1_q), and the residual
+    # the element tests rely on does see a matrix that breaks it
+    g = random_pseudo_orthogonal(2, 3, rng=4)
+    assert _j_residual(g, 2) < 1e-9
+    assert _j_residual(boost(2, 3, np.array([1.5, -0.7])), 2) < 1e-9
+    bad = g.copy()
+    bad[:2, :2] *= 2
+    assert _j_residual(bad, 2) > 1e-3
+    # J depends on p, so the same matrix fails as an O(1, 4) element
+    assert _j_residual(g, 1) > 1e-3
+
+
 @pytest.mark.parametrize("p,q", PQ)
 def test_random_pseudo_orthogonal_stack_elements(p, q):
     g = random_pseudo_orthogonal(p, q, 3, size=40)
     assert g.shape == (40, p + q, p + q)
-    # the Frobenius residual of g^t J g = J, J = diag(1_p, -1_q), per element
-    j = np.diag(np.r_[np.ones(p), -np.ones(q)])
-    res = np.linalg.norm(np.swapaxes(g, 1, 2) @ j @ g - j, axis=(1, 2)) / np.sqrt(p + q)
-    assert np.all(res < 1e-9)
+    assert np.all(_j_residual(g, p) < 1e-9)
     # a stack of one is the single sample, bit for bit
     one = random_pseudo_orthogonal(p, q, 5, size=1)
     assert np.array_equal(one[0], random_pseudo_orthogonal(p, q, 5))
@@ -218,6 +261,27 @@ def test_action_preserves_the_ball(p, q):
         assert np.linalg.norm(w, 2) < 1.0
 
 
+@pytest.mark.parametrize("p,q", PQ)
+def test_transport_to_origin(p, q):
+    # with z = U diag(sigma) V^t, diag(U, V) B(-atanh sigma) moves z to the
+    # origin, and its cocycle at z is prod(1 / cosh(atanh sigma))
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        z = random_ball_point(p, q, rng, 0.0, 0.95)
+        u, sig, vt = np.linalg.svd(z)
+        if np.linalg.det(u) < 0:
+            # flip one singular pair jointly: z is unchanged and the cocycle is positive
+            u[:, -1] *= -1.0
+            vt[p - 1, :] *= -1.0
+        frame = np.zeros((p + q, p + q))
+        frame[:p, :p], frame[p:, p:] = u, vt.T
+        g = frame @ boost(p, q, -np.arctanh(sig))
+        assert _j_residual(g, p) < 1e-8
+        assert np.max(np.abs(moebius_act(g, z))) < 1e-9
+        expect = float(np.prod(1.0 / np.cosh(np.arctanh(sig))))
+        assert cocycle(g, z) == pytest.approx(expect, rel=1e-9)
+
+
 def test_boost_composition_adds_rapidity():
     g = boost(2, 3, np.array([0.5, -0.2]))
     h = boost(2, 3, np.array([0.1, 0.4]))
@@ -243,6 +307,22 @@ def test_shape_mismatches_are_rejected():
         cocycle(g, np.zeros(3))
 
 
+def test_one_point_and_one_matrix_inputs_are_validated():
+    # a single element and a single point pass the checks a stack does
+    g = random_pseudo_orthogonal(2, 3, rng=11)
+    z = random_ball_point(2, 3, rng=11)
+    for bad in (g[:4, :4], np.zeros((4, 5))):
+        with pytest.raises(InvalidParams):
+            moebius_act(bad, z)
+    with pytest.raises(InvalidParams):
+        cocycle(g, z[0])
+    with pytest.raises(InvalidParams):
+        boost(2, 3, np.zeros((4, 3)))  # three rapidities per element for p = 2
+    # a boundary point has no kernel value with itself
+    with pytest.raises(NonPositiveDeterminant):
+        berezin_kernel(np.eye(2, 3), np.eye(2, 3), 1.0)
+
+
 def test_near_singular_cocycle_is_flagged():
     # a closure point aligned against a strong boost sends a + z c to zero
     t = 30.0
@@ -262,9 +342,18 @@ def test_near_singular_cocycle_is_flagged():
 # ---------------------------------------------------------------------------
 
 
+def test_orbit_rank_interior_and_compact_orbit():
+    # drawn points are interior, rank p, up to the top of the norm window
+    for z in random_ball_point(2, 4, 11, 0.9, 0.999, size=50):
+        assert _orbit_rank(z) == 2
+    # orthonormal rows sit on the compact orbit, rank 0, and stay there
+    w = np.eye(3, 5)
+    assert _orbit_rank(w) == 0
+    assert _orbit_rank(moebius_act(random_pseudo_orthogonal(3, 5, rng=11), w)) == 0
+
+
 def test_orbit_rank_is_action_invariant_on_boundary_points():
-    # the orbit of a closure point z is fixed by the rank of 1 - z z^t, with
-    # singular values below 1e-9 counted as zero
+    # the orbit of a closure point z is fixed by the rank of 1 - z z^t
     rng = np.random.default_rng(12)
     for p, q, r in [(2, 4, 0), (2, 4, 1), (3, 5, 2)]:
         for _ in range(10):
@@ -273,5 +362,4 @@ def test_orbit_rank_is_action_invariant_on_boundary_points():
             moved = moebius_act(g, zp)
             for z in (zp, moved):
                 assert _spectral_norm(z) <= 1.0 + 1e-9
-                svals = np.linalg.svd(np.eye(p) - z @ z.T, compute_uv=False)
-                assert np.sum(svals > 1e-9) == r
+                assert _orbit_rank(z) == r

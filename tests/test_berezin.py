@@ -425,6 +425,17 @@ def test_ball_scale_preserves_metadata():
 # ---------------------------------------------------------------------------
 
 
+def test_boundary_sample_parameter_validation():
+    # every boundary-orbit function needs 1 <= p < q and 0 <= r < p
+    for p, q, r in [(2, 2, 0), (2, 4, 2), (2, 4, -1), (0, 3, 0)]:
+        with pytest.raises(InvalidParams):
+            restriction_threshold(p, q, r)
+        with pytest.raises(InvalidParams):
+            restriction_closed_form(p, q, r, 0.3)
+        with pytest.raises(InvalidParams):
+            restriction_probe(p, q, r, 0.3, n_samples=10, rng=0)
+
+
 def test_boundary_sample_shapes_and_rank():
     batch = boundary_points(2, 4, 1, 300, 17)
     assert batch.shape == (300, 2, 4)

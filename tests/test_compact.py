@@ -201,6 +201,13 @@ def test_sampling_rejects_bad_arguments():
         haar_sample_uncorrected(QUATERNION, 2)
 
 
+def test_matrix_dim_by_field():
+    # a sample of n units has n stored rows, two per unit for quaternions
+    for field, side in [(REAL, 3), (COMPLEX, 3), (QUATERNION, 6)]:
+        assert haar_sample_batch(field, 3, 2, rng=0).shape == (2, side, side)
+        assert stored_rows(3, field) == side
+
+
 # ---------------------------------------------------------------------------
 # Corner reduction calculus
 # ---------------------------------------------------------------------------
@@ -256,6 +263,23 @@ def test_cayley_of_rotation_is_skew():
     g = haar_sample_batch(REAL, 4, 1, rng=9)[0]
     s = cayley(g)
     assert np.max(np.abs(s + s.T)) < 1e-12
+
+
+def test_cayley_rejects_minus_one():
+    # -1 lies on the singular set det(1 + g) = 0: the reference transform
+    # cannot be solved there, and the library's first corner pivot is 0
+    with pytest.raises(np.linalg.LinAlgError):
+        cayley(-np.eye(2))
+    piv = corner_pivots(-np.eye(2)[None], 2)
+    assert piv[0, 0] == 0.0 and np.prod(piv) == 0.0
+
+
+def test_upsilon_rejects_singular_corner():
+    # a corner with det(1 + P) = 0 has no reduction, and its pivot is 0
+    g = np.diag([-1.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        upsilon(g, 1)
+    assert corner_pivots(g[None], 1)[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -328,6 +352,16 @@ def test_eliminate_pivots_multiply_to_the_determinant(p):
     assert np.array_equal(eliminate(mats[0].copy()), eliminate(one)[:, 0])
 
 
+def test_corner_shapes():
+    # m units are 2m stored rows of a quaternionic element, m rows otherwise
+    g = haar_sample_batch(QUATERNION, 3, 5, rng=1)
+    assert corner_pivots(g, stored_rows(2, QUATERNION)).shape == (4, 5)
+    assert upsilon(g[0], 2, QUATERNION).shape == (2, 2)
+    h = haar_sample_batch(REAL, 3, 5, rng=1)
+    assert corner_pivots(h, 2).shape == (2, 5)
+    assert upsilon(h[0], 2).shape == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Cube coordinates
 # ---------------------------------------------------------------------------
@@ -366,3 +400,72 @@ def test_cube_coordinates_are_uncorrelated():
     corr = np.corrcoef(coords.T)
     off = np.abs(corr[np.triu_indices(4, 1)])
     assert np.all(off < 3.0 / np.sqrt(n_samples))
+
+
+# ---------------------------------------------------------------------------
+# Quaternionic determinant
+# ---------------------------------------------------------------------------
+
+
+def _quaternionic_det(piv):
+    """Quaternionic determinant per sample, sqrt(prod |pivot|) over the stored rows.
+
+    The Sp integral reads it so from the pivots of the complex realization.
+    """
+    return np.sqrt(np.prod(np.abs(piv), axis=0))
+
+
+def _quaternion(a, b, c, d):
+    """a + b i + c j + d k as its 2 x 2 complex block."""
+    return np.array([[a + b * 1j, c + d * 1j], [-c + d * 1j, a - b * 1j]])
+
+
+def test_quaternionic_det_exact_values():
+    # det(1 + g) for the unit quaternions 1 and j: |2| = 2 and |1 + j| = sqrt(2)
+    g = np.stack([_quaternion(1, 0, 0, 0), _quaternion(0, 0, 1, 0)])
+    assert _structure_residual(g) == 0.0
+    piv = corner_pivots(g, 2)
+    assert np.array_equal(piv[:, 0], [2.0, 2.0])
+    assert _quaternionic_det(piv) == pytest.approx([2.0, np.sqrt(2.0)], rel=1e-15)
+
+
+def test_quaternionic_det_of_one_plus_unit_quaternion():
+    # for a unit quaternion g with real part a, det(1 + g) = |1 + g| = sqrt(2 + 2a)
+    g = haar_sample_batch(QUATERNION, 1, 10, rng=21)
+    expect = np.sqrt(2.0 + 2.0 * g[:, 0, 0].real)
+    assert _quaternionic_det(corner_pivots(g, 2)) == pytest.approx(expect, rel=1e-10)
+
+
+def test_quaternionic_det_is_multiplicative_on_samples():
+    # the complex determinant of a quaternionic matrix is real and nonnegative,
+    # and its square root is multiplicative
+    a, b = haar_sample_batch(QUATERNION, 2, 2, rng=22)
+    mats = [np.eye(4) + a, np.eye(4) + b]
+    mats.append(mats[0] @ mats[1])
+    piv = [eliminate(m.copy()) for m in mats]
+    for p in piv:
+        det = np.prod(p)
+        assert abs(det.imag) <= 1e-12 * abs(det) and det.real > 0
+    da, db, dab = (_quaternionic_det(p) for p in piv)
+    assert dab == pytest.approx(da * db, rel=1e-9)
+
+
+def test_quaternionic_det_rejects_structure_violation():
+    # a complex 2 x 2 matrix off the quaternionic structure: the structure
+    # check sees it, and its determinant is negative, which no quaternionic
+    # matrix has, so it has no quaternionic determinant
+    bad = np.arange(1.0, 5.0).reshape(2, 2) + 0j
+    assert _structure_residual(bad[None]) > 1.0
+    assert np.prod(eliminate(bad.copy())) == -2.0
+    assert _structure_residual(haar_sample_batch(QUATERNION, 1, 5, rng=23)) < 1e-12
+
+
+def test_quaternionic_det_of_singular_matrix_is_zero():
+    # g = diag(1, -1) in Sp(2): 1 + g = diag(2, 0) has a zero quaternionic
+    # determinant, and the zero pivot sits after two nonzero ones
+    g = np.zeros((4, 4), dtype=complex)
+    g[:2, :2], g[2:, 2:] = _quaternion(1, 0, 0, 0), _quaternion(-1, 0, 0, 0)
+    piv = corner_pivots(g[None], 4)
+    assert np.array_equal(piv[:, 0], [2.0, 2.0, 0.0, 0.0])
+    assert _quaternionic_det(piv)[0] == 0.0
+    assert np.prod(eliminate(np.zeros((2, 2), dtype=complex))) == 0.0
