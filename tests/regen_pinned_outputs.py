@@ -116,6 +116,11 @@ PINNED_ARGVS = [
     ["integral", "so", "--n", "4", "--lambda", "0,0,0,0", "--samples", "2000", "--seed", "7"],
     ["integral", "sp", "--n", "1", "--lambda", "-2", "--samples", "20000", "--seed", "6"],
     ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4", "--tol", "z=5"],
+    # an SO vector with a nonzero last exponent, and a probe above its threshold
+    # (nothing expected, so inconclusive)
+    ["integral", "so", "--n", "3", "--lambda", "1.5,1,0.5", "--samples", "2000", "--seed", "7"],
+    ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "2.5",
+     "--samples", "2000", "--seed", "7"],
 ]
 
 
