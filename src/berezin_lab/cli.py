@@ -148,18 +148,35 @@ def _resolve(args: argparse.Namespace) -> None:
     args.tol = tol
 
 
-def _mc_verdict(args, mc, expected: float, finite_variance: bool,
-                oracle_rel: float | None = None) -> tuple[float | None, str]:
-    """(z-score, verdict) of a Monte Carlo mean against its closed form.
+def _mc_fields(args, inputs: dict, mc, expected: float | None, second_moment: float,
+               oracle_rel: float | None = None) -> dict:
+    """A Monte Carlo check's report fields, its diagnostics written into ``inputs``.
 
-    Where the variance is finite, z decides: |z| <= ``z``.  A zero
-    standard error (every draw equal) carries no scale for a z-score, so
-    the mean must then match to ``rel`` and the z-score is None.  The
-    relative difference ``oracle_rel`` of a deterministic oracle, when one
-    was computed, must also be <= ``rel``.  Where the variance is infinite
-    the observed standard error is biased low, so z is only reported: the
-    oracle decides alone, and without one the verdict is inconclusive.
+    The diagnostics are max |value|, the redraws and ``stderr_expected``,
+    sqrt((E f^2 - expected^2) / N) from the second moment E f^2: the
+    standard error the estimate should show, None where nothing is
+    expected or the variance is infinite, which ``variance`` then says.
+
+    With nothing expected the verdict is inconclusive.  Where the variance
+    is finite, z decides: |z| <= ``z``.  A zero standard error (every draw
+    equal) carries no scale for a z-score, so the mean must then match to
+    ``rel`` and the z-score is None.  The relative difference ``oracle_rel``
+    of a deterministic oracle, when one was computed, must also be <=
+    ``rel``.  Where the variance is infinite the observed standard error is
+    biased low, so z is only reported: the oracle decides alone, and
+    without one the verdict is inconclusive.
     """
+    diagnostics = {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples, "stderr_expected": None}
+    inputs["diagnostics"] = diagnostics
+    fields = {"inputs": inputs, "expected": expected, "observed": mc.mean, "stderr": mc.stderr}
+    if expected is None:
+        return {**fields, "verdict": INCONCLUSIVE}
+    finite_variance = math.isfinite(second_moment)
+    if finite_variance:
+        var = max(0.0, second_moment - expected * expected)
+        diagnostics["stderr_expected"] = math.sqrt(var / mc.n_samples)
+    else:
+        diagnostics["variance"] = "infinite"
     rel = args.tol["rel"]
     if mc.stderr > 0:
         z = (mc.mean - expected) / mc.stderr
@@ -168,29 +185,10 @@ def _mc_verdict(args, mc, expected: float, finite_variance: bool,
         z, mc_ok = None, abs(mc.mean - expected) <= rel * abs(expected)
     if not finite_variance:
         if oracle_rel is None:
-            return z, INCONCLUSIVE
+            return {**fields, "z_score": z, "verdict": INCONCLUSIVE}
         mc_ok = True
     ok = mc_ok and (oracle_rel is None or oracle_rel <= rel)
-    return z, PASS if ok else FAIL
-
-
-def _mc_diagnostics(mc, expected: float | None, second_moment: float) -> dict:
-    """A Monte Carlo report's diagnostics: max |value|, redraws and the predicted stderr.
-
-    ``stderr_expected`` is sqrt((E f^2 - expected^2) / N), the standard
-    error the estimate should show, from the second moment ``E f^2``; it
-    is None where nothing is expected or the variance is infinite, which
-    ``variance`` then says.
-    """
-    diagnostics = {"max_abs": mc.max_abs, "n_resamples": mc.n_resamples, "stderr_expected": None}
-    if expected is None:
-        return diagnostics
-    if math.isfinite(second_moment):
-        var = max(0.0, second_moment - expected * expected)
-        diagnostics["stderr_expected"] = math.sqrt(var / mc.n_samples)
-    else:
-        diagnostics["variance"] = "infinite"
-    return diagnostics
+    return {**fields, "z_score": z, "verdict": PASS if ok else FAIL}
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +237,16 @@ def cmd_integral(args):
     evaluations: dict = {}
     rel = None
     if group == "so":
-        lam = np.asarray(lam, dtype=float)
-        shifted = lam - lam[-1]  # the identity normalizes the last exponent to zero
-        expected = integrals.so_integral_closed_form(n, shifted, integrals.VARIANT_CORRECTED)
+        expected = integrals.so_integral_closed_form(n, lam, integrals.VARIANT_CORRECTED)
         evaluations["closed_form_corrected"] = expected
         evaluations["closed_form_as_printed"] = integrals.so_integral_closed_form(
-            n, shifted, integrals.VARIANT_AS_PRINTED
+            n, lam, integrals.VARIANT_AS_PRINTED
         )
-        evaluations["quadrature"] = integrals.so_integral_quadrature(n, shifted)
+        evaluations["quadrature"] = integrals.so_integral_quadrature(n, lam)
         rel = abs(evaluations["quadrature"] - expected) / abs(expected)
         evaluations["quadrature_rel_diff"] = rel
-        second_moment = integrals.so_second_moment(n, shifted)
-        mc = integrals.so_integral_mc(n, shifted, count, seed)
+        second_moment = integrals.so_second_moment(n, lam)
+        mc = integrals.so_integral_mc(n, lam, count, seed)
     elif group == "u":
         mu = [0.0] * n if args.mu is None else args.mu
         inputs["mu"] = list(mu)
@@ -262,10 +258,7 @@ def cmd_integral(args):
         second_moment = integrals.sp_second_moment(n, lam)
         mc = integrals.sp_integral_mc(n, lam, count, seed)
     inputs["evaluations"] = evaluations
-    inputs["diagnostics"] = _mc_diagnostics(mc, expected, second_moment)
-    z, verdict = _mc_verdict(args, mc, expected, math.isfinite(second_moment), rel)
-    return {"inputs": inputs, "expected": expected, "observed": mc.mean, "stderr": mc.stderr,
-            "z_score": z, "verdict": verdict}, None
+    return _mc_fields(args, inputs, mc, expected, second_moment, rel), None
 
 
 def cmd_kernel(args):
@@ -310,7 +303,7 @@ def cmd_kernel(args):
 def cmd_boundary_probe(args):
     """The probe against its closed form: by z where 2 alpha < threshold, else by the SO oracle.
 
-    As in ``cmd_integral``, the closed forms come before the draws.
+    As in ``cmd_integral``, the closed forms and the oracle come before the draws.
     """
     from . import berezin
 
@@ -318,22 +311,19 @@ def cmd_boundary_probe(args):
     threshold = berezin.restriction_threshold(p, q, r)
     # above the integrability threshold there is nothing to converge to
     expected = berezin.restriction_closed_form(p, q, r, alpha) if alpha < threshold else None
-    finite_variance = 2 * alpha < threshold  # E f^2 is the closed form at 2 alpha
-    second_moment = (berezin.restriction_closed_form(p, q, r, 2 * alpha) if finite_variance
-                     else math.inf)
+    # E f^2 is the closed form at 2 alpha
+    second_moment = (berezin.restriction_closed_form(p, q, r, 2 * alpha)
+                     if 2 * alpha < threshold else math.inf)
+    rel = None
+    if expected is not None and second_moment == math.inf:
+        rel = abs(berezin.restriction_quadrature(p, q, r, alpha) - expected) / abs(expected)
     mc = berezin.restriction_probe(p, q, r, alpha, args.samples, args.seed)
     inputs = {"p": p, "q": q, "r": r, "alpha": alpha, "samples": args.samples,
-              "threshold": threshold,
-              "diagnostics": _mc_diagnostics(mc, expected, second_moment)}
-    fields = {"inputs": inputs, "observed": mc.mean, "stderr": mc.stderr}
-    if expected is None:
-        return {**fields, "expected": None, "verdict": INCONCLUSIVE}, None
-    rel = None
-    if not finite_variance:
-        rel = abs(berezin.restriction_quadrature(p, q, r, alpha) - expected) / abs(expected)
+              "threshold": threshold}
+    fields = _mc_fields(args, inputs, mc, expected, second_moment, rel)
+    if rel is not None:
         inputs["diagnostics"]["quadrature_rel_diff"] = rel
-    z, verdict = _mc_verdict(args, mc, expected, finite_variance, rel)
-    return {**fields, "expected": expected, "z_score": z, "verdict": verdict}, None
+    return fields, None
 
 
 def cmd_plancherel_blocks(args):
@@ -446,9 +436,9 @@ _LEDGER = [
      "n=2, lambda=(1,0): exact value 1; as-printed gives 1/2; "
      "tests/test_integrals.py::test_so_variant_discriminator"),
     ("so exponent convention", "convention",
-     "closed form and quadrature require a trailing zero exponent; "
-     "the integrand only sees differences, so vectors are shifted first; "
-     "tests/test_integrals.py::test_so_mc_is_shift_invariant"),
+     "the integrand only sees differences, so every SO evaluation shifts the "
+     "vector to a trailing zero, lambda - lambda_n; "
+     "tests/test_integrals.py::test_so_evaluations_shift_to_a_trailing_zero"),
     ("u_integral_closed_form", "as-printed",
      "n=1 exact checks (2 and 1) and n=2 MC agreement; "
      "tests/test_integrals.py::test_u_closed_form_n1_exact"),

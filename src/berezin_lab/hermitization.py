@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from numbers import Integral
 from typing import Callable
 
 from .errors import InvalidParams
@@ -73,7 +74,7 @@ def dims_match(pair: SymmetricPair, params: dict[str, int]) -> bool:
         if name not in params:
             raise InvalidParams(f"row {pair.index} needs parameter {name!r}")
         value = params[name]
-        if not isinstance(value, (int,)) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
             raise InvalidParams(f"parameter {name!r} must be a positive integer")
     args = {name: params[name] for name in pair.params}
     return pair.dim_real(**args) == pair.dim_cplx(**args)

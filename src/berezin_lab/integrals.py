@@ -81,6 +81,8 @@ def _exponents(lam, n: int, name: str = "lambda", n_min: int = 1) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (n,):
         raise InvalidParams(f"{name} must have length n = {n}, got shape {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise InvalidParams(f"{name} must be finite, got {lam.tolist()}")
     return lam
 
 
@@ -110,22 +112,17 @@ def _gamma_ratio(num, den, what: str, two_power: float = 0.0) -> float:
     return float(np.exp(log_value))
 
 
-_SO_DOMAIN = "lambda_k > -(n-k)/2"
+_SO_DOMAIN = "lambda_k - lambda_n > -(n-k)/2"
 
 
 def _so_exponents(n: int, lam) -> np.ndarray:
-    """Checked SO(n) exponents.
+    """Checked SO(n) exponents, shifted to a trailing zero: lambda - lambda_n.
 
-    The real-case identity normalizes the last exponent to zero; the
-    integrand only sees differences, so a vector is shifted first.
+    The real-case identity is stated for a last exponent of zero, and the
+    integrand only sees differences, so every SO evaluation shifts here.
     """
     lam = _exponents(lam, n, n_min=2)
-    if abs(lam[-1]) > 0:
-        raise InvalidParams(
-            "the last exponent must be 0; subtract lambda[n-1] from every entry "
-            "(the integrand depends only on the differences)"
-        )
-    return lam
+    return lam - lam[-1]
 
 
 def _so_gamma_args(n: int, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,7 +137,8 @@ def so_integral_closed_form(n: int, lam, variant: str = WINNING_SO_VARIANT) -> f
 
     ``variant`` chooses between the two circulating constants: the
     ``two-power-corrected`` form carries an extra 2^lambda_k per factor.
-    Requires lambda_k > -(n - k)/2 for k = 1..n-1 and a trailing zero.
+    Any exponent vector is shifted to a trailing zero first; converges iff
+    lambda_k - lambda_n > -(n - k)/2 for k = 1..n-1.
     """
     if variant not in SO_VARIANTS:
         raise InvalidParams(f"variant must be one of {SO_VARIANTS}")
@@ -334,14 +332,9 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
 
 
 def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
-    """Monte Carlo for the SO(n) corner-determinant integral.
-
-    Accepts any exponent vector; the integrand is invariant under adding a
-    constant to all entries, which is how it connects to the normalized
-    closed form.
-    """
-    lam = _exponents(lam, n, n_min=2)
-    return corner_power_mc(partial(_haar_so_batch, n), lam[:-1] - lam[-1], n_samples, rng)
+    """Monte Carlo for the SO(n) corner-determinant integral, at lambda - lambda_n."""
+    lam = _so_exponents(n, lam)
+    return corner_power_mc(partial(_haar_so_batch, n), lam[:-1], n_samples, rng)
 
 
 def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:

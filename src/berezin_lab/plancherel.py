@@ -35,7 +35,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, log, perm, pi
+from math import comb, isfinite, log, perm, pi
+from numbers import Integral
 
 import numpy as np
 
@@ -62,8 +63,12 @@ class PlancherelParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (self.p, self.q)):
+            raise InvalidParams(f"p and q must be integers, got ({self.p!r}, {self.q!r})")
         if not 1 <= self.p <= self.q:
             raise InvalidParams(f"need 1 <= p <= q, got ({self.p}, {self.q})")
+        if not isfinite(self.alpha):
+            raise InvalidParams(f"alpha must be finite, got {self.alpha}")
 
     @property
     def h(self) -> float:
@@ -512,6 +517,7 @@ def rank1_plancherel_probe(q: int, alpha: float) -> Rank1Report:
     """
     if q < 2:
         raise InvalidParams("need q >= 2")
+    params = PlancherelParams(1, q, alpha)
     if alpha <= (1 + q) / 2.0 - 1.0:
         raise InvalidParams("the purely continuous expansion needs alpha > (1+q)/2 - 1")
     t_grid = np.asarray(_RANK1_T_GRID, dtype=float)
@@ -519,7 +525,6 @@ def rank1_plancherel_probe(q: int, alpha: float) -> Rank1Report:
     rho = (q - 1) / 2.0
     a = (q - 3) / 2.0
     s = np.linspace(0.0, _RANK1_S_MAX, _RANK1_S_POINTS)
-    params = PlancherelParams(1, q, alpha)
     weight = continuous_weight_o(params, s[:, None])
 
     def phi(m: int) -> np.ndarray:

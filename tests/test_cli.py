@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from berezin_lab import berezin, integrals
+from berezin_lab import berezin, cli, integrals
 from berezin_lab.ball import random_ball_point, random_pseudo_orthogonal
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
 from berezin_lab.reporting import in_interval
@@ -549,6 +549,45 @@ def test_a_finite_variance_probe_is_decided_by_the_z_test(capsys):
         1.6666666666666696, 1.658416690799243, 0.014306829746072856, -0.5766459805458416, "pass")
 
 
+_FINITE = ["max_abs", "n_resamples", "stderr_expected"]
+_INFINITE = [*_FINITE, "variance"]
+# name: ((mean, stderr, expected, second moment, oracle_rel), (z_score, verdict, diagnostics))
+_MC_FIELDS_TABLE = {
+    "finite, z passes": ((1.25, 0.125, 1.0, 2.0, None), (2.0, "pass", _FINITE)),
+    "finite, z fails": ((1.5, 0.125, 1.0, 2.0, None), (4.0, "fail", _FINITE)),
+    "finite, oracle fails": ((1.25, 0.125, 1.0, 2.0, 1e-6), (2.0, "fail", _FINITE)),
+    "zero stderr, rel passes": ((1.0, 0.0, 1.0, 1.0, None), (None, "pass", _FINITE)),
+    "zero stderr, rel fails": ((1.0 + 1e-6, 0.0, 1.0, 1.0, None), (None, "fail", _FINITE)),
+    "infinite, no oracle": ((1.5, 0.125, 1.0, math.inf, None), (4.0, "inconclusive", _INFINITE)),
+    "infinite, oracle passes": ((1.5, 0.125, 1.0, math.inf, 1e-12), (4.0, "pass", _INFINITE)),
+    "infinite, oracle fails": ((1.0, 0.125, 1.0, math.inf, 1e-6), (0.0, "fail", _INFINITE)),
+    "nothing expected": ((1.5, 0.125, None, math.inf, None), (None, "inconclusive", _FINITE)),
+}
+
+
+@pytest.mark.parametrize("name", list(_MC_FIELDS_TABLE))
+def test_mc_fields_judges_every_monte_carlo_case(name):
+    (mean, stderr, expected, second_moment, oracle_rel), (z, verdict, keys) = (
+        _MC_FIELDS_TABLE[name])
+    args = argparse.Namespace(tol={"z": 3.0, "rel": 1e-8})
+    mc = integrals.MCEstimate(mean=mean, stderr=stderr, n_samples=100, seed=0, n_resamples=2,
+                              max_abs=3.0)
+    inputs = {"n": 3}
+    fields = cli._mc_fields(args, inputs, mc, expected, second_moment, oracle_rel)
+    assert fields["inputs"] is inputs and list(inputs) == ["n", "diagnostics"]
+    assert (fields["expected"], fields["observed"], fields["stderr"]) == (expected, mean, stderr)
+    assert (fields.get("z_score"), fields["verdict"]) == (z, verdict)
+    diagnostics = inputs["diagnostics"]
+    assert list(diagnostics) == keys
+    assert (diagnostics["max_abs"], diagnostics["n_resamples"]) == (3.0, 2)
+    if keys == _INFINITE:
+        assert diagnostics["variance"] == "infinite" and diagnostics["stderr_expected"] is None
+    elif expected is None:
+        assert diagnostics["stderr_expected"] is None
+    else:  # sqrt((E f^2 - expected^2) / N)
+        assert diagnostics["stderr_expected"] == math.sqrt((second_moment - 1.0) / 100)
+
+
 # ---------------------------------------------------------------------------
 # plancherel
 # ---------------------------------------------------------------------------
@@ -736,8 +775,6 @@ def test_out_to_a_missing_directory_exits_three(tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    from berezin_lab import cli
-
     monkeypatch.delenv("BEREZIN_SEED", raising=False)
     seen = []
     resolve = cli._resolve
@@ -881,8 +918,6 @@ _RUNNER_CASES = {
 
 def _parser_commands():
     """Every (command, subcommand) path of the CLI's parser."""
-    from berezin_lab import cli
-
     def paths(parser, prefix):
         subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         if not subs:
@@ -918,8 +953,6 @@ def test_runner_renders_every_command_in_both_formats(capsys, path):
 def test_an_open_verdict_is_judged_by_the_interval_rule(capsys):
     # every report whose command leaves the verdict open passes exactly
     # when its observation lies in its expected interval
-    from berezin_lab import cli
-
     degeneration = ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-2.5"]
     cases = [(path, [*path, *argv]) for path, argv in _RUNNER_CASES.items()]
     cases.append((("plancherel", "degeneration"), degeneration))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from berezin_lab import hermitization
@@ -59,3 +60,10 @@ def test_dims_match_validates_parameters():
         dims_match(row, {name: 0 for name in row.params})
     with pytest.raises(InvalidParams):
         dims_match(row, {})
+
+
+def test_dims_match_takes_integral_values_but_not_bools():
+    row = catalog()[0]
+    assert dims_match(row, {"n": np.int64(2)})
+    with pytest.raises(InvalidParams):
+        dims_match(row, {"n": True})

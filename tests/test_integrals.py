@@ -1,3 +1,4 @@
+from functools import partial
 from math import lgamma, log
 
 import numpy as np
@@ -56,11 +57,21 @@ def test_so_closed_form_more_exact_values():
     assert so_integral_closed_form(2, [2.0, 0.0]) == pytest.approx(1.5)
 
 
-def test_so_requires_trailing_zero():
-    with pytest.raises(InvalidParams):
-        so_integral_closed_form(3, [1.0, 1.0, 1.0])
-    with pytest.raises(InvalidParams):
-        so_integral_quadrature(3, [1.0, 0.5, 0.2])
+def test_so_evaluations_shift_to_a_trailing_zero():
+    # every deterministic SO evaluation sees lambda - lambda_n, bit for bit
+    for evaluate in (partial(so_integral_closed_form, variant=VARIANT_CORRECTED),
+                     partial(so_integral_closed_form, variant=VARIANT_AS_PRINTED),
+                     so_integral_quadrature, so_second_moment):
+        assert evaluate(3, [1.5, 1.0, 0.5]) == evaluate(3, [1.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("evaluate", [so_integral_closed_form, so_integral_quadrature,
+                                      lambda n, lam: so_integral_mc(n, lam, 100, rng=0)])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_so_refuses_a_non_finite_exponent(evaluate, bad):
+    # inf gave a NaN closed form and NaN a NaN Monte Carlo mean
+    with pytest.raises(InvalidParams, match="finite"):
+        evaluate(3, [bad, 0.0, 0.0])
 
 
 def test_so_domain_error():

@@ -38,6 +38,21 @@ def test_params_default_h():
         PlancherelParams(0, 5, 1.0)
     with pytest.raises(InvalidParams):
         PlancherelParams(3, 2, 1.0)
+    assert PlancherelParams(np.int64(2), np.int64(5), 1.0).h == 2.5
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_params_refuse_a_non_finite_alpha(alpha):
+    # surviving_blocks used to end in a bare ValueError (nan) or OverflowError (inf)
+    with pytest.raises(InvalidParams, match="alpha must be finite"):
+        PlancherelParams(2, 5, alpha)
+
+
+@pytest.mark.parametrize("p, q", [(2.5, 5), (2, 5.0), (True, 5)])
+def test_params_refuse_a_non_integer_p_or_q(p, q):
+    # a float p used to pass and end in a TypeError inside surviving_blocks
+    with pytest.raises(InvalidParams, match="must be integers"):
+        PlancherelParams(p, q, 1.0)
 
 
 def test_block_index_weights():
@@ -806,6 +821,12 @@ def test_rank1_probe_parameter_validation():
         rank1_plancherel_probe(1, 4.0)
     with pytest.raises(InvalidParams):
         rank1_plancherel_probe(3, 0.5)  # needs alpha > (1+q)/2 - 1
+
+
+def test_rank1_probe_refuses_an_infinite_alpha():
+    # it used to run to 1024 nodes and raise OracleNotConverged, "differ by nan"
+    with pytest.raises(InvalidParams, match="alpha must be finite"):
+        rank1_plancherel_probe(3, math.inf)
 
 
 def test_gauss_jacobi_rule_matches_scipy():
