@@ -75,9 +75,7 @@ def wallach_admissible(alpha: float, p: int) -> bool:
     """Membership of alpha in {0, 1, ..., p-1} union (p-1, infinity)."""
     if p < 1:
         raise InvalidParams("need p >= 1")
-    if alpha > p - 1 - _WALLACH_TOL:
-        return alpha > p - 1 + _WALLACH_TOL or abs(alpha - (p - 1)) <= _WALLACH_TOL
-    return any(abs(alpha - k) <= _WALLACH_TOL for k in range(p))
+    return alpha > p - 1 - _WALLACH_TOL or any(abs(alpha - k) <= _WALLACH_TOL for k in range(p))
 
 
 def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:

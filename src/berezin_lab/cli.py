@@ -105,20 +105,23 @@ _OPTIONS = {
     "self-test-corrupt": {"action": "store_true",
                           "help": "sweep a deliberately corrupted row; must detect the mismatch"},
 }
-_VECTOR_FLAGS = tuple(f"--{name}" for name, spec in _OPTIONS.items() if spec.get("type") is _VECTOR)
 
 
-def _join_vector_values(argv: list[str]) -> list[str]:
-    """``--lambda X`` as ``--lambda=X`` for every CSV option, the rest unchanged.
+def _join_option_values(argv: list[str]) -> list[str]:
+    """``--flag -X`` as ``--flag=-X`` for every option, the rest unchanged.
 
-    argparse takes a separate ``-0.5,0.3,0`` for an option, because only
-    a plain negative number escapes that reading; joined to its flag, it
-    reaches ``_VECTOR``.  A flag at the end or followed by another ``--``
-    option is left alone, so argparse still refuses the missing value.
+    argparse takes a separate value that starts with ``-`` for an option
+    unless it reads as a plain negative number, so ``-0.5,0.3,0`` or
+    ``-1e-1`` would be refused.  No option here has a single dash but
+    ``-h``, so any other ``-X`` after a ``--flag`` is that flag's value,
+    joined to it and refused, if at all, by the option's own type.  A
+    flag already holding ``=`` or followed by another ``--`` option is
+    left alone, so argparse still refuses a missing value.
     """
     out = []
     for arg in argv:
-        if out and out[-1] in _VECTOR_FLAGS and not arg.startswith("--"):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.startswith("-") and not arg.startswith("--") and arg != "-h"):
             out[-1] += f"={arg}"
         else:
             out.append(arg)
@@ -557,7 +560,7 @@ def main(argv=None) -> int:
     """
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -65,10 +65,17 @@ class GammaValue:
         )
 
     def prod(self, axis: int) -> "GammaValue":
-        """The product of the values along ``axis``."""
-        return GammaValue(
-            self.log_abs.sum(axis), self.sign.prod(axis), self.order.sum(axis)
-        )
+        """The product along ``axis``, multiplied slice by slice in index order.
+
+        Each slice of a stack then takes the same additions as it does
+        alone, which numpy's pairwise ``sum`` over 8 or more entries does
+        not.  An empty axis gives the empty product, 1.
+        """
+        if self.log_abs.shape[axis]:
+            log_abs = np.take(np.cumsum(self.log_abs, axis), -1, axis)
+        else:
+            log_abs = self.log_abs.sum(axis)
+        return GammaValue(log_abs, self.sign.prod(axis), self.order.sum(axis))
 
     def __getitem__(self, index) -> "GammaValue":
         return GammaValue(self.log_abs[index], self.sign[index], self.order[index])

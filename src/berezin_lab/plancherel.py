@@ -32,9 +32,7 @@ comes back as +-inf, Q as a 0-d GammaValue.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from math import comb, isfinite, log, perm, pi
 from numbers import Integral
 
@@ -185,15 +183,6 @@ def _c_ratio(d: int, s) -> GammaValue:
     )
 
 
-def _row_product(value: GammaValue) -> GammaValue:
-    """The product along the last axis, one column after another.
-
-    A row's product then takes the same additions whether it is one row or
-    one of a stack, which a pairwise ``sum`` over more than 8 columns does not.
-    """
-    return reduce(operator.mul, (value[..., j] for j in range(value.log_abs.shape[-1])))
-
-
 def _pole_checked(value: GammaValue) -> GammaValue:
     """A product over s, once it holds no net pole; a net pole raises PoleOnContour."""
     if np.any(value.is_pole):
@@ -241,9 +230,8 @@ def continuous_weight_o(params: PlancherelParams, s):
     factors = _abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
     if q > p:
         factors = factors * _c_ratio(q - p, points)
-    value = _pole_checked(_row_product(factors))
-    if p > 1:
-        value = value * _row_product(from_real(_pair_factors(points)))
+    value = _pole_checked(factors.prod(axis=-1))
+    value = value * from_real(_pair_factors(points)).prod(axis=-1)
     with np.errstate(over="ignore"):  # past the float range W is +-inf, its sign kept
         weights = value.to_float()
     return weights if s.ndim == 2 else float(weights[0])
@@ -354,10 +342,12 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
 
 
 def _spectral_args(s, n: int) -> np.ndarray:
-    """``s`` as a float array of exactly n spectral parameters."""
+    """``s`` as a float array of exactly n finite spectral parameters."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (n,):
         raise InvalidParams(f"need {n} spectral parameters, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise InvalidParams("spectral parameters must be finite")
     return s
 
 

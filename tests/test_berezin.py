@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -125,6 +126,16 @@ def test_wallach_admissible_set():
     # p = 1: {0} union (0, inf) = [0, inf)
     assert wallach_admissible(0.4, 1)
     assert not wallach_admissible(-0.1, 1)
+    # within the tolerance of an endpoint or a point of the set counts as on it
+    tol = 1e-12
+    for p in (1, 2, 4):
+        assert wallach_admissible(p - 1 - tol / 2, p)
+        assert wallach_admissible(p - 1 + tol / 2, p)
+        for k in range(p):
+            assert wallach_admissible(k - tol / 2, p) and wallach_admissible(k + tol / 2, p)
+    assert not wallach_admissible(1.5, 4) and not wallach_admissible(-2 * tol, 4)
+    assert not wallach_admissible(math.nan, 2) and not wallach_admissible(-math.inf, 2)
+    assert wallach_admissible(math.inf, 2)
     with pytest.raises(InvalidParams):
         wallach_admissible(1.0, 0)
 

@@ -181,20 +181,36 @@ def test_integral_report_is_deterministic_excluding_duration(capsys):
 
 
 @pytest.mark.parametrize("spaced,joined", [
-    (("so", "--n", "3", "--lambda", "-0.5,0.3,0"), ("so", "--n", "3", "--lambda=-0.5,0.3,0")),
-    (("u", "--n", "2", "--lambda", "-0.4,0.2", "--mu", "-0.3,0.1"),
-     ("u", "--n", "2", "--lambda=-0.4,0.2", "--mu=-0.3,0.1")),
+    (("integral", "so", "--n", "3", "--lambda", "-0.5,0.3,0", "--samples", "2000", "--seed", "7"),
+     ("integral", "so", "--n", "3", "--lambda=-0.5,0.3,0", "--samples", "2000", "--seed", "7")),
+    (("integral", "u", "--n", "2", "--lambda", "-0.4,0.2", "--mu", "-0.3,0.1", "--samples", "2000",
+      "--seed", "7"),
+     ("integral", "u", "--n", "2", "--lambda=-0.4,0.2", "--mu=-0.3,0.1", "--samples", "2000",
+      "--seed", "7")),
+    # argparse reads only a plain negative number as a value: "-1e-1" would look like an option
+    (("plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "-1e-1"),
+     ("plancherel", "blocks", "--p", "2", "--q", "5", "--alpha=-1e-1")),
+    (("plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha", "-2.5e0"),
+     ("plancherel", "degeneration", "--p", "2", "--q", "5", "--alpha=-2.5")),
 ])
 def test_negative_leading_vector_entries_may_follow_their_flag(capsys, spaced, joined):
-    # argparse reads a separate "-0.5,0.3,0" as an option unless it is joined to its flag
-    docs = []
-    for form in (spaced, joined):
-        code, out = run_cli(capsys, "integral", *form, "--samples", "2000", "--seed", "7")
+    outs = []
+    for argv in (spaced, joined):
+        code, out = run_cli(capsys, *argv)
         assert code == EXIT_PASS
-        docs.append(json.loads(out))
-        docs[-1].pop("duration")
-    assert docs[0] == docs[1]
-    assert docs[0]["inputs"]["lambda"][0] < 0
+        outs.append(out)
+    # the duration is the one field that differs between two runs
+    assert len({re.sub(r'"duration": [^,\n]*', "", out) for out in outs}) == 1
+    doc = json.loads(outs[0])
+    if isinstance(doc, dict):  # a report records the negative value it parsed
+        assert np.min(doc["inputs"].get("lambda", doc["inputs"].get("alpha"))) < 0
+
+
+def test_a_spaced_value_is_refused_by_its_options_type(capsys):
+    code = main(["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "-inf"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "expects a finite real, got '-inf'" in captured.err
 
 
 def test_collapsed_stderr_is_not_a_free_pass(capsys):

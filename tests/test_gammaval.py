@@ -8,6 +8,7 @@ from scipy.special import gammaln, gammasgn
 
 from berezin_lab.errors import UncancelledPole
 from berezin_lab.gammaval import (
+    GammaValue,
     from_real,
     from_real_snapped,
     gamma_value,
@@ -15,6 +16,28 @@ from berezin_lab.gammaval import (
     one,
     pochhammer_value,
 )
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 30])
+def test_prod_multiplies_in_index_order(k):
+    # numpy's pairwise sum regroups 8 or more terms; prod must not, so a row
+    # of a stack gets the bits it gets alone
+    rng = np.random.default_rng(k)
+    stack = GammaValue(rng.normal(0.0, 30.0, (5, k)), rng.choice([-1, 1], (5, k)),
+                       rng.integers(-2, 3, (5, k)))
+    for axis in (0, 1):
+        got = stack.prod(axis)
+        expect = one()
+        for j in range(stack.log_abs.shape[axis]):
+            expect = expect * stack[(slice(None), j) if axis else j]
+        for field in ("log_abs", "sign", "order"):
+            assert np.array_equal(getattr(got, field),
+                                  np.broadcast_to(getattr(expect, field), got.log_abs.shape))
+        for i in range(stack.log_abs.shape[1 - axis]):
+            row = stack[(i, slice(None)) if axis else (slice(None), i)]
+            alone = row.prod(0)
+            assert (alone.log_abs, alone.sign, alone.order) == (
+                got.log_abs[i], got.sign[i], got.order[i])
 
 
 def test_regular_values():

@@ -709,6 +709,17 @@ def test_stacked_weight_exact_zero_and_pole_rows():
         continuous_weight_o(PlancherelParams(1, 3, 2.0), [np.inf])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_q_refuses_non_finite_spectral_parameters(bad):
+    # one remaining coordinate used to give a NaN Q, two stopped inside from_real
+    for s in ([bad], [0.5, bad]):
+        n = len(s)
+        with pytest.raises(InvalidParams, match="spectral parameters must be finite"):
+            coeff_Q_o(2.0, np.zeros((1, 2 - n), dtype=int), s, 2, 5)
+        with pytest.raises(InvalidParams, match="spectral parameters must be finite"):
+            coeff_CVQ_u(2.0, (0,) * (2 - n), s, 2, 5)
+
+
 @pytest.mark.parametrize("p,q,alpha", _CV_SWEEP + [(2, 2, -2.0)])
 def test_degeneration_report_matches_the_reference(capsys, p, q, alpha):
     code = cli.main(["plancherel", "degeneration", "--p", str(p), "--q", str(q),
