@@ -11,10 +11,12 @@ Points are (p, q) arrays and stacks of them (..., p, q) arrays, as in
 ``ball``; a boundary-orbit point is a point of the closure.  Every
 det(1 - z u^t), of a kernel value or of a Gram entry, is the product of
 the pivots of one sample-axis-last elimination, ``compact.eliminate``,
-and a pivot <= 0 refuses the pair as out of domain; a kernel value past
-the float range is refused with ``DomainError``, not passed on as inf.  The
-admissibility tolerance, the witness search's cloud size and the
-convention table's trials are fixed settings, not parameters.
+and a pivot <= 0 refuses the pair as out of domain.  The checks work from
+its logarithm L = log det(1 - z u^t), so log K = -alpha L at any alpha:
+covariance and domination compare logs, and a Gram matrix is formed
+normalised, D^(-1/2) K D^(-1/2) up to a positive scalar, with no entry
+above 1.  The admissibility tolerance, the witness search's cloud size
+and the convention table's trials are fixed settings, not parameters.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import numpy as np
 
 from .ball import ball_scale, cocycle, moebius_act, one_minus_pivots, random_ball_point
 from .compact import _haar_so_batch, eliminate
-from .errors import DomainError, InvalidParams, NonPositiveDeterminant
+from .errors import InvalidParams, NonPositiveDeterminant
 from .integrals import MCEstimate, so_integral_closed_form, so_integral_mc, so_integral_quadrature
 from .rngs import as_generator, derive_root_seed
 
-_TINY = 1e-300
 # Distance within which alpha counts as one of the integer Wallach points.
 _WALLACH_TOL = 1e-12
 
@@ -40,35 +41,31 @@ _GRAM_ENTRIES = 2**14
 
 
 def berezin_kernel(z: np.ndarray, u: np.ndarray, alpha: float) -> float | np.ndarray:
-    """K_alpha(z, u) = det(1 - z u^t)^(-alpha); the base is always positive.
+    """K_alpha(z, u) = exp(-alpha log det(1 - z u^t)), +inf past the float range.
 
-    Stacks of points (..., p, q) give one kernel value per pair.  The base
-    is the product of the pivots of 1 - z u^t (``ball.one_minus_pivots``).
+    Stacks of points (..., p, q) give one kernel value per pair.
     """
+    with np.errstate(over="ignore"):
+        return np.exp(-alpha * _log_base(z, u))
+
+
+def _log_base(z: np.ndarray, u: np.ndarray) -> float | np.ndarray:
+    """log det(1 - z u^t) per pair of points, from ``ball.one_minus_pivots``."""
     zs, us = np.asarray(z, dtype=float), np.asarray(u, dtype=float)
     if zs.shape[-2:] != us.shape[-2:]:
         raise InvalidParams("kernel arguments must share a shape")
-    return _kernel_values(one_minus_pivots(zs, us), alpha)
+    return _log_det(one_minus_pivots(zs, us))
 
 
-def _kernel_values(piv: np.ndarray, alpha: float) -> np.ndarray:
-    """det(1 - z u^t)^(-alpha) from the (p, ...) pivots of 1 - z u^t.
-
-    A pivot <= 0 raises ``NonPositiveDeterminant`` and a value past the
-    float range ``DomainError``; NaN passes through, so it fails as evidence.
-    """
+def _log_det(piv: np.ndarray) -> np.ndarray:
+    """log det(1 - z u^t) from its (p, ...) pivots; NaN passes through, to fail as evidence."""
     if (piv <= 0).any():
         # for contractions z, u every leading block of z u^t has its
         # eigenvalues inside the unit disc, so every pivot is positive and
         # a pivot <= 0 can only mean the inputs were out of domain
         j = tuple(np.argwhere(piv <= 0)[0])
         raise NonPositiveDeterminant(f"pivot {j[0] + 1} of 1 - z u^t is {piv[j]:.3e}")
-    dets = piv.prod(axis=0)
-    with np.errstate(over="ignore", divide="ignore"):
-        dets **= -alpha
-    if np.isinf(dets).any():
-        raise DomainError(f"det(1 - z u^t)^-alpha overflows the float range at alpha = {alpha}")
-    return dets
+    return np.log(piv.prod(axis=0))
 
 
 def wallach_admissible(alpha: float, p: int) -> bool:
@@ -89,12 +86,19 @@ def _gram_matrix(points: np.ndarray, alpha: float) -> np.ndarray:
         for b in range(p):
             np.matmul(neg, points[:, :, b].swapaxes(1, 2), out=work[a, b])
         work[a, a] += 1.0
-    return _kernel_values(eliminate(work), alpha)
+    # exponents -alpha (L_ij - (L_ii + L_jj)/2) less the largest, 0 for alpha >= 0 by Hua
+    logs = _log_det(eliminate(work))
+    logs *= -alpha
+    half = np.diagonal(logs, axis1=1, axis2=2) / 2
+    logs -= half[:, :, None]
+    logs -= half[:, None, :]
+    logs -= logs.reshape(n, -1).max(axis=1)[:, None, None]
+    return np.exp(logs, out=logs)
 
 
 @dataclass
 class GramReport:
-    """Extreme eigenvalues of one kernel Gram matrix, or arrays of them over a stack."""
+    """Extreme eigenvalues of one normalised Gram matrix, or arrays of them over a stack."""
 
     min_eig: float | np.ndarray
     max_eig: float | np.ndarray
@@ -102,12 +106,14 @@ class GramReport:
     @property
     def ratio(self) -> float | np.ndarray:
         """min_eig / max_eig, the scale-free positivity measure (NaN stays NaN)."""
-        return self.min_eig / np.maximum(self.max_eig, _TINY)
+        return self.min_eig / self.max_eig
 
 
 def gram_spectrum(points, alpha: float) -> GramReport:
-    """Eigenvalue range of [K_alpha(z_i, z_j)] over a point configuration.
+    """Eigenvalue range of D^(-1/2) [K_alpha(z_i, z_j)] D^(-1/2), D its diagonal.
 
+    The matrix, taken up to a positive scalar, has the kernel Gram matrix's
+    inertia, no entry above 1 and a largest eigenvalue >= 1 at any alpha.
     ``points`` is one configuration (a sequence of points or an (m, p, q)
     array), or an (N, m, p, q) stack of N configurations, which gives
     arrays of N extreme eigenvalues.  A large stack is evaluated in chunks
@@ -279,14 +285,15 @@ def covariance_residual(
     """Relative error of K(z^[g], u^[g]) = K(z, u) (c_g(z) c_g(u))^alpha.
 
     Stacks of elements and points give one residual per triple; a
-    nonpositive multiplier gives inf.  The ``as-printed`` variant replaces
-    the second cocycle with det(a + z u), which is only even defined for
-    p = q; it is kept so the discrepancy can be demonstrated.
+    nonpositive multiplier gives inf.  The sides are compared as logs, so
+    the residual carries alpha times the roundoff of log det(1 - z u^t).
+    The ``as-printed`` variant replaces the second cocycle with det(a + z u),
+    which is only even defined for p = q; it is kept so the discrepancy can
+    be demonstrated.
     """
     if variant not in COVARIANCE_VARIANTS:
         raise InvalidParams(f"variant must be one of {COVARIANCE_VARIANTS}")
-    lhs = berezin_kernel(moebius_act(g, z), moebius_act(g, u), alpha)
-    base = berezin_kernel(z, u, alpha)
+    lhs = -alpha * _log_base(moebius_act(g, z), moebius_act(g, u))
     if variant == "u-cocycle-corrected":
         mult = cocycle(g, z) * cocycle(g, u)
         ok = mult > 0
@@ -299,8 +306,8 @@ def covariance_residual(
         m2 = np.linalg.det(g[..., :p, :p] + z @ u)
         mult = m1 * m2
         ok = (m1 > 0) & (m2 > 0)
-    rhs = base * np.where(ok, mult, 1.0) ** alpha
-    return np.where(ok, np.abs(lhs - rhs) / np.abs(lhs), np.inf)[()]
+    rhs = -alpha * _log_base(z, u) + alpha * np.log(np.where(ok, mult, 1.0))
+    return np.where(ok, np.abs(np.expm1(rhs - lhs)), np.inf)[()]
 
 
 def covariance_convention_table(rng=None) -> dict[str, float]:
@@ -334,25 +341,19 @@ def covariance_convention_table(rng=None) -> dict[str, float]:
 def domination_residual(
     z: np.ndarray, u: np.ndarray, c: float | np.ndarray, alpha: float
 ) -> float | np.ndarray:
-    """Positive part of K_alpha(c z, c u) - 2^(p alpha) K_alpha(z, u).
+    """Positive part of log K_alpha(c z, c u) - log(2^(p alpha) K_alpha(z, u)).
 
     Zero for every valid input: shrinking both arguments by c in [0, 1]
     can inflate the kernel by at most 2^(p alpha).  Stacks of pairs take
-    one shrink factor each and give one residual per pair.  A bound past
-    the float range, which any residual would lie under, raises
-    ``DomainError``.
+    one shrink factor each and give one residual per pair, at any alpha.
     """
     c = np.asarray(c, dtype=float)
     if not np.all((0.0 <= c) & (c <= 1.0)):
         raise InvalidParams("the shrink factor must lie in [0, 1]")
     if alpha < 0:
         raise InvalidParams("domination is stated for alpha >= 0")
-    lhs = berezin_kernel(ball_scale(z, c), ball_scale(u, c), alpha)
-    rhs = berezin_kernel(z, u, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs *= np.float64(2.0) ** (np.shape(z)[-2] * alpha)  # np.float64: inf, not OverflowError
-    if np.isinf(rhs).any():
-        raise DomainError(f"the domination bound 2^(p alpha) K overflows at alpha = {alpha}")
+    lhs = -alpha * _log_base(ball_scale(z, c), ball_scale(u, c))
+    rhs = -alpha * _log_base(z, u) + np.shape(z)[-2] * alpha * np.log(2.0)
     return np.maximum(0.0, lhs - rhs)
 
 

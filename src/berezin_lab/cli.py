@@ -287,7 +287,8 @@ def cmd_kernel(args):
         expected = [0.0, 0.0] if admissible else [1.0, 1.0]
         observed = float("nan") if np.isnan(rep.best_ratio) else float(rep.found)
     elif sub == "covariance":
-        expected = [0.0, args.tol["res"]]
+        # log K = -alpha L carries alpha times the roundoff of L
+        expected = [0.0, args.tol["res"] * max(1.0, abs(alpha))]
         g = random_pseudo_orthogonal(p, q, gen, size=n)
         z = random_ball_point(p, q, gen, size=n)
         u = random_ball_point(p, q, gen, size=n)

@@ -277,7 +277,7 @@ def _gamma_steps(base: float, up, down) -> GammaValue:
 
     ``up`` and ``down`` are lists of (N, *) integer arrays of half-steps
     from ``base``.  One ``gamma_value`` call covers every step from the
-    lowest to the highest, and each row adds its looked-up logs in column
+    lowest to the highest; ``GammaValue.prod`` takes each row in column
     order, so a row gets the same bits alone as in a stack.
     """
     steps = np.concatenate(up + down, axis=1)
@@ -285,10 +285,7 @@ def _gamma_steps(base: float, up, down) -> GammaValue:
     table = gamma_value(base + np.arange(lo, hi + 1) / 2.0)
     at = steps - lo
     power = np.repeat((1, -1), [sum(step.shape[1] for step in side) for side in (up, down)])
-    log_abs = np.zeros(steps.shape[0])
-    if steps.shape[1]:
-        log_abs = np.cumsum(table.log_abs[at] * power, axis=1)[:, -1]
-    return GammaValue(log_abs, table.sign[at].prod(axis=1), table.order[at] @ power)
+    return GammaValue(table.log_abs[at] * power, table.sign[at], table.order[at] * power).prod(1)
 
 
 def coeff_C(labels, p: int) -> GammaValue:

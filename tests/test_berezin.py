@@ -86,15 +86,19 @@ def test_kernel_refuses_a_pair_whose_pivots_are_all_negative():
         gram_spectrum([np.zeros((2, 3)), z], 1.5)
 
 
-def test_a_kernel_value_past_the_float_range_is_refused_naming_alpha():
+def test_a_kernel_value_past_the_float_range_is_inf_and_its_gram_stays_judged():
     z = 0.9 * np.eye(2, 3)  # det(1 - z z^t) = 0.19^2, so K(z, z) = 10^(1.44 alpha)
     assert np.isfinite(berezin_kernel(z, z, 200.0))
     for alpha in (400.0, 1e6):
-        with pytest.raises(DomainError, match=f"alpha = {alpha}"):
-            berezin_kernel(z, z, alpha)
-        with pytest.raises(DomainError, match=f"alpha = {alpha}"):
-            gram_spectrum([np.zeros((2, 3)), z], alpha)
-    # a NaN point is evidence, not an overflow: it passes through to fail
+        assert berezin_kernel(z, z, alpha) == np.inf
+        # K(0, 0) = K(0, z) = 1: the normalised Gram of {0, z} is [[1, x], [x, 1]]
+        # with x = 0.19^alpha, below 1e-288
+        rep = gram_spectrum([np.zeros((2, 3)), z], alpha)
+        assert (rep.min_eig, rep.max_eig) == (1.0, 1.0)
+        # at -alpha the raw Gram [[1, 1], [1, 0.19^(2 alpha)]] has one negative
+        # eigenvalue; scaled by 0.19^alpha it is [[x, 1], [1, x]], eigenvalues x -+ 1
+        assert gram_spectrum([np.zeros((2, 3)), z], -alpha).ratio == pytest.approx(-1.0)
+    # a NaN point is evidence: it passes through to fail
     assert np.isnan(berezin_kernel(np.full((2, 3), np.nan), z, 400.0))
 
 
@@ -164,11 +168,35 @@ def test_gram_spectrum_of_a_stack_matches_each_configuration():
     for i, config in enumerate(pts):
         gram = np.array([[np.linalg.det(np.eye(2) - z @ u.T) ** -0.7 for u in config]
                          for z in config])
-        eigs = np.linalg.eigvalsh(gram)
+        scale = np.sqrt(np.diag(gram))
+        eigs = np.linalg.eigvalsh(gram / np.outer(scale, scale))  # D^(-1/2) K D^(-1/2)
         assert abs(rep.min_eig[i] - eigs[0]) <= 1e-12 * eigs[-1]
         assert rep.max_eig[i] == pytest.approx(eigs[-1], rel=1e-12)
         single = gram_spectrum(config, 0.7)
         assert (single.min_eig, single.max_eig) == (rep.min_eig[i], rep.max_eig[i])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+def test_the_normalised_gram_has_the_inertia_of_the_raw_gram(alpha):
+    # Sylvester's law: D^(-1/2) K D^(-1/2) times a positive scalar keeps K's
+    # signs; compared where both spectra are clear of zero (1e-8 of the largest)
+    trials = berezin._witness_trials(2, 3, np.random.default_rng(5))
+    configs = []
+    for counts, points in (next(trials) for _ in range(3)):
+        configs += [points[end - m : end] for end, m in zip(np.cumsum(counts), counts)]
+    judged = negative = 0
+    for config in configs:
+        raw = np.array([[np.linalg.det(np.eye(2) - z @ u.T) ** -alpha for u in config]
+                        for z in config])
+        normalised = berezin._gram_matrix(config[None], alpha)[0]
+        assert np.max(normalised) <= 1.0 and np.all(np.diag(normalised) == 1.0)
+        raw_eigs, eigs = np.linalg.eigvalsh(raw), np.linalg.eigvalsh(normalised)
+        if min(np.min(np.abs(e)) / np.max(np.abs(e)) for e in (raw_eigs, eigs)) > 1e-8:
+            judged += 1
+            negative += np.any(raw_eigs < 0)
+            assert np.sum(eigs < 0) == np.sum(raw_eigs < 0)
+    assert judged >= 50
+    assert (negative > 0) == (alpha == 0.5)  # off the Wallach set the shells find negatives
 
 
 def test_shell_configs_match_the_planar_formula():
@@ -241,6 +269,13 @@ def test_witness_search_names_the_first_witnessing_trial(seed):
         before = pd_witness_search(2, 3, 0.5, budget=first, rng=seed)
         assert not before.found and before.n_configs == first
         assert before.best_ratio == pytest.approx(min(ratios[:first]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed,n_configs", [(1, 2), (7, 2), (11, 2), (12, 4)])
+def test_witness_search_stops_at_the_trial_the_raw_gram_stopped_at(seed, n_configs):
+    # the trial indices the search stopped at when it formed raw kernel Grams
+    rep = pd_witness_search(2, 3, 0.5, rng=seed)
+    assert rep.found and rep.n_configs == n_configs
 
 
 def test_witness_search_reports_the_best_ratio_over_the_budget():
@@ -388,26 +423,33 @@ def test_domination_near_boundary_closure_pairs():
         assert domination_residual(z, u, 1.0 - 1e-3, 0.8) == 0.0
 
 
-def test_a_domination_bound_past_the_float_range_is_refused_naming_alpha():
-    z = 0.5 * np.eye(2, 3)  # K(z, z) = 0.75^(-2 alpha) = 10^(0.25 alpha) stays finite
-    assert domination_residual(z, z, 0.5, 300.0) == 0.0  # 2^600 K is 10^255
-    # 2^800 K is 10^341; at alpha = 1000, 2^2000 alone is past the range
-    for alpha in (400.0, 1000.0):
-        assert np.isfinite(berezin_kernel(z, z, alpha))
-        with pytest.raises(DomainError, match=rf"2\^\(p alpha\) K overflows at alpha = {alpha}"):
-            domination_residual(z, z, 0.5, alpha)
+def test_a_domination_bound_past_the_float_range_is_judged():
+    z = 0.5 * np.eye(2, 3)  # K(z, z) = 0.75^(-2 alpha) = 10^(0.25 alpha)
+    # 2^(2 alpha) K(z, z) is 10^255 at alpha = 300, 10^341 at 400 and past the
+    # range from there; K(z, z) itself is past it at 1e6
+    for alpha in (300.0, 400.0, 1000.0, 1e6):
+        assert domination_residual(z, z, 0.5, alpha) == 0.0
+        # the bound holds with the log margin 2 alpha log 0.4, which stays finite
+        lhs = -alpha * berezin._log_base(0.5 * z, 0.5 * z)
+        rhs = -alpha * berezin._log_base(z, z) + 2 * alpha * math.log(2.0)
+        assert lhs - rhs == pytest.approx(2 * alpha * math.log(0.4), rel=1e-12)
+    assert np.isnan(domination_residual(np.full((2, 3), np.nan), z, 0.5, 1000.0))
 
 
 def test_kernel_values_and_the_domination_bound_in_range_are_the_plain_expressions():
-    # the overflow checks leave every value in the float range as it was
+    # exp(-alpha L) carries the rounding of alpha L: 1e-15 relative per unit of |log K|
     zs = random_ball_point(2, 3, 44, 0.0, 0.9, size=50)
     us = random_ball_point(2, 3, 45, 0.0, 0.9, size=50)
     cs = np.random.default_rng(46).uniform(0.0, 1.0, 50)
     for alpha in (1.5, 50.0):
         values = berezin_kernel(zs, us, alpha)
-        assert np.array_equal(values, one_minus_pivots(zs, us).prod(axis=0) ** -alpha)
+        plain_values = one_minus_pivots(zs, us).prod(axis=0) ** -alpha
+        rel = np.abs(values / plain_values - 1.0)
+        assert np.all(rel <= 1e-15 * np.maximum(1.0, np.abs(np.log(plain_values))))
         lhs = berezin_kernel(cs[:, None, None] * zs, cs[:, None, None] * us, alpha)
         plain = np.maximum(0.0, lhs - 2.0 ** (2 * alpha) * values)
+        # the residual is a log gap, exactly 0 wherever the plain bound holds
+        assert np.all(plain == 0.0)
         assert np.array_equal(domination_residual(zs, us, cs, alpha), plain)
 
 

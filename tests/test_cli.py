@@ -406,20 +406,45 @@ def test_nan_kernel_evidence_fails(capsys, monkeypatch, sub, name, fake):
     assert code == EXIT_FAIL and doc["verdict"] == "fail"
 
 
-@pytest.mark.parametrize("sub,alpha,samples,what", [
-    ("gram", "400", "50", "det(1 - z u^t)^-alpha overflows the float range"),
-    ("witness", "200", "50", "det(1 - z u^t)^-alpha overflows the float range"),
-    # inf - inf read as a NaN residual, a false fail
-    ("covariance", "200", "200", "det(1 - z u^t)^-alpha overflows the float range"),
-    # an infinite bound read as a vacuous pass
-    ("domination", "400", "10000", "the domination bound 2^(p alpha) K overflows"),
-    ("domination", "1000", "10000", "det(1 - z u^t)^-alpha overflows the float range"),
+@pytest.mark.parametrize("sub,alpha,samples,verdict", [
+    # K, and for domination 2^(p alpha) K, is past the float range
+    ("gram", "400", "50", "pass"),
+    ("gram", "1000", "50", "pass"),
+    ("witness", "200", "50", "pass"),
+    ("witness", "1000", "1000", "pass"),
+    ("covariance", "200", "200", "pass"),
+    ("covariance", "100000", "200", "pass"),
+    ("domination", "400", "10000", "pass"),
+    ("domination", "1000", "10000", "pass"),
+    # off the Wallach set: the Gram is indefinite and the witness search finds so
+    ("gram", "-100000", "50", "inconclusive"),
+    ("witness", "-100000", "1000", "pass"),
 ])
-def test_a_kernel_check_past_the_float_range_exits_three_naming_alpha(capsys, sub, alpha,
-                                                                         samples, what):
-    err = _refused(capsys, "kernel", sub, "--p", "2", "--q", "3", "--alpha", alpha,
-                   "--samples", samples, "--seed", "7")
-    assert err == f"berezin-lab: DomainError: {what} at alpha = {float(alpha)}\n"
+def test_a_kernel_check_past_the_float_range_is_judged(capsys, sub, alpha, samples, verdict):
+    # the checks work from log det(1 - z u^t), so each is judged as at alpha = 50
+    code, out = run_cli(capsys, "kernel", sub, "--p", "2", "--q", "3", f"--alpha={alpha}",
+                        "--samples", samples, "--seed", "7")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == verdict
+    assert math.isfinite(doc["observed"])
+
+
+@pytest.mark.parametrize("alpha", ["12", "100", "1000"])
+def test_kernel_gram_at_large_alpha_passes_on_a_measured_margin(capsys, alpha):
+    # the raw Gram read -1.0e-18 and -4.3e-16 at alpha = 12 and 100: roundoff
+    code, out = run_cli(capsys, "kernel", "gram", "--p", "2", "--q", "3", "--alpha", alpha,
+                        "--seed", "1")
+    doc = json.loads(out)
+    assert code == EXIT_PASS and doc["verdict"] == "pass"
+    assert doc["observed"] >= 1e-6
+
+
+def test_the_covariance_bound_grows_with_alpha(capsys):
+    # log K = -alpha L carries alpha times the roundoff of L
+    for alpha, bound in (("0.5", 1e-10), ("1e5", 1e-5)):
+        _, out = run_cli(capsys, "kernel", "covariance", "--p", "2", "--q", "3",
+                         "--alpha", alpha, "--samples", "20")
+        assert json.loads(out)["expected"] == [0.0, bound]
 
 
 @pytest.mark.parametrize("sub", sorted(KERNEL_ARGV))
