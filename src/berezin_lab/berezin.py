@@ -105,7 +105,7 @@ class GramReport:
 
     @property
     def ratio(self) -> float | np.ndarray:
-        """min_eig / max_eig, the scale-free positivity measure (NaN stays NaN)."""
+        """min_eig / max_eig, the scale-free positivity measure."""
         return self.min_eig / self.max_eig
 
 
@@ -117,19 +117,27 @@ def gram_spectrum(points, alpha: float) -> GramReport:
     ``points`` is one configuration (a sequence of points or an (m, p, q)
     array), or an (N, m, p, q) stack of N configurations, which gives
     arrays of N extreme eigenvalues.  A large stack is evaluated in chunks
-    of ``_GRAM_ENTRIES`` kernel entries.  Any other shape, and an empty
-    stack or configuration, raises ``InvalidParams``.
+    of ``_GRAM_ENTRIES`` kernel entries.  Any other shape, an empty stack
+    or configuration, a non-finite point, and an alpha at which the
+    matrix is not finite (alpha non-finite, or alpha L past the float
+    range) raise ``InvalidParams``, so both eigenvalues are always finite.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (3, 4) or 0 in pts.shape[:-2]:
         raise InvalidParams("need an (m, p, q) configuration or an (N, m, p, q) stack with "
                             f"N, m >= 1, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise InvalidParams("configuration points must be finite")
     stack = pts if pts.ndim == 4 else pts[None]
     per_chunk = max(1, _GRAM_ENTRIES // stack.shape[1] ** 2)
-    extremes = [
-        np.linalg.eigvalsh(_gram_matrix(stack[i : i + per_chunk], alpha))[:, [0, -1]]
-        for i in range(0, len(stack), per_chunk)
-    ]
+    extremes = []
+    for i in range(0, len(stack), per_chunk):
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _gram_matrix(stack[i : i + per_chunk], alpha)
+        if not np.isfinite(gram).all():
+            raise InvalidParams(f"the Gram matrix at alpha = {alpha} is not finite: alpha must "
+                                "be finite and alpha log det(1 - z u^t) inside the float range")
+        extremes.append(np.linalg.eigvalsh(gram)[:, [0, -1]])
     lo, hi = np.concatenate(extremes).T
     if pts.ndim == 3:
         lo, hi = float(lo[0]), float(hi[0])
@@ -230,8 +238,8 @@ def pd_witness_search(
     come up empty.  Trials are drawn in chunks that double in size and
     evaluated with one ``gram_spectrum`` call per point count; the report
     names the first witnessing trial (``n_configs`` is its index plus
-    one) and the best ratio up to it.  A NaN ratio makes ``best_ratio``
-    NaN.
+    one) and the best ratio up to it.  Every ratio is finite, since
+    ``gram_spectrum`` refuses an alpha at which a Gram matrix is not.
     """
     if not 1 <= p <= q:
         raise InvalidParams(f"need 1 <= p <= q, got ({p}, {q})")
@@ -251,8 +259,8 @@ def pd_witness_search(
             ratios[sel], mins[sel] = rep.ratio, rep.min_eig
         hits = np.flatnonzero(ratios < _WITNESS_RATIO)
         stop = int(hits[0]) + 1 if hits.size else counts.size
-        i = int(np.argmin(ratios[:stop]))  # the first NaN, if there is one
-        if np.isnan(ratios[i]) or ratios[i] < best_ratio:
+        i = int(np.argmin(ratios[:stop]))
+        if ratios[i] < best_ratio:
             best_ratio, best_min = float(ratios[i]), float(mins[i])
         if hits.size:
             end = ends[hits[0]]

@@ -34,43 +34,53 @@ FIELDS = (REAL, COMPLEX, QUATERNION)
 # ---------------------------------------------------------------------------
 
 
-def _gram_schmidt(gauss: np.ndarray, step: int = 1) -> np.ndarray:
+def _gram_schmidt(q: np.ndarray, step: int = 1) -> np.ndarray:
     """Batched Gram-Schmidt with positive norms: the Q of G = Q R, R_jj > 0.
 
     Positive norms make the factorization unique, so Q is exactly Haar on
     the unitary group of a Gaussian's field (Mezzadri, math-ph/0609050).
-    ``gauss`` holds the columns of G sample-axis-last, shape (columns, d,
-    size) with gauss[j] column j, so every elementwise step sweeps the
-    contiguous samples of a block.  Exactly the columns given are
-    orthonormalised, in place: column j of Q depends on the first j
-    columns of G only, so a leading slice of ``gauss`` gives the first
-    columns of the full factor, bit for bit.  With ``step`` 2 the m drawn
-    columns (m, 2m, size) fill the even slots of a fresh (2m, 2m, size)
-    array and each is followed by its S-partner: S(u) is orthogonal to u
-    and the span of finished pairs is S-invariant, so the result is the
-    QR factor of the S-paired Gaussian and lies in Sp(m).
+    ``q`` holds the columns of G sample-axis-last, shape (columns, d,
+    size) with q[j] column j, so every elementwise step sweeps the
+    contiguous samples of a block.  The columns are orthonormalised in
+    place: column j of Q depends on the first j columns of G only, so a
+    leading slice of ``q`` gives the first columns of the full factor, bit
+    for bit.  With ``step`` 2 only the even slots of a (2m, d, size) ``q``
+    hold drawn columns, and each finished column writes its S-partner into
+    the odd slot after it: S(u) is orthogonal to u and the span of
+    finished pairs is S-invariant, so the result is the QR factor of the
+    S-paired Gaussian and lies in Sp(m).  The odd slots need no values.
 
     Each column is projected off the finished columns one at a time
-    (modified Gram-Schmidt), in two passes.  The result is returned as a
-    (size, d, columns) view of Q, with no copy.
+    (modified Gram-Schmidt), in two passes, as col -= (conj(u) col).sum(0) u,
+    and normalised by its 2-norm, computed as ``np.linalg.norm`` does.
+    Every step writes into one (d, size) temporary and one (size,)
+    accumulator, through the same ufuncs in the same order as those
+    expressions, so the result is theirs bit for bit.  It is returned as a
+    (size, d, columns) view of ``q``, with no copy.
     """
-    m = len(gauss)
-    q = gauss if step == 1 else np.empty((2 * m, *gauss.shape[1:]), dtype=gauss.dtype)
-    for i, col in enumerate(gauss):
-        j = step * i
+    conj = np.conjugate if np.iscomplexobj(q) else lambda u, out: u  # a real u is its conjugate
+    tmp = np.empty(q.shape[1:], dtype=q.dtype)
+    acc = np.empty(q.shape[2:], dtype=q.dtype)
+    norm = acc.real  # the float view of a complex accumulator
+    for j in range(0, len(q), step):
+        col = q[j]
         for _ in range(2 if j else 0):  # the second pass removes cancellation error
             for u in q[:j]:
-                col -= (u.conj() * col).sum(axis=0) * u
-        col /= np.linalg.norm(col, axis=0)
+                np.multiply(conj(u, out=tmp), col, out=tmp)
+                np.multiply(np.add.reduce(tmp, axis=0, out=acc), u, out=tmp)
+                np.subtract(col, tmp, out=col)
+        np.multiply(conj(col, out=tmp), col, out=tmp)
+        np.sqrt(np.add.reduce(tmp.real, axis=0, out=norm), out=norm)
+        np.divide(col, norm, out=col)
         if step == 2:
-            q[j] = col
             _structure_map(col, q[j + 1])
     return q.transpose(2, 1, 0)
 
 
-def _complex_normal(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex Gaussians x + iy: one real draw with the (x, y) pairs last, viewed as complex."""
-    return gen.standard_normal((*shape, 2)).view(complex).reshape(shape)
+def _complex_normal_into(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the complex ``out`` with Gaussians x + iy, each taking its (x, y) off the stream in turn."""
+    gen.standard_normal(out=out.view(float))
+    return out
 
 
 def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -106,7 +116,8 @@ def _haar_u_batch(
     Gaussian columns only, so a cut is the full sample's leading columns,
     bit for bit, and leaves (n - cols) n size complex normals undrawn.
     """
-    return _gram_schmidt(_complex_normal(gen, (n if cols is None else min(n, cols), n, size)))
+    m = n if cols is None else min(n, cols)
+    return _gram_schmidt(_complex_normal_into(gen, np.empty((m, n, size), dtype=complex)))
 
 
 def _haar_sp_batch(
@@ -117,10 +128,15 @@ def _haar_sp_batch(
     ``cols`` counts stored columns: ceil(cols / 2) columns are drawn, each
     followed by its partner, shape (size, 2n, 2 ceil(cols / 2)).  They are
     the full sample's leading columns, bit for bit, since a drawn column
-    is projected off the finished pairs only.
+    is projected off the finished pairs only.  Each column is drawn
+    straight into its even slot of the output, in column order, so the
+    stream is read as one column-major draw of all of them.
     """
     m = n if cols is None else min(n, -(-cols // 2))
-    return _gram_schmidt(_complex_normal(gen, (m, 2 * n, size)), step=2)
+    q = np.empty((2 * m, 2 * n, size), dtype=complex)
+    for col in q[0::2]:
+        _complex_normal_into(gen, col)
+    return _gram_schmidt(q, step=2)
 
 
 def _structure_map(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,7 +205,11 @@ def eliminate(work: np.ndarray) -> np.ndarray:
     entry (j, j) and every earlier row alone.  Pivot j is det(M_j) /
     det(M_(j-1)) for the leading j x j blocks M_j, so the product of the
     pivots is det(M).  A zero pivot leaves the later pivots of its sample
-    meaningless.
+    meaningless.  Step j updates the rows below j one at a time, row i
+    losing work[i, j] times row j, through one (k - 1, ...) temporary
+    made per call, so no step forms a (k - j - 1)^2 block product; each
+    entry sees the products and subtractions of a block update, in the
+    same order, and the result is that update's bit for bit.
 
     Unpivoted elimination is safe on both of the library's domains:
 
@@ -201,10 +221,12 @@ def eliminate(work: np.ndarray) -> np.ndarray:
       and growth is bounded by 1 / (1 - rho).  Every pivot is then
       positive, and a pivot <= 0 means the input left the domain.
     """
+    tmp = np.empty_like(work[0, 1:])
     for j in range(len(work) - 1):
         row, pivot = work[j, j + 1 :], work[j, j]
         np.divide(row, pivot, out=row, where=pivot != 0)  # a zero pivot divides by 1
-        work[j + 1 :, j + 1 :] -= work[j + 1 :, j : j + 1] * work[j : j + 1, j + 1 :]
+        for lower in work[j + 1 :]:
+            np.subtract(lower[j + 1 :], np.multiply(lower[j], row, out=tmp[j:]), out=lower[j + 1 :])
     return np.einsum("ii...->i...", work)
 
 

@@ -23,11 +23,13 @@ sign flip changes column n alone, so the flip is skipped and the corner
 is bit-identical to the full sample's.  Both kernels, the Gram-Schmidt
 sampler and ``corner_pivots``, work with the sample axis last, so each
 elementwise step sweeps a block's 4096 samples: the Gaussian is drawn as
-(columns, d, samples), the sampler hands back a view of it, and the
-pivots come back as (rows, samples).  The evaluation keeps that layout:
-the running log corner determinant and the positivity test go row by
-row, and only the contraction with the exponent vector takes one
-transposed copy.  The U(n) integrand p^a conj(p)^b is formed from log|p|,
+(columns, d, samples), for Sp(n) straight into the drawn columns' slots
+of the (2 columns, d, samples) output, Gram-Schmidt orthonormalises it in
+place through one (d, samples) temporary, the sampler hands back a view
+of it, and the pivots come back as (rows, samples).  The evaluation
+keeps that layout: the running log corner determinant and the positivity
+test go row by row, and only the contraction with the exponent vector
+takes one transposed copy.  The U(n) integrand p^a conj(p)^b is formed from log|p|,
 which the redraw test needs anyway, and arg p, with no complex logarithm.
 """
 

@@ -119,6 +119,23 @@ def test_gram_spectrum_refuses_inputs_that_are_no_configuration():
     assert isinstance(gram_spectrum(pts[0, :1], 1.5).min_eig, float)
 
 
+def test_gram_spectrum_refuses_non_finite_points_and_a_gram_past_the_float_range():
+    # refused before eigvalsh, whose LAPACK call need not converge on a NaN
+    pts = random_ball_point(2, 3, 38, size=(3, 5))
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = pts.copy()
+        stack[1, 2, 0, 1] = bad
+        for points in (stack, stack[1]):
+            with pytest.raises(InvalidParams, match="points must be finite"):
+                gram_spectrum(points, 1.5)
+    # finite points: only a non-finite alpha, or alpha log det past the
+    # float range (|alpha| near 1e308 here), leaves the Gram matrix non-finite
+    assert np.isfinite(gram_spectrum(pts, 1e300).ratio).all()
+    for alpha in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+        with pytest.raises(InvalidParams, match="not finite"):
+            gram_spectrum(pts, alpha)
+
+
 def test_wallach_admissible_set():
     # p = 2: {0, 1} union (1, inf)
     assert wallach_admissible(0.0, 2)
@@ -322,6 +339,10 @@ def test_witness_search_input_validation():
         pd_witness_search(2, 3, 0.5, budget=0)
     with pytest.raises(InvalidParams):
         pd_witness_search(3, 2, 0.5)
+    # a Gram matrix that is not finite is refused, so no ratio the search compares is NaN
+    for alpha in (np.nan, 1e308):
+        with pytest.raises(InvalidParams, match="not finite"):
+            pd_witness_search(2, 3, alpha, budget=50, rng=1)
 
 
 # ---------------------------------------------------------------------------

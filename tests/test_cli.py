@@ -456,13 +456,14 @@ def test_kernel_checks_at_alpha_50_stay_in_range_and_pass(capsys, sub):
     assert math.isfinite(doc["observed"])
 
 
-def test_nan_witness_ratio_fails(capsys, monkeypatch):
-    monkeypatch.setattr(berezin, "gram_spectrum", _nan_gram)
-    code, out = run_cli(capsys, "kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5",
-                        "--samples", "50", "--seed", "4")
-    doc = json.loads(out)
-    assert doc["inputs"]["best_ratio"] == "nan" and doc["observed"] == "nan"
-    assert code == EXIT_FAIL and doc["verdict"] == "fail"
+@pytest.mark.parametrize("sub", ["gram", "witness"])
+def test_a_gram_matrix_past_the_float_range_exits_three(capsys, sub):
+    # alpha log det(1 - z u^t) overflows: gram_spectrum refuses the Gram
+    # matrix, so no NaN ratio reaches the witness search or a verdict
+    err = _refused(capsys, "kernel", sub, "--p", "2", "--q", "3", "--alpha", "1e308",
+                   "--samples", "50", "--seed", "4")
+    assert err.startswith("berezin-lab: InvalidParams: the Gram matrix at alpha = 1e+308 "
+                          "is not finite"), err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from berezin_lab.compact import (
     COMPLEX,
     QUATERNION,
     REAL,
+    _BATCH_SAMPLERS,
     corner_pivots,
     eliminate,
     haar_sample_batch,
@@ -115,6 +116,15 @@ def _columns(rng, field, cols, d, size):
     return drawn
 
 
+def _slots(drawn, step):
+    """What ``_gram_schmidt`` takes: the drawn columns, or with step 2 the even slots of twice as many."""
+    if step == 1:
+        return drawn
+    q = np.empty((2 * len(drawn), *drawn.shape[1:]), dtype=drawn.dtype)
+    q[0::2] = drawn
+    return q
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_gram_schmidt_equals_qr_with_positive_diagonal(field):
     # Gram-Schmidt with positive norms is the unique QR with R_jj > 0
@@ -127,11 +137,12 @@ def test_gram_schmidt_equals_qr_with_positive_diagonal(field):
     q, r = np.linalg.qr(full)
     diag = np.einsum("...ii->...i", r)
     reference = q * (diag / np.abs(diag))[:, None, :]
-    got = _gram_schmidt(drawn, step)
+    slots = _slots(drawn, step)
+    got = _gram_schmidt(slots, step)
     assert got.shape == (size, n, n)
-    # real and complex columns are orthonormalised in place, S-paired ones
-    # go to a fresh array; either way the stack is a view of sample-last Q
-    assert np.shares_memory(got, drawn) == (step == 1)
+    # every field is orthonormalised in place, S-paired columns with their
+    # partners written into the odd slots: the stack is a view of sample-last Q
+    assert np.shares_memory(got, slots)
     assert got.transpose(2, 1, 0).flags.c_contiguous
     assert np.max(np.abs(got - reference)) < 1e-12
 
@@ -145,7 +156,8 @@ def test_gram_schmidt_stays_orthonormal_on_nearly_dependent_columns(field, n):
     drawn = _columns(rng, field, n, d, size)
     noise = _columns(rng, field, 1, d, size)[0]
     drawn[1] = drawn[0] + 1e-9 * noise
-    q = _gram_schmidt(drawn, 2 if field == QUATERNION else 1)
+    step = 2 if field == QUATERNION else 1
+    q = _gram_schmidt(_slots(drawn, step), step)
     assert q.shape == (size, d, d)
     gram = np.conj(np.swapaxes(q, 1, 2)) @ q
     assert np.max(np.abs(gram - np.eye(d))) <= 1e-13
@@ -184,6 +196,55 @@ def test_u_and_sp_sampler_columns_are_the_full_samples_leading_columns(n):
         assert (part == full[:, :, :kept]).all()
         gen3.standard_normal(normals * size)
         assert (gen.standard_normal(3) == gen3.standard_normal(3)).all()
+
+
+def _gram_schmidt_out_of_place(gauss, step=1):
+    """Gram-Schmidt as whole-array expressions; S-paired columns are copied into a fresh array."""
+    m = len(gauss)
+    q = gauss if step == 1 else np.empty((2 * m, *gauss.shape[1:]), dtype=gauss.dtype)
+    for i, col in enumerate(gauss):
+        j = step * i
+        for _ in range(2 if j else 0):
+            for u in q[:j]:
+                col -= (u.conj() * col).sum(axis=0) * u
+        col /= np.linalg.norm(col, axis=0)
+        if step == 2:
+            q[j] = col
+            _structure_map(col, q[j + 1])
+    return q.transpose(2, 1, 0)
+
+
+def _sampler_out_of_place(field, n, size, gen, cols):
+    """Each field's sampler built from one whole draw, complex Gaussians as (x, y) pairs viewed as complex."""
+    def complex_normal(shape):
+        return gen.standard_normal((*shape, 2)).view(complex).reshape(shape)
+
+    if field == REAL:
+        if cols is not None and cols < n:
+            return _gram_schmidt_out_of_place(gen.standard_normal((cols, n, size)))
+        q = _gram_schmidt_out_of_place(gen.standard_normal((n, n, size)))
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        return q
+    if field == COMPLEX:
+        return _gram_schmidt_out_of_place(complex_normal((n if cols is None else min(n, cols), n, size)))
+    m = n if cols is None else min(n, -(-cols // 2))
+    return _gram_schmidt_out_of_place(complex_normal((m, 2 * n, size)), step=2)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("size", [4096, 3616, 5])
+def test_in_place_samplers_equal_the_out_of_place_construction_bit_for_bit(field, size):
+    # a full Monte Carlo block, the short last block of 20000 samples and a
+    # resample's count, at every column cut: drawing into the output and
+    # projecting through one temporary change no bit and no stream position
+    n = 3
+    for cols in [None, *range(1, stored_rows(n, field) + 1)]:
+        gen, gen2 = np.random.default_rng(47), np.random.default_rng(47)
+        got = _BATCH_SAMPLERS[field](n, size, gen, cols=cols)
+        want = _sampler_out_of_place(field, n, size, gen2, cols)
+        assert got.shape == want.shape and len(got) == size
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert gen.standard_normal(3).tobytes() == gen2.standard_normal(3).tobytes()
 
 
 def test_uncorrected_sampler_fails_the_marginal_test():
@@ -350,6 +411,34 @@ def test_eliminate_pivots_multiply_to_the_determinant(p):
     # one matrix, with no sample axis, gives the pivots of a stack of one
     one = np.moveaxis(mats[:1], (-2, -1), (0, 1)).copy()
     assert np.array_equal(eliminate(mats[0].copy()), eliminate(one)[:, 0])
+
+
+def _eliminate_block_update(work):
+    """``eliminate`` with the whole trailing block updated by one product per step."""
+    for j in range(len(work) - 1):
+        row, pivot = work[j, j + 1 :], work[j, j]
+        np.divide(row, pivot, out=row, where=pivot != 0)
+        work[j + 1 :, j + 1 :] -= work[j + 1 :, j : j + 1] * work[j : j + 1, j + 1 :]
+    return np.einsum("ii...->i...", work)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_eliminate_equals_the_block_update_bit_for_bit(k, dtype):
+    # the row-by-row update through one temporary does the same products
+    # and subtractions, so the reduced stack and its pivots match bitwise,
+    # also past a zero pivot, which divides by 1
+    rng = np.random.default_rng(53)
+    for shape in ((k, k, 4096), (k, k, 3, 5), (k, k)):
+        work = rng.standard_normal(shape) + 2.0 * np.eye(k).reshape(k, k, *[1] * (len(shape) - 2))
+        if dtype is complex:
+            work = work + 1j * rng.standard_normal(shape)
+        work[(0, 0) + (0,) * (len(shape) - 2)] = 0.0
+        got, want = work.copy(), work.copy()
+        piv_got, piv_want = eliminate(got), _eliminate_block_update(want)
+        assert piv_got.shape == piv_want.shape == (k, *shape[2:])
+        assert np.ascontiguousarray(piv_got).tobytes() == np.ascontiguousarray(piv_want).tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_corner_shapes():
