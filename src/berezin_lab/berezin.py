@@ -203,8 +203,9 @@ def _witness_trials(p: int, q: int, gen: np.random.Generator):
     trial order.  Trial i's configuration depends only on the generator
     and i, not on how many trials are later evaluated.
     """
-    start, size = 0, _FIRST_TRIALS
+    start = 0
     while True:
+        size = _chunk_size(start)
         is_shell = (np.arange(start, start + size) % 2 == 1) & (p >= 2)
         counts = np.empty(size, dtype=int)
         counts[~is_shell] = 3 + gen.integers(_CLOUD_POINTS - 2, size=size - is_shell.sum())
@@ -219,7 +220,13 @@ def _witness_trials(p: int, q: int, gen: np.random.Generator):
             points[in_shell] = _shell_points(ks, etas, left, right)
         points[~in_shell] = random_ball_point(p, q, gen, 0.8, 0.999, size=(~in_shell).sum())
         yield counts, points
-        start, size = start + size, min(2 * size, _LAST_CHUNK)
+        start += size
+
+
+def _chunk_size(start: int) -> int:
+    """Trials in the chunk that starts at trial ``start``: each chunk up to the last size
+    holds all trials before it plus ``_FIRST_TRIALS``, which doubles the size."""
+    return min(start + _FIRST_TRIALS, _LAST_CHUNK)
 
 
 def pd_witness_search(
@@ -235,11 +242,16 @@ def pd_witness_search(
     smallest eigenvalue drops below -1e-6 times the largest.  Trials
     alternate between diffuse near-boundary clouds and planar
     rotation-reflection shells; on the admissible set both families must
-    come up empty.  Trials are drawn in chunks that double in size and
-    evaluated with one ``gram_spectrum`` call per point count; the report
-    names the first witnessing trial (``n_configs`` is its index plus
-    one) and the best ratio up to it.  Every ratio is finite, since
-    ``gram_spectrum`` refuses an alpha at which a Gram matrix is not.
+    come up empty.  Trials are drawn in the chunks of ``_witness_trials``,
+    8, 16, ..., 512, 512, ...; for evaluation the first chunk stands
+    alone, so an early witness costs 8 trials, and after it consecutive
+    whole chunks are merged into batches of at most 512 trials (16 to 256,
+    then each 512 alone).  A batch takes one ``gram_spectrum`` call per
+    point count, and each trial's spectrum is the same whatever batch it
+    is evaluated in.  The report names the first witnessing trial
+    (``n_configs`` is its index plus one) and the best ratio up to it.
+    Every ratio is finite, since ``gram_spectrum`` refuses an alpha at
+    which a Gram matrix is not.
     """
     if not 1 <= p <= q:
         raise InvalidParams(f"need 1 <= p <= q, got ({p}, {q})")
@@ -248,8 +260,16 @@ def pd_witness_search(
     seed = derive_root_seed(rng)
     gen = as_generator(seed)
     best_ratio = best_min = np.inf
+    trials = _witness_trials(p, q, gen)
     start = 0
-    for counts, points in _witness_trials(p, q, gen):
+    while True:
+        # the first chunk alone, then whole chunks while the batch stays within _LAST_CHUNK
+        chunks = [next(trials)]
+        end = start + chunks[0][0].size
+        while start and end < budget and end - start + _chunk_size(end) <= _LAST_CHUNK:
+            chunks.append(next(trials))
+            end += chunks[-1][0].size
+        counts, points = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
         counts = counts[: budget - start]
         ends = np.cumsum(counts)
         ratios, mins = np.empty(counts.size), np.empty(counts.size)
@@ -263,8 +283,8 @@ def pd_witness_search(
         if ratios[i] < best_ratio:
             best_ratio, best_min = float(ratios[i]), float(mins[i])
         if hits.size:
-            end = ends[hits[0]]
-            witness = points[end - counts[hits[0]] : end]
+            last = ends[hits[0]]
+            witness = points[last - counts[hits[0]] : last]
             return WitnessReport(True, start + stop, best_min, best_ratio, witness, seed)
         start += counts.size
         if start == budget:

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import json.encoder
+import re
 from dataclasses import dataclass
 from math import isfinite
 from typing import Any, NamedTuple
@@ -100,7 +101,10 @@ def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
     """Rows as CSV with a header, or as a JSON array when asked.
 
     ``rows`` is a list of dicts, whose first one gives the CSV header, or,
-    for CSV only, a ``Table``.
+    for CSV only, a ``Table``.  The CSV is what ``csv.writer`` writes.
+    When no cell needs quoting and there are at least two columns (a row
+    of one empty cell is written quoted), the rows are joined with commas
+    directly instead.
     """
     if fmt == "json":
         return _json(rows, "") + "\n"
@@ -111,25 +115,41 @@ def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
         columns = [[row.get(k) for row in rows] for k in header]
     else:
         return ""
+    head = ["" if k is None else str(k) for k in header]  # as csv writes a header cell
+    cells = list(map(_csv_column, columns))
+    columns = [column for column, _ in cells]
+    if len(head) >= 2 and all(plain for _, plain in cells) and _plain(head):
+        return "\n".join([",".join(head), *map(",".join, zip(*columns)), ""])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*map(_csv_column, columns)))
+    writer.writerow(head)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
-def _csv_column(column) -> list[str]:
-    """A column's cells as the strings csv writes of them.
+def _csv_column(column) -> tuple[list[str], bool]:
+    """A column's cells as the strings csv writes of them, and whether none needs quoting.
 
     csv writes a str, int, float or bool cell as its str(), and a numeric
-    numpy column's ``tolist()`` holds only such cells; any other cell is
-    written as ``_cell`` writes what ``_json`` writes of it, read back.
+    numpy column's ``tolist()`` holds only such cells, none of which needs
+    quoting; any other cell is written as ``_cell`` writes what ``_json``
+    writes of it, read back.
     """
     if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
-        column = column.tolist()
+        return list(map(str, column.tolist())), True
     if _STR_CELLS.issuperset(map(type, column)):
-        return list(map(str, column))
-    return [_cell(v if type(v) in _PLAIN_JSON else json.loads(_json(v, ""))) for v in column]
+        cells = list(map(str, column))
+    else:
+        cells = [_cell(v if type(v) in _PLAIN_JSON else json.loads(_json(v, ""))) for v in column]
+    return cells, _plain(cells)
+
+
+def _plain(cells: list[str]) -> bool:
+    """True when csv writes none of ``cells`` quoted: none holds a comma, quote, CR or LF."""
+    return not any(map(_QUOTED.search, set(cells)))
+
+
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def _cell(value: Any) -> str:

@@ -121,6 +121,10 @@ PINNED_ARGVS = [
     ["integral", "so", "--n", "3", "--lambda", "1.5,1,0.5", "--samples", "2000", "--seed", "7"],
     ["boundary", "probe", "--p", "2", "--q", "4", "--r", "1", "--alpha", "2.5",
      "--samples", "2000", "--seed", "7"],
+    # a witness found past the first evaluation batch, and a budget that ends inside one
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "0.99", "--seed", "3"],
+    ["kernel", "witness", "--p", "2", "--q", "3", "--alpha", "1.5", "--samples", "300",
+     "--seed", "3"],
 ]
 
 

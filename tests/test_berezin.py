@@ -288,6 +288,39 @@ def test_witness_search_names_the_first_witnessing_trial(seed):
         assert before.best_ratio == pytest.approx(min(ratios[:first]), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("p,q,alpha,seed,n_configs", [(2, 3, 0.97, 5, 22), (2, 3, 0.99, 3, 60),
+                                                      (2, 5, 0.99, 2, 80)])
+def test_a_late_first_witness_is_the_per_trial_reference(p, q, alpha, seed, n_configs):
+    # witnesses past the first chunk, found inside a batch of merged chunks
+    rep = pd_witness_search(p, q, alpha, budget=1000, rng=seed)
+    ratios, configs = _trial_ratios(p, q, alpha, seed, n_configs)
+    assert [i for i, r in enumerate(ratios) if r < -1e-6] == [n_configs - 1]
+    assert rep.found and rep.n_configs == n_configs
+    assert rep.best_ratio == pytest.approx(ratios[-1], rel=1e-12, abs=0)
+    assert np.array_equal(rep.points, configs[-1])
+
+
+def test_witness_search_evaluates_each_batch_with_one_call_per_point_count(monkeypatch):
+    calls = []
+    gram_spectrum = berezin.gram_spectrum
+
+    def counted(stack, alpha):
+        calls.append(stack.shape[:2])
+        return gram_spectrum(stack, alpha)
+
+    monkeypatch.setattr(berezin, "gram_spectrum", counted)
+    rep = pd_witness_search(2, 3, 1.5, budget=1000, rng=6)
+    assert not rep.found and len(calls) <= 26
+    # the point counts rise within a batch, so a batch is a run of rising counts
+    batches = [[calls[0]]]
+    for prev, call in zip(calls, calls[1:]):
+        if call[1] > prev[1]:
+            batches[-1].append(call)
+        else:
+            batches.append([call])
+    assert [sum(n for n, _ in batch) for batch in batches] == [8, 496, 496]
+
+
 @pytest.mark.parametrize("seed,n_configs", [(1, 2), (7, 2), (11, 2), (12, 4)])
 def test_witness_search_stops_at_the_trial_the_raw_gram_stopped_at(seed, n_configs):
     # the trial indices the search stopped at when it formed raw kernel Grams
@@ -302,9 +335,10 @@ def test_witness_search_reports_the_best_ratio_over_the_budget():
     assert rep.best_ratio == pytest.approx(min(ratios), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("budget", [1, 7, 8, 9, 24, 25, 504, 505, 1000])
+@pytest.mark.parametrize("budget", [1, 7, 8, 9, 24, 25, 56, 57, 504, 505, 1000])
 def test_witness_search_stops_at_any_budget(budget):
-    # the budget falls inside, at the end of and just past the chunks of 8, 16, ..., 512
+    # the budget falls inside, at the end of and just past the chunks of 8, 16, ..., 512,
+    # and at and past the ends of the evaluation batches of 8, 496 and 512 trials
     rep = pd_witness_search(2, 3, 1.5, budget=budget, rng=6)
     ratios, _ = _trial_ratios(2, 3, 1.5, 6, 1000)
     assert not rep.found and rep.n_configs == budget

@@ -106,6 +106,31 @@ def test_numeric_numpy_columns_are_written_as_csv_writes_their_cells():
     assert render_table([dict(zip(header, row)) for row in zip(*columns)]) == text
 
 
+def test_csv_tables_are_what_csv_writer_writes(monkeypatch):
+    numeric = [np.array([True, False, True]), np.array([0, -7, 2**62]),
+               np.array([-0.0, 1e-05, np.nan])]
+    cases = [
+        (["a", "b"], [["x,y", "plain", "z"], [1, 2, 3]]),
+        (["a", "b"], [['say "hi"', "", None], ["", None, "q"]]),
+        (["a", "b"], [["cr\rhere", "lf\nhere", "crlf\r\n"], ["x", "y", "z"]]),
+        (["a", "b"], [["", "", ""], [None, None, None]]),
+        (["only"], [["x", "", None]]),
+        (["only"], [np.array([1.5, 2.5])]),
+        (["a,b", 'c"d'], [["1", "2"], ["3", "4"]]),
+        (["x\ny", "z"], [["1", "2"], ["3", "4"]]),
+        (["b", "i", "f", "s"], [*numeric, ["nul\x00", " spaced ", "tab\t"]]),
+        (["b", "i", "f"], numeric),
+        (["a", "b"], [[], []]),
+    ]
+    for header, columns in cases:
+        plain = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        assert render_table(Table(header, columns)) == _csv_of([header, *zip(*plain)]), header
+    # a table with nothing to quote is joined without csv.writer
+    monkeypatch.setattr(reporting.csv, "writer", None)
+    assert render_table(Table(["b", "i", "f"], numeric)) == (
+        "b,i,f\nTrue,0,-0.0\nFalse,-7,1e-05\nTrue,4611686018427387904,nan\n")
+
+
 def test_float_arrays_are_written_into_the_layout_of_their_shape():
     rng = np.random.default_rng(5)
     special = [-0.0, 5e-324, 1e16, 1e-05, 0.1, -2.5e300]
