@@ -334,8 +334,12 @@ def cmd_plancherel_blocks(args):
     from . import plancherel
 
     blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(args.p, args.q, args.alpha))
-    return None, [{"r": len(u), "u": list(u), "w": plancherel.partial_sums(u).tolist()}
-                  for u in blocks]
+    ranks, labels, sums = [], [], []
+    for r, stack in plancherel.label_stacks(blocks):
+        ranks += [r] * len(stack)
+        labels += stack.tolist()
+        sums += plancherel.partial_sums(stack).tolist()
+    return None, Table(["r", "u", "w"], [ranks, labels, sums])
 
 
 def cmd_plancherel_weight(args):
@@ -353,9 +357,7 @@ def cmd_plancherel_weight(args):
     rest = [float(j) for j in range(2, p + 1)]
     points = np.column_stack([grid, np.broadcast_to(rest, (grid.size, p - 1))])
     weights = plancherel.continuous_weight_o(params, points)
-    rows = None
-    if args.format == "csv":
-        rows = [{"s": s1, "weight": w} for s1, w in zip(grid.tolist(), weights.tolist())]
+    rows = Table(["s", "weight"], [grid, weights]) if args.format == "csv" else None
     worst = float("nan") if np.isnan(weights).any() else min(0.0, float(np.min(weights)))
     inputs = {"p": p, "q": q, "alpha": alpha, "grid_points": count, "s_rest": rest}
     return {"inputs": inputs, "expected": [-1e-12, None], "observed": worst}, rows
@@ -363,6 +365,9 @@ def cmd_plancherel_weight(args):
 
 def cmd_plancherel_degeneration(args):
     """Zero-flag bookkeeping over the surviving blocks, one stack per rank.
+
+    Each block's rank, label and status go out as a ``Table``, built as
+    columns from the stacks.
 
     At a negative integer alpha every block of rank < p must vanish and
     some full-rank block must stay finite: ``observed`` counts the live
@@ -373,14 +378,14 @@ def cmd_plancherel_degeneration(args):
 
     p, q, alpha = args.p, args.q, args.alpha
     params = plancherel.PlancherelParams(p, q, alpha)
-    statuses = []
+    ranks, us, statuses = [], [], []
     low_rank_alive = full_rank_finite = poles = 0
     for r, labels in plancherel.label_stacks(plancherel.surviving_blocks(params)):
         value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
         status = np.where(value.is_pole, "pole", np.where(value.is_zero, "zero", "finite"))
-        statuses += [
-            {"r": r, "u": u, "status": st} for u, st in zip(labels.tolist(), status.tolist())
-        ]
+        ranks += [r] * len(labels)
+        us += labels.tolist()
+        statuses += status.tolist()
         poles += int(np.count_nonzero(value.is_pole))
         if r < p:
             low_rank_alive += int(np.count_nonzero(~value.is_zero))
@@ -390,7 +395,8 @@ def cmd_plancherel_degeneration(args):
         observed = float(low_rank_alive) if full_rank_finite else math.nan
     else:
         observed = float(poles)
-    inputs = {"p": p, "q": q, "alpha": alpha, "blocks": statuses}
+    inputs = {"p": p, "q": q, "alpha": alpha,
+              "blocks": Table(["r", "u", "status"], [ranks, us, statuses])}
     return {"inputs": inputs, "expected": [0.0, 0.0], "observed": observed}, None
 
 

@@ -17,6 +17,7 @@ import json
 import json.encoder
 import re
 from dataclasses import dataclass
+from itertools import chain
 from math import isfinite
 from typing import Any, NamedTuple
 
@@ -89,8 +90,10 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 class Table(NamedTuple):
     """Columns under one header, one per header name, for tables too long to build a row each.
 
-    A column is a sequence of cells; a 1-d numpy array of bool, int or
-    float dtype is turned into strings in one pass.
+    A column is a sequence of cells, and row i holds cell i of each.  Both
+    formats write a Table as they write its rows as dicts.  A numpy column
+    of bool, int or float dtype is converted in one pass: by CSV when it is
+    1-d, by JSON also when it is 2-d, a column of equal-length lists.
     """
 
     header: list[str]
@@ -100,8 +103,8 @@ class Table(NamedTuple):
 def render_table(rows: list[dict[str, Any]] | Table, fmt: str = "csv") -> str:
     """Rows as CSV with a header, or as a JSON array when asked.
 
-    ``rows`` is a list of dicts, whose first one gives the CSV header, or,
-    for CSV only, a ``Table``.  The CSV is what ``csv.writer`` writes.
+    ``rows`` is a list of dicts, whose first one gives the CSV header, or
+    a ``Table``.  The CSV is what ``csv.writer`` writes.
     When no cell needs quoting and there are at least two columns (a row
     of one empty cell is written quoted), the rows are joined with commas
     directly instead.
@@ -175,6 +178,9 @@ def _float(value: float) -> str:
 _PLAIN_JSON = {str: _quote, int: int.__repr__, float: _float,
                bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
 _STR = {str}
+_INT = {int}
+_LISTS = {list, tuple}
+_PLAIN_TYPES = set(_PLAIN_JSON)
 _STR_CELLS = {str, int, float, bool}
 
 
@@ -187,12 +193,15 @@ def _json(value: Any, pad: str) -> str:
     isinstance chain after them takes numpy types, tuples and subclasses,
     and writes int subclasses with ``int.__repr__`` as ``json`` does.  A
     finite float array is checked once and written by one ``%`` into the
-    layout of its shape.
+    layout of its shape.  A ``Table`` is written as its rows as dicts are
+    (``_table_json``).
     """
     write = _PLAIN_JSON.get(type(value))
     if write is not None:
         return write(value)
     inner = pad + "  "
+    if isinstance(value, Table):  # before the tuple branch: a Table is a NamedTuple
+        return _table_json(value, pad)
     if isinstance(value, dict):
         if not _STR.issuperset(map(type, value)):
             value = {str(k): v for k, v in value.items()}
@@ -214,6 +223,83 @@ def _json(value: Any, pad: str) -> str:
     if isinstance(value, str):
         return _quote(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _table_json(table: Table, pad: str) -> str:
+    """What ``_json`` writes of the table's rows as dicts, one ``%`` per run of rows.
+
+    Each column becomes a flat list of ``%s`` slots (``_column_slots``).
+    Rows whose list cells have the same lengths share one row layout, so a
+    run of such rows is one layout repeated and filled by one ``%``.
+    """
+    header, columns = table
+    if len(set(header)) < len(header):  # a dict keeps one of equal keys
+        return _json([dict(zip(header, row)) for row in zip(*columns)], pad)
+    n = min(map(len, columns), default=0)
+    if not n:
+        return "[]"
+    inner, cell_pad = pad + "  ", pad + "    "
+    slots = [_column_slots(column[:n], cell_pad) for column in columns]
+    keys = [_quote(str(k)).replace("%", "%%") + ": " for k in header]
+    varying = [width for width, _ in slots if isinstance(width, list)]
+    cuts = [0, n]
+    if varying:
+        changes = np.flatnonzero(np.diff(np.array(varying), axis=1).any(axis=0)) + 1
+        cuts = [0, *changes.tolist(), n]
+    # each column's slot offset at each cut
+    offsets = [np.concatenate(([0], np.cumsum(width)))[cuts].tolist() if isinstance(width, list)
+               else [cut * (1 if width is None else width) for cut in cuts]
+               for width, _ in slots]
+    runs = []
+    for i, (start, stop) in enumerate(zip(cuts[:-1], cuts[1:])):
+        # a list cell's iterator is passed to zip once per entry, so zip reads whole rows
+        fields, cells = [], []
+        for key, (width, values), offset in zip(keys, slots, offsets):
+            width = width[start] if isinstance(width, list) else width
+            part = iter(values[offset[i]:offset[i + 1]])
+            if width is None:
+                fields.append(key + "%s")
+                cells.append(part)
+            else:
+                fields.append(key + _float_layout((width,), cell_pad))
+                cells += [part] * width
+        row = _wrap("{}", fields, inner)
+        runs.append((",\n" + inner).join([row] * (stop - start))
+                    % tuple(chain.from_iterable(zip(*cells))))
+    return _wrap("[]", runs, pad)
+
+
+def _column_slots(column, pad: str) -> tuple[int | list[int] | None, list]:
+    """A column's cells as ``%s`` slots that write their JSON, and the cells' widths.
+
+    The width is None when each cell takes one slot, or the length of each
+    list cell whose entries take one slot each: one int for a whole 2-d
+    numpy column, a list of lengths for a column of lists of plain values.
+    Any other cell is one slot of its ``_json`` text at ``pad``.
+    """
+    if isinstance(column, np.ndarray) and column.ndim in (1, 2) and column.dtype.kind in "biufU":
+        width = None if column.ndim == 1 else column.shape[1]
+        return width, _plain_slots(column.ravel().tolist())
+    column = list(column)
+    if _LISTS.issuperset(map(type, column)):
+        slots = _plain_slots(list(chain.from_iterable(column)))
+        if slots is not None:
+            return list(map(len, column)), slots
+    slots = _plain_slots(column)
+    return None, [_json(v, pad) for v in column] if slots is None else slots
+
+
+def _plain_slots(values: list) -> list | None:
+    """Plain values as slots, None if any is not plain; ``%s`` writes an exact int as JSON does."""
+    types = set(map(type, values))
+    if _INT.issuperset(types):
+        return values
+    if _STR.issuperset(types):
+        quoted = {v: _quote(v) for v in set(values)}
+        return list(map(quoted.__getitem__, values))
+    if _PLAIN_TYPES.issuperset(types):
+        return [_PLAIN_JSON[type(v)](v) for v in values]
+    return None
 
 
 def _float_layout(shape: tuple[int, ...], pad: str) -> str:

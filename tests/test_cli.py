@@ -707,6 +707,27 @@ def test_plancherel_degeneration_past_the_lgamma_range_passes(capsys):
     assert code == EXIT_PASS and json.loads(out)["verdict"] == "pass"
 
 
+def test_degeneration_blocks_match_per_block_rows_at_scale(capsys):
+    # 4837 blocks over ranks 0-5: more blocks and higher ranks than any pin
+    from berezin_lab import plancherel
+
+    p, q, alpha = 5, 12, -6.0
+    code, out = run_cli(capsys, "plancherel", "degeneration", "--p", str(p), "--q", str(q),
+                        "--alpha", str(alpha))
+    assert code == EXIT_PASS
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    rows = []
+    blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(p, q, alpha))
+    for r, labels in plancherel.label_stacks(blocks):
+        value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
+        for u, pole, zero in zip(labels, value.is_pole, value.is_zero):
+            status = "pole" if pole else "zero" if zero else "finite"
+            rows.append({"r": r, "u": [int(k) for k in u], "status": status})
+    assert len(rows) == 4837 and {row["r"] for row in rows} == set(range(p + 1))
+    assert json.dumps(doc["inputs"]["blocks"], indent=2) == json.dumps(rows, indent=2)
+
+
 def test_plancherel_rank1(capsys):
     code, out = run_cli(capsys, "plancherel", "rank1", "--q", "3", "--alpha", "4",
                         "--seed", "11")

@@ -144,6 +144,34 @@ def test_float_arrays_are_written_into_the_layout_of_their_shape():
         assert reporting._json(nested, "") == json.dumps({"samples": [value.tolist()]}, indent=2)
 
 
+def _rows(table):
+    return [dict(zip(table.header, row)) for row in zip(*table.columns)]
+
+
+def test_json_tables_are_written_as_their_rows_as_dicts():
+    escaped = ['quote " backslash \\', "tab\t nul\x00", "caf\u00e9 \u2603", "per%cent %s"]
+    cases = [
+        Table(["a", "b"], [[], []]),
+        Table([], []),
+        Table(["x", "y%s", 3], [[float("nan"), float("inf"), -float("inf"), -0.0],
+                                [True, False, None, 2**70], escaped]),
+        # list cells of two widths in one table, in three runs
+        Table(["r", "u", "s"], [[1, 2, 2, 1], [[0], [1, 2], [3, 4], [5]], ["a", "b", "c", "d"]]),
+        Table(["f", "u", "b"], [np.array([0.5, np.nan, -np.inf]),
+                                np.array([[1, 2], [3, 4], [5, 6]]),
+                                np.array([True, False, True])]),
+        Table(["empty", "mixed"], [[[], [], []], [[1.5, "s"], None, {"k": [np.int64(2)]}]]),
+    ]
+    for table in cases:
+        assert render_table(table, "json") == render_table(_rows(table), "json"), table.header
+        for pad in ("", "    "):
+            nested = reporting._json({"t": [_rows(table)]}, pad)
+            assert reporting._json({"t": [table]}, pad) == nested
+    assert render_table(cases[0], "json") == "[]\n"
+    first = {"x": "nan", "y%s": True, "3": escaped[0]}
+    assert json.loads(render_table(cases[2], "json"))[0] == first
+
+
 def _read_back(value):
     """What the emitter writes of ``value``, parsed: its JSON form."""
     return json.loads(reporting._json(value, ""))
@@ -164,6 +192,8 @@ def test_emitter_handles_numpy_and_nonfinite():
 
 def _jsonable_reference(value):
     """A report value's JSON form as a plain isinstance chain, the reference for the emitter."""
+    if isinstance(value, Table):  # its rows as dicts
+        return [_jsonable_reference(dict(zip(value.header, row))) for row in zip(*value.columns)]
     if isinstance(value, dict):
         return {str(k): _jsonable_reference(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -279,8 +309,29 @@ _LEAVES = st.one_of(
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3),
                elements=st.floats(allow_nan=False, allow_infinity=False)),
 )
+_PLAIN = st.one_of(st.text(max_size=3), st.integers(-(2**70), 2**70), st.floats(), st.booleans(),
+                   st.none())
+
+
+@st.composite
+def _tables(draw):
+    """A small Table: plain, list, numpy and nested cells, list cells of varying widths."""
+    header = draw(st.lists(_KEYS, max_size=3))
+    n = draw(st.integers(0, 4))
+    cells = st.one_of(_PLAIN, st.lists(_PLAIN, max_size=2), _LEAVES,
+                      st.dictionaries(_KEYS, _PLAIN, max_size=2))
+    columns = [draw(st.one_of(
+        st.lists(cells, min_size=n, max_size=n),
+        st.lists(st.lists(_PLAIN, max_size=3), min_size=n, max_size=n),
+        st.lists(st.text(max_size=2), min_size=n, max_size=n).map(np.array),
+        hnp.arrays(st.sampled_from([np.int64, np.float64, np.bool_]),
+                   st.sampled_from([(n,), (n, 0), (n, 2)])),
+    )) for _ in header]
+    return Table(header, columns)
+
+
 _VALUES = st.recursive(
-    _LEAVES,
+    st.one_of(_LEAVES, _tables()),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(_KEYS, inner, max_size=4)),
     max_leaves=20,
