@@ -539,6 +539,27 @@ def test_cv_takes_one_gamma_table_per_lattice(monkeypatch):
     assert sum(entries) <= 1000
 
 
+# Rows [p, q, alpha, u, repr(log_abs), sign, order] of C*V for every surviving block at
+# (3, 7, -2) and (4, 12, -2.5), recorded by ``_cv_rows`` while V still read its alpha
+# and -alpha lattices from two Gamma tables per rank.
+_CV_PINS = json.loads((Path(__file__).parent / "data" / "cv_pins.json").read_text())
+
+
+def _cv_rows(p, q, alpha):
+    rows = []
+    for _, labels in label_stacks(surviving_blocks(PlancherelParams(p, q, alpha))):
+        cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+        rows += [[p, q, alpha, u, repr(log_abs), sign, order] for u, log_abs, sign, order in
+                 zip(labels.tolist(), cv.log_abs.tolist(), cv.sign.tolist(), cv.order.tolist())]
+    return rows
+
+
+def test_cv_matches_recorded_values_bit_for_bit():
+    assert len(_CV_PINS) == 57 + 505
+    for p, q, alpha in [(3, 7, -2.0), (4, 12, -2.5)]:
+        assert _cv_rows(p, q, alpha) == [row for row in _CV_PINS if row[:3] == [p, q, alpha]]
+
+
 def test_a_block_index_is_the_stack_of_one():
     p, q, alpha = 4, 12, -2.5
     blocks = surviving_blocks(PlancherelParams(p, q, alpha))
