@@ -8,13 +8,15 @@ a Gamma-product factor V and a residual continuous density Q over the
 remaining p - r spectral variables.  All Gamma products run through the
 pole-aware ``GammaValue`` so that negative-integer degenerations reduce to
 order bookkeeping.  Every Gamma argument of C and V is a half-integer
-step from 0, alpha or -alpha, so a stack of labels reads them from one
-Gamma table per lattice, a Pochhammer symbol (a)_u as Gamma(a + u)/Gamma(a).
+step from 0, alpha or -alpha, so a stack of labels reads C's from one
+Gamma table and V's, on both of its lattices, from another, a Pochhammer
+symbol (a)_u as Gamma(a + u)/Gamma(a).
 
 A block label is a tuple u from ``surviving_blocks``, its rank r being
 len(u) and its w the ``partial_sums`` of u.  C and V work on an (N, r)
 array of same-rank labels and Q_o on one label, a (1, r) row; W works on
-an (N, p) array of points, each factor one array operation.  W, Q_o and
+an (N, p) array of points, each factor one array operation, and a column
+that holds one value down the stack is evaluated once.  W, Q_o and
 the unitary Q are products of one primitive, |Gamma(x0 + i rate s)|^2,
 which takes the s = 0 limit itself, so a coordinate at s = 0 runs the
 same code as any other; a net pole raises PoleOnContour.  The primitive
@@ -33,6 +35,7 @@ comes back as +-inf, Q as a 0-d GammaValue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, isfinite, log, perm, pi
 from numbers import Integral
 
@@ -104,6 +107,12 @@ def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
     list is finite because w_r >= r/2: for each rank it holds the labels
     with sum(u) <= top, ordered by (sum(u), u).  More than
     ``BLOCK_BUDGET`` blocks raise InvalidParams.
+
+    The labels of each rank are the rows of one array.  The top falls with
+    the rank, so the lexicographically ordered labels of rank r - 1 that
+    fit under rank r's top are its prefixes, each extended by every last
+    entry its sum leaves room for, in increasing order; the rows stay in
+    lexicographic order, and a stable sort by sum orders them by (sum(u), u).
     """
     bound = params.h - params.alpha
     tops = {}
@@ -118,19 +127,17 @@ def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
             f"exceed the budget of {BLOCK_BUDGET}"
         )
     out = [()]
-    for r, top in tops.items():
-        out.extend(u for total in range(top + 1) for u in _compositions(total, r))
+    labels, sums = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for top in tops.values():
+        fits = sums <= top
+        labels, sums = labels[fits], sums[fits]
+        counts = top + 1 - sums
+        rows = np.repeat(np.arange(sums.size), counts)
+        last = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        labels = np.concatenate([labels[rows], last[:, None]], axis=1)
+        sums = sums[rows] + last
+        out.extend(map(tuple, labels[np.argsort(sums, kind="stable")].tolist()))
     return out
-
-
-def _compositions(total: int, parts: int):
-    """Tuples of ``parts`` nonnegative integers summing to ``total``, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +198,39 @@ def _pole_checked(value: GammaValue) -> GammaValue:
 
 
 def _pair_factors(s: np.ndarray) -> np.ndarray:
-    """One factor per pair k < l of the last axis.
-
-    (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2): W and Q
-    take their product as a GammaValue.
-    """
+    """One factor per pair k < l of the last axis: W and Q take their product as a GammaValue."""
     k, l = np.triu_indices(s.shape[-1], 1)
-    sk, sl = s[..., k], s[..., l]
+    return _pair_factor(s[..., k], s[..., l])
+
+
+def _pair_factor(sk, sl):
+    """(s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2) at every entry."""
     return (sk**2 - sl**2) * np.tanh(pi * (sk - sl) / 2.0) * np.tanh(pi * (sk + sl) / 2.0)
+
+
+def _row_product(f, points: np.ndarray, fixed: np.ndarray, *index) -> GammaValue:
+    """f(*(points[:, i] for i in index)).prod(axis=-1), bit for bit, for an elementwise f.
+
+    ``index`` holds equal-length arrays of column numbers, one column of
+    f's value per entry, and ``fixed`` marks the columns of ``points`` that
+    hold one value down the rows.  Where every column an entry reads is
+    fixed, f takes only the first row.  Each entry of f's value gets the
+    bits it gets alone, and the logs are added in column order, as
+    ``GammaValue.prod`` adds them.
+    """
+    n = len(points)
+    sign, order = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    once = np.logical_and.reduce([fixed[i] for i in index])
+    logs = [None] * once.size
+    for rows, at in ((points[:1], np.flatnonzero(once)), (points, np.flatnonzero(~once))):
+        if at.size:
+            value = f(*(rows[:, i[at]] for i in index))
+            sign = sign * value.sign.prod(axis=-1)
+            order = order + value.order.sum(axis=-1)
+            for j, column in zip(at.tolist(), value.log_abs.T):
+                logs[j] = column
+    log_abs = reduce(np.add, logs) if logs else np.zeros(n)  # the empty product is 1
+    return GammaValue(np.broadcast_to(log_abs, (n,)), sign, order)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +246,12 @@ def continuous_weight_o(params: PlancherelParams, s):
     elementary form (for q = p the ratio cancels identically); pairs
     contribute (s_k^2 - s_l^2) tanh(pi (s_k - s_l)/2) tanh(pi (s_k + s_l)/2).
     ``s`` is one point of shape (p,), giving a float, or an (N, p) stack,
-    giving an array of N weights, each a point's value bit for bit.
-    Coordinates at s = 0 are evaluated as limits: net zeros give an exact
-    zero, net poles of the Gamma factors raise PoleOnContour.  The product
-    is exponentiated last, so a W past the float range is inf and a zero
-    pair factor still gives 0.0.
+    giving an array of N weights, each a point's value bit for bit.  A
+    coordinate with the same bits at every point is evaluated once, as is
+    a pair of two such coordinates.  Coordinates at s = 0 are evaluated as
+    limits: net zeros give an exact zero, net poles of the Gamma factors
+    raise PoleOnContour.  The product is exponentiated last, so a W past
+    the float range is inf and a zero pair factor still gives 0.0.
     """
     p, q, alpha = params.p, params.q, params.alpha
     s = np.asarray(s, dtype=float)
@@ -227,11 +260,19 @@ def continuous_weight_o(params: PlancherelParams, s):
     if not np.isfinite(s).all():
         raise InvalidParams("spectral parameters must be finite")
     points = s.reshape(-1, p)
-    factors = _abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
-    if q > p:
-        factors = factors * _c_ratio(q - p, points)
-    value = _pole_checked(factors.prod(axis=-1))
-    value = value * from_real(_pair_factors(points)).prod(axis=-1)
+    bits = points.view(np.int64)
+    fixed = (bits == bits[:1]).all(axis=0)  # columns of one value, such as the CLI's s_2..s_p
+    x0 = (alpha - (p + q) / 2.0 + 1.0) / 2.0
+
+    def per_coordinate(s):
+        factors = _abs_gamma_sq(x0, 0.5, s)
+        return factors * _c_ratio(q - p, s) if q > p else factors
+
+    def per_pair(sk, sl):
+        return from_real(_pair_factor(sk, sl))
+
+    value = _pole_checked(_row_product(per_coordinate, points, fixed, np.arange(p)))
+    value = value * _row_product(per_pair, points, fixed, *np.triu_indices(p, 1))
     with np.errstate(over="ignore"):  # past the float range W is +-inf, its sign kept
         weights = value.to_float()
     return weights if s.ndim == 2 else float(weights[0])
@@ -272,20 +313,35 @@ def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
     )
 
 
-def _gamma_steps(base: float, up, down) -> GammaValue:
-    """prod_j Gamma(base + up_j/2) / prod_j Gamma(base + down_j/2) over each row.
+def _gamma_steps(*lattices) -> GammaValue:
+    """prod_j Gamma(base + up_j/2) / prod_j Gamma(base + down_j/2) over each row, per lattice.
 
-    ``up`` and ``down`` are lists of (N, *) integer arrays of half-steps
-    from ``base``.  One ``gamma_value`` call covers every step from the
-    lowest to the highest; ``GammaValue.prod`` takes each row in column
-    order, so a row gets the same bits alone as in a stack.
+    Each lattice is a (base, up, down) triple, ``up`` and ``down`` lists of
+    (N, *) integer arrays of half-steps from ``base``, and the lattices'
+    row products are multiplied in order.  One ``gamma_value`` call covers
+    every step from each lattice's lowest to its highest, and the table
+    holds each value's reciprocal after it, where ``down`` reads.
+    ``GammaValue.prod`` takes each row in column order, so a row gets the
+    same bits alone as in a stack.
     """
-    steps = np.concatenate(up + down, axis=1)
-    lo, hi = (steps.min(), steps.max()) if steps.size else (0, -1)
-    table = gamma_value(base + np.arange(lo, hi + 1) / 2.0)
-    at = steps - lo
-    power = np.repeat((1, -1), [sum(step.shape[1] for step in side) for side in (up, down)])
-    return GammaValue(table.log_abs[at] * power, table.sign[at], table.order[at] * power).prod(1)
+    ats, args, size = [], [], 0
+    for base, up, down in lattices:
+        at = np.concatenate(up + down, axis=1)
+        lo, hi = (at.min(), at.max()) if at.size else (0, -1)
+        args.append(base + np.arange(lo, hi + 1) / 2.0)
+        at += size - lo
+        ats.append((at, sum(step.shape[1] for step in up)))
+        size += hi + 1 - lo
+    gamma = gamma_value(np.concatenate(args))
+    table = GammaValue(np.concatenate([gamma.log_abs, -gamma.log_abs]),
+                       np.concatenate([gamma.sign, gamma.sign]),
+                       np.concatenate([gamma.order, -gamma.order]))
+    value = None
+    for at, ups in ats:
+        at[:, ups:] += size  # a down step reads the reciprocal
+        part = table[at].prod(1)
+        value = part if value is None else value * part
+    return value
 
 
 def coeff_C(labels, p: int) -> GammaValue:
@@ -302,7 +358,7 @@ def coeff_C(labels, p: int) -> GammaValue:
     k, m = np.triu_indices(u.shape[1], 1)
     gap = tw[:, m] - tw[:, k]  # 2 (w_m - w_k), and a + u_k = w_k - w_m
     return _c_prefix(u, p) * _gamma_steps(
-        0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap, 2 + 2 * u]
+        (0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap, 2 + 2 * u])
     )
 
 
@@ -327,15 +383,12 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     both = tw[:, k] + tw[:, m]
     prefactor = np.broadcast_to(-2 * np.arange(p), (len(u), p))
     # 2 (a_km + u_k - alpha) = 2 w_k + 2 w_m - p - q, the diagonal k = m included
-    with_alpha = _gamma_steps(
-        alpha,
-        [2 + 2 * tw - 2 * p, 2 * tw - pq - 2 * u, both - pq - 2 * u[:, k]],
-        [prefactor, 2 * tw - pq, both - pq],
+    return _gamma_steps(
+        (alpha,
+         [2 + 2 * tw - 2 * p, 2 * tw - pq - 2 * u, both - pq - 2 * u[:, k]],
+         [prefactor, 2 * tw - pq, both - pq]),
+        (-alpha, [2 * q - 2 - 2 * tw, 1 + pq - both], [pq - 2 * tw, pq - both]),
     )
-    minus_alpha = _gamma_steps(
-        -alpha, [2 * q - 2 - 2 * tw, 1 + pq - both], [pq - 2 * tw, pq - both]
-    )
-    return with_alpha * minus_alpha
 
 
 def _spectral_args(s, n: int) -> np.ndarray:

@@ -135,16 +135,23 @@ def _csv_column(column) -> tuple[list[str], bool]:
 
     csv writes a str, int, float or bool cell as its str(), and a numeric
     numpy column's ``tolist()`` holds only such cells, none of which needs
-    quoting; any other cell is written as ``_cell`` writes what ``_json``
-    writes of it, read back.
+    quoting.  Any other cell is its compact JSON (``_json`` with no pad)
+    when that is an object or an array, and otherwise the str() of the
+    scalar that JSON reads back.
     """
     if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "biuf":
         return list(map(str, column.tolist())), True
     if _STR_CELLS.issuperset(map(type, column)):
         cells = list(map(str, column))
     else:
-        cells = [_cell(v if type(v) in _PLAIN_JSON else json.loads(_json(v, ""))) for v in column]
+        cells = [_cell(v) if type(v) in _PLAIN_JSON else _structured_cell(v) for v in column]
     return cells, _plain(cells)
+
+
+def _structured_cell(value: Any) -> str:
+    """A cell that is not plain: compact JSON for an object or array, else its scalar's str()."""
+    text = _json(value, None)
+    return text if text[0] in "[{" else _cell(json.loads(text))
 
 
 def _plain(cells: list[str]) -> bool:
@@ -156,11 +163,8 @@ _QUOTED = re.compile('[,"\r\n]')
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, separators=(",", ":"))
-    if value is None:
-        return ""
-    return str(value)
+    """A plain cell as csv writes it: None as the empty string."""
+    return "" if value is None else str(value)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -184,8 +188,11 @@ _PLAIN_TYPES = set(_PLAIN_JSON)
 _STR_CELLS = {str, int, float, bool}
 
 
-def _json(value: Any, pad: str) -> str:
+def _json(value: Any, pad: str | None) -> str:
     """``value`` as ``json.dumps(indent=2)`` writes its JSON form, nested at ``pad``, in one walk.
+
+    With ``pad`` None it is the compact form ``json.dumps`` writes with
+    ``separators=(",", ":")``.
 
     This is the report's one coercion: numpy values become Python ones,
     tuples lists and keys str, and ``_float`` names NaN and the
@@ -199,13 +206,14 @@ def _json(value: Any, pad: str) -> str:
     write = _PLAIN_JSON.get(type(value))
     if write is not None:
         return write(value)
-    inner = pad + "  "
+    inner = _indent(pad)
     if isinstance(value, Table):  # before the tuple branch: a Table is a NamedTuple
         return _table_json(value, pad)
     if isinstance(value, dict):
         if not _STR.issuperset(map(type, value)):
             value = {str(k): v for k, v in value.items()}
-        return _wrap("{}", [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], pad)
+        colon = _colon(pad)
+        return _wrap("{}", [_quote(k) + colon + _json(v, inner) for k, v in value.items()], pad)
     if isinstance(value, (list, tuple)):
         return _wrap("[]", [_json(v, inner) for v in value], pad)
     if isinstance(value, np.ndarray):
@@ -225,7 +233,7 @@ def _json(value: Any, pad: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _table_json(table: Table, pad: str) -> str:
+def _table_json(table: Table, pad: str | None) -> str:
     """What ``_json`` writes of the table's rows as dicts, one ``%`` per run of rows.
 
     Each column becomes a flat list of ``%s`` slots (``_column_slots``).
@@ -233,14 +241,15 @@ def _table_json(table: Table, pad: str) -> str:
     run of such rows is one layout repeated and filled by one ``%``.
     """
     header, columns = table
-    if len(set(header)) < len(header):  # a dict keeps one of equal keys
+    if len(set(map(str, dict.fromkeys(header)))) < len(header):  # equal keys, or equal str()s
         return _json([dict(zip(header, row)) for row in zip(*columns)], pad)
     n = min(map(len, columns), default=0)
     if not n:
         return "[]"
-    inner, cell_pad = pad + "  ", pad + "    "
+    inner = _indent(pad)
+    cell_pad = _indent(inner)
     slots = [_column_slots(column[:n], cell_pad) for column in columns]
-    keys = [_quote(str(k)).replace("%", "%%") + ": " for k in header]
+    keys = [_quote(str(k)).replace("%", "%%") + _colon(pad) for k in header]
     varying = [width for width, _ in slots if isinstance(width, list)]
     cuts = [0, n]
     if varying:
@@ -264,12 +273,12 @@ def _table_json(table: Table, pad: str) -> str:
                 fields.append(key + _float_layout((width,), cell_pad))
                 cells += [part] * width
         row = _wrap("{}", fields, inner)
-        runs.append((",\n" + inner).join([row] * (stop - start))
+        runs.append(_comma(inner).join([row] * (stop - start))
                     % tuple(chain.from_iterable(zip(*cells))))
     return _wrap("[]", runs, pad)
 
 
-def _column_slots(column, pad: str) -> tuple[int | list[int] | None, list]:
+def _column_slots(column, pad: str | None) -> tuple[int | list[int] | None, list]:
     """A column's cells as ``%s`` slots that write their JSON, and the cells' widths.
 
     The width is None when each cell takes one slot, or the length of each
@@ -302,16 +311,39 @@ def _plain_slots(values: list) -> list | None:
     return None
 
 
-def _float_layout(shape: tuple[int, ...], pad: str) -> str:
+def _float_layout(shape: tuple[int, ...], pad: str | None) -> str:
     """The text ``_json`` writes of a float array of ``shape``, a ``%s`` slot per entry."""
     if not shape:
         return "%s"
-    return _wrap("[]", [_float_layout(shape[1:], pad + "  ")] * shape[0], pad)
+    return _wrap("[]", [_float_layout(shape[1:], _indent(pad))] * shape[0], pad)
 
 
-def _wrap(brackets: str, items: list[str], pad: str) -> str:
-    """Rendered items one per line at ``pad`` plus two spaces, between ``brackets``."""
+def _wrap(brackets: str, items: list[str], pad: str | None) -> str:
+    """Rendered items one per line at ``pad`` plus two spaces, between ``brackets``.
+
+    With ``pad`` None, the compact layout, they stand side by side.
+    """
     if not items:
         return brackets
+    if pad is None:
+        return brackets[0] + ",".join(items) + brackets[1]
     inner = pad + "  "
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+# The pieces of the layout at a pad.  A pad of None is the compact layout: one line, no spaces.
+
+
+def _indent(pad: str | None) -> str | None:
+    """The pad one level in."""
+    return None if pad is None else pad + "  "
+
+
+def _comma(pad: str | None) -> str:
+    """What parts between items at ``pad``."""
+    return "," if pad is None else ",\n" + pad
+
+
+def _colon(pad: str | None) -> str:
+    """What parts a key from its value."""
+    return ":" if pad is None else ": "

@@ -117,6 +117,32 @@ def test_surviving_blocks_equal_the_filtered_product(p, q, alpha, strict):
     assert surviving_blocks(params) == expected
 
 
+def _compositions(total, parts):
+    """Tuples of ``parts`` nonnegative integers summing to ``total``, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("p,q,alpha", [
+    (4, 12, -3.0), (4, 12, -2.5), (5, 12, -12.0), (6, 14, -4.0), (3, 3, -4.0), (1, 1, -1.0),
+    (2, 5, 0.4),
+])
+def test_surviving_blocks_equal_the_recursive_enumeration(p, q, alpha):
+    # each rank's labels by total, each total's compositions in lexicographic order
+    params = PlancherelParams(p, q, alpha)
+    expected = [()]
+    for r in range(1, p + 1):
+        top = math.floor(params.h - alpha - r / 2.0 - 1e-9)
+        expected += [u for total in range(top + 1) for u in _compositions(total, r)]
+    blocks = surviving_blocks(params)
+    assert blocks == expected
+    assert {type(x) for u in blocks for x in u} <= {int}
+
+
 def test_surviving_blocks_budget(monkeypatch):
     # (4, 12, -3) has 551 blocks
     assert len(surviving_blocks(PlancherelParams(4, 12, -3.0))) == 551
@@ -520,9 +546,9 @@ def test_cv_near_a_degeneration_matches_the_reference(p, q, alpha):
             assert abs(cv.log_abs[i] - log_abs) <= 1e-9 * max(abs(log_abs), 1.0), u
 
 
-def test_cv_takes_one_gamma_table_per_lattice(monkeypatch):
-    # per rank, C reads one table of Gamma at half-integers and V one each from alpha and
-    # -alpha: a few hundred Gamma values for all 551 blocks
+def test_cv_takes_one_gamma_table_per_coefficient_and_rank(monkeypatch):
+    # per rank, C reads one table of Gamma at half-integers and V one table that holds both
+    # its alpha and its -alpha lattice: a few hundred Gamma values for all 551 blocks
     entries = []
 
     def spy(x):
@@ -535,7 +561,7 @@ def test_cv_takes_one_gamma_table_per_lattice(monkeypatch):
     stacks = label_stacks(surviving_blocks(PlancherelParams(p, q, alpha)))
     for _, labels in stacks:
         coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-    assert len(entries) == 3 * len(stacks)
+    assert len(entries) == 2 * len(stacks)
     assert sum(entries) <= 1000
 
 
@@ -728,6 +754,62 @@ def test_stacked_weight_exact_zero_and_pole_rows():
             continuous_weight_o(params, bad)
     with pytest.raises(InvalidParams, match="finite"):
         continuous_weight_o(PlancherelParams(1, 3, 2.0), [np.inf])
+
+
+def _with_no_fixed_column(params, points):
+    """W with each factor evaluated on every entry of the (N, p) stack, then ``GammaValue.prod``."""
+    p, q, alpha = params.p, params.q, params.alpha
+    points = np.asarray(points, dtype=float).reshape(-1, p)
+    factors = plancherel._abs_gamma_sq((alpha - (p + q) / 2.0 + 1.0) / 2.0, 0.5, points)
+    if q > p:
+        factors = factors * plancherel._c_ratio(q - p, points)
+    value = plancherel._pole_checked(factors.prod(axis=-1))
+    value = value * gammaval.from_real(plancherel._pair_factors(points)).prod(axis=-1)
+    with np.errstate(over="ignore"):
+        return value.to_float()
+
+
+def _grid(s1, rest):
+    """The CLI's grid: s_1 down the rows, each further coordinate fixed."""
+    s1 = np.asarray(s1, dtype=float)
+    return np.column_stack([s1, np.broadcast_to(rest, (s1.size, len(rest)))])
+
+
+@pytest.mark.parametrize("p,q,alpha,points", [
+    # no fixed column
+    (4, 9, 1.5, np.random.default_rng(4).uniform(-5.0, 5.0, size=(50, 4))),
+    # the spectral workload's grid, and the same with s_1 fixed too: all columns fixed
+    (5, 12, 3.0, _grid(np.linspace(0.0, 10.0, 40), [2.0, 3.0, 4.0, 5.0])),
+    (5, 12, 3.0, _grid(np.full(7, 1.7), [2.0, 3.0, 4.0, 5.0])),
+    # a fixed column at s = 0 takes the limit: W is an exact zero, or finite at alpha = h
+    (5, 12, 3.0, _grid(np.linspace(0.5, 4.0, 9), [0.0, 3.0, 4.0, 5.0])),
+    (2, 5, 2.5, _grid(np.linspace(0.0, 4.0, 9), [0.0])),
+    (2, 5, 2.5, _grid(np.linspace(0.0, 4.0, 9), [1.3])),
+    # q = p, which has no ratio factor; two fixed columns equal, so their pair factor is 0
+    (3, 3, 0.5, _grid(np.linspace(0.1, 3.0, 6), [1.1, 1.1])),
+    # p = 1, as rank1 calls it, and one point alone
+    (1, 3, 2.0, np.linspace(0.0, 25.0, 201)[:, None]),
+    (1, 3, 2.0, np.full((4, 1), 0.8)),
+    (5, 12, 3.0, [[0.7, 2.0, 3.0, 4.0, 5.0]]),
+])
+def test_weight_is_bit_identical_with_and_without_fixed_columns(p, q, alpha, points):
+    params = PlancherelParams(p, q, alpha)
+    weights = continuous_weight_o(params, points)
+    assert weights.tobytes() == _with_no_fixed_column(params, points).tobytes()
+    # every row alone has all its columns fixed
+    rows = np.array([continuous_weight_o(params, row) for row in np.asarray(points)])
+    assert rows.tobytes() == weights.tobytes()
+
+
+def test_a_fixed_column_on_a_net_pole_raises_as_a_varying_one_does():
+    # q = p and alpha = h: |Gamma(i s/2)|^2 has a double pole at s = 0 with nothing to cancel it
+    params = PlancherelParams(2, 2, 1.0)
+    points = _grid([0.7, 1.3, 2.9], [0.0])
+    with pytest.raises(PoleOnContour) as fixed:
+        continuous_weight_o(params, points)
+    with pytest.raises(PoleOnContour) as varying:
+        _with_no_fixed_column(params, points)
+    assert str(fixed.value) == str(varying.value) == "net pole of order 2 at s = 0"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -236,7 +236,7 @@ def test_emitter_matches_the_isinstance_chain_on_every_kind():
 
 
 def _reference_render(value, fmt):
-    """The two-pass renderer: the isinstance chain, then json.dumps(indent=2) or a CSV of _cell."""
+    """The two-pass renderer: the isinstance chain, then json.dumps(indent=2) or a CSV."""
     if isinstance(value, VerificationReport):
         value = value._fields()
     if isinstance(value, Table):
@@ -248,8 +248,15 @@ def _reference_render(value, fmt):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(rows[0]))
     for row in rows:
-        writer.writerow([reporting._cell(_jsonable_reference(row.get(k))) for k in rows[0]])
+        writer.writerow([_reference_cell(_jsonable_reference(row.get(k))) for k in rows[0]])
     return buf.getvalue()
+
+
+def _reference_cell(value):
+    """A CSV cell of a JSON-ready value: compact JSON for an object or array, else its str()."""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, separators=(",", ":"))
+    return "" if value is None else str(value)
 
 
 def test_reports_render_byte_identical_through_the_isinstance_chain(capsys, monkeypatch):
@@ -344,6 +351,14 @@ def test_emitter_writes_what_json_dumps_writes_of_the_isinstance_chain(value):
     assert reporting._json(value, "") == json.dumps(_jsonable_reference(value), indent=2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=_VALUES)
+def test_compact_emitter_writes_what_json_dumps_writes_with_compact_separators(value):
+    # a CSV cell's object or array, written directly instead of indented, parsed and dumped
+    expected = json.dumps(_jsonable_reference(value), separators=(",", ":"))
+    assert reporting._json(value, None) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.dictionaries(st.sampled_from("abc"), _VALUES, min_size=1), min_size=1,
                      max_size=4))
@@ -356,7 +371,8 @@ def test_csv_cells_are_written_as_the_isinstance_chain_writes_them(rows):
 
 def test_emitter_writes_int_subclasses_and_0d_arrays_as_json_does():
     for value in (_Level.LOW, [_Level.LOW], np.array(2.5), np.array(np.nan), np.array(3),
-                  np.zeros((2, 0)), np.ones((0, 3)), {1: "int key", "1": "str key"}):
+                  np.zeros((2, 0)), np.ones((0, 3)), {1: "int key", "1": "str key"},
+                  Table([1, "1"], [["int key"], ["str key"]])):
         assert reporting._json(value, "") == json.dumps(_jsonable_reference(value), indent=2)
 
 
