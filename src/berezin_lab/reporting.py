@@ -91,9 +91,8 @@ class Table(NamedTuple):
     """Columns under one header, one per header name, for tables too long to build a row each.
 
     A column is a sequence of cells, and row i holds cell i of each.  Both
-    formats write a Table as they write its rows as dicts.  A numpy column
-    of bool, int or float dtype is converted in one pass: by CSV when it is
-    1-d, by JSON also when it is 2-d, a column of equal-length lists.
+    formats write a Table as they write its rows as dicts.  CSV converts a
+    1-d numpy column of bool, int or float dtype in one pass.
     """
 
     header: list[str]
@@ -250,21 +249,20 @@ def _table_json(table: Table, pad: str | None) -> str:
     cell_pad = _indent(inner)
     slots = [_column_slots(column[:n], cell_pad) for column in columns]
     keys = [_quote(str(k)).replace("%", "%%") + _colon(pad) for k in header]
-    varying = [width for width, _ in slots if isinstance(width, list)]
+    varying = [width for width, _ in slots if width is not None]
     cuts = [0, n]
     if varying:
         changes = np.flatnonzero(np.diff(np.array(varying), axis=1).any(axis=0)) + 1
         cuts = [0, *changes.tolist(), n]
     # each column's slot offset at each cut
-    offsets = [np.concatenate(([0], np.cumsum(width)))[cuts].tolist() if isinstance(width, list)
-               else [cut * (1 if width is None else width) for cut in cuts]
-               for width, _ in slots]
+    offsets = [np.concatenate(([0], np.cumsum(width)))[cuts].tolist() if width is not None
+               else cuts for width, _ in slots]
     runs = []
     for i, (start, stop) in enumerate(zip(cuts[:-1], cuts[1:])):
         # a list cell's iterator is passed to zip once per entry, so zip reads whole rows
         fields, cells = [], []
         for key, (width, values), offset in zip(keys, slots, offsets):
-            width = width[start] if isinstance(width, list) else width
+            width = None if width is None else width[start]
             part = iter(values[offset[i]:offset[i + 1]])
             if width is None:
                 fields.append(key + "%s")
@@ -278,17 +276,13 @@ def _table_json(table: Table, pad: str | None) -> str:
     return _wrap("[]", runs, pad)
 
 
-def _column_slots(column, pad: str | None) -> tuple[int | list[int] | None, list]:
+def _column_slots(column, pad: str | None) -> tuple[list[int] | None, list]:
     """A column's cells as ``%s`` slots that write their JSON, and the cells' widths.
 
-    The width is None when each cell takes one slot, or the length of each
-    list cell whose entries take one slot each: one int for a whole 2-d
-    numpy column, a list of lengths for a column of lists of plain values.
-    Any other cell is one slot of its ``_json`` text at ``pad``.
+    The widths are None when each cell takes one slot, or, for a column of
+    lists of plain values, whose entries take one slot each, the length of
+    each list.  Any other cell is one slot of its ``_json`` text at ``pad``.
     """
-    if isinstance(column, np.ndarray) and column.ndim in (1, 2) and column.dtype.kind in "biufU":
-        width = None if column.ndim == 1 else column.shape[1]
-        return width, _plain_slots(column.ravel().tolist())
     column = list(column)
     if _LISTS.issuperset(map(type, column)):
         slots = _plain_slots(list(chain.from_iterable(column)))

@@ -68,6 +68,12 @@ def test_haar_csv_rows(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 4  # one row per matrix entry
     assert {r["realization"] for r in rows} == {"real"}
+    # 3 complex 2 x 2 matrices: 12 rows under the header, each of 8 cells
+    _, out = run_cli(capsys, "haar", "u", "--n", "2", "--samples", "3", "--seed", "7",
+                     "--format", "csv")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 3 * 2 * 2
+    assert all(len(row) == 8 for row in csv.reader(lines))
 
 
 def test_seed_environment_fallback(capsys, monkeypatch):
@@ -142,14 +148,15 @@ def test_integral_so_discriminates_variants(capsys):
 
 
 def test_integral_exponents_may_omit_the_trailing_zero(capsys):
-    # the harness shifts the vector so only differences matter
-    _, full = run_cli(capsys, "integral", "so", "--n", "2", "--lambda", "1,0",
-                      "--samples", "20000", "--seed", "3")
-    _, shifted = run_cli(capsys, "integral", "so", "--n", "2", "--lambda", "3,2",
-                         "--samples", "20000", "--seed", "3")
-    a, b = json.loads(full), json.loads(shifted)
-    assert a["observed"] == b["observed"]
-    assert a["expected"] == b["expected"]
+    # the harness shifts the vector so only differences matter; n = 3 is the README's
+    def judged(n, lam, samples, seed):
+        _, out = run_cli(capsys, "integral", "so", "--n", n, "--lambda", lam,
+                         "--samples", samples, "--seed", seed)
+        doc = json.loads(out)
+        return doc["expected"], doc["observed"], doc["stderr"]
+
+    assert judged("2", "3,2", "20000", "3") == judged("2", "1,0", "20000", "3")
+    assert judged("3", "1.5,1,0.5", "2000", "7") == judged("3", "1,0.5,0", "2000", "7")
 
 
 def test_integral_u_and_sp(capsys):
@@ -489,7 +496,7 @@ def test_boundary_probe_above_threshold_is_inconclusive(capsys):
     assert code == EXIT_PASS
     doc = json.loads(out)
     assert doc["verdict"] == "inconclusive"
-    assert doc["expected"] is None
+    assert doc["expected"] is None and doc["z_score"] is None
     assert doc["inputs"]["diagnostics"] == {"max_abs": doc["inputs"]["diagnostics"]["max_abs"],
                                             "n_resamples": 0, "stderr_expected": None}
 
@@ -999,6 +1006,7 @@ def test_runner_renders_every_command_in_both_formats(capsys, path):
     argv = [*path, *_RUNNER_CASES[path]]
     code, out = run_cli(capsys, *argv, "--format", "json")
     doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
     if isinstance(doc, dict):  # a report: the exit code follows its verdict
         assert code == (EXIT_FAIL if doc["verdict"] == "fail" else EXIT_PASS)
     else:  # a table without a report
@@ -1006,6 +1014,9 @@ def test_runner_renders_every_command_in_both_formats(capsys, path):
     csv_code, csv_out = run_cli(capsys, *argv, "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(csv_out)))
     assert rows and csv_code == code
+    # an object or array cell is written compact
+    for cell in (c for row in rows for c in row.values() if c[:1] in ("[", "{")):
+        assert cell == json.dumps(json.loads(cell), separators=(",", ":")), cell
     if path[0] in ("haar", "catalog", "ledger") or path[-1] in ("blocks", "weight"):
         assert "verdict" not in rows[0]  # the command's own rows
     else:  # the report, flattened to one row
@@ -1051,19 +1062,19 @@ def test_console_script_entry_point():
 
 
 # Runs each argv through main in order in one fresh interpreter and prints,
-# after each, the scipy modules and the Gamma module loaded so far.  Modules
-# only accumulate, so a module absent after a command was loaded by none of
-# the commands before it.
+# after each, its exit code and the scipy modules and the Gamma module loaded
+# so far.  Modules only accumulate, so a module absent after a command was
+# loaded by none of the commands before it.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from berezin_lab.cli import main
-loaded = []
+runs = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        main(argv)
-    loaded.append(sorted(m for m in sys.modules
-                         if m.partition(".")[0] == "scipy" or m == "berezin_lab.gammaval"))
-print(json.dumps(loaded))
+        code = main(argv)
+    runs.append([code, sorted(m for m in sys.modules
+                              if m.partition(".")[0] == "scipy" or m == "berezin_lab.gammaval")])
+print(json.dumps(runs))
 """
 
 
@@ -1086,17 +1097,25 @@ def test_commands_import_only_the_library_modules_they_run():
          "--samples", "100"],
         ["plancherel", "blocks", "--p", "2", "--q", "5", "--alpha", "0.4"],
         ["plancherel", "rank1", "--q", "3", "--alpha", "2"],
+        ["integral", "u", "--n", "3", "--lambda", "1,0.5,0", "--mu", "0.5,0,0",
+         "--samples", "2000"],
+        ["integral", "sp", "--n", "3", "--lambda", "1,0.5,0", "--samples", "2000"],
+        ["kernel", "gram", "--p", "2", "--q", "3", "--alpha", "1.5"],
+        ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3"],
+        ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "20"],
     ]
     argvs = no_gamma + gamma + more
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {name: value for name, value in os.environ.items() if name != "BEREZIN_SEED"}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    for argv, loaded in zip(argvs, json.loads(proc.stdout), strict=True):
+    for argv, (code, loaded) in zip(argvs, json.loads(proc.stdout), strict=True):
+        assert code == EXIT_PASS, argv
         if argv in no_gamma:
             assert loaded == [], argv
         else:  # the positive control: the probe does see what a command loads
