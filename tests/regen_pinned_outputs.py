@@ -103,6 +103,10 @@ PINNED_ARGVS = [
     ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-2.5"],
     ["plancherel", "degeneration", "--p", "3", "--q", "3", "--alpha", "-4"],
     ["plancherel", "degeneration", "--p", "2", "--q", "2", "--alpha", "-2"],
+    # the continuous block alone, and a p = 1 inventory as a table and through C*V
+    ["plancherel", "degeneration", "--p", "3", "--q", "7", "--alpha", "5"],
+    ["plancherel", "blocks", "--p", "1", "--q", "4", "--alpha", "-2", "--format", "csv"],
+    ["plancherel", "degeneration", "--p", "1", "--q", "4", "--alpha", "-2"],
     # real and complex sample tables as CSV
     ["haar", "so", "--n", "3", "--samples", "4", "--seed", "7", "--format", "csv"],
     ["haar", "u", "--n", "2", "--samples", "3", "--seed", "7", "--format", "csv"],
