@@ -54,6 +54,9 @@ _FIELD_BY_GROUP = {"so": compact.REAL, "u": compact.COMPLEX, "sp": compact.QUATE
 _REALIZATION = {"so": "real", "u": "complex", "sp": "complex2n"}
 # Points per configuration of the Gram check.
 _GRAM_POINTS = 12
+# Block labels per C*V evaluation of the degeneration check: both spectral
+# workload inventories take one, and a large inventory's temporaries stay bounded.
+_CV_ROWS = 4096
 # The first shrink factors of a domination run: near 1, where the bound is
 # tightest, and 1/2, alternately; the rest are uniform on [0, 1).
 _FIRST_SHRINKS = (1.0 - 1e-3, 0.5, 1.0 - 1e-3, 0.5)
@@ -334,12 +337,16 @@ def cmd_plancherel_blocks(args):
     from . import plancherel
 
     blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(args.p, args.q, args.alpha))
-    ranks, labels, sums = [], [], []
-    for r, stack in plancherel.label_stacks(blocks):
-        ranks += [r] * len(stack)
-        labels += stack.tolist()
-        sums += plancherel.partial_sums(stack).tolist()
+    ranks = np.count_nonzero(blocks >= 0, axis=1).tolist()
+    # a pad sits at a row's tail, so the partial sums before it are the label's own
+    labels = _unpadded(blocks.tolist(), ranks)
+    sums = _unpadded(plancherel.partial_sums(blocks).tolist(), ranks)
     return None, Table(["r", "u", "w"], [ranks, labels, sums])
+
+
+def _unpadded(rows: list, ranks: list) -> list:
+    """Each row cut to its rank: a block label without its -1 pads, or what is computed from it."""
+    return [row[:r] for row, r in zip(rows, ranks)]
 
 
 def cmd_plancherel_weight(args):
@@ -364,10 +371,10 @@ def cmd_plancherel_weight(args):
 
 
 def cmd_plancherel_degeneration(args):
-    """Zero-flag bookkeeping over the surviving blocks, one stack per rank.
+    """Zero-flag bookkeeping over the surviving blocks, C*V taken of ``_CV_ROWS`` rows at once.
 
     Each block's rank, label and status go out as a ``Table``, built as
-    columns from the stacks.
+    columns from the padded label rows and the net orders of C*V.
 
     At a negative integer alpha every block of rank < p must vanish and
     some full-rank block must stay finite: ``observed`` counts the live
@@ -378,25 +385,25 @@ def cmd_plancherel_degeneration(args):
 
     p, q, alpha = args.p, args.q, args.alpha
     params = plancherel.PlancherelParams(p, q, alpha)
-    ranks, us, statuses = [], [], []
-    low_rank_alive = full_rank_finite = poles = 0
-    for r, labels in plancherel.label_stacks(plancherel.surviving_blocks(params)):
+    blocks = plancherel.surviving_blocks(params)
+    orders = []
+    for at in range(0, len(blocks), _CV_ROWS):
+        labels = blocks[at:at + _CV_ROWS]
         value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
-        status = np.where(value.is_pole, "pole", np.where(value.is_zero, "zero", "finite"))
-        ranks += [r] * len(labels)
-        us += labels.tolist()
-        statuses += status.tolist()
-        poles += int(np.count_nonzero(value.is_pole))
-        if r < p:
-            low_rank_alive += int(np.count_nonzero(~value.is_zero))
-        else:
-            full_rank_finite += int(np.count_nonzero(status == "finite"))
+        orders.append(value.order)
+    order = np.concatenate(orders)
+    ranks = np.count_nonzero(blocks >= 0, axis=1)
+    status = np.where(order > 0, "pole", np.where(order < 0, "zero", "finite"))
     if alpha <= -0.5 and abs(alpha - round(alpha)) < 1e-9:
+        low_rank_alive = np.count_nonzero((ranks < p) & (order >= 0))
+        full_rank_finite = np.any((ranks == p) & (order == 0))
         observed = float(low_rank_alive) if full_rank_finite else math.nan
     else:
-        observed = float(poles)
+        observed = float(np.count_nonzero(order > 0))
+    ranks = ranks.tolist()
     inputs = {"p": p, "q": q, "alpha": alpha,
-              "blocks": Table(["r", "u", "status"], [ranks, us, statuses])}
+              "blocks": Table(["r", "u", "status"],
+                              [ranks, _unpadded(blocks.tolist(), ranks), status.tolist()])}
     return {"inputs": inputs, "expected": [0.0, 0.0], "observed": observed}, None
 
 

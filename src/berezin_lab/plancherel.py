@@ -12,16 +12,18 @@ step from 0, alpha or -alpha, so a stack of labels reads C's from one
 Gamma table and V's, on both of its lattices, from another, a Pochhammer
 symbol (a)_u as Gamma(a + u)/Gamma(a).
 
-A block label is a tuple u from ``surviving_blocks``, its rank r being
-len(u) and its w the ``partial_sums`` of u.  C and V work on an (N, r)
-array of same-rank labels and Q_o on one label, a (1, r) row; W works on
-an (N, p) array of points, each factor one array operation, and a column
-that holds one value down the stack is evaluated once.  W, Q_o and
-the unitary Q are products of one primitive, |Gamma(x0 + i rate s)|^2,
-which takes the s = 0 limit itself, so a coordinate at s = 0 runs the
-same code as any other; a net pole raises PoleOnContour.  The primitive
-reads log|Gamma| from ``gammaval``, the one module that evaluates it:
-``log_abs_gamma`` off the real axis and ``gamma_value`` on it.  W's
+A block label u is a row of the (N, p) integer array ``surviving_blocks``
+returns: a label of rank r < p is padded at its tail with -1, and its w
+is the ``partial_sums`` of its first r entries.  C and V work on any such
+array, one value per row, whatever the ranks of its rows, and Q_o on one
+label without pads, a (1, r) row; W works on an (N, p) array of points,
+each factor one array operation, and a column that holds one value down
+the stack is evaluated once.  W, Q_o and the unitary Q are products of
+one primitive, |Gamma(x0 + i rate s)|^2, which takes the s = 0 limit
+itself, so a coordinate at s = 0 runs the same code as any other; a net
+pole raises PoleOnContour.  The primitive reads log|Gamma| from
+``gammaval``, the one module that evaluates it: ``log_abs_gamma`` off
+the real axis and ``gamma_value`` on it.  W's
 c-function ratio |Gamma((q-p)/2 + i s)|^2 / |Gamma(i s)|^2 is
 elementary, since q - p is an integer: a polynomial in s^2, times
 s tanh(pi s) for odd q - p.  Q_o keeps that ratio's Gamma form,
@@ -78,17 +80,13 @@ class PlancherelParams:
 
 
 def partial_sums(labels) -> np.ndarray:
-    """w_k = u_1 + ... + u_k + k/2 along the last axis of one label or a label stack."""
+    """w_k = u_1 + ... + u_k + k/2 along the last axis of one label or a label stack.
+
+    In a row padded at its tail with -1, the entries before the first pad
+    are the label's own.
+    """
     u = np.asarray(labels)
     return np.cumsum(u, axis=-1) + np.arange(1, u.shape[-1] + 1) / 2.0
-
-
-def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
-    """The label tuples ``blocks`` as one (N, r) integer array per rank, in order of rank."""
-    by_rank: dict[int, list] = {}
-    for u in blocks:
-        by_rank.setdefault(len(u), []).append(u)
-    return [(r, np.array(us, dtype=np.int64).reshape(len(us), r)) for r, us in by_rank.items()]
 
 
 # Most blocks one expansion may enumerate.  The count grows like
@@ -98,21 +96,24 @@ def label_stacks(blocks) -> list[tuple[int, np.ndarray]]:
 BLOCK_BUDGET = 100_000
 
 
-def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
-    """The label tuples u of all blocks in the continued expansion at ``params.alpha``.
+def surviving_blocks(params: PlancherelParams) -> np.ndarray:
+    """The labels u of all blocks in the continued expansion at ``params.alpha``.
 
-    The rank r of a block is len(u).  The continuous block r = 0, the
-    empty label, is always present; a discrete block (r, u) survives when
-    w_r < h - alpha, strictly: a label on the boundary is left out.  The
-    list is finite because w_r >= r/2: for each rank it holds the labels
-    with sum(u) <= top, ordered by (sum(u), u).  More than
-    ``BLOCK_BUDGET`` blocks raise InvalidParams.
+    One (N, p) int64 array, a row per block: a label of rank r < p fills
+    the row's first r entries and -1 pads the rest, so the rank of a row
+    is its count of entries >= 0 and ``len`` of the array is the block
+    count.  The continuous block r = 0, the all-pad row, is always
+    present; a discrete block (r, u) survives when w_r < h - alpha,
+    strictly: a label on the boundary is left out.  The inventory is
+    finite because w_r >= r/2: for each rank it holds the labels with
+    sum(u) <= top.  The rows run by rank, and within a rank by (sum(u), u).
+    More than ``BLOCK_BUDGET`` blocks raise InvalidParams.
 
-    The labels of each rank are the rows of one array.  The top falls with
-    the rank, so the lexicographically ordered labels of rank r - 1 that
-    fit under rank r's top are its prefixes, each extended by every last
-    entry its sum leaves room for, in increasing order; the rows stay in
-    lexicographic order, and a stable sort by sum orders them by (sum(u), u).
+    The top falls with the rank, so the lexicographically ordered labels
+    of rank r - 1 that fit under rank r's top are its prefixes, each
+    extended by every last entry its sum leaves room for, in increasing
+    order; the rows stay in lexicographic order, and a stable sort by sum
+    orders them by (sum(u), u).
     """
     bound = params.h - params.alpha
     tops = {}
@@ -126,9 +127,10 @@ def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
             f"{count} blocks at (p, q, alpha) = ({params.p}, {params.q}, {params.alpha}) "
             f"exceed the budget of {BLOCK_BUDGET}"
         )
-    out = [()]
+    out = np.full((count, params.p), -1, dtype=np.int64)
     labels, sums = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for top in tops.values():
+    at = 1
+    for r, top in tops.items():
         fits = sums <= top
         labels, sums = labels[fits], sums[fits]
         counts = top + 1 - sums
@@ -136,7 +138,8 @@ def surviving_blocks(params: PlancherelParams) -> list[tuple[int, ...]]:
         last = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         labels = np.concatenate([labels[rows], last[:, None]], axis=1)
         sums = sums[rows] + last
-        out.extend(map(tuple, labels[np.argsort(sums, kind="stable")].tolist()))
+        out[at:at + len(labels), :r] = labels[np.argsort(sums, kind="stable")]
+        at += len(labels)
     return out
 
 
@@ -283,63 +286,83 @@ def continuous_weight_o(params: PlancherelParams, s):
 # ---------------------------------------------------------------------------
 
 
-def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(u, 2w) of an (N, r) label stack, checked: 2w holds the doubled partial sums, integers."""
+def _label_stack(labels, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, 2w, pad) of an (N, n) label array, n <= p, checked, each as an (n, N) array.
+
+    A row of ``labels`` holds a label of rank r <= n in its first r
+    entries and -1, a pad, in the rest; ``pad`` marks the pads.  u reads 0
+    at the pads, and 2w holds the doubled partial sums, integers, which at
+    the label's entries are the label's own.  Entry k of every label is
+    row k of each result, so an operation on one entry runs down a row.
+    """
     u = np.asarray(labels)
     if u.ndim != 2 or not (u.size == 0 or np.issubdtype(u.dtype, np.integer)):
         raise InvalidParams(f"block labels must be an (N, r) integer array, got {u.shape}")
-    if np.any(u < 0):
-        raise InvalidParams("block labels are nonnegative integers")
-    r = u.shape[1]
-    if r > p:
-        raise InvalidParams(f"block rank {r} exceeds p = {p}")
-    u = u.astype(np.int64, copy=False)
-    return u, 2 * np.cumsum(u, axis=1) + np.arange(1, r + 1)
+    if u.shape[1] > p:
+        raise InvalidParams(f"block rank {u.shape[1]} exceeds p = {p}")
+    u = u.T.astype(np.int64, order="C")
+    pad = u < 0
+    if np.any(u < -1) or np.any(pad[:-1] > pad[1:]):
+        raise InvalidParams("block labels are nonnegative integers, padded at the tail with -1")
+    u[pad] = 0
+    return u, 2 * np.cumsum(u, axis=0) + np.arange(1, len(u) + 1)[:, None], pad
 
 
-def _c_prefix(u: np.ndarray, p: int) -> GammaValue:
-    """2^(p-r) (2 pi)^r p!/(p-r)! prod_k (-1)^u_k over the last axis of labels u.
+def _c_prefix(u: np.ndarray, r, p: int) -> GammaValue:
+    """2^(p-r) (2 pi)^r p!/(p-r)! prod_k (-1)^u_k over axis 0 of labels u of ranks r.
 
     Built in logs, so a large p does not overflow a float; p!/(p-r)! is an
-    exact integer before its log.  The prefix's 1/u_k! = 1/Gamma(1 + u_k)
-    is left to the caller: ``coeff_C`` reads it from its Gamma table.
+    exact integer before its log.  The constant is read from a table over
+    the ranks 0..p, and u must read 0 past each label's rank.  The
+    prefix's 1/u_k! = 1/Gamma(1 + u_k) is left to the caller: ``coeff_C``
+    reads it from its Gamma table.
     """
-    r = u.shape[-1]
-    log_const = (p - r) * log(2.0) + r * log(2.0 * pi) + log(perm(p, r))
+    log_const = np.array([(p - k) * log(2.0) + k * log(2.0 * pi) + log(perm(p, k))
+                          for k in range(p + 1)])
     return GammaValue(
-        np.full(u.shape[:-1], log_const),
-        1 - 2 * (u.sum(axis=-1) % 2),
-        np.zeros(u.shape[:-1], dtype=np.int64),
+        np.asarray(log_const[r]),
+        1 - 2 * (u.sum(axis=0) % 2),
+        np.zeros(np.shape(r), dtype=np.int64),
     )
 
 
 def _gamma_steps(*lattices) -> GammaValue:
-    """prod_j Gamma(base + up_j/2) / prod_j Gamma(base + down_j/2) over each row, per lattice.
+    """prod_j Gamma(base + up_j/2) / prod_j Gamma(base + down_j/2) per label, per lattice.
 
     Each lattice is a (base, up, down) triple, ``up`` and ``down`` lists of
-    (N, *) integer arrays of half-steps from ``base``, and the lattices'
-    row products are multiplied in order.  One ``gamma_value`` call covers
-    every step from each lattice's lowest to its highest, and the table
-    holds each value's reciprocal after it, where ``down`` reads.
-    ``GammaValue.prod`` takes each row in column order, so a row gets the
-    same bits alone as in a stack.
+    (steps, pad) pairs: a (*, N) integer array of half-steps from ``base``,
+    one column per label, and the mask of its entries that stay out of the
+    product.  The lattices' products are multiplied in order.  One
+    ``gamma_value`` call covers every step from each lattice's lowest to
+    its highest, masked ones included, and the table holds each value's
+    reciprocal after it, where ``down`` reads.  A masked entry reads one
+    unit slot at the table's end, log -0.0, sign 1 and order 0, which
+    changes no sum: x + (-0.0) = x for every float.  A label's logs are
+    added one row at a time, in row order, as ``GammaValue.prod`` adds
+    them, so a label gets the same bits alone as in a stack, pads or none.
+    Signs and orders are read from int8 copies of the table, which keeps
+    the gathered arrays an eighth of the size.
     """
     ats, args, size = [], [], 0
     for base, up, down in lattices:
-        at = np.concatenate(up + down, axis=1)
+        at = np.concatenate([steps for steps, _ in up + down])
         lo, hi = (at.min(), at.max()) if at.size else (0, -1)
         args.append(base + np.arange(lo, hi + 1) / 2.0)
         at += size - lo
-        ats.append((at, sum(step.shape[1] for step in up)))
+        pad = np.concatenate([mask for _, mask in up + down])
+        ats.append((at, pad, sum(len(steps) for steps, _ in up)))
         size += hi + 1 - lo
     gamma = gamma_value(np.concatenate(args))
-    table = GammaValue(np.concatenate([gamma.log_abs, -gamma.log_abs]),
-                       np.concatenate([gamma.sign, gamma.sign]),
-                       np.concatenate([gamma.order, -gamma.order]))
+    log_abs = np.concatenate([gamma.log_abs, -gamma.log_abs, [-0.0]])
+    sign = np.concatenate([gamma.sign, gamma.sign, [1]]).astype(np.int8)
+    order = np.concatenate([gamma.order, -gamma.order, [0]]).astype(np.int8)
     value = None
-    for at, ups in ats:
-        at[:, ups:] += size  # a down step reads the reciprocal
-        part = table[at].prod(1)
+    for at, pad, ups in ats:
+        at[ups:] += size  # a down step reads the reciprocal
+        np.putmask(at, pad, 2 * size)
+        logs = log_abs[at]
+        part = GammaValue(reduce(np.add, logs) if len(logs) else np.zeros(at.shape[1]),
+                          sign[at].prod(0, dtype=np.int64), order[at].sum(0, dtype=np.int64))
         value = part if value is None else value * part
     return value
 
@@ -347,18 +370,23 @@ def _gamma_steps(*lattices) -> GammaValue:
 def coeff_C(labels, p: int) -> GammaValue:
     """Combinatorial block factor C over labels (r, u).
 
-    ``labels`` is an (N, r) integer array of same-rank labels, giving N
-    values; one label is a (1, r) row.  Past the prefix, each pair k < m
-    gives Gamma(1/2 + w_m - w_k) / Gamma(w_m - w_k) / (a)_(u_k) with
+    ``labels`` is an (N, n) integer array, n <= p, giving N values: each
+    row a label of its own rank r, padded at its tail with -1, as
+    ``surviving_blocks`` returns them; a label of rank r is also a (1, r)
+    row.  A row's value has the same bits with or without its pads.  Past
+    the prefix, each pair k < m of the label gives
+    Gamma(1/2 + w_m - w_k) / Gamma(w_m - w_k) / (a)_(u_k) with
     a = 1/2 + w_(k-1) - w_m.  Every argument is a half-integer step from 0,
     the prefix's 1/u_k! = 1/Gamma(1 + u_k) included, so one Gamma table
-    serves the stack, and (a)_u is Gamma(a + u) / Gamma(a).
+    serves the array, and (a)_u is Gamma(a + u) / Gamma(a).
     """
-    u, tw = _label_stack(labels, p)
-    k, m = np.triu_indices(u.shape[1], 1)
-    gap = tw[:, m] - tw[:, k]  # 2 (w_m - w_k), and a + u_k = w_k - w_m
-    return _c_prefix(u, p) * _gamma_steps(
-        (0.0, [1 + gap, -gap - 2 * u[:, k]], [gap, -gap, 2 + 2 * u])
+    u, tw, pad = _label_stack(labels, p)
+    k, m = np.triu_indices(len(u), 1)
+    pair = pad[m]  # k < m, so a pair is a pad where m is
+    gap = tw[m] - tw[k]  # 2 (w_m - w_k), and a + u_k = w_k - w_m
+    return _c_prefix(u, len(u) - pad.sum(axis=0), p) * _gamma_steps(
+        (0.0, [(1 + gap, pair), (-gap - 2 * u[k], pair)],
+         [(gap, pair), (-gap, pair), (2 + 2 * u, pad)])
     )
 
 
@@ -368,27 +396,40 @@ def coeff_V_o(alpha: float, labels, p: int, q: int) -> GammaValue:
     Includes the 1/Gamma(alpha - m + 1) prefactor over m = 1..p, so the
     r = 0 block reproduces the continuous expansion's prefactor exactly
     and negative-integer alpha degenerations appear as net zero orders.
-    ``labels`` is an (N, r) stack, as for ``coeff_C``.  Per label k it
-    takes Gamma(alpha - p + 1 + 2 w_k) Gamma(q - 1 - alpha - 2 w_k) /
-    Gamma(half - alpha - 2 w_k) / (a_kk)_(u_k), and per pair k < m
-    Gamma(1/2 + half - alpha - w_k - w_m) / Gamma(half - alpha - w_k - w_m)
-    / (a_km)_(u_k), where half = (p + q)/2 and a_km = alpha - half + w_m +
-    w_(k-1) + 1/2.  Every argument is a half-integer step from alpha or
-    from -alpha, so one Gamma table serves each, and (a)_u is
-    Gamma(a + u) / Gamma(a).
+    ``labels`` is an (N, n) array of padded rows, as for ``coeff_C``.  Per
+    label entry k it takes Gamma(alpha - p + 1 + 2 w_k)
+    Gamma(q - 1 - alpha - 2 w_k) / Gamma(half - alpha - 2 w_k) /
+    (a_kk)_(u_k), and per pair k < m Gamma(1/2 + half - alpha - w_k - w_m)
+    / Gamma(half - alpha - w_k - w_m) / (a_km)_(u_k), where
+    half = (p + q)/2 and a_km = alpha - half + w_m + w_(k-1) + 1/2.  Every
+    argument is a half-integer step from alpha or from -alpha, so one
+    Gamma table serves each, and (a)_u is Gamma(a + u) / Gamma(a).
     """
-    u, tw = _label_stack(labels, p)
+    u, tw, pad = _label_stack(labels, p)
     pq = p + q
-    k, m = np.triu_indices(u.shape[1], 1)
-    both = tw[:, k] + tw[:, m]
-    prefactor = np.broadcast_to(-2 * np.arange(p), (len(u), p))
+    k, m = np.triu_indices(len(u), 1)
+    pair = pad[m]
+    both = tw[k] + tw[m]
+    prefactor = np.broadcast_to(-2 * np.arange(p)[:, None], (p, u.shape[1]))
     # 2 (a_km + u_k - alpha) = 2 w_k + 2 w_m - p - q, the diagonal k = m included
     return _gamma_steps(
         (alpha,
-         [2 + 2 * tw - 2 * p, 2 * tw - pq - 2 * u, both - pq - 2 * u[:, k]],
-         [prefactor, 2 * tw - pq, both - pq]),
-        (-alpha, [2 * q - 2 - 2 * tw, 1 + pq - both], [pq - 2 * tw, pq - both]),
+         [(2 + 2 * tw - 2 * p, pad), (2 * tw - pq - 2 * u, pad), (both - pq - 2 * u[k], pair)],
+         [(prefactor, np.zeros(prefactor.shape, dtype=bool)), (2 * tw - pq, pad),
+          (both - pq, pair)]),
+        (-alpha, [(2 * q - 2 - 2 * tw, pad), (1 + pq - both, pair)],
+         [(pq - 2 * tw, pad), (pq - both, pair)]),
     )
+
+
+def _one_label(label, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, 2w) of the one label of a (1, r) row, checked as a label array is; a pad is refused."""
+    u, tw, pad = _label_stack(label, p)
+    if u.shape[1] != 1:
+        raise InvalidParams(f"one label is one (1, r) row, got shape {u.T.shape}")
+    if pad.any():
+        raise InvalidParams("one label is nonnegative integers, with no -1 pad")
+    return u[:, 0], tw[:, 0]
 
 
 def _spectral_args(s, n: int) -> np.ndarray:
@@ -404,14 +445,12 @@ def _spectral_args(s, n: int) -> np.ndarray:
 def coeff_Q_o(alpha: float, label, s, p: int, q: int) -> GammaValue:
     """Residual continuous density Q over the p - r remaining parameters, a 0-d GammaValue.
 
-    ``label`` is one (1, r) row, as for ``coeff_C``.  Assembled factor by
-    factor, independently of ``continuous_weight_o``; at r = 0 the two must
-    agree, which is what the consistency check in the test-suite exercises.
+    ``label`` is one (1, r) row without pads.  Assembled factor by factor,
+    independently of ``continuous_weight_o``; at r = 0 the two must agree,
+    which is what the consistency check in the test-suite exercises.
     """
-    labels, tw = _label_stack(label, p)
-    if labels.shape[0] != 1:
-        raise InvalidParams(f"Q takes one (1, r) label row, got shape {labels.shape}")
-    labels, w = labels[0], tw[0] / 2.0
+    labels, tw = _one_label(label, p)
+    w = tw / 2.0
     r = labels.size
     s = _spectral_args(s, p - r)
     half = (p + q) / 2.0
@@ -440,17 +479,17 @@ def coeff_CVQ_u(
     """Unitary-case block coefficients (C, V, Q) for integer labels w.
 
     Here the labels are plain nonnegative integers, checked as one row of a
-    label stack, so a non-integer label raises InvalidParams.  Repeated
-    labels make C vanish through the squared Vandermonde, and the prefactor
-    1/Gamma(alpha/2 - m + 1)^2 confines degeneration to even negative
-    integers alpha.  C, V and Q are 0-d GammaValues.
+    label array with no pad, so a non-integer or negative label raises
+    InvalidParams.  Repeated labels make C vanish through the squared
+    Vandermonde, and the prefactor 1/Gamma(alpha/2 - m + 1)^2 confines
+    degeneration to even negative integers alpha.  C, V and Q are 0-d GammaValues.
     """
-    w = _label_stack(np.asarray(w)[None], p)[0][0]
+    w = _one_label(np.asarray(w)[None], p)[0]
     r = w.size
     s = _spectral_args(s, p - r)
     k, l = np.triu_indices(r, 1)
 
-    c_val = _c_prefix(w, p) / gamma_value(1.0 + w).prod(axis=0)
+    c_val = _c_prefix(w, r, p) / gamma_value(1.0 + w).prod(axis=0)
     c_val = c_val * from_real_snapped((w[k] - w[l]) ** 2.0).prod(axis=0)
 
     shift = alpha - (p + q) + 1.0

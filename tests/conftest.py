@@ -56,3 +56,17 @@ def assert_matches_one_pass(est, values: np.ndarray, rel: float = 1e-12) -> None
     assert abs(est.stderr - stderr) <= rel * stderr
     assert abs(est.max_abs - np.abs(values).max()) <= rel * np.abs(values).max()
     assert abs(est.imag_mean - values.imag.mean()) <= rel * np.abs(values).mean()
+
+
+def label_tuples(blocks) -> list[tuple[int, ...]]:
+    """The padded label rows of ``plancherel.surviving_blocks`` as label tuples, pads dropped.
+
+    A row's label is its entries before the first -1, and every entry after
+    that must be a -1 too.
+    """
+    labels = []
+    for row in np.asarray(blocks).tolist():
+        r = row.index(-1) if -1 in row else len(row)
+        assert row[r:] == [-1] * (len(row) - r), f"an entry after a pad in {row}"
+        labels.append(tuple(row[:r]))
+    return labels

@@ -51,7 +51,7 @@ from berezin_lab.plancherel import (
 )
 from berezin_lab.ball import random_pseudo_orthogonal
 
-from conftest import assert_matches_one_pass, boundary_points, one_pass_draws
+from conftest import assert_matches_one_pass, boundary_points, label_tuples, one_pass_draws
 from corner_calculus import (
     cayley_corner_residual,
     corner_det_multiplicativity_residual,
@@ -290,10 +290,11 @@ def test_criterion_08_plancherel_block_structure():
             h = (p + q) / 2.0 - 1.0
             for alpha in np.arange(0.25, h + 2.0, 0.25):
                 blocks = surviving_blocks(PlancherelParams(p, q, float(alpha)))
-                assert len(blocks) < 200
-                assert blocks[0] == ()
+                assert len(blocks) < 200 and blocks.shape[1] == p
+                labels = label_tuples(blocks)
+                assert labels[0] == ()
                 if alpha >= h:
-                    assert blocks == [()]
+                    assert labels == [()]
                 n_swept += 1
     # negative-integer degeneration at p = 2: low-rank blocks all killed,
     # some full-rank block finite, no uncancelled poles

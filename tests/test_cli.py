@@ -18,6 +18,8 @@ from berezin_lab.ball import random_ball_point, random_pseudo_orthogonal
 from berezin_lab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, ledger_rows, main
 from berezin_lab.reporting import in_interval
 
+from conftest import label_tuples
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -726,13 +728,24 @@ def test_degeneration_blocks_match_per_block_rows_at_scale(capsys):
     assert out == json.dumps(doc, indent=2) + "\n"
     rows = []
     blocks = plancherel.surviving_blocks(plancherel.PlancherelParams(p, q, alpha))
-    for r, labels in plancherel.label_stacks(blocks):
-        value = plancherel.coeff_C(labels, p) * plancherel.coeff_V_o(alpha, labels, p, q)
-        for u, pole, zero in zip(labels, value.is_pole, value.is_zero):
-            status = "pole" if pole else "zero" if zero else "finite"
-            rows.append({"r": r, "u": [int(k) for k in u], "status": status})
+    # one C*V call over all 4837 rows, where the command takes them in chunks
+    value = plancherel.coeff_C(blocks, p) * plancherel.coeff_V_o(alpha, blocks, p, q)
+    for u, pole, zero in zip(label_tuples(blocks), value.is_pole, value.is_zero):
+        status = "pole" if pole else "zero" if zero else "finite"
+        rows.append({"r": len(u), "u": list(u), "status": status})
     assert len(rows) == 4837 and {row["r"] for row in rows} == set(range(p + 1))
     assert json.dumps(doc["inputs"]["blocks"], indent=2) == json.dumps(rows, indent=2)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 550, 551])
+def test_degeneration_report_does_not_depend_on_the_chunk_size(capsys, monkeypatch, rows):
+    # 551 blocks: one row per chunk, a short last chunk, one full chunk and a single chunk
+    argv = ("plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3")
+    outs = [run_cli(capsys, *argv)]
+    monkeypatch.setattr(cli, "_CV_ROWS", rows)
+    outs.append(run_cli(capsys, *argv))
+    assert len({(code, re.sub(r'"duration": [^,\n]*', "", out)) for code, out in outs}) == 1
+    assert outs[0][0] == EXIT_PASS
 
 
 def test_plancherel_rank1(capsys):

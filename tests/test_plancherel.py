@@ -19,11 +19,12 @@ from berezin_lab.plancherel import (
     coeff_Q_o,
     coeff_V_o,
     continuous_weight_o,
-    label_stacks,
     partial_sums,
     rank1_plancherel_probe,
     surviving_blocks,
 )
+
+from conftest import label_tuples
 
 
 # ---------------------------------------------------------------------------
@@ -61,16 +62,24 @@ def test_block_index_weights():
     assert partial_sums(()).tolist() == []
     stack = np.array([[2, 0, 1], [0, 0, 0]])
     assert partial_sums(stack).tolist() == [[2.5, 3.0, 4.5], [0.5, 1.0, 1.5]]
-    # a negative label is refused where labels enter the coefficients
-    with pytest.raises(InvalidParams):
-        coeff_C(np.array([[1, -1]]), 2)
+    # where labels enter the coefficients, a -1 at a row's tail is a pad: [[1, -1]] at p = 2
+    # is the rank-1 label (1,); a -1 before an entry, any other negative entry and a float
+    # row are refused
+    padded = coeff_C(np.array([[1, -1]]), 2) * coeff_V_o(0.4, np.array([[1, -1]]), 2, 5)
+    alone = coeff_C(_row((1,)), 2) * coeff_V_o(0.4, _row((1,)), 2, 5)
+    assert _bits(padded) == _bits(alone)
+    for bad in ([[-1, 1]], [[1, -2]], [[1.0, -1.0]]):
+        with pytest.raises(InvalidParams):
+            coeff_C(np.array(bad), 2)
+        with pytest.raises(InvalidParams):
+            coeff_V_o(0.4, np.array(bad), 2, 5)
 
 
 def test_surviving_blocks_inventory():
-    labels = set(surviving_blocks(PlancherelParams(2, 5, 0.5)))
+    labels = set(label_tuples(surviving_blocks(PlancherelParams(2, 5, 0.5))))
     assert labels == {(), (0,), (1,), (0, 0)}
     # alpha = 0.4 loosens the bound to 2.1 and lets w_2 = 2.0 through
-    labels = set(surviving_blocks(PlancherelParams(2, 5, 0.4)))
+    labels = set(label_tuples(surviving_blocks(PlancherelParams(2, 5, 0.4))))
     assert labels == {(), (0,), (1,), (0, 0), (0, 1), (1, 0)}
 
 
@@ -79,13 +88,13 @@ def test_surviving_blocks_above_h_is_continuous_only():
         h = (p + q) / 2.0 - 1.0
         for alpha in [h, h + 0.5, h + 3.0]:
             blocks = surviving_blocks(PlancherelParams(p, q, alpha))
-            assert blocks == [()]
+            assert label_tuples(blocks) == [()]
 
 
 def test_surviving_blocks_strict_versus_weak_boundary():
     # at alpha = 2 the r=1, u=(0,) block sits exactly on w_1 = h - alpha
     params = PlancherelParams(2, 5, 2.0)
-    assert surviving_blocks(params) == [()]
+    assert label_tuples(surviving_blocks(params)) == [()]
     assert _filtered_product(params, strict=False) == [(), (0,)]
 
 
@@ -114,7 +123,7 @@ def test_surviving_blocks_equal_the_filtered_product(p, q, alpha, strict):
         u for u in _filtered_product(params, strict)
         if strict or not u or partial_sums(u)[-1] < params.h - params.alpha - 1e-9
     ]
-    assert surviving_blocks(params) == expected
+    assert label_tuples(surviving_blocks(params)) == expected
 
 
 def _compositions(total, parts):
@@ -139,8 +148,8 @@ def test_surviving_blocks_equal_the_recursive_enumeration(p, q, alpha):
         top = math.floor(params.h - alpha - r / 2.0 - 1e-9)
         expected += [u for total in range(top + 1) for u in _compositions(total, r)]
     blocks = surviving_blocks(params)
-    assert blocks == expected
-    assert {type(x) for u in blocks for x in u} <= {int}
+    assert label_tuples(blocks) == expected
+    assert blocks.dtype == np.int64 and blocks.shape == (len(expected), p)
 
 
 def test_surviving_blocks_budget(monkeypatch):
@@ -156,7 +165,7 @@ def test_surviving_blocks_budget(monkeypatch):
 
 
 def test_blocks_are_sorted_and_finite():
-    blocks = surviving_blocks(PlancherelParams(3, 6, 0.25))
+    blocks = label_tuples(surviving_blocks(PlancherelParams(3, 6, 0.25)))
     assert blocks[0] == ()
     ranks = [len(u) for u in blocks]
     assert ranks == sorted(ranks)
@@ -337,6 +346,16 @@ def _row(u):
     return np.array([u], dtype=np.int64).reshape(1, len(u))
 
 
+def _padded(labels, p):
+    """Label tuples as the (N, p) rows ``surviving_blocks`` returns, padded at the tail with -1."""
+    return np.array([list(u) + [-1] * (p - len(u)) for u in labels], dtype=np.int64).reshape(-1, p)
+
+
+def _bits(value):
+    """(log_abs bits, sign, order) of each entry of a GammaValue, to compare bit for bit."""
+    return (value.log_abs.view(np.int64).tolist(), value.sign.tolist(), value.order.tolist())
+
+
 def test_coeff_c_r0_value():
     # C at r = 0 is 2^p
     assert coeff_C(_row(()), 2).to_float()[0] == pytest.approx(4.0)
@@ -430,6 +449,9 @@ def test_unitary_labels_are_checked_as_a_label_row():
     for w in ([-1], [0, 1, 2]):
         with pytest.raises(InvalidParams):
             coeff_CVQ_u(2.5, w, [], 2, 5)
+    # one label takes no pad, which C and V would read as a shorter label
+    with pytest.raises(InvalidParams, match="no -1 pad"):
+        coeff_CVQ_u(2.5, [0, -1], [0.7], 2, 5)
     # integer sequences of every kind, and the empty label, are accepted
     for w, same in [(np.array([1], dtype=np.int32), (1,)), (range(2), (0, 1)), ((), [])]:
         got, expect = coeff_CVQ_u(2.5, w, [0.7, 0.3][len(same):], 2, 5), coeff_CVQ_u(
@@ -516,19 +538,15 @@ _CV_SWEEP = [
 @pytest.mark.parametrize("strict", [True, False])
 def test_stacked_cv_matches_factor_by_factor_reference(p, q, alpha, strict):
     params = PlancherelParams(p, q, alpha)
-    blocks = surviving_blocks(params) if strict else _filtered_product(params, strict=False)
-    checked = 0
-    for r, labels in label_stacks(blocks):
-        assert labels.shape == (sum(len(u) == r for u in blocks), r)
-        cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-        assert isinstance(cv, GammaValue) and cv.order.shape == (len(labels),)
-        for i, u in enumerate(labels.tolist()):
-            order, sign, log_abs = _reference_cv(alpha, tuple(u), p, q)
-            assert cv.order[i] == order, u
-            assert cv.sign[i] == sign, u
-            assert abs(cv.log_abs[i] - log_abs) <= 1e-12 * max(abs(log_abs), 1.0), u
-            checked += 1
-    assert checked == len(blocks)
+    labels = surviving_blocks(params) if strict else _padded(_filtered_product(params, False), p)
+    blocks = label_tuples(labels)
+    cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+    assert isinstance(cv, GammaValue) and cv.order.shape == (len(blocks),)
+    for i, u in enumerate(blocks):
+        order, sign, log_abs = _reference_cv(alpha, u, p, q)
+        assert cv.order[i] == order, u
+        assert cv.sign[i] == sign, u
+        assert abs(cv.log_abs[i] - log_abs) <= 1e-12 * max(abs(log_abs), 1.0), u
 
 
 @pytest.mark.parametrize("p,q", [(4, 12), (3, 3)])
@@ -537,18 +555,18 @@ def test_cv_near_a_degeneration_matches_the_reference(p, q, alpha):
     # 1e-10 off a degeneration each Gamma within 1e-9 of a pole is its unit-rate limit, so
     # orders and signs are exact; logs differ from the factor-by-factor reference by about
     # the offset, up to 1.4e-10 relative
-    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
-    for _, labels in label_stacks(blocks):
-        cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-        for i, u in enumerate(labels.tolist()):
-            order, sign, log_abs = _reference_cv(alpha, tuple(u), p, q)
-            assert (cv.order[i], cv.sign[i]) == (order, sign), u
-            assert abs(cv.log_abs[i] - log_abs) <= 1e-9 * max(abs(log_abs), 1.0), u
+    labels = surviving_blocks(PlancherelParams(p, q, alpha))
+    cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+    for i, u in enumerate(label_tuples(labels)):
+        order, sign, log_abs = _reference_cv(alpha, u, p, q)
+        assert (cv.order[i], cv.sign[i]) == (order, sign), u
+        assert abs(cv.log_abs[i] - log_abs) <= 1e-9 * max(abs(log_abs), 1.0), u
 
 
-def test_cv_takes_one_gamma_table_per_coefficient_and_rank(monkeypatch):
-    # per rank, C reads one table of Gamma at half-integers and V one table that holds both
-    # its alpha and its -alpha lattice: a few hundred Gamma values for all 551 blocks
+def test_cv_takes_one_gamma_table_per_coefficient(monkeypatch):
+    # over the padded rows of every rank, C reads one table of Gamma at half-integers and V
+    # one table that holds both its alpha and its -alpha lattice: a few hundred Gamma values
+    # for all 551 blocks
     entries = []
 
     def spy(x):
@@ -558,10 +576,9 @@ def test_cv_takes_one_gamma_table_per_coefficient_and_rank(monkeypatch):
     monkeypatch.setattr(plancherel, "gamma_value", spy)
     monkeypatch.setattr(gammaval, "gamma_value", spy)  # where pochhammer_value finds it
     p, q, alpha = 4, 12, -3.0
-    stacks = label_stacks(surviving_blocks(PlancherelParams(p, q, alpha)))
-    for _, labels in stacks:
-        coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-    assert len(entries) == 2 * len(stacks)
+    labels = surviving_blocks(PlancherelParams(p, q, alpha))
+    coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+    assert len(entries) == 2
     assert sum(entries) <= 1000
 
 
@@ -572,12 +589,10 @@ _CV_PINS = json.loads((Path(__file__).parent / "data" / "cv_pins.json").read_tex
 
 
 def _cv_rows(p, q, alpha):
-    rows = []
-    for _, labels in label_stacks(surviving_blocks(PlancherelParams(p, q, alpha))):
-        cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
-        rows += [[p, q, alpha, u, repr(log_abs), sign, order] for u, log_abs, sign, order in
-                 zip(labels.tolist(), cv.log_abs.tolist(), cv.sign.tolist(), cv.order.tolist())]
-    return rows
+    labels = surviving_blocks(PlancherelParams(p, q, alpha))
+    cv = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+    return [[p, q, alpha, list(u), repr(log_abs), sign, order] for u, log_abs, sign, order in
+            zip(label_tuples(labels), cv.log_abs.tolist(), cv.sign.tolist(), cv.order.tolist())]
 
 
 def test_cv_matches_recorded_values_bit_for_bit():
@@ -587,44 +602,54 @@ def test_cv_matches_recorded_values_bit_for_bit():
 
 
 def test_a_block_index_is_the_stack_of_one():
+    # every padded row of the inventory has the C*V of its unpadded (1, r) row, bit for bit
     p, q, alpha = 4, 12, -2.5
-    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
-    stacks = dict(label_stacks(blocks))
-    for u in [(), (3,), (1, 0, 2), (0, 2, 0, 1)]:
+    labels = surviving_blocks(PlancherelParams(p, q, alpha))
+    stacked = coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q)
+    blocks = label_tuples(labels)
+    assert {len(u) for u in blocks} == set(range(p + 1))
+    for i, u in enumerate(blocks):
         single = coeff_C(_row(u), p) * coeff_V_o(alpha, _row(u), p, q)
         assert isinstance(single, GammaValue) and single.order.shape == (1,)
-        labels = stacks[len(u)]
-        row = labels.tolist().index(list(u))
-        stacked = (coeff_C(labels, p) * coeff_V_o(alpha, labels, p, q))[row]
-        assert (single.order[0], single.sign[0], single.log_abs[0]) == (
-            stacked.order, stacked.sign, stacked.log_abs
-        )
+        assert _bits(single) == _bits(stacked[i : i + 1]), u
     # a label tuple is not a stack: one label is a (1, r) row
     with pytest.raises(InvalidParams):
         coeff_C((3,), p)
 
 
-def test_label_stacks_keep_block_order():
-    blocks = surviving_blocks(PlancherelParams(3, 6, 0.25))
-    stacks = label_stacks(blocks)
-    assert [r for r, _ in stacks] == sorted({len(u) for u in blocks})
-    flat = [tuple(u) for _, labels in stacks for u in labels.tolist()]
-    assert flat == blocks
+@pytest.mark.parametrize("p,q,alpha", [(3, 6, 0.25), (4, 12, -3.0), (1, 4, -2.0), (3, 7, 5.0)])
+def test_block_rows_run_by_rank_with_pads_at_the_tail(p, q, alpha):
+    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
+    assert blocks.shape[1] == p and (blocks[0] == -1).all()
+    live = blocks >= 0
+    assert not (live[:, 1:] & ~live[:, :-1]).any()  # no entry after a pad
+    assert (blocks[~live] == -1).all()
+    ranks = live.sum(axis=1)
+    assert (np.diff(ranks) >= 0).all()  # ranks never decrease down the array
+    assert [len(u) for u in label_tuples(blocks)] == ranks.tolist()
 
 
 def test_stacked_labels_are_validated():
-    with pytest.raises(InvalidParams):
-        coeff_C(np.array([[0, -1]]), 2)
+    # [[0, -1]] is the rank-1 label (0,), padded: it has that label's C*V, bit for bit
+    padded = coeff_C(np.array([[0, -1]]), 2) * coeff_V_o(1.0, np.array([[0, -1]]), 2, 5)
+    assert _bits(padded) == _bits(coeff_C(_row((0,)), 2) * coeff_V_o(1.0, _row((0,)), 2, 5))
+    # a pad before an entry, a negative entry other than -1 and a float row are refused
+    for bad in ([[-1, 1]], [[1, -2]], [[0.5, 1.0]]):
+        with pytest.raises(InvalidParams):
+            coeff_C(np.array(bad), 2)
     with pytest.raises(InvalidParams):
         coeff_V_o(1.0, np.array([[0.5, 1.0]]), 2, 5)
     with pytest.raises(InvalidParams):
         coeff_V_o(1.0, np.array([0, 1]), 2, 5)
     with pytest.raises(InvalidParams):
         coeff_C(np.zeros((4, 3), dtype=int), 2)
-    # Q_o takes one label row through the same check
+    # Q_o takes one label row through the same check, and refuses any pad
     for label in (np.zeros((2, 1), dtype=int), (1,), _row((0, 0, 0)), _row((-1,)), [[0.5]]):
         with pytest.raises(InvalidParams):
             coeff_Q_o(1.0, label, [0.5], 2, 5)
+    for label, s in (([[0, -1]], [0.5]), ([[-1, -1]], [0.5, 0.7])):
+        with pytest.raises(InvalidParams, match="no -1 pad"):
+            coeff_Q_o(1.0, label, s, 2, 5)
 
 
 def test_large_labels_do_not_overflow():
@@ -828,7 +853,7 @@ def test_degeneration_report_matches_the_reference(capsys, p, q, alpha):
     code = cli.main(["plancherel", "degeneration", "--p", str(p), "--q", str(q),
                      "--alpha", f"{alpha:g}"])
     doc = json.loads(capsys.readouterr().out)
-    blocks = surviving_blocks(PlancherelParams(p, q, alpha))
+    blocks = label_tuples(surviving_blocks(PlancherelParams(p, q, alpha)))
     rows = doc["inputs"]["blocks"]
     assert [(row["r"], tuple(row["u"])) for row in rows] == [(len(u), u) for u in blocks]
     statuses = [_reference_status(alpha, u, p, q) for u in blocks]
