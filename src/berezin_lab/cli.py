@@ -2,9 +2,8 @@
 
 Exit codes: 0 for pass or inconclusive, 2 for a verification failure, 3
 for usage or domain errors.  Commands are deterministic under a fixed
-seed, an integer in [0, 2**63); for a command that takes ``--seed``,
-``BEREZIN_SEED`` supplies the seed when the flag is absent and is checked
-as ``--seed`` is.  A command that draws nothing reads neither.
+seed, an integer in [0, 2**63); a command that takes ``--seed`` draws from
+it, or from ``DEFAULT_SEED`` when the flag is absent, and from nothing else.
 
 A command only computes: it returns its report's fields and its table
 rows.  ``main`` stamps the report with the command's name, the seed (None
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 import time
 
@@ -104,7 +102,7 @@ _OPTIONS = {
     "alpha": {"type": _number(float, math.isfinite, "a finite real"), "required": True},
     "lambda": {"dest": "lam", "type": _VECTOR, "required": True, "help": "exponent vector, CSV"},
     "mu": {"type": _VECTOR, "default": None, "help": "conjugate exponents, CSV"},
-    "seed": {"type": _SEED, "default": None},
+    "seed": {"type": _SEED, "default": DEFAULT_SEED},
     "self-test-corrupt": {"action": "store_true",
                           "help": "sweep a deliberately corrupted row; must detect the mismatch"},
 }
@@ -134,17 +132,11 @@ def _join_option_values(argv: list[str]) -> list[str]:
 def _resolve(args: argparse.Namespace) -> None:
     """Settle what parsing leaves open, once, before the command runs.
 
-    A command that takes ``--seed`` falls back to ``BEREZIN_SEED``,
-    refused as ``--seed`` would refuse it, and then ``DEFAULT_SEED``; a
-    seedless one has no seed to settle.  ``args.tol`` becomes the row's
+    Parsing settles the seed: ``--seed`` or, when absent, ``DEFAULT_SEED``
+    is the only source of one.  ``args.tol`` becomes the row's
     {name: default} with every ``--tol`` applied; a name the row does not
     list is refused.
     """
-    if "seed" in args and args.seed is None:
-        try:
-            args.seed = _SEED(os.environ.get("BEREZIN_SEED", str(DEFAULT_SEED)))
-        except argparse.ArgumentTypeError as exc:
-            raise InvalidParams(f"BEREZIN_SEED {exc}") from None
     tol = dict(args.tols)
     for name, value in args.tol:
         if name not in tol:

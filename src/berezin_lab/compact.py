@@ -170,27 +170,6 @@ def haar_sample_batch(
     return _BATCH_SAMPLERS[field](n, size, as_generator(rng))
 
 
-def haar_sample_uncorrected(
-    field: str, n: int, rng: int | np.random.Generator | None = None, size: int = 1
-) -> np.ndarray:
-    """Raw-QR sampler WITHOUT the diagonal correction.  Not Haar.
-
-    Kept as the negative control: LAPACK's sign convention skews the
-    distribution (for the real field the top-left entry never changes sign),
-    which a one-sample KS test against the true marginal detects instantly.
-    """
-    gen = as_generator(rng)
-    if field == REAL:
-        q, _ = np.linalg.qr(gen.standard_normal((size, n, n)))
-        dets = np.linalg.det(q)
-        q[dets < 0, :, -1] *= -1.0
-        return q
-    if field == COMPLEX:
-        q, _ = np.linalg.qr(gen.standard_normal((size, n, n)) + 1j * gen.standard_normal((size, n, n)))
-        return q
-    raise InvalidParams("uncorrected sampler exists for the real and complex fields only")
-
-
 # ---------------------------------------------------------------------------
 # Corner pivots
 # ---------------------------------------------------------------------------

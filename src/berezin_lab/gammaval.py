@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from math import log, pi
 
 import numpy as np
@@ -71,10 +72,8 @@ class GammaValue:
         alone, which numpy's pairwise ``sum`` over 8 or more entries does
         not.  An empty axis gives the empty product, 1.
         """
-        if self.log_abs.shape[axis]:
-            log_abs = np.take(np.cumsum(self.log_abs, axis), -1, axis)
-        else:
-            log_abs = self.log_abs.sum(axis)
+        slices = np.moveaxis(self.log_abs, axis, 0)
+        log_abs = reduce(np.add, slices) if len(slices) else slices.sum(0)
         return GammaValue(log_abs, self.sign.prod(axis), self.order.sum(axis))
 
     def __getitem__(self, index) -> "GammaValue":

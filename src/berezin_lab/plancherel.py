@@ -337,9 +337,9 @@ def _gamma_steps(*lattices) -> GammaValue:
     its highest, masked ones included, and the table holds each value's
     reciprocal after it, where ``down`` reads.  A masked entry reads one
     unit slot at the table's end, log -0.0, sign 1 and order 0, which
-    changes no sum: x + (-0.0) = x for every float.  A label's logs are
-    added one row at a time, in row order, as ``GammaValue.prod`` adds
-    them, so a label gets the same bits alone as in a stack, pads or none.
+    changes no sum: x + (-0.0) = x for every float.  ``GammaValue.prod``
+    adds a label's logs one row at a time, in row order, so a label gets
+    the same bits alone as in a stack, pads or none.
     Signs and orders are read from int8 copies of the table, which keeps
     the gathered arrays an eighth of the size.
     """
@@ -360,9 +360,7 @@ def _gamma_steps(*lattices) -> GammaValue:
     for at, pad, ups in ats:
         at[ups:] += size  # a down step reads the reciprocal
         np.putmask(at, pad, 2 * size)
-        logs = log_abs[at]
-        part = GammaValue(reduce(np.add, logs) if len(logs) else np.zeros(at.shape[1]),
-                          sign[at].prod(0, dtype=np.int64), order[at].sum(0, dtype=np.int64))
+        part = GammaValue(log_abs[at], sign[at], order[at]).prod(axis=0)
         value = part if value is None else value * part
     return value
 

@@ -21,7 +21,6 @@ import csv
 import difflib
 import io
 import json
-import os
 import pathlib
 import platform
 
@@ -246,5 +245,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    os.environ.pop("BEREZIN_SEED", None)  # plancherel rank1 reports the default seed
     regenerate()

@@ -78,16 +78,23 @@ def test_haar_csv_rows(capsys):
     assert all(len(row) == 8 for row in csv.reader(lines))
 
 
-def test_seed_environment_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("BEREZIN_SEED", "9")
-    _, env_out = run_cli(capsys, "haar", "so", "--n", "4", "--samples", "3")
-    monkeypatch.delenv("BEREZIN_SEED")
-    _, flag_out = run_cli(capsys, "haar", "so", "--n", "4", "--samples", "3", "--seed", "9")
-    assert env_out == flag_out
-    # an explicit --seed beats the environment
-    monkeypatch.setenv("BEREZIN_SEED", "1234")
-    _, forced = run_cli(capsys, "haar", "so", "--n", "4", "--samples", "3", "--seed", "9")
-    assert forced == flag_out
+def test_the_seed_environment_variable_is_ignored(capsys, monkeypatch):
+    # a run is its command line: --seed, or the default seed, and nothing else
+    argvs = [["haar", "so", "--n", "4", "--samples", "3"],
+             ["plancherel", "rank1", "--q", "3", "--alpha", "2"],
+             ["plancherel", "degeneration", "--p", "3", "--q", "7", "--alpha", "-2"]]
+
+    def runs():
+        return [(code, re.sub(r'"duration": [^,\n]*', "", out))
+                for code, out in (run_cli(capsys, *argv) for argv in argvs)]
+
+    unset = runs()
+    assert [code for code, _ in unset] == [EXIT_PASS] * 3
+    for value in ("abc", "9"):
+        monkeypatch.setenv("BEREZIN_SEED", value)
+        assert runs() == unset, value
+    assert json.loads(unset[0][1])["seed"] == cli.DEFAULT_SEED
+    assert json.loads(run_cli(capsys, *argvs[2])[1])["seed"] is None
 
 
 def _refused(capsys, *argv):
@@ -114,21 +121,6 @@ def test_a_seed_outside_zero_to_two_to_the_63_exits_three(capsys, argv):
         assert "--seed" in _refused(capsys, *argv, "--seed", seed)
     code, out = run_cli(capsys, *argv, "--seed", str(2**63 - 1))
     assert code != EXIT_USAGE and json.loads(out)["seed"] == 2**63 - 1
-
-
-def test_a_bad_seed_environment_variable_exits_three(capsys, monkeypatch):
-    argv = ["haar", "so", "--n", "2", "--samples", "1"]
-    for value in ("abc", "-1", str(2**63), ""):
-        monkeypatch.setenv("BEREZIN_SEED", value)
-        assert "InvalidParams: BEREZIN_SEED expects" in _refused(capsys, *argv)
-    # a seedless command does not read the variable, and its report records no seed
-    assert main(["ledger"]) == EXIT_PASS and capsys.readouterr().err == ""
-    code, out = run_cli(capsys, "plancherel", "degeneration", "--p", "3", "--q", "7",
-                        "--alpha", "-2")
-    assert code == EXIT_PASS and json.loads(out)["seed"] is None
-    # --seed is checked instead, and the variable is not read
-    code, out = run_cli(capsys, *argv, "--seed", "3")
-    assert code == EXIT_PASS and json.loads(out)["seed"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +570,7 @@ def test_the_observed_stderr_matches_the_one_the_second_moment_predicts(capsys, 
 
 
 @pytest.mark.parametrize("name", ["so-infinite", "probe-edge", "sp-infinite"])
-def test_no_stderr_is_predicted_at_infinite_variance(capsys, monkeypatch, name):
-    monkeypatch.delenv("BEREZIN_SEED", raising=False)
+def test_no_stderr_is_predicted_at_infinite_variance(capsys, name):
     _, out = run_cli(capsys, *_MC[name])
     diagnostics = json.loads(out)["inputs"]["diagnostics"]
     assert diagnostics["variance"] == "infinite" and diagnostics["stderr_expected"] is None
@@ -858,7 +849,6 @@ def test_out_to_a_missing_directory_exits_three(tmp_path, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("BEREZIN_SEED", raising=False)
     seen = []
     resolve = cli._resolve
     monkeypatch.setattr(cli, "_resolve", lambda args: seen.append(args) or resolve(args))
@@ -1119,12 +1109,11 @@ def test_commands_import_only_the_library_modules_they_run():
     ]
     argvs = no_gamma + gamma + more
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = {name: value for name, value in os.environ.items() if name != "BEREZIN_SEED"}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
-        env={**env, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
     for argv, (code, loaded) in zip(argvs, json.loads(proc.stdout), strict=True):

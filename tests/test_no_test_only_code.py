@@ -3,7 +3,8 @@
 A definition that only tests reach is test code living in ``src/``; it
 belongs in ``tests/`` or nowhere.  Names are matched as plain names,
 attribute names and imported names, anywhere in ``src/berezin_lab``
-outside the definition's own body.
+outside the definition's own body.  No library module reads the
+environment either: a run is its command line.
 """
 
 import ast
@@ -13,7 +14,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "berezin_lab"
 
 # Reached by tests only today; each waits on the ROADMAP item that gives it a library caller.
 KEPT = {
-    "haar_sample_uncorrected": "item 5: the negative control of the Haar samplers, bound to a ledger row",
     "coeff_Q_o": "item 5: the independent side of the r = 0 check, bound to a ledger row",
     "coeff_CVQ_u": "item 4: the unitary Plancherel family",
     "covariance_convention_table": "item 5: the check of the ledger row 'kernel covariance multiplier'",
@@ -44,3 +44,10 @@ def test_every_src_definition_is_named_by_other_src_code():
     # a kept name that gains a caller leaves the list, so the list stays exact
     stale = sorted(set(KEPT) - {full.rpartition(".")[2] for full in unnamed})
     assert not test_only and not stale, f"named by no src code: {test_only}; kept but named: {stale}"
+
+
+def test_no_src_module_reads_the_environment():
+    reads = {path.name: {"environ", "getenv"}.intersection(
+                 _names(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: found for name, found in reads.items() if found}

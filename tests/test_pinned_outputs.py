@@ -33,8 +33,7 @@ def test_every_pinned_argv_has_one_pin():
 
 
 @pytest.mark.parametrize("entry", _PINS["outputs"], ids=lambda entry: entry["argv"])
-def test_cli_output_matches_its_pin(entry, monkeypatch):
-    monkeypatch.delenv("BEREZIN_SEED", raising=False)
+def test_cli_output_matches_its_pin(entry):
     if not _SAME_VERSIONS:
         warnings.warn(f"pins were written under {dict((k, _PINS[k]) for k in versions())}, "
                       f"this is {versions()}: comparing verdicts only")
@@ -58,7 +57,6 @@ def test_the_cross_version_rule_reads_a_csv_reports_verdict(entry):
 
 
 def test_every_readme_example_is_a_pin(tmp_path, monkeypatch):
-    monkeypatch.delenv("BEREZIN_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     blocks = re.findall(r"```sh\n(.*?)```", (_ROOT / "README.md").read_text(encoding="utf-8"),
                         re.S)
