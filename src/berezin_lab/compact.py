@@ -55,15 +55,19 @@ def _gram_schmidt(q: np.ndarray, step: int = 1) -> np.ndarray:
     and normalised by its 2-norm, computed as ``np.linalg.norm`` does.
     Every step writes into one (d, size) temporary and one (size,)
     accumulator, through the same ufuncs in the same order as those
-    expressions, so the result is theirs bit for bit.  It is returned as a
-    (size, d, columns) view of ``q``, with no copy.
+    expressions, so the result is theirs bit for bit.  With ``step`` 2
+    the temporary is the odd slot after the column in hand, which the
+    structure map fills only once that column is finished.  The result is
+    returned as a (size, d, columns) view of ``q``, with no copy.
     """
     conj = np.conjugate if np.iscomplexobj(q) else lambda u, out: u  # a real u is its conjugate
-    tmp = np.empty(q.shape[1:], dtype=q.dtype)
+    tmp = np.empty(q.shape[1:], dtype=q.dtype) if step == 1 else None
     acc = np.empty(q.shape[2:], dtype=q.dtype)
     norm = acc.real  # the float view of a complex accumulator
     for j in range(0, len(q), step):
         col = q[j]
+        if step == 2:
+            tmp = q[j + 1]  # free until the structure map fills it
         for _ in range(2 if j else 0):  # the second pass removes cancellation error
             for u in q[:j]:
                 np.multiply(conj(u, out=tmp), col, out=tmp)
@@ -77,10 +81,38 @@ def _gram_schmidt(q: np.ndarray, step: int = 1) -> np.ndarray:
     return q.transpose(2, 1, 0)
 
 
-def _complex_normal_into(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the complex ``out`` with Gaussians x + iy, each taking its (x, y) off the stream in turn."""
-    gen.standard_normal(out=out.view(float))
-    return out
+def _gaussian(field: str, n: int, size: int, cols: int | None = None):
+    """Storage for the Gaussian columns of ``field`` samples, and the draw that fills it.
+
+    Returns (g, draw).  g is unfilled, shape (m, d, size), sample axis
+    last, with d = n, or 2n for the quaternion field.  m counts the drawn
+    columns: min(n, cols), or min(n, ceil(cols / 2)) for the quaternion
+    field, whose sampler adds an S-partner after each.  ``draw(gen)``
+    fills g in one column-major draw, a complex entry taking its (x, y)
+    off the stream in turn, and returns it.  It is the only step of a
+    sampler that reads the stream, and it calls nothing but ``gen``.
+    Allocating and drawing are apart so that the draw can run on another
+    thread, into storage that the calling thread owns.
+    """
+    if field == QUATERNION:
+        m, d = (n if cols is None else min(n, -(-cols // 2))), 2 * n
+    else:
+        m, d = (n if cols is None else min(n, cols)), n
+    g = np.empty((m, d, size), dtype=float if field == REAL else complex)
+
+    def draw(gen: np.random.Generator) -> np.ndarray:
+        gen.standard_normal(out=g.view(float))
+        return g
+
+    return g, draw
+
+
+def _drawn(gen, field: str, n: int, size: int, cols: int | None) -> np.ndarray:
+    """The filled Gaussian storage of a sampler call: drawn from the Generator ``gen``,
+    or ``gen`` itself when it is storage that ``_gaussian``'s draw has already filled."""
+    if isinstance(gen, np.ndarray):
+        return gen
+    return _gaussian(field, n, size, cols)[1](gen)
 
 
 def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -88,9 +120,7 @@ def _haar_orthogonal_batch(n: int, size: int, gen: np.random.Generator) -> np.nd
     return _gram_schmidt(gen.standard_normal((n, n, size)))
 
 
-def _haar_so_batch(
-    n: int, size: int, gen: np.random.Generator, cols: int | None = None
-) -> np.ndarray:
+def _haar_so_batch(n: int, size: int, gen, cols: int | None = None) -> np.ndarray:
     """Haar SO(n): Haar O(n) with the last column flipped on det = -1.
 
     With ``cols`` < n only the first ``cols`` Gaussian columns are drawn
@@ -99,43 +129,39 @@ def _haar_so_batch(
     those are the leading columns of the full sample's draw and the
     result is the full sample's first columns, bit for bit; only the
     stream position afterwards differs, by (n - cols) n size normals.
+
+    ``gen`` is a Generator, or the storage that ``_gaussian`` made for
+    the same (n, size, cols) with its draw already made; so are the other
+    fields' ``gen``.
     """
-    if cols is not None and cols < n:
-        return _gram_schmidt(gen.standard_normal((cols, n, size)))
-    q = _haar_orthogonal_batch(n, size, gen)
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    q = _gram_schmidt(_drawn(gen, REAL, n, size, cols))
+    if q.shape[2] == n:
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
 
 
-def _haar_u_batch(
-    n: int, size: int, gen: np.random.Generator, cols: int | None = None
-) -> np.ndarray:
+def _haar_u_batch(n: int, size: int, gen, cols: int | None = None) -> np.ndarray:
     """Haar U(n), or with ``cols`` < n its first ``cols`` columns, shape (size, n, cols).
 
     As for SO(n), the draw is column-major and column j reads the first j
     Gaussian columns only, so a cut is the full sample's leading columns,
     bit for bit, and leaves (n - cols) n size complex normals undrawn.
     """
-    m = n if cols is None else min(n, cols)
-    return _gram_schmidt(_complex_normal_into(gen, np.empty((m, n, size), dtype=complex)))
+    return _gram_schmidt(_drawn(gen, COMPLEX, n, size, cols))
 
 
-def _haar_sp_batch(
-    n: int, size: int, gen: np.random.Generator, cols: int | None = None
-) -> np.ndarray:
+def _haar_sp_batch(n: int, size: int, gen, cols: int | None = None) -> np.ndarray:
     """Haar Sp(n) in the complex realization: n drawn columns, each with its S-partner.
 
     ``cols`` counts stored columns: ceil(cols / 2) columns are drawn, each
     followed by its partner, shape (size, 2n, 2 ceil(cols / 2)).  They are
     the full sample's leading columns, bit for bit, since a drawn column
-    is projected off the finished pairs only.  Each column is drawn
-    straight into its even slot of the output, in column order, so the
-    stream is read as one column-major draw of all of them.
+    is projected off the finished pairs only.  The drawn columns are one
+    column-major draw, copied into the even slots of the output.
     """
-    m = n if cols is None else min(n, -(-cols // 2))
-    q = np.empty((2 * m, 2 * n, size), dtype=complex)
-    for col in q[0::2]:
-        _complex_normal_into(gen, col)
+    g = _drawn(gen, QUATERNION, n, size, cols)
+    q = np.empty((2 * len(g), 2 * n, size), dtype=complex)
+    q[0::2] = g
     return _gram_schmidt(q, step=2)
 
 
@@ -188,7 +214,11 @@ def eliminate(work: np.ndarray) -> np.ndarray:
     losing work[i, j] times row j, through one (k - 1, ...) temporary
     made per call, so no step forms a (k - j - 1)^2 block product; each
     entry sees the products and subtractions of a block update, in the
-    same order, and the result is that update's bit for bit.
+    same order, and the result is that update's bit for bit.  ``work`` may
+    be a strided view, as ``corner_pivots``' view of a sampler's storage
+    is; the elimination runs on the thread that calls it and never on the
+    draw-ahead thread, so its arithmetic is the same whatever that
+    thread is doing.
 
     Unpivoted elimination is safe on both of the library's domains:
 
@@ -214,14 +244,22 @@ def corner_pivots(mats: np.ndarray, k: int) -> np.ndarray:
 
     ``k`` counts stored rows (two per quaternionic unit).  The j-th pivot
     is det(1+[g]_j) / det(1+[g]_{j-1}), which is 1 plus the (1, 1) entry of
-    g reduced j - 1 times by one row.  ``eliminate`` runs on a (k, k, size)
-    copy, and every entry sees the same operations in the same order as in
-    a per-sample elimination, so the pivots are bit for bit the same.  It
-    draws nothing: the Gaussian draws behind a seeded estimate are the
-    sampler's, and the estimate differs from a per-sample computation only
-    where Q does, at rounding level.  The result keeps the sample axis
-    last: it is ``eliminate``'s view of that copy's diagonal, whose row j
-    holds pivot j of every sample contiguously.
+    g reduced j - 1 times by one row.  ``eliminate`` runs on ``mats``' own
+    storage, through a (k, k, size) view of its leading corner, so that
+    corner is overwritten and nothing is copied.  Every entry sees the
+    same operations in the same order as in a per-sample elimination, so
+    the pivots are bit for bit the same.  It draws nothing: the Gaussian
+    draws behind a seeded estimate are the sampler's, and the estimate
+    differs from a per-sample computation only where Q does, at rounding
+    level.  In a Monte Carlo estimate that Gaussian may have been drawn on
+    the draw-ahead thread (see ``integrals``), but the draw was complete
+    before the sampler orthonormalised it, and only the calling thread
+    touches the storage after that, so the pivots cannot depend on the
+    thread timing.  The result keeps the sample axis last: it is ``eliminate``'s
+    view of the corner's diagonal, whose row j holds pivot j of every
+    sample, contiguously for a sampler's stack.
     """
-    work = np.add(mats[:, :k, :k].transpose(1, 2, 0), np.eye(k)[:, :, None], order="C")
+    work = mats[:, :k, :k].transpose(1, 2, 0)
+    diagonal = np.einsum("ii...->i...", work)
+    diagonal += 1.0
     return eliminate(work)

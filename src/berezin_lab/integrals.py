@@ -23,26 +23,56 @@ sign flip changes column n alone, so the flip is skipped and the corner
 is bit-identical to the full sample's.  Both kernels, the Gram-Schmidt
 sampler and ``corner_pivots``, work with the sample axis last, so each
 elementwise step sweeps a block's 4096 samples: the Gaussian is drawn as
-(columns, d, samples), for Sp(n) straight into the drawn columns' slots
-of the (2 columns, d, samples) output, Gram-Schmidt orthonormalises it in
-place through one (d, samples) temporary, the sampler hands back a view
-of it, and the pivots come back as (rows, samples).  The evaluation
-keeps that layout: the running log corner determinant and the positivity
-test go row by row, and only the contraction with the exponent vector
-takes one transposed copy.  The U(n) integrand p^a conj(p)^b is formed from log|p|,
+(columns, d, samples), for Sp(n) the drawn columns only, copied into the
+even slots of the (2 columns, d, samples) output, Gram-Schmidt
+orthonormalises it in place through one (d, samples) temporary, the
+sampler hands back a view of it, ``corner_pivots`` eliminates on that
+storage's leading corner, and the pivots come back as (rows, samples).
+The evaluation keeps that layout: the running log corner determinant and
+the positivity test go row by row, and only the contraction with the
+exponent vector takes one transposed copy.  The U(n) integrand p^a conj(p)^b is formed from log|p|,
 which the redraw test needs anyway, and arg p, with no complex logarithm.
+
+The Gaussian draw is about half of an estimate's work, so it runs a block
+ahead, on the second core.  The calling thread makes each block's
+generator ``block_rng(root, b)`` and allocates its storage
+(``compact._gaussian``); one helper thread, the draw-ahead thread, fills
+block b + 1's storage while the calling thread orthonormalises,
+eliminates, evaluates and merges block b.  Block 0 is filled on the
+calling thread while block 1 fills on the helper, and an estimate of one
+block starts no thread.  Redraws stay on the calling thread and read
+block b's generator after its first draw.  So each generator is read by
+the same draws in the same order whichever thread makes them, the merge
+order is fixed, and no estimate's bytes depend on the thread timing.  The
+helper calls nothing but the generator: every function that
+``perfbench/layers.py`` binds runs on the calling thread, whose span
+stack is not thread-safe.  The helper is a daemon, started by the first
+estimate of two or more blocks and serving every later one, and an
+exception raised by a fill is raised again from the estimate that waits
+for it.
 """
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, log, sqrt
 
 import numpy as np
 
-from .compact import _haar_so_batch, _haar_sp_batch, _haar_u_batch, corner_pivots
+from .compact import (
+    COMPLEX,
+    QUATERNION,
+    REAL,
+    _gaussian,
+    _haar_so_batch,
+    _haar_sp_batch,
+    _haar_u_batch,
+    corner_pivots,
+)
 from .errors import DomainError, InvalidParams
 from .gammaval import gamma_value, lgamma
 from .rngs import block_rng, derive_root_seed
@@ -220,25 +250,115 @@ def u_second_moment(n: int, lam, mu) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mc_reduce(block_values, n_samples: int, rng) -> MCEstimate:
+_jobs = None  # the draw-ahead thread's queue of fills, made when the thread starts
+_start_lock = threading.Lock()
+
+
+def _draw_ahead(fill, gen):
+    """Hand ``fill(gen)`` to the draw-ahead thread; the returned queue gets its exception or None.
+
+    The thread is started by the first call, made by the first estimate of
+    two or more blocks, and serves every later estimate, one fill at a time
+    in the order they were handed in.  It is a daemon that waits on its
+    queue between fills.  A process forked from this one starts its own.
+    """
+    global _jobs
+    from queue import SimpleQueue  # here: a process with no estimate of two blocks never loads it
+
+    with _start_lock:
+        if _jobs is None:
+            _jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="berezin-draw-ahead",
+                             daemon=True).start()
+        jobs = _jobs
+    done = SimpleQueue()
+    jobs.put((fill, gen, done))
+    return done
+
+
+def _serve(jobs) -> None:
+    while True:
+        fill, gen, done = jobs.get()
+        try:
+            fill(gen)
+        except BaseException as exc:  # raised again on the thread that waits for the fill
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _forget_the_draw_ahead_thread() -> None:
+    global _jobs, _start_lock
+    _jobs, _start_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_the_draw_ahead_thread)
+
+
+def _wait(done) -> None:
+    exc = done.get()
+    if exc is not None:
+        raise exc
+
+
+def _blocks(root: int, counts: list[int], draw):
+    """(gen, count, source) for each block in order, with gen = ``block_rng(root, b)``.
+
+    Without ``draw`` the source is gen.  With it, the source is the
+    storage that ``draw(count)`` returned as (storage, fill), filled by
+    fill(gen).  Generators and storage are made on the calling thread,
+    one block ahead.  Block 0 is filled here while block 1 fills on the
+    draw-ahead thread, and from then on block b + 1 fills there while the
+    caller works on block b; a single block starts no thread.  Each
+    generator is read by one fill, and later only by its own block's
+    redraws, so what a block's generator yields does not depend on the
+    thread timing.
+    """
+    if draw is None:
+        for b, count in enumerate(counts):
+            gen = block_rng(root, b)
+            yield gen, count, gen
+        return
+
+    def start(b: int, here: bool):
+        """The block's generator and storage, and what completes its fill: the fill
+        itself, run here, or the wait for the draw-ahead thread that runs it."""
+        gen = block_rng(root, b)
+        storage, fill = draw(counts[b])
+        return gen, storage, partial(fill, gen) if here else partial(_wait, _draw_ahead(fill, gen))
+
+    ahead = start(0, here=True)
+    for b, count in enumerate(counts):
+        gen, storage, complete = ahead
+        if b + 1 < len(counts):
+            ahead = start(b + 1, here=False)
+        complete()
+        yield gen, count, storage
+
+
+def _mc_reduce(block_values, n_samples: int, rng, draw=None) -> MCEstimate:
     """Reduce per-block values into one estimate.
 
-    ``block_values(gen, count)`` returns (values, n_resampled) for one
-    logical block of ``BLOCK`` samples (the last one short), drawn from
-    its own stream ``block_rng(root, b)``.  Block partials are merged in
-    block order, so a fixed seed gives a fixed result.
+    ``block_values(gen, count, source)`` returns (values, n_resampled) for
+    one logical block of ``BLOCK`` samples (the last one short), drawn
+    from its own stream ``gen = block_rng(root, b)``, where ``source`` is
+    ``_blocks``' source of the block's first draw: gen itself, or with
+    ``draw`` storage already filled from gen.  Block partials are merged
+    in block order, so a fixed seed gives a fixed result, whichever thread
+    made the draws and whenever.
     """
     if n_samples < 2:
         raise InvalidParams("need at least 2 samples")
     root = derive_root_seed(rng)
     n_blocks = ceil(n_samples / BLOCK)
+    counts = [BLOCK] * (n_blocks - 1) + [n_samples - BLOCK * (n_blocks - 1)]
     n = 0
     mean = m2 = si = 0.0
     n_res = 0
     max_abs = 0.0
-    for b in range(n_blocks):
-        count = BLOCK if b < n_blocks - 1 else n_samples - BLOCK * (n_blocks - 1)
-        vals, res = block_values(block_rng(root, b), count)
+    for gen, count, source in _blocks(root, counts, draw):
+        vals, res = block_values(gen, count, source)
+        del source  # freed before _blocks makes block b + 2's storage
         re = np.real(vals)
         block_mean = float(re.mean())
         # Chan-Golub-LeVeque merge of (count, mean, M2): the variance never
@@ -266,7 +386,7 @@ def _mc_reduce(block_values, n_samples: int, rng) -> MCEstimate:
 _LOG_TINY = log(1e-300)
 
 
-def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
+def corner_power_mc(sample, a, n_samples: int, rng=None, b=None, gaussian=None) -> MCEstimate:
     """Monte Carlo mean of prod_j p_j^a_j (times conj(p_j)^b_j when ``b`` is given).
 
     p_j = det(1+[g]_j) / det(1+[g]_{j-1}) are the corner pivots of the
@@ -287,6 +407,14 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
     sample is redrawn, and counted in ``n_resamples``, when one of those
     real pivots is <= 0 or a log corner determinant among them falls
     below log 1e-300.
+
+    ``gaussian(count, cols)``, when given, returns (storage, draw) as
+    ``compact._gaussian`` does for ``sample``, which then takes filled
+    storage in place of a generator.  Each block's first draw is then
+    made ahead, on the draw-ahead thread (see ``_blocks``); its
+    orthonormalisation, the evaluation and every redraw stay on the
+    calling thread, and the redraws read the block's generator after its
+    first draw, as without ``gaussian``.
     """
     a = np.asarray(a, dtype=float)
     used = a != 0 if b is None else (a != 0) | (np.asarray(b) != 0)
@@ -321,8 +449,8 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
         # p^a conj(p)^b = exp((a + b) log|p| + i (a - b) arg p)
         return np.exp(contract(logabs, a + b) + 1j * contract(np.angle(piv), a - b)), ok
 
-    def block(gen, count):
-        vals, ok = evaluate(sample(count, gen, cols=rows))
+    def block(gen, count, source):
+        vals, ok = evaluate(sample(count, source, cols=rows))
         n_res = 0
         while not ok.all():
             idx = np.flatnonzero(~ok)
@@ -330,20 +458,23 @@ def corner_power_mc(sample, a, n_samples: int, rng=None, b=None) -> MCEstimate:
             vals[idx], ok[idx] = evaluate(sample(idx.size, gen, cols=rows))
         return vals, n_res
 
-    return _mc_reduce(block, n_samples, rng)
+    draw = None if gaussian is None else partial(gaussian, cols=rows)
+    return _mc_reduce(block, n_samples, rng, draw)
 
 
 def so_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the SO(n) corner-determinant integral, at lambda - lambda_n."""
     lam = _so_exponents(n, lam)
-    return corner_power_mc(partial(_haar_so_batch, n), lam[:-1], n_samples, rng)
+    return corner_power_mc(partial(_haar_so_batch, n), lam[:-1], n_samples, rng,
+                           gaussian=partial(_gaussian, REAL, n))
 
 
 def u_integral_mc(n: int, lam, mu, n_samples: int, rng=None) -> MCEstimate:
     """Monte Carlo for the U(n) integral, powers of the complex pivots."""
     lam = _exponents(lam, n, "lambda")
     mu = _exponents(mu, n, "mu")
-    return corner_power_mc(partial(_haar_u_batch, n), lam, n_samples, rng, b=mu)
+    return corner_power_mc(partial(_haar_u_batch, n), lam, n_samples, rng, b=mu,
+                           gaussian=partial(_gaussian, COMPLEX, n))
 
 
 def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
@@ -354,7 +485,8 @@ def sp_integral_mc(n: int, lam, n_samples: int, rng=None) -> MCEstimate:
     """
     lam = _exponents(lam, n)
     a = np.repeat(lam, 2) / 2.0
-    return corner_power_mc(partial(_haar_sp_batch, n), a, n_samples, rng)
+    return corner_power_mc(partial(_haar_sp_batch, n), a, n_samples, rng,
+                           gaussian=partial(_gaussian, QUATERNION, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1065,18 +1065,21 @@ def test_console_script_entry_point():
 
 
 # Runs each argv through main in order in one fresh interpreter and prints,
-# after each, its exit code and the scipy modules and the Gamma module loaded
-# so far.  Modules only accumulate, so a module absent after a command was
-# loaded by none of the commands before it.
+# after each, its exit code, the scipy modules and the Gamma module loaded
+# so far, which of concurrent.futures and logging are loaded, and the
+# threads alive.  Modules only accumulate, so a module absent after a
+# command was loaded by none of the commands before it.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading
 from berezin_lab.cli import main
 runs = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     runs.append([code, sorted(m for m in sys.modules
-                              if m.partition(".")[0] == "scipy" or m == "berezin_lab.gammaval")])
+                              if m.partition(".")[0] == "scipy" or m == "berezin_lab.gammaval"),
+                 [m for m in ("concurrent.futures", "logging") if m in sys.modules],
+                 sorted(t.name for t in threading.enumerate())])
 print(json.dumps(runs))
 """
 
@@ -1107,7 +1110,10 @@ def test_commands_import_only_the_library_modules_they_run():
         ["plancherel", "degeneration", "--p", "4", "--q", "12", "--alpha", "-3"],
         ["plancherel", "weight", "--p", "5", "--q", "12", "--alpha", "3", "--samples", "20"],
     ]
-    argvs = no_gamma + gamma + more
+    # the positive control for threads: more than one block of samples
+    # starts the draw-ahead thread, so it runs after every command checked
+    draw_ahead = [["integral", "so", "--n", "3", "--lambda", "1,0.5,0", "--samples", "5000"]]
+    argvs = no_gamma + gamma + more + draw_ahead
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
@@ -1116,9 +1122,14 @@ def test_commands_import_only_the_library_modules_they_run():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    for argv, (code, loaded) in zip(argvs, json.loads(proc.stdout), strict=True):
+    runs = json.loads(proc.stdout)
+    for argv, (code, loaded, pool, threads) in zip(argvs, runs, strict=True):
         assert code == EXIT_PASS, argv
         if argv in no_gamma:
             assert loaded == [], argv
         else:  # the positive control: the probe does see what a command loads
             assert loaded == ["berezin_lab.gammaval"], argv
+        assert pool == [], argv  # the draw-ahead thread needs threading and queue only
+        if argv[0] in ("kernel", "plancherel", "haar", "catalog", "ledger"):
+            assert threads == ["MainThread"], argv
+    assert runs[-1][3] == ["MainThread", "berezin-draw-ahead"]

@@ -358,7 +358,7 @@ def test_corner_pivots_are_ratios_of_corner_determinants(field):
     n = 8 if field != QUATERNION else 4
     d = stored_rows(n, field)
     mats = haar_sample_batch(field, n, 1000, rng)
-    piv = corner_pivots(mats, d).T
+    piv = corner_pivots(mats.copy(order="K"), d).T  # corner_pivots overwrites the corner it reduces
     # every pivot is 1 plus a unitary matrix entry; the last one sits on the
     # circle |p - 1| = 1, and rounding grows like 1 / (smallest earlier pivot)
     earlier = np.hstack([np.ones((len(piv), 1)), np.abs(piv[:, :-1])])
@@ -398,9 +398,11 @@ def test_corner_pivots_equal_the_sample_first_elimination_bit_for_bit(field):
     mats = haar_sample_batch(field, n, 500, rng=33)
     mats[0, 0, 0] = -1.0  # a zero first pivot takes the safe-divisor branch
     for k in (1, 3, d):
-        piv = corner_pivots(mats, k)
-        assert piv.shape == (k, 500)
-        assert np.array_equal(piv, _pivots_sample_axis_first(mats, k).T)
+        want = _pivots_sample_axis_first(mats, k).T
+        stack = mats.copy(order="K")  # the sampler's sample-axis-last layout
+        piv = corner_pivots(stack, k)
+        assert piv.shape == (k, 500) and np.shares_memory(piv, stack)  # no corner copy
+        assert np.array_equal(piv, want)
     assert corner_pivots(mats[:0], d).shape == (d, 0)
 
 

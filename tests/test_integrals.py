@@ -446,7 +446,7 @@ def test_corner_power_mc_does_not_redraw_for_a_pivot_it_does_not_read():
 def test_mc_stderr_survives_a_large_mean():
     # spread 1e-9 around 1: sum(x^2) - n mean^2 cancels to rounding noise,
     # the per-block (count, mean, M2) merge keeps the spread
-    def block(gen, count):
+    def block(gen, count, _source):
         return 1.0 + 1e-9 * gen.standard_normal(count), 0
 
     n = 50_000
@@ -457,7 +457,7 @@ def test_mc_stderr_survives_a_large_mean():
     assert (again.mean, again.stderr) == (est.mean, est.stderr)
     # each deviation carries eps * mean / spread ~ 1e-7 relative rounding,
     # so two summation orders agree on the stderr only to about 1e-9
-    assert_matches_one_pass(est, one_pass_draws(lambda g, c: block(g, c)[0], n, 3), rel=1e-8)
+    assert_matches_one_pass(est, one_pass_draws(lambda g, c: block(g, c, g)[0], n, 3), rel=1e-8)
 
 
 def test_mc_estimate_carries_seed_and_resample_count():
